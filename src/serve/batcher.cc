@@ -128,15 +128,27 @@ Batcher::run()
             cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
             if (queue_.empty() && stopping_)
                 return;
-            // First job seen: hold the batch open for the admission
-            // window (or until the size cap) so concurrent requests
-            // can join it.
+            // First job seen: hold the batch open so concurrent requests
+            // can join it, until the size cap is covered, every open
+            // connection has a request queued (no other can arrive), or
+            // the admission window expires.
             const auto deadline =
                 clock::now() + std::chrono::microseconds(opts_.window_us);
-            while (queued_jobs_ < opts_.max_batch && !stopping_) {
-                if (cv_.wait_until(lock, deadline) ==
-                    std::cv_status::timeout)
+            u64 *closed_by = nullptr; // stays null for a shutdown flush
+            while (!stopping_) {
+                if (queued_jobs_ >= opts_.max_batch) {
+                    closed_by = &stats_.close_cap;
                     break;
+                }
+                if (queue_.size() >= open_conns_) {
+                    closed_by = &stats_.close_queued;
+                    break;
+                }
+                if (cv_.wait_until(lock, deadline) ==
+                    std::cv_status::timeout) {
+                    closed_by = &stats_.close_window;
+                    break;
+                }
             }
             // Admit whole requests until the job cap is covered (the
             // first request is always taken, even if alone it exceeds
@@ -151,6 +163,10 @@ Batcher::run()
                                                  long(take)));
             queue_.erase(queue_.begin(), queue_.begin() + long(take));
             queued_jobs_ -= taken_jobs;
+            // Deadline-expired requests may have emptied the queue:
+            // no batch, so no close to count.
+            if (closed_by && take > 0)
+                ++*closed_by;
         }
         if (!batch.empty())
             processBatch(std::move(batch));
@@ -227,16 +243,20 @@ Batcher::processBatch(std::vector<Pending> batch)
     for (std::size_t i = 0; i < flat.size(); ++i)
         per_request[flat[i].first][flat[i].second] =
             std::move(rendered[i]);
+
+    // Count the batch before waking anyone, so a waiter that reads
+    // stats() after its response already sees the batch it rode in.
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.batches;
+        stats_.jobs += flat.size();
+        stats_.unique_jobs += unique.size();
+        stats_.coalesced += flat.size() - unique.size();
+        stats_.cache_hits += cache_hits;
+        stats_.simulated += miss.size();
+    }
     for (std::size_t r = 0; r < batch.size(); ++r)
         batch[r].result.set_value(std::move(per_request[r]));
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batches;
-    stats_.jobs += flat.size();
-    stats_.unique_jobs += unique.size();
-    stats_.coalesced += flat.size() - unique.size();
-    stats_.cache_hits += cache_hits;
-    stats_.simulated += miss.size();
 }
 
 SubmitStatus
@@ -289,6 +309,16 @@ Batcher::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
+}
+
+void
+Batcher::setOpenConnections(std::size_t count)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        open_conns_ = count;
+    }
+    cv_.notify_all();
 }
 
 } // namespace usys

@@ -5,10 +5,19 @@
  *
  * Connection threads submit() their decoded jobs and block; a single
  * batcher thread drains the queue. When the first request of a batch
- * arrives the batcher waits up to the admission window (default 200us,
- * USYS_SERVE_BATCH_WINDOW_US) for more to land, closes the batch at
- * the window or once the queued jobs cover the size cap (default 64,
- * USYS_SERVE_BATCH_MAX; whole requests are admitted, never split),
+ * arrives the batcher holds it open for more to land, and closes the
+ * batch at the first of:
+ *
+ *   - every open connection has a request queued (the daemon reports
+ *     its connection count via setOpenConnections(); each connection
+ *     has at most one request in flight, so nothing else can join);
+ *   - the queued jobs cover the size cap (default 64,
+ *     USYS_SERVE_BATCH_MAX; whole requests are admitted, never split);
+ *   - the admission window expires (default 200us,
+ *     USYS_SERVE_BATCH_WINDOW_US) — the upper bound on the wait while
+ *     some connection is idle, and the only time bound of a standalone
+ *     batcher that was never given a connection count;
+ *
  * then:
  *
  *   1. deduplicates by canonical key — concurrent identical requests
@@ -42,6 +51,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -63,6 +73,12 @@ struct BatcherStats
     u64 simulated = 0;     // jobs that reached the engine
     u64 shed = 0;          // requests refused: queue bound exceeded
     u64 deadline_misses = 0; // requests whose compute deadline passed
+
+    // Why each batch's admission wait ended (batched mode only; a
+    // batch flushed by shutdown counts in none of them).
+    u64 close_queued = 0; // every open connection had a request queued
+    u64 close_cap = 0;    // queued jobs covered max_batch
+    u64 close_window = 0; // the admission window expired
 
     /** Mean jobs per engine batch (the occupancy the bench reports). */
     double
@@ -86,7 +102,7 @@ class Batcher
     struct Options
     {
         bool enabled = true;
-        u64 window_us = 200; // admission window after the first job
+        u64 window_us = 200; // admission-wait bound after the first job
         u32 max_batch = 64;  // close the batch early at this many jobs
         u64 max_queued_jobs = 0; // shed above this backlog; 0 = unbounded
     };
@@ -113,6 +129,13 @@ class Batcher
 
     BatcherStats stats() const;
 
+    /**
+     * Report how many client connections are open. Once the queue holds
+     * one request per open connection the batch closes without waiting
+     * out the window. Never called = pure-window behavior. Thread-safe.
+     */
+    void setOpenConnections(std::size_t count);
+
   private:
     // One queue entry per REQUEST (not per job): a 40-job sweep costs
     // one promise/future handoff, not 40 — the futex traffic of
@@ -138,6 +161,9 @@ class Batcher
     std::condition_variable cv_;
     std::vector<Pending> queue_;
     std::size_t queued_jobs_ = 0; // sum of jobs across queue_
+    // max() until the daemon reports a count: the queue never reaches
+    // it, so a standalone batcher closes on the cap or window only.
+    std::size_t open_conns_ = std::numeric_limits<std::size_t>::max();
     u64 next_ticket_ = 1;
     bool stopping_ = false;
     std::thread worker_;

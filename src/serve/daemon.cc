@@ -98,6 +98,7 @@ Daemon::run()
         }
         ++stats_.connections;
         open_fds_.push_back(conn.fd());
+        batcher_->setOpenConnections(open_fds_.size());
         threads_.emplace_back(
             [this](Socket sock) { handleConnection(std::move(sock)); },
             std::move(conn));
@@ -186,6 +187,9 @@ Daemon::handleConnection(Socket sock)
     open_fds_.erase(
         std::remove(open_fds_.begin(), open_fds_.end(), fd),
         open_fds_.end());
+    // One fewer connection may complete the batcher's "every open
+    // connection has a request queued" rule: this wakes it.
+    batcher_->setOpenConnections(open_fds_.size());
     done_ids_.push_back(std::this_thread::get_id());
     publishCounters();
 }
@@ -264,6 +268,16 @@ Daemon::publishCounters()
         .set(bs.deadline_misses);
     reg.counter("serve.open_conns", "currently open client connections")
         .set(open_fds_.size());
+    reg.counter("serve.batch_close_queued_total",
+                "batches closed once every open connection had a "
+                "request queued")
+        .set(bs.close_queued);
+    reg.counter("serve.batch_close_cap_total",
+                "batches closed at the job cap")
+        .set(bs.close_cap);
+    reg.counter("serve.batch_close_window_total",
+                "batches closed by the admission window expiring")
+        .set(bs.close_window);
     reg.counter("serve.io_timeout_total",
                 "connections reaped by the io timeout")
         .set(stats_.io_timeouts);
@@ -307,6 +321,9 @@ Daemon::renderStats() const
     w.field("unique_jobs", bs.unique_jobs);
     w.field("coalesced", bs.coalesced);
     w.field("occupancy", bs.occupancy());
+    w.field("close_queued", bs.close_queued);
+    w.field("close_cap", bs.close_cap);
+    w.field("close_window", bs.close_window);
     w.endObject();
     w.beginObject("cache");
     w.field("enabled", cache_->enabled());

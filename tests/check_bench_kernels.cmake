@@ -2,8 +2,8 @@
 #   BENCH     path to the perf_smoke binary
 #   PYTHON    python3 interpreter
 #   TOOLS_DIR repo tools/ directory (schema + checker)
-#   WORK_DIR  scratch directory for the artifact
-#   REPO_ROOT repo source directory (receives the artifact copy)
+#   WORK_DIR  scratch directory for the artifact (the only file written;
+#             the committed root BENCH_kernels.json is refreshed by hand)
 #   SANITIZED USYS_SANITIZE value of the tree ("" for a plain build)
 
 set(stats ${WORK_DIR}/BENCH_kernels.json)
@@ -59,20 +59,4 @@ execute_process(
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "BENCH_kernels.json schema validation failed")
-endif()
-
-# Publish the validated artifact at the repo root so the checked-in
-# benchmark record tracks the tested binary — but never from a
-# sanitized tree: instrumented timings (worse, with TSan's exempted
-# AVX-512 kernels, wildly inflated ratios) must not become the
-# committed baseline bench_kernels_regress compares against.
-if(DEFINED REPO_ROOT AND NOT SANITIZED)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E copy_if_different ${stats}
-                ${REPO_ROOT}/BENCH_kernels.json
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "could not copy BENCH_kernels.json to "
-                            "${REPO_ROOT}")
-    endif()
 endif()

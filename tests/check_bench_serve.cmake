@@ -2,8 +2,8 @@
 #   BENCH     path to the serve_load binary
 #   PYTHON    python3 interpreter
 #   TOOLS_DIR repo tools/ directory (schema + checker)
-#   WORK_DIR  scratch directory for the artifact
-#   REPO_ROOT repo source directory (receives the artifact copy)
+#   WORK_DIR  scratch directory for the artifact (the only file written;
+#             the committed root BENCH_serve.json is refreshed by hand)
 
 set(stats ${WORK_DIR}/BENCH_serve.json)
 
@@ -40,18 +40,4 @@ execute_process(
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "BENCH_serve.json schema validation failed")
-endif()
-
-# Publish the validated artifact at the repo root so the checked-in
-# benchmark record tracks the tested binary — release trees only;
-# sanitized timings must not become the committed record.
-if(DEFINED REPO_ROOT AND NOT SANITIZED)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E copy_if_different ${stats}
-                ${REPO_ROOT}/BENCH_serve.json
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "could not copy BENCH_serve.json to "
-                            "${REPO_ROOT}")
-    endif()
 endif()

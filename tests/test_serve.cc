@@ -395,6 +395,9 @@ TEST(ServeJsonParse, NestingDepthIsBounded)
 
 TEST(ServeBatcher, BoundedQueueShedsWithOverloaded)
 {
+    // A standalone Batcher is never told a connection count, so it
+    // keeps the pure-window close rule: the parked job below really
+    // does sit out the whole window instead of running at once.
     Batcher::Options opts;
     opts.enabled = true;
     opts.window_us = 500000; // hold the first batch open half a second
@@ -479,10 +482,17 @@ TEST_F(ServeDaemonTest, RequestDeadlineProducesStructuredError)
     opts.quiet = true;
     opts.cache = false;
     // Hold the admission window open far past the 1ms request deadline
-    // so the request deterministically expires while parked.
+    // so the request deterministically expires while parked. A batch
+    // also closes once every open connection has a request queued, so
+    // an idle second connection is what keeps the window open.
     opts.batch_window_us = 500000;
     opts.request_deadline_ms = 1;
     startDaemon(opts);
+    ServeClient idle;
+    std::string error;
+    ASSERT_TRUE(idle.connect(daemon_->port(), &error)) << error;
+    ASSERT_TRUE(idle.ping(10)); // guarantees the daemon counts it
+
     const std::string response = call(
         R"({"op":"sweep","id":11,"layers":"alexnet",)"
         R"("schemes":["BP","UR"]})");
@@ -494,6 +504,98 @@ TEST_F(ServeDaemonTest, RequestDeadlineProducesStructuredError)
     const std::string pong = call(R"({"op":"ping","id":12})");
     EXPECT_NE(pong.find("\"pong\":true"), std::string::npos);
     EXPECT_GE(daemon_->batcherStats().deadline_misses, 1u);
+
+    // A request with room to wait rides the window out: the idle
+    // connection is still open, so only the window can close its batch.
+    const std::string late = call(
+        R"({"op":"gemm","id":13,"m":8,"k":16,"n":4,"deadline_ms":5000})");
+    EXPECT_NE(late.find("\"ok\":true"), std::string::npos) << late;
+    EXPECT_GE(daemon_->batcherStats().close_window, 1u);
+}
+
+TEST_F(ServeDaemonTest, BatchClosesOnceEveryConnectionHasARequestQueued)
+{
+    DaemonOptions opts;
+    opts.quiet = true;
+    opts.cache = false;
+    opts.batch_window_us = 500000;
+    startDaemon(opts);
+
+    // Both connections are counted before either sends, so the first
+    // request waits for the second — and for nothing after it.
+    ServeClient clients[2];
+    std::string error;
+    for (u64 i = 0; i < 2; ++i) {
+        ASSERT_TRUE(clients[i].connect(daemon_->port(), &error)) << error;
+        ASSERT_TRUE(clients[i].ping(i));
+    }
+    const std::string requests[2] = {
+        R"({"op":"gemm","id":1,"m":8,"k":16,"n":4})",
+        R"({"op":"gemm","id":2,"m":9,"k":16,"n":4})"};
+    std::string responses[2];
+    const auto start = std::chrono::steady_clock::now();
+    std::thread second(
+        [&] { EXPECT_TRUE(clients[1].call(requests[1], &responses[1])); });
+    EXPECT_TRUE(clients[0].call(requests[0], &responses[0]));
+    second.join();
+    const auto wall = std::chrono::steady_clock::now() - start;
+
+    for (const std::string &response : responses)
+        EXPECT_NE(response.find("\"ok\":true"), std::string::npos)
+            << response;
+    EXPECT_LT(wall, std::chrono::milliseconds(250)); // window is 500ms
+    const BatcherStats bs = daemon_->batcherStats();
+    EXPECT_EQ(bs.batches, 1u);
+    EXPECT_EQ(bs.jobs, 2u);
+    EXPECT_EQ(bs.close_queued, 1u);
+    EXPECT_EQ(bs.close_cap, 0u);
+    EXPECT_EQ(bs.close_window, 0u);
+    const std::string stats = call(R"({"op":"stats","id":3})");
+    EXPECT_NE(stats.find(R"("close_queued":1,"close_cap":0,)"
+                         R"("close_window":0)"),
+              std::string::npos)
+        << stats;
+}
+
+TEST_F(ServeDaemonTest, ClosingTheIdleConnectionReleasesAParkedBatch)
+{
+    DaemonOptions opts;
+    opts.quiet = true;
+    opts.cache = false;
+    opts.batch_window_us = 500000;
+    startDaemon(opts);
+
+    ServeClient busy, idle;
+    std::string error;
+    ASSERT_TRUE(busy.connect(daemon_->port(), &error)) << error;
+    ASSERT_TRUE(idle.connect(daemon_->port(), &error)) << error;
+    ASSERT_TRUE(busy.ping(1));
+    ASSERT_TRUE(idle.ping(2));
+
+    std::string response;
+    std::thread sender([&] {
+        EXPECT_TRUE(busy.call(R"({"op":"gemm","id":3,"m":8,"k":16,"n":4})",
+                              &response));
+    });
+    // Two pings plus the gemm: once the daemon has counted the gemm,
+    // it is microseconds from parking in the batcher.
+    for (int i = 0; i < 5000 && daemon_->daemonStats().requests < 3; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(daemon_->batcherStats().batches, 0u); // parked: idle is open
+
+    // The close leaves one open connection with its request queued:
+    // that must wake the batcher, far ahead of the 500ms window.
+    const auto closed = std::chrono::steady_clock::now();
+    idle.close();
+    sender.join();
+    EXPECT_LT(std::chrono::steady_clock::now() - closed,
+              std::chrono::milliseconds(250));
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    const BatcherStats bs = daemon_->batcherStats();
+    EXPECT_EQ(bs.batches, 1u);
+    EXPECT_EQ(bs.close_queued, 1u);
+    EXPECT_EQ(bs.close_window, 0u);
 }
 
 TEST_F(ServeDaemonTest, ConnectionCapShedsWithRetriableError)
