@@ -3,10 +3,23 @@
  * Fast bit-exact functional GEMM engines.
  *
  * GemmExecutor computes the same accumulations as the cycle-level
- * SystolicArray (tests assert exact agreement) but in O(1) per MAC using
- * the precomputed unary product tables, making full DNN inference through
- * the unary datapath tractable. Results are returned in scheme-native
- * accumulator units; resultScale() converts them to exact-product units.
+ * SystolicArray (tests assert exact agreement) from the precomputed
+ * unary product tables, making full DNN inference through the unary
+ * datapath tractable. Results are returned in scheme-native accumulator
+ * units; resultScale() converts them to exact-product units.
+ *
+ * The table schemes (UR, UT, UG) share one weight-staged kernel. Each
+ * activation stages once as a table row and a sign: the delivered
+ * ones-count for UR/UT (a zero row adds nothing and is skipped), the
+ * offset code a + 2^(N-1) for UG (never skipped: a zero activation
+ * still adds the bipolar bias). Per block of k, only the weight-side
+ * rows T_k[row][0..N) some activation uses are built, each entry the
+ * scheme's exact product of the row with b(k, n). An output row is then
+ * a sum of whole selected rows in an i32 accumulator, spilled into the
+ * i64 output once per block; every entry is at most 2^(N-1) in
+ * magnitude, so a block of at most INT32_MAX / 2^(N-1) k values cannot
+ * overflow. singleProduct() is the per-MAC referee the tests hold the
+ * kernel to. A code outside the tables' [-2^(N-1), 2^(N-1)] is fatal.
  */
 
 #ifndef USYS_ARCH_FUNCTIONAL_H

@@ -50,14 +50,25 @@ maxMagnitude(int bits)
  * @param value real input
  * @param scale real value represented by one LSB
  * @param bits total signed bitwidth (sign + magnitude)
- * @return integer code clamped to [-maxMagnitude, +maxMagnitude]
+ * @return integer code clamped to [-maxMagnitude, +maxMagnitude]; a
+ *         quotient beyond the range (infinities included) saturates, and
+ *         NaN maps to 0
  */
 inline i32
 quantize(double value, double scale, int bits)
 {
-    const i32 max_mag = maxMagnitude(bits);
-    i32 q = i32(std::lround(value / scale));
-    return std::clamp(q, -max_mag, max_mag);
+    const double q = value / scale;
+    if (std::isnan(q))
+        return 0;
+    // Clamp before converting, so no quotient can wrap through the
+    // integer cast, then round half away from zero exactly as
+    // std::lround does: the clamped value fits an i32, truncation is
+    // exact, and so is the fraction left over.
+    const double max_mag = maxMagnitude(bits);
+    const double c = std::clamp(q, -max_mag, max_mag);
+    const i32 t = i32(c);
+    const double frac = c - double(t);
+    return t + i32(frac >= 0.5) - i32(frac <= -0.5);
 }
 
 /** Reconstruct the real value of an integer code under the given scale. */

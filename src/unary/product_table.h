@@ -112,7 +112,22 @@ class BipolarProductModel
     u32 period() const { return period_; }
 
     /** Output 1-count over a full period for signed inputs x, w. */
-    u32 onesCount(i32 x, i32 w) const;
+    u32
+    onesCount(i32 x, i32 w) const
+    {
+        const u32 half = period_ / 2;
+        const u32 x_off = u32(x + i32(half));
+        const u32 w_off = u32(w + i32(half));
+        // Input delivers x_off 1-bits and (period - x_off) 0-bits per
+        // period.
+        const u32 ones_on_one =
+            prefix_one_[std::size_t(x_off) * stride_ + w_off];
+        const u32 zeros = period_ - x_off;
+        const u32 w_hits_on_zero =
+            prefix_zero_[std::size_t(zeros) * stride_ + w_off];
+        // XNOR: output 1 when (x=1, w=1) or (x=0, w=0).
+        return ones_on_one + (zeros - w_hits_on_zero);
+    }
 
     /**
      * Signed product estimate scaled to match the unipolar path, i.e.

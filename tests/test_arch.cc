@@ -3,14 +3,18 @@
  * Tests for the PE models, the cycle-level systolic array, and the fast
  * functional GEMM engines. The load-bearing invariant: for every scheme,
  * bitwidth, and early-termination point, the cycle-level array produces
- * exactly the same accumulations as the O(1) functional executor, and
- * exact results for the binary schemes.
+ * exactly the same accumulations as the table-driven functional
+ * executor, which in turn matches the per-MAC referee (singleProduct),
+ * and exact results for the binary schemes.
  */
 
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/executor.h"
 #include "common/matrix.h"
 #include "common/prng.h"
 #include "common/stats.h"
@@ -381,6 +385,171 @@ TEST(Ebt, ZeroMagnitudeOperandsSurviveEveryScheme)
                 for (int c = 0; c < 3; ++c)
                     EXPECT_EQ(zz.output(m, c), 0);
         }
+    }
+}
+
+// --- Table kernel vs the per-MAC referee -------------------------------
+
+/** The per-MAC referee: out(m, n) = sum over k of singleProduct. */
+Matrix<i64>
+refereeGemm(const GemmExecutor &exec, const Matrix<i32> &a,
+            const Matrix<i32> &b)
+{
+    Matrix<i64> out(a.rows(), b.cols(), 0);
+    for (int m = 0; m < a.rows(); ++m)
+        for (int k = 0; k < a.cols(); ++k)
+            for (int n = 0; n < b.cols(); ++n)
+                out(m, n) += exec.singleProduct(a(m, k), b(k, n));
+    return out;
+}
+
+/** Codes over the whole table range [-2^(bits-1), 2^(bits-1)], with a
+ *  random share of zeros and some all-zero rows. */
+Matrix<i32>
+tableCodes(int rows, int cols, int bits, Prng &prng)
+{
+    const i32 lim = i32(1) << (bits - 1);
+    const u64 zero_pct = prng.below(4) * 30; // 0, 30, 60 or 90%
+    Matrix<i32> m(rows, cols, 0);
+    for (int r = 0; r < rows; ++r) {
+        if (prng.below(8) == 0)
+            continue;
+        for (int c = 0; c < cols; ++c)
+            if (prng.below(100) >= zero_pct)
+                m(r, c) = i32(prng.below(2 * u64(lim) + 1)) - lim;
+    }
+    return m;
+}
+
+/** Set the executor's thread count for one scope. */
+struct ThreadGuard
+{
+    explicit ThreadGuard(unsigned n) { Executor::global().setThreads(n); }
+    ~ThreadGuard() { Executor::global().setThreads(0); }
+};
+
+/** Report the first entry where run() and the referee disagree. */
+::testing::AssertionResult
+sameAccumulations(const Matrix<i64> &got, const Matrix<i64> &want)
+{
+    if (got.rows() != want.rows() || got.cols() != want.cols())
+        return ::testing::AssertionFailure() << "shape differs";
+    for (int m = 0; m < got.rows(); ++m)
+        for (int n = 0; n < got.cols(); ++n)
+            if (got(m, n) != want(m, n))
+                return ::testing::AssertionFailure()
+                       << "out(" << m << ", " << n << ") = " << got(m, n)
+                       << ", referee " << want(m, n);
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Randomized differential test: GemmExecutor::run against the sum of
+ * singleProduct over UR (with and without early termination), UT and UG
+ * at every bitwidth the tables support, on random shapes (N past 64
+ * included), negative codes, zero-heavy and all-zero rows and columns,
+ * at one and three threads. A failure names the seed that reproduces it.
+ */
+TEST(Functional, TableKernelMatchesPerMacReferee)
+{
+    struct Config
+    {
+        Scheme scheme;
+        int bits;
+        bool et;
+    };
+    std::vector<Config> configs;
+    for (int bits = 2; bits <= 13; ++bits) {
+        configs.push_back({Scheme::USystolicRate, bits, false});
+        configs.push_back({Scheme::USystolicRate, bits, true});
+        configs.push_back({Scheme::USystolicTemporal, bits, false});
+        if (bits <= 12)
+            configs.push_back({Scheme::UgemmHybrid, bits, false});
+    }
+    u64 seed = 0;
+    for (const Config &c : configs) {
+        for (int trial = 0; trial < 3; ++trial, ++seed) {
+            Prng prng(0xd1ffu + seed);
+            const int et =
+                c.et ? 2 + int(prng.below(u64(c.bits) - 1)) : 0;
+            const KernelConfig kernel{c.scheme, c.bits, et};
+            const int m_rows = 1 + int(prng.below(24));
+            const int k_dim = 1 + int(prng.below(64));
+            const int n_dim = 1 + int(prng.below(trial == 2 ? 100 : 40));
+            const auto a = tableCodes(m_rows, k_dim, c.bits, prng);
+            auto b = tableCodes(k_dim, n_dim, c.bits, prng);
+            if (prng.below(4) == 0) {
+                const int zero_col = int(prng.below(u64(n_dim)));
+                for (int k = 0; k < k_dim; ++k)
+                    b(k, zero_col) = 0;
+            }
+            const GemmExecutor exec(kernel);
+            const auto want = refereeGemm(exec, a, b);
+            for (unsigned threads : {1u, 3u}) {
+                ThreadGuard guard(threads);
+                EXPECT_TRUE(sameAccumulations(exec.run(a, b), want))
+                    << "seed " << seed << ": " << kernel.name() << " "
+                    << m_rows << "x" << k_dim << "x" << n_dim << " at "
+                    << threads << " threads";
+            }
+        }
+    }
+}
+
+/**
+ * Sums past INT32_MAX: the table kernel accumulates a block of k in i32
+ * and spills into the i64 output, so a K whose full-scale products
+ * overflow i32 must still match the referee exactly, at the widest
+ * bitwidth of each table.
+ */
+TEST(Functional, TableKernelSpillsPastInt32)
+{
+    for (const KernelConfig kernel :
+         {KernelConfig{Scheme::USystolicRate, 13, 0},
+          KernelConfig{Scheme::UgemmHybrid, 12, 0}}) {
+        const i32 lim = i32(1) << (kernel.bits - 1);
+        // Each full-scale product is +-2^(bits-1); K of them pass i32.
+        const int k_dim = int(std::numeric_limits<i32>::max() / lim) + 3;
+        Matrix<i32> a(1, k_dim, lim);
+        Matrix<i32> b(k_dim, 2, lim);
+        for (int k = 0; k < k_dim; ++k)
+            b(k, 1) = -lim;
+        const GemmExecutor exec(kernel);
+        const auto got = exec.run(a, b);
+        EXPECT_TRUE(sameAccumulations(got, refereeGemm(exec, a, b)))
+            << kernel.name();
+        EXPECT_GT(got(0, 0), i64(std::numeric_limits<i32>::max()))
+            << kernel.name();
+        EXPECT_LT(got(0, 1), i64(std::numeric_limits<i32>::min()))
+            << kernel.name();
+    }
+}
+
+TEST(Functional, CodesOutsideTheTableAreFatal)
+{
+    // The tables cover |code| <= 2^(bits-1); one past either edge would
+    // read past them.
+    const Matrix<i32> ok(2, 2, 1);
+    for (const Scheme scheme :
+         {Scheme::USystolicRate, Scheme::USystolicTemporal,
+          Scheme::UgemmHybrid}) {
+        const GemmExecutor exec({scheme, 8, 0});
+        Matrix<i32> high(2, 2, 1), low(2, 2, 1);
+        high(1, 0) = 129;
+        low(0, 1) = -129;
+        EXPECT_EXIT(exec.run(high, ok), ::testing::ExitedWithCode(1),
+                    "activation code 129 outside the 8-bit product table");
+        EXPECT_EXIT(exec.run(low, ok), ::testing::ExitedWithCode(1),
+                    "activation code -129");
+        EXPECT_EXIT(exec.run(ok, high), ::testing::ExitedWithCode(1),
+                    "weight code 129");
+        EXPECT_EXIT(exec.run(ok, low), ::testing::ExitedWithCode(1),
+                    "weight code -129");
+        // The table edge itself is in range.
+        Matrix<i32> edge(2, 2, 128);
+        edge(0, 0) = -128;
+        EXPECT_TRUE(sameAccumulations(exec.run(edge, edge),
+                                      refereeGemm(exec, edge, edge)));
     }
 }
 

@@ -4,7 +4,10 @@
  * matrices, streaming statistics, parallel loops, and table formatting.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -40,6 +43,53 @@ TEST(FixedPoint, QuantizeClampsToMagnitudeRange)
     EXPECT_EQ(quantize(0.4, 1.0, 8), 0);
     EXPECT_EQ(quantize(0.6, 1.0, 8), 1);
     EXPECT_DOUBLE_EQ(dequantize(quantize(5.0, 0.5, 8), 0.5), 5.0);
+}
+
+TEST(FixedPoint, QuantizeSaturatesBeyondTheIntegerRange)
+{
+    // Quotients past i32 used to wrap through the integer conversion.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(quantize(3e9, 1.0, 8), 127);
+    EXPECT_EQ(quantize(-3e9, 1.0, 8), -127);
+    EXPECT_EQ(quantize(1e300, 1e-300, 8), 127);
+    EXPECT_EQ(quantize(inf, 1.0, 8), 127);
+    EXPECT_EQ(quantize(-inf, 1.0, 8), -127);
+    EXPECT_EQ(quantize(1.0, 0.0, 8), 127);
+    EXPECT_EQ(quantize(std::numeric_limits<double>::quiet_NaN(), 1.0, 8), 0);
+    EXPECT_EQ(quantize(0.0, 0.0, 8), 0); // 0/0 is NaN
+}
+
+TEST(FixedPoint, QuantizeRoundsHalfAwayFromZeroLikeLround)
+{
+    // Bit-identical to clamp(lround(value / scale)) wherever that did not
+    // wrap: exact halves, their neighbours one ulp away, and random
+    // quotients across and beyond the code range.
+    const auto lroundRef = [](double value, double scale, int bits) {
+        const i32 max_mag = maxMagnitude(bits);
+        return std::clamp(i32(std::lround(value / scale)), -max_mag, max_mag);
+    };
+    for (int bits : {2, 8, 16}) {
+        for (int h = -300; h <= 300; ++h) {
+            const double half = h + 0.5;
+            for (double v : {half, std::nextafter(half, -1e9),
+                             std::nextafter(half, 1e9), double(h)})
+                EXPECT_EQ(quantize(v, 1.0, bits), lroundRef(v, 1.0, bits))
+                    << v << " at " << bits << " bits";
+        }
+    }
+    EXPECT_EQ(quantize(0.49999999999999994, 1.0, 8), 0);
+    EXPECT_EQ(quantize(-0.49999999999999994, 1.0, 8), 0);
+    Prng prng(0x9a7u);
+    for (int i = 0; i < 100000; ++i) {
+        const int bits = 2 + int(prng.below(30));
+        // |value / scale| < 2^29, so the reference never wraps.
+        const double value =
+            (prng.uniform() - 0.5) * std::exp2(double(prng.below(20)));
+        const double scale =
+            (1.0 + prng.uniform()) * std::exp2(-double(prng.below(10)));
+        ASSERT_EQ(quantize(value, scale, bits), lroundRef(value, scale, bits))
+            << value << " / " << scale << " at " << bits << " bits";
+    }
 }
 
 TEST(FixedPoint, SymmetricAndPow2Scales)
