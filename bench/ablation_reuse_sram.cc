@@ -16,6 +16,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "arch/fifo.h"
@@ -190,6 +191,9 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "ablation_reuse_sram");
+    if (argc > 1)
+        fatal(std::string("ablation_reuse_sram: unknown argument: ") +
+              argv[1]);
     {
         ScopedTimer timer("ablation suite", "bench");
         ablateBitstreamReuse();

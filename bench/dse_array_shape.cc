@@ -13,6 +13,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/table.h"
 #include "hw/energy.h"
 #include "workloads/alexnet.h"
@@ -101,6 +102,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "dse_array_shape");
+    if (argc > 1)
+        fatal(std::string("dse_array_shape: unknown argument: ") + argv[1]);
     {
         ScopedTimer timer("dse_array_shape", "bench");
         runDse();

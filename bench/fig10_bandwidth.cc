@@ -13,6 +13,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/table.h"
 #include "eval/experiments.h"
 
@@ -69,6 +70,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "fig10_bandwidth");
+    if (argc > 1)
+        fatal(std::string("fig10_bandwidth: unknown argument: ") + argv[1]);
     {
         ScopedTimer timer("fig10 edge", "bench");
         printConfig(true);

@@ -13,6 +13,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/stats.h"
 #include "common/stats_registry.h"
 #include "common/table.h"
@@ -71,6 +72,8 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions opts = parseBenchArgs(&argc, argv, "fig11_area");
+    if (argc > 1)
+        fatal(std::string("fig11_area: unknown argument: ") + argv[1]);
     for (bool edge : {true, false}) {
         for (int bits : {8, 16}) {
             ScopedTimer timer(std::string("fig11 ") +

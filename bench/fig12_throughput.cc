@@ -13,6 +13,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/table.h"
 #include "eval/experiments.h"
 
@@ -62,6 +63,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "fig12_throughput");
+    if (argc > 1)
+        fatal(std::string("fig12_throughput: unknown argument: ") + argv[1]);
     {
         ScopedTimer timer("fig12 edge", "bench");
         printConfig(true);

@@ -14,6 +14,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "eval/experiments.h"
@@ -92,6 +93,8 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions opts = parseBenchArgs(&argc, argv, "fig13_energy");
+    if (argc > 1)
+        fatal(std::string("fig13_energy: unknown argument: ") + argv[1]);
     {
         ScopedTimer timer("fig13 edge", "bench");
         printConfig(true);

@@ -15,6 +15,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/table.h"
 #include "eval/experiments.h"
 #include "workloads/alexnet.h"
@@ -51,6 +52,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "fig14_efficiency");
+    if (argc > 1)
+        fatal(std::string("fig14_efficiency: unknown argument: ") + argv[1]);
     {
         ScopedTimer timer("fig14 alexnet", "bench");
         printWorkload("AlexNet", alexnetLayers());

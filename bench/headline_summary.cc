@@ -9,6 +9,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "eval/experiments.h"
 
 using namespace usys;
@@ -18,6 +19,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "headline_summary");
+    if (argc > 1)
+        fatal(std::string("headline_summary: unknown argument: ") + argv[1]);
 
     Headline h;
     {

@@ -17,6 +17,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/logging.h"
 #include "common/prng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -152,6 +153,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opts =
         parseBenchArgs(&argc, argv, "table1_comparison");
+    if (argc > 1)
+        fatal(std::string("table1_comparison: unknown argument: ") + argv[1]);
     {
         ScopedTimer timer("table1", "bench");
         runTable1();

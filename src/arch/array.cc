@@ -291,26 +291,19 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         pb = &b_faulted;
     }
 
-    // Panel mode: stage every K-tile of A once, up front, shared
-    // read-only across the column-tile shards — instead of every shard
-    // re-staging the same input slice per fold. For an N-dim of n_tiles
-    // panels this cuts input staging by n_tiles x (and the packed
-    // engine's per-worker ones-memos then serve the staged codes from
-    // cache). Gated on panelGemmEnabled() so --no-panel measures the
-    // legacy unblocked behavior end to end.
-    const bool panel = panelGemmEnabled();
+    // Stage every K-tile of A once, up front, shared read-only across
+    // the column-tile shards, instead of every shard re-staging the same
+    // input slice per fold. The packed engine also gets one sparsity
+    // plan per staged tile (its nonzero indices, compacted once and
+    // shared by every shard that reuses the tile). Plans encode the
+    // skips the engine takes, never stats it books, so dumps match the
+    // scalar engine, which consumes none.
     std::vector<Matrix<i32>> a_tiles;
     std::vector<SparsityPlan> a_plans;
-    // Sparsity plans compact each staged A-tile's nonzero indices once,
-    // shared read-only across every column shard that reuses the tile.
-    // They encode skips the engine may take, never stats it must book,
-    // so building them only when consumed keeps dumps unchanged.
-    const bool want_plans =
-        panel && packed && sparseEnabled() && zeroSkipEnabled();
-    if (panel) {
+    {
         USYS_PROF_SCOPE("gemm.stage_a");
         a_tiles.reserve(k_tiles);
-        if (want_plans)
+        if (packed)
             a_plans.resize(k_tiles);
         for (u64 kt = 0; kt < k_tiles; ++kt) {
             const int k0 = int(kt) * rows;
@@ -318,7 +311,7 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
             for (int m = 0; m < m_rows; ++m)
                 for (int r = 0; r < rows && k0 + r < k_dim; ++r)
                     t(m, r) = (*pa)(m, k0 + r);
-            if (want_plans)
+            if (packed)
                 a_plans[kt].build(t);
             a_tiles.push_back(std::move(t));
         }
@@ -334,23 +327,13 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
     auto run_tile = [&](u64 ti) {
         USYS_PROF_SCOPE("gemm.tile");
         const int n0 = int(ti) * cols;
-        // Staging tiles are hoisted out of the K loop and re-zeroed in
-        // place, so a shard allocates twice per GEMM instead of twice
-        // per fold. Zero padding models idle PEs on ragged edges.
-        Matrix<i32> in_tile;
-        if (!panel)
-            in_tile = Matrix<i32>(m_rows, rows, 0);
+        // The weight staging tile is hoisted out of the K loop and
+        // re-zeroed in place, so a shard allocates once per GEMM instead
+        // of once per fold. Zero padding models idle PEs on ragged edges.
         Matrix<i32> w_tile(rows, cols, 0);
         for (int k0 = 0; k0 < k_dim; k0 += rows) {
             const u64 kt = u64(k0 / rows);
-            if (!panel) {
-                std::fill(in_tile.data().begin(), in_tile.data().end(),
-                          0);
-                for (int m = 0; m < m_rows; ++m)
-                    for (int r = 0; r < rows && k0 + r < k_dim; ++r)
-                        in_tile(m, r) = (*pa)(m, k0 + r);
-            }
-            const Matrix<i32> &in = panel ? a_tiles[kt] : in_tile;
+            const Matrix<i32> &in = a_tiles[kt];
             std::fill(w_tile.data().begin(), w_tile.data().end(), 0);
             for (int r = 0; r < rows && k0 + r < k_dim; ++r)
                 for (int c = 0; c < cols && n0 + c < n_dim; ++c)
@@ -359,12 +342,10 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
             // Global fold index: the coordinate every per-fold fault
             // site hashes, identical under any tile schedule.
             const u64 tile = ti * k_tiles + kt;
-            const SparsityPlan *sparsity =
-                want_plans ? &a_plans[kt] : nullptr;
             const auto fold =
                 packed ? packed_array.runFold(in, w_tile,
                                               &deltas[ti], tile,
-                                              sparsity)
+                                              &a_plans[kt])
                        : scalar_array.runFold(in, w_tile,
                                               &deltas[ti], tile);
             tile_cycles[ti] += fold.cycles;

@@ -221,7 +221,7 @@ struct FoldScratch
     std::map<OnesMemoKey, std::vector<i64>> ones_memos;
     std::vector<std::unique_ptr<PackedStream>> stream_pool;
     CountTableArena tables;
-    SparsityPlan plan; // standalone folds' own nonzero-index plan
+    SparsityPlan plan; // plan of a fold given none, or faulted operands
 
     // Panel staging buffers (capacity reused across folds).
     std::vector<u32> in_ones;          // per (m, r) delivered ones
@@ -325,6 +325,20 @@ sharedSobolValues(int dimension, int bits, u32 count)
     return *slot;
 }
 
+/**
+ * Signed ones-count the staircase (temporal) stream of `code` delivers
+ * within `window` cycles under fault `f` — the faulted form of the
+ * identity |code| that fault-free temporal staging is.
+ */
+i32
+faultedTemporalOnes(const Fault &f, i32 code, int rng_bits, u32 window)
+{
+    const SignMag in = toSignMag(code);
+    TemporalBsg gen(in.magnitude, rng_bits);
+    const i32 ones = i32(onesInWindow(gen, window, &f));
+    return in.negative ? -ones : ones;
+}
+
 /** Largest sign-magnitude |value| in a tile (for cache sizing). */
 u32
 maxAbs(const Matrix<i32> &m)
@@ -401,42 +415,18 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
         wp = &wfaulted;
     }
 
-    // ActivationStream site, binary schemes: the stream *is* the code
-    // bits, so corruption lands on the input codes themselves.
-    const bool unary = isUnary(kern.scheme);
-    const Matrix<i32> *ip = &input;
-    Matrix<i32> ifaulted;
-    if (fa && !unary) {
-        ifaulted = input;
-        for (int m = 0; m < m_rows; ++m)
-            for (int r = 0; r < rows; ++r)
-                if (const auto f = plan->activationStream(
-                        tile, m, r, activationWindow(kern)))
-                    ifaulted(m, r) =
-                        corruptActivationCode(*f, ifaulted(m, r), kern);
-        ip = &ifaulted;
-    }
-
-    // Nonzero-index plan for the activation side: the sparse paths below
-    // iterate only compacted nonzero columns per input row. An active
-    // ActivationStream fault plan can turn a zero operand into a nonzero
-    // contribution, so the plan is consumed only when that site is idle;
-    // uGEMM-H never consumes one (its bipolar bias makes zero operands
-    // contribute — the carve-out in foldSparsityCensus).
-    const bool sparse = sparseEnabled() && zeroSkipEnabled() &&
-                        kern.scheme != Scheme::UgemmHybrid;
-    const SparsityPlan *sp = nullptr;
-    if (sparse && !fa) {
-        if (sparsity) {
-            sp = sparsity;
-        } else {
-            SparsityPlan &own = foldScratch().plan;
-            own.build(input);
-            sp = &own;
-        }
-        if (!sp->anyZero())
-            sp = nullptr; // fully dense tile: compaction is pure cost
-    }
+    // Nonzero-index plan of the tile a zero-skipping scheme iterates:
+    // the SystolicGemm-shared plan when that tile is `input`, else one
+    // built into the worker scratch. A dense tile is a plan with full
+    // rows. uGEMM-H never consumes one (its bipolar bias makes zero
+    // operands contribute — the carve-out in foldSparsityCensus).
+    auto plan_of = [&](const Matrix<i32> &tile) -> const SparsityPlan & {
+        if (sparsity && &tile == &input)
+            return *sparsity;
+        SparsityPlan &own = foldScratch().plan;
+        own.build(tile);
+        return own;
+    };
 
     const int shift =
         (kern.scheme == Scheme::USystolicRate && kern.et_bits > 0)
@@ -447,130 +437,74 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
 
     switch (kern.scheme) {
       case Scheme::BinaryParallel:
-      case Scheme::BinarySerial: {
-        // Both binary kernels compute the exact product per MAC: parallel
-        // multiplies in one cycle; serial accumulates wabs << phase over
-        // the input magnitude bits (= wabs * iabs) and sign-corrects at
-        // M-end. Either way the fold is a plain integer GEMM. The
-        // Accumulator site hits each PE's signed per-interval product
-        // before the partial-sum merge, same as PeCore::finishMac.
-        if (panelGemmEnabled() && !fo) {
-            // No per-MAC fault hook active: the fold is a dense integer
-            // GEMM over rows of the (pre-corrupted) staging tiles, so
-            // run it on the dispatched SIMD row kernel. Zero inputs
-            // contribute exactly zero to every column — skip them.
-            USYS_PROF_SCOPE("fold.packed.mac");
-            const bool zskip = zeroSkipEnabled();
-            const SimdKernels &simd = simdKernels();
-            if (sp) {
-                // Compacted iteration: only the plan's nonzero columns
-                // are touched, so row skipping costs no branch per
-                // element (sp is null when activation faults corrupt
-                // the staged codes the plan was built from).
-                for (int m = 0; m < m_rows; ++m) {
-                    const u32 *idx = sp->rowIdx(m);
-                    const u32 cnt = sp->rowCount(m);
-                    for (u32 i = 0; i < cnt; ++i) {
-                        const int r = int(idx[i]);
-                        simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0),
-                                        (*ip)(m, r), cols);
-                    }
-                }
-                break;
-            }
-            for (int m = 0; m < m_rows; ++m)
-                for (int r = 0; r < rows; ++r) {
-                    const i32 a = (*ip)(m, r);
-                    if (zskip && a == 0)
-                        continue;
-                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), a, cols);
-                }
-            break;
-        }
-        for (int m = 0; m < m_rows; ++m) {
-            for (int c = 0; c < cols; ++c) {
-                i64 acc = 0;
-                for (int r = 0; r < rows; ++r) {
-                    i64 contrib = i64((*ip)(m, r)) * i64((*wp)(r, c));
-                    if (fo)
-                        if (const auto f = plan->accumulator(tile, m, r, c,
-                                                             acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
-                    acc += contrib;
-                }
-                out(m, c) = acc;
-            }
-        }
-        break;
-      }
-
+      case Scheme::BinarySerial:
       case Scheme::TubGemm:
       case Scheme::TuGemm: {
-        // Both temporal-unary schemes reduce to an exact integer GEMM
-        // once the activation's delivered ones-count is staged: the
-        // staircase stream of |a| asserts exactly |a| of its 2^(N-1)
-        // window bits, so fault-free staging is the identity and no
-        // stream words are ever materialized (the stream-generation
-        // level of zero skipping). tubGEMM adds the binary weight value
-        // per asserted bit; tuGEMM ANDs in the weight staircase, which
-        // matches |w| of the held cycles per asserted bit — either way
-        // the MAC is (+/- ones) * w, exactly.
-        const u32 awin = activationWindow(kern);
-        const int rng_bits = kern.bits - 1;
-        auto staged_ones = [&](int m, int r) -> i64 {
-            const SignMag in = toSignMag(input(m, r));
-            u32 ones = in.magnitude;
-            if (fa)
-                if (const auto af =
-                        plan->activationStream(tile, m, r, awin)) {
-                    TemporalBsg gen(in.magnitude, rng_bits);
-                    ones = u32(onesInWindow(gen, awin, &*af));
-                }
-            return in.negative ? -i64(ones) : i64(ones);
-        };
-
-        if (panelGemmEnabled() && !fo) {
-            // Fast path gate is wider than UR/UT's: activation faults
-            // fold into the staged ones-count and no weight stream
-            // exists to fault, so only a live accumulator site forces
-            // the per-MAC loop below.
-            USYS_PROF_SCOPE("fold.packed.mac");
-            const bool zskip = zeroSkipEnabled();
-            const SimdKernels &simd = simdKernels();
-            if (sp) {
-                for (int m = 0; m < m_rows; ++m) {
-                    const u32 *idx = sp->rowIdx(m);
-                    const u32 cnt = sp->rowCount(m);
-                    for (u32 i = 0; i < cnt; ++i) {
-                        const int r = int(idx[i]);
-                        simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0),
-                                        i32(staged_ones(m, r)), cols);
-                    }
-                }
-                break;
-            }
+        // All four kernels compute an exact integer product per MAC, so
+        // the fold is a plain integer GEMM over a staged signed operand
+        // matrix. Binary parallel multiplies in one cycle; binary serial
+        // accumulates wabs << phase over the input magnitude bits (=
+        // wabs * iabs) and sign-corrects at M-end. The temporal-unary
+        // staircase stream of |a| asserts exactly |a| of its window
+        // bits; tubGEMM adds the binary weight per asserted bit and
+        // tuGEMM ANDs in the weight staircase, which matches |w| of the
+        // held cycles per asserted bit — either way (+/- ones) * w. No
+        // stream words are ever materialized, so fault-free staging is
+        // the identity: the operands are the input codes.
+        //
+        // ActivationStream site: for the binary schemes the stream *is*
+        // the code bits, so corruption lands on the codes themselves;
+        // for the temporal schemes it lands on the delivered ones-count.
+        const Matrix<i32> *ap = &input;
+        Matrix<i32> astaged;
+        if (fa) {
+            const u32 awin = activationWindow(kern);
+            const bool temporal = isUnary(kern.scheme);
+            astaged = input;
             for (int m = 0; m < m_rows; ++m)
-                for (int r = 0; r < rows; ++r) {
-                    const i64 a = staged_ones(m, r);
-                    if (zskip && a == 0)
-                        continue;
-                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), i32(a),
+                for (int r = 0; r < rows; ++r)
+                    if (const auto f =
+                            plan->activationStream(tile, m, r, awin))
+                        astaged(m, r) =
+                            temporal ? faultedTemporalOnes(*f, input(m, r),
+                                                           kern.bits - 1,
+                                                           awin)
+                                     : corruptActivationCode(
+                                           *f, input(m, r), kern);
+            ap = &astaged;
+        }
+        const Matrix<i32> &a = *ap;
+
+        if (!fo) {
+            // No per-MAC fault hook: run the dispatched SIMD row kernel
+            // over the plan's nonzero operands only (weight-register and
+            // DRAM faults already corrupted the staged codes).
+            USYS_PROF_SCOPE("fold.packed.mac");
+            const SimdKernels &simd = simdKernels();
+            const SparsityPlan &sp = plan_of(a);
+            for (int m = 0; m < m_rows; ++m) {
+                const u32 *idx = sp.rowIdx(m);
+                const u32 cnt = sp.rowCount(m);
+                for (u32 i = 0; i < cnt; ++i) {
+                    const int r = int(idx[i]);
+                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), a(m, r),
                                     cols);
                 }
+            }
             break;
         }
 
         for (int m = 0; m < m_rows; ++m) {
             for (int r = 0; r < rows; ++r) {
-                const i64 a = staged_ones(m, r);
+                const i64 av = a(m, r);
                 for (int c = 0; c < cols; ++c) {
-                    i64 contrib = a * i64((*wp)(r, c));
-                    // Accumulator site: per-MAC signed OREG
-                    // contribution, pre-merge — same point as finishMac.
-                    if (fo)
-                        if (const auto f = plan->accumulator(
-                                tile, m, r, c, acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
+                    i64 contrib = av * i64((*wp)(r, c));
+                    // Accumulator site: each PE's signed per-interval
+                    // product before the partial-sum merge — same point
+                    // as PeCore::finishMac.
+                    if (const auto f =
+                            plan->accumulator(tile, m, r, c, acc_width))
+                        contrib = f->applyToInt(contrib, acc_width);
                     out(m, c) += contrib;
                 }
             }
@@ -611,7 +545,7 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
             return u32(slot);
         };
 
-        if (panelGemmEnabled() && !fa && !fs && !fo) {
+        if (!fa && !fs && !fo) {
             // --- Cache-blocked panel fast path (DESIGN.md §13) ------
             // No per-MAC fault hook is active (weight-reg and DRAM
             // faults already corrupted the codes above), so each MAC
@@ -622,13 +556,16 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
             // branchless so the inner loop has no data-dependent
             // branches.
             USYS_PROF_SCOPE("fold.packed.panel");
-            const bool zskip = zeroSkipEnabled();
             const std::size_t budget = std::max<std::size_t>(
                 std::size_t(panelBudgetKb()) * 1024,
                 (std::size_t(mul) + 1) * sizeof(u32));
 
             // Stage the input side once per fold — delivered ones and
             // sign per (m, r) — and reuse it for every column panel.
+            // Only the plan's nonzero operands are staged: zero ones
+            // never reach the memo, and the MAC loop below walks the
+            // same plan, so their unstaged slots are never read.
+            const SparsityPlan &sp = plan_of(input);
             std::vector<u32> &in_ones = scratch.in_ones;
             std::vector<i64> &in_neg = scratch.in_neg;
             in_ones.resize(std::size_t(m_rows) * rows);
@@ -637,32 +574,17 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
             poisonArena(in_neg);
             {
                 USYS_PROF_SCOPE("fold.packed.stage");
-                if (sp) {
-                    // Compacted staging: zero operands never reach the
-                    // ones memo (their slots stay unstaged; the MAC
-                    // loop below walks the same plan, so they are
-                    // never read either).
-                    for (int m = 0; m < m_rows; ++m) {
-                        const u32 *idx = sp->rowIdx(m);
-                        const u32 cnt = sp->rowCount(m);
-                        for (u32 i = 0; i < cnt; ++i) {
-                            const int r = int(idx[i]);
-                            const SignMag in = toSignMag(input(m, r));
-                            in_ones[std::size_t(m) * rows + r] =
-                                ones_of(in.magnitude);
-                            in_neg[std::size_t(m) * rows + r] =
-                                in.negative ? -1 : 0;
-                        }
+                for (int m = 0; m < m_rows; ++m) {
+                    const u32 *idx = sp.rowIdx(m);
+                    const u32 cnt = sp.rowCount(m);
+                    for (u32 i = 0; i < cnt; ++i) {
+                        const int r = int(idx[i]);
+                        const SignMag in = toSignMag(input(m, r));
+                        in_ones[std::size_t(m) * rows + r] =
+                            ones_of(in.magnitude);
+                        in_neg[std::size_t(m) * rows + r] =
+                            in.negative ? -1 : 0;
                     }
-                } else {
-                    for (int m = 0; m < m_rows; ++m)
-                        for (int r = 0; r < rows; ++r) {
-                            const SignMag in = toSignMag(input(m, r));
-                            in_ones[std::size_t(m) * rows + r] =
-                                ones_of(in.magnitude);
-                            in_neg[std::size_t(m) * rows + r] =
-                                in.negative ? -1 : 0;
-                        }
                 }
             }
 
@@ -712,18 +634,16 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
                 USYS_PROF_SCOPE("fold.packed.mac");
                 for (int m = 0; m < m_rows; ++m) {
                     i64 *out_row = &out(m, c0);
-                    // Compacted iteration when a plan is live; the
-                    // ones == 0 check stays either way — an early-
-                    // terminated window can deliver zero 1s even for a
-                    // nonzero magnitude.
-                    const u32 *idx = sp ? sp->rowIdx(m) : nullptr;
-                    const u32 cnt = sp ? sp->rowCount(m) : u32(rows);
+                    const u32 *idx = sp.rowIdx(m);
+                    const u32 cnt = sp.rowCount(m);
                     for (u32 i = 0; i < cnt; ++i) {
-                        const int r = sp ? int(idx[i]) : int(i);
+                        const int r = int(idx[i]);
                         const u32 ones =
                             in_ones[std::size_t(m) * rows + r];
-                        // All-zero input stream: every count is 0.
-                        if (zskip && ones == 0)
+                        // All-zero delivered stream: every count is 0.
+                        // An early-terminated window can deliver zero
+                        // 1s even for a nonzero magnitude.
+                        if (ones == 0)
                             continue;
                         const i64 nin =
                             in_neg[std::size_t(m) * rows + r];
@@ -771,7 +691,7 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
                 // stream faults only cover indices below the ones-count,
                 // so the whole column sweep contributes exactly nothing
                 // — unless an accumulator fault could still fire on it.
-                if (sparse && !fo && ones == 0)
+                if (!fo && ones == 0)
                     continue;
                 for (int c = 0; c < cols; ++c) {
                     const SignMag w = toSignMag((*wp)(r, c));
@@ -832,7 +752,7 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
             return u32(slot);
         };
 
-        if (panelGemmEnabled() && !fa && !fs && !fo) {
+        if (!fa && !fs && !fo) {
             // --- Cache-blocked panel fast path (DESIGN.md §13) ------
             // Bipolar MAC as two table lookups per column:
             //   contrib = t1(woff)[ones] + (zeros - t0(woff)[zeros])

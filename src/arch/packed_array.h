@@ -24,13 +24,16 @@
  * window (masked final word); the top-row shifter rescale is identical
  * to SystolicArray. See DESIGN.md §8 for the full derivation.
  *
- * On fault-free folds (and under weight-register / DRAM fault plans,
- * which pre-corrupt the staged codes) the MAC loop additionally runs
- * cache-blocked: weight streams are staged once per column panel as
- * prefix-count tables in an L2-budgeted per-worker arena, and
- * zero-magnitude streams skip their MAC work outright. Both transforms
- * are bit-exact — including stats and the fault census — and can be
- * disabled with --no-panel / --no-zero-skip. See DESIGN.md §13.
+ * Each scheme has exactly one fault-free path plus one per-MAC path for
+ * the fault sites that hook individual MACs. On fault-free folds (and
+ * under weight-register / DRAM fault plans, which pre-corrupt the
+ * staged codes) the unary MAC loop runs cache-blocked: weight streams
+ * are staged once per column panel as prefix-count tables in an
+ * L2-budgeted per-worker arena. The zero-skipping schemes iterate a
+ * SparsityPlan, so zero-magnitude streams never reach the MAC loop —
+ * in hardware they assert no bits, so skipping them is not a mode.
+ * Both transforms are bit-exact, including stats and the fault census.
+ * See DESIGN.md §13 and §16.
  */
 
 #ifndef USYS_ARCH_PACKED_ARRAY_H
@@ -60,10 +63,11 @@ class PackedArray
      *        numbers folds ti * k_tiles + kt; standalone folds use 0)
      * @param sparsity optional pre-built nonzero-index plan of `input`
      *        (SystolicGemm builds one per staged A-tile and shares it
-     *        across column shards). Null means the fold builds its own
-     *        when the sparse paths are enabled. Plans encode skips the
-     *        engine may take, never results — outputs, cycles, stats,
-     *        and the fault census are bit-identical with or without one.
+     *        across column shards). Null means the fold builds its own.
+     *        So does a fold whose staged operands differ from `input`
+     *        (an active activation-stream fault). Plans encode skips,
+     *        never results — outputs, cycles, stats, and the fault
+     *        census are bit-identical with or without one.
      */
     SystolicArray::FoldResult runFold(const Matrix<i32> &input,
                                       const Matrix<i32> &weights,

@@ -35,7 +35,6 @@ SparsityPlan::build(const Matrix<i32> &tile)
                 idx_.push_back(u32(r));
         off_.push_back(u32(idx_.size()));
     }
-    any_zero_ = idx_.size() != std::size_t(m_rows) * std::size_t(r_cols);
 }
 
 } // namespace usys

@@ -16,10 +16,10 @@
  *
  *  - SparsityPlan: per input row of a staged M x R activation tile, the
  *    compacted list of nonzero column indices. Built once per staged
- *    tile (SystolicGemm panel mode shares one plan across all column
- *    shards that reuse the tile) and consumed by the packed fold's
- *    panel, GEMM-row, and stream-cache paths, which then iterate only
- *    the nonzero work.
+ *    tile (SystolicGemm shares one plan across all column shards that
+ *    reuse the tile) and the only row iterator of the packed fold's
+ *    zero-skipping schemes: a dense tile is simply a plan with full
+ *    rows, so there is no separate dense loop.
  *
  * The uGEMM-H carve-out: its bipolar MAC adds a bias term even for
  * zero-valued operands, so nothing is skippable there — the census
@@ -64,13 +64,6 @@ class SparsityPlan
     /** (Re)build from a staged activation tile, reusing capacity. */
     void build(const Matrix<i32> &tile);
 
-    bool built() const { return !off_.empty(); }
-    int inputRows() const { return int(off_.size()) - 1; }
-
-    /** True when at least one element of the tile is zero (a fully
-     *  dense tile makes the compact iteration pure overhead). */
-    bool anyZero() const { return any_zero_; }
-
     /** Nonzero column indices of input row m (rowCount(m) entries). */
     const u32 *rowIdx(int m) const { return idx_.data() + off_[m]; }
     u32 rowCount(int m) const { return off_[m + 1] - off_[m]; }
@@ -78,7 +71,6 @@ class SparsityPlan
   private:
     std::vector<u32> idx_;
     std::vector<u32> off_; // off_[m] .. off_[m+1) spans row m in idx_
-    bool any_zero_ = false;
 };
 
 } // namespace usys

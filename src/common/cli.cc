@@ -19,9 +19,6 @@ namespace usys {
 namespace {
 
 bool g_packed_engine = true;
-bool g_panel_gemm = true;
-bool g_zero_skip = true;
-bool g_sparse = true;
 u32 g_panel_kb_override = 0;
 
 /**
@@ -49,23 +46,6 @@ sysfsL2Kb()
     if (*tail == 'K' || *tail == '\n' || *tail == '\0')
         return u32(v);
     return 0;
-}
-
-/** USYS_L2_KB env > sysfs probe > 512 KiB fallback. */
-u32
-resolvePanelKb()
-{
-    if (const char *env = std::getenv("USYS_L2_KB")) {
-        char *tail = nullptr;
-        const unsigned long v = std::strtoul(env, &tail, 10);
-        if (tail != env && *tail == '\0' && v >= 16 && v <= (1u << 20))
-            return u32(v);
-        warn(std::string("ignoring invalid USYS_L2_KB='") + env +
-             "' (want KiB in [16, 1048576])");
-    }
-    if (const u32 kb = sysfsL2Kb())
-        return kb;
-    return 512;
 }
 
 /**
@@ -133,48 +113,15 @@ setPackedEngineEnabled(bool on)
     g_packed_engine = on;
 }
 
-bool
-panelGemmEnabled()
-{
-    return g_panel_gemm;
-}
-
-void
-setPanelGemmEnabled(bool on)
-{
-    g_panel_gemm = on;
-}
-
-bool
-zeroSkipEnabled()
-{
-    return g_zero_skip;
-}
-
-void
-setZeroSkipEnabled(bool on)
-{
-    g_zero_skip = on;
-}
-
-bool
-sparseEnabled()
-{
-    return g_sparse;
-}
-
-void
-setSparseEnabled(bool on)
-{
-    g_sparse = on;
-}
-
 u32
 panelBudgetKb()
 {
     if (g_panel_kb_override)
         return g_panel_kb_override;
-    static const u32 resolved = resolvePanelKb();
+    static const u32 resolved = [] {
+        const u32 kb = sysfsL2Kb();
+        return kb ? kb : 512u;
+    }();
     return resolved;
 }
 
@@ -254,21 +201,6 @@ parseBenchArgs(int *argc, char **argv, const std::string &bench)
             setPackedEngineEnabled(false);
         } else if (std::strcmp(arg, "--packed") == 0) {
             setPackedEngineEnabled(true);
-        } else if (std::strcmp(arg, "--no-panel") == 0) {
-            setPanelGemmEnabled(false);
-        } else if (std::strcmp(arg, "--panel") == 0) {
-            setPanelGemmEnabled(true);
-        } else if (std::strcmp(arg, "--no-zero-skip") == 0) {
-            setZeroSkipEnabled(false);
-        } else if (std::strcmp(arg, "--zero-skip") == 0) {
-            setZeroSkipEnabled(true);
-        } else if (std::strcmp(arg, "--no-sparse") == 0) {
-            setSparseEnabled(false);
-        } else if (std::strcmp(arg, "--sparse") == 0) {
-            setSparseEnabled(true);
-        } else if (std::strcmp(arg, "--panel-kb") == 0) {
-            setPanelBudgetKb(u32(parseIntFlag(
-                "--panel-kb", value("--panel-kb"), 16, 1048576)));
         } else if (std::strcmp(arg, "--threads") == 0) {
             const i64 n =
                 parseIntFlag("--threads", value("--threads"), 0, 4096);
@@ -309,10 +241,7 @@ parseBenchArgs(int *argc, char **argv, const std::string &bench)
     inform("engine: simd=" +
            std::string(simdLevelName(simdLevel())) + " packed=" +
            (packedEngineEnabled() ? "on" : "off") + " panel=" +
-           (panelGemmEnabled() ? std::to_string(panelBudgetKb()) + "KB"
-                               : "off") +
-           " zero-skip=" + (zeroSkipEnabled() ? "on" : "off") +
-           " sparse=" + (sparseEnabled() ? "on" : "off"));
+           std::to_string(panelBudgetKb()) + "KB");
     return opts;
 }
 

@@ -75,7 +75,8 @@ struct GemmLayer
         fatalIf(ih < wh || iw < ww, "GemmLayer: window exceeds input");
         fatalIf(stride < 1, "GemmLayer: bad stride");
         fatalIf(ic < 1 || oc < 1, "GemmLayer: bad channel counts");
-        fatalIf(act_sparsity < 0.0 || act_sparsity > 1.0,
+        // Written so NaN fails too (every comparison with NaN is false).
+        fatalIf(!(act_sparsity >= 0.0 && act_sparsity <= 1.0),
                 "GemmLayer: act_sparsity outside [0, 1]");
         if (type == GemmType::MatMul) {
             fatalIf(wh != 1 || ww != 1 || iw != 1 || stride != 1,

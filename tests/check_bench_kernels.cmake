@@ -18,9 +18,8 @@ if(SANITIZED)
     set(sparse_gate)
 endif()
 
-# perf_smoke itself asserts packed/scalar, SIMD/generic, and panel
-# blocked/unblocked equivalence per kernel and exits nonzero when a
-# perf gate misses:
+# perf_smoke itself asserts packed/scalar and SIMD/generic equivalence
+# per kernel and exits nonzero when a perf gate misses:
 #   --min-speedup 10             full-period UR packed-vs-scalar
 #   --min-simd-speedup 2         SIMD bulk popcount (self-skips when
 #                                no AVX2/AVX-512 tier is available)
@@ -32,25 +31,23 @@ endif()
 #                                single-vCPU hosts the measured
 #                                AVX-512 wall-clock ratio tops out
 #                                near its ~3.5x port ceiling.
-#   --min-panel-speedup 1.5      cache-blocked vs unblocked packed
-#                                GEMM on a 64x64 8-bit tile
-#   --min-sparse-speedup 2       sparsity-plan path vs all zero
-#                                exploitation disabled, 90%-sparse
-#                                256x64x64 UR fold (self-skips on
+#   --min-sparse-speedup 2       the packed 256x64x64 UR fold over a
+#                                90%-sparse input vs the same fold
+#                                over a dense input (self-skips on
 #                                hosts too slow to time the fold)
 #   --max-profile-overhead-pct 2 compiled-in-but-disabled profiler
 #                                cost on the packed UR fold (A/A gated)
 execute_process(
     COMMAND ${BENCH} --stats-json ${stats} --min-speedup 10
             --min-simd-speedup 2 --min-gemm-row-speedup 2.5
-            --min-panel-speedup 1.5 ${sparse_gate}
+            ${sparse_gate}
             --max-profile-overhead-pct 2
     RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "perf_smoke failed (${rc}) — equivalence "
                         "mismatch or a perf gate missed (UR 10x, SIMD "
-                        "popcount 2x, gemm row 2.5x, panel 1.5x, sparse "
-                        "2x, or profiling-disabled overhead above 2%)")
+                        "popcount 2x, gemm row 2.5x, sparse 2x, or "
+                        "profiling-disabled overhead above 2%)")
 endif()
 
 execute_process(

@@ -39,16 +39,14 @@ endif()
 # Loose 50% gate on the speedup ratios only. Absolute microsecond
 # timings swing by integer factors under background load on small
 # hosts, and the availability/level counters are ungated by suffix;
-# the packed/SIMD/panel speedups are the portable signal. A tier
-# present in the baseline but unavailable on this host is exempted by
-# the same skip rules (bench_compare treats skip-ruled keys missing
-# from the candidate as notes, not regressions).
-# sparsity.s0.speedup_x is dense-input A/A (~1.0x by construction) —
-# skip it; the s50/s90 sparse speedups stay under the 50% gate.
+# the packed/SIMD speedups and the s50/s90 sparse-over-dense input
+# ratios are the portable signal. A tier present in the baseline but
+# unavailable on this host is exempted by the same skip rules
+# (bench_compare treats skip-ruled keys missing from the candidate as
+# notes, not regressions).
 execute_process(
     COMMAND ${PYTHON} ${TOOLS_DIR}/bench_compare.py ${baseline}
             ${candidate} --threshold 0.5 --skip "*_us"
-            --skip "sparsity.s0.speedup_x"
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "bench_compare reported a >50% speedup "

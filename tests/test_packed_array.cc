@@ -194,30 +194,20 @@ class PackedFlagGuard
     bool saved_;
 };
 
-/** Saves and restores the panel-GEMM and sparsity knobs (DESIGN.md §13,
- * §16). The budget override is reset to 0 = auto, the process-start
- * state. */
+/** Saves and restores the packed-engine gate and resets the panel
+ * budget override to 0 = probed, the process-start state. */
 class PanelFlagsGuard
 {
   public:
-    PanelFlagsGuard()
-        : packed_(packedEngineEnabled()), panel_(panelGemmEnabled()),
-          zskip_(zeroSkipEnabled()), sparse_(sparseEnabled())
-    {}
+    PanelFlagsGuard() : packed_(packedEngineEnabled()) {}
     ~PanelFlagsGuard()
     {
         setPackedEngineEnabled(packed_);
-        setPanelGemmEnabled(panel_);
-        setZeroSkipEnabled(zskip_);
-        setSparseEnabled(sparse_);
         setPanelBudgetKb(0);
     }
 
   private:
     bool packed_;
-    bool panel_;
-    bool zskip_;
-    bool sparse_;
 };
 
 TEST(SystolicGemm, PackedAndScalarEnginesAgreeIncludingStats)
@@ -255,307 +245,121 @@ TEST(SystolicGemm, PackedAndScalarEnginesAgreeIncludingStats)
     }
 }
 
-TEST(SystolicGemm, PanelBlockedMatchesUnblockedAcrossThreads)
+/** One SystolicGemm run: its result and its flushed stats dump. */
+struct GemmRun
 {
+    SystolicGemm::RunResult res;
+    FoldStatsDelta delta;
+    std::string dump;
+};
+
+GemmRun
+runGemm(const ArrayConfig &cfg, const Matrix<i32> &a, const Matrix<i32> &b)
+{
+    GemmRun run;
+    run.res = SystolicGemm(cfg).run(a, b, &run.delta);
+    statsRegistry().reset();
+    run.delta.flush(cfg.kernel);
+    run.dump = statsRegistry().dumpText();
+    return run;
+}
+
+TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
+{
+    // The packed engine has one fault-free path per scheme (the
+    // plan-driven integer GEMM for BP/BS/TUB/TU, the count-table panels
+    // for UR/UT/UG) plus one per-MAC fault path. Every path must match
+    // the scalar referee on random ragged GEMMs — outputs, cycles, the
+    // stats dump, and the fault census — at any thread count, whatever
+    // the share of zero operands.
     PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    // A 16 KiB budget (the floor) forces several column panels per
-    // tile plus arena eviction between folds, the interesting regime.
+    // 16 KiB on an 8 x 12 array: an 8-bit UR column pins up to eight
+    // 516-byte count tables, so each fold splits into several column
+    // panels and the arena evicts between folds.
     setPanelBudgetKb(16);
     Executor &ex = Executor::global();
     const unsigned saved_threads = ex.threads();
 
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::USystolicRate, 8, 6},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::BinarySerial, 8, 0},
-          KernelConfig{Scheme::BinaryParallel, 8, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 2000);
-        const auto a = randomMatrix(6, 10, kern.bits, prng);
-        const auto b = randomMatrix(10, 18, kern.bits, prng);
-
-        setPanelGemmEnabled(false);
-        statsRegistry().reset();
-        const auto unblocked = SystolicGemm(cfg).run(a, b);
-        const std::string unblocked_dump = statsRegistry().dumpText();
-
-        setPanelGemmEnabled(true);
-        for (unsigned nthreads : {1u, 3u}) {
-            ex.setThreads(nthreads);
-            statsRegistry().reset();
-            const auto blocked = SystolicGemm(cfg).run(a, b);
-            const std::string blocked_dump = statsRegistry().dumpText();
-            EXPECT_EQ(blocked.acc, unblocked.acc)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(blocked.cycles, unblocked.cycles)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(blocked_dump, unblocked_dump)
-                << kern.name() << " t" << nthreads;
-        }
-    }
-    ex.setThreads(saved_threads);
-}
-
-TEST(SystolicGemm, ZeroSkipOnOffIdenticalWithZeroHeavyOperands)
-{
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    setPanelGemmEnabled(true);
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::USystolicRate, 8, 0},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::BinaryParallel, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 3000);
-        auto a = randomMatrix(6, 10, kern.bits, prng);
-        auto b = randomMatrix(10, 9, kern.bits, prng);
-        // Zero half of each operand so the skip path actually fires.
-        for (int r = 0; r < a.rows(); ++r)
-            for (int c = 0; c < a.cols(); c += 2)
-                a(r, c) = 0;
-        for (int r = 0; r < b.rows(); r += 2)
-            for (int c = 0; c < b.cols(); ++c)
-                b(r, c) = 0;
-
-        setZeroSkipEnabled(false);
-        statsRegistry().reset();
-        const auto full = SystolicGemm(cfg).run(a, b);
-        const std::string full_dump = statsRegistry().dumpText();
-
-        setZeroSkipEnabled(true);
-        statsRegistry().reset();
-        const auto skipped = SystolicGemm(cfg).run(a, b);
-        const std::string skipped_dump = statsRegistry().dumpText();
-
-        EXPECT_EQ(skipped.acc, full.acc) << kern.name();
-        EXPECT_EQ(skipped.cycles, full.cycles) << kern.name();
-        EXPECT_EQ(skipped_dump, full_dump) << kern.name();
-    }
-}
-
-TEST(SystolicGemm, SparseVsDenseBitExactAllSchemesAcrossThreads)
-{
-    // The sparsity subsystem (DESIGN.md §16) is a pure perf lever:
-    // with zero-heavy operands every scheme must produce identical
-    // outputs, cycle counts, and stats dumps — census counters
-    // included — whether the plans are built or not, at any thread
-    // count. The census is recorded unconditionally, so the dumps are
-    // comparable across the toggle.
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    setPanelGemmEnabled(true);
-    setZeroSkipEnabled(true);
-    Executor &ex = Executor::global();
-    const unsigned saved_threads = ex.threads();
-
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::BinaryParallel, 8, 0},
-          KernelConfig{Scheme::BinarySerial, 8, 0},
-          KernelConfig{Scheme::USystolicRate, 8, 6},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::TubGemm, 8, 0},
-          KernelConfig{Scheme::TuGemm, 4, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 5000);
-        auto a = randomMatrix(6, 10, kern.bits, prng);
-        auto b = randomMatrix(10, 9, kern.bits, prng);
-        // ~60% activation zeros plus a few weight zeros: both census
-        // sides and the plan compaction fire.
-        for (int r = 0; r < a.rows(); ++r)
-            for (int c = 0; c < a.cols(); ++c)
-                if (prng.below(100) < 60)
-                    a(r, c) = 0;
-        for (int c = 0; c < b.cols(); c += 3)
-            b(1, c) = 0;
-
-        setSparseEnabled(false);
-        statsRegistry().reset();
-        const auto dense = SystolicGemm(cfg).run(a, b);
-        const std::string dense_dump = statsRegistry().dumpText();
-
-        setSparseEnabled(true);
-        for (unsigned nthreads : {1u, 3u}) {
-            ex.setThreads(nthreads);
-            statsRegistry().reset();
-            const auto sparse = SystolicGemm(cfg).run(a, b);
-            const std::string sparse_dump = statsRegistry().dumpText();
-            EXPECT_EQ(sparse.acc, dense.acc)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(sparse.cycles, dense.cycles)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(sparse_dump, dense_dump)
-                << kern.name() << " t" << nthreads;
-        }
-    }
-    ex.setThreads(saved_threads);
-}
-
-TEST(SystolicGemm, SparseAndZeroSkipOptOutsAllAgree)
-{
-    // All four {sparse, zero-skip} combinations — the --no-sparse /
-    // --no-zero-skip CLI opt-outs — must agree bit for bit, including
-    // the stats dumps, on every scheme.
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    setPanelGemmEnabled(true);
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::USystolicRate, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::TubGemm, 8, 0},
-          KernelConfig{Scheme::TuGemm, 4, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 6000);
-        auto a = randomMatrix(5, 12, kern.bits, prng);
-        auto b = randomMatrix(12, 9, kern.bits, prng);
-        for (int r = 0; r < a.rows(); ++r)
-            for (int c = 0; c < a.cols(); c += 2)
-                a(r, c) = 0;
-
-        std::string ref_dump;
-        SystolicGemm::RunResult ref{};
-        bool have_ref = false;
-        for (const bool sparse : {false, true}) {
-            for (const bool zskip : {false, true}) {
-                setSparseEnabled(sparse);
-                setZeroSkipEnabled(zskip);
-                statsRegistry().reset();
-                const auto out = SystolicGemm(cfg).run(a, b);
-                const std::string dump = statsRegistry().dumpText();
-                if (!have_ref) {
-                    ref = out;
-                    ref_dump = dump;
-                    have_ref = true;
-                    continue;
-                }
-                EXPECT_EQ(out.acc, ref.acc)
-                    << kern.name() << " sparse=" << sparse
-                    << " zskip=" << zskip;
-                EXPECT_EQ(out.cycles, ref.cycles)
-                    << kern.name() << " sparse=" << sparse
-                    << " zskip=" << zskip;
-                EXPECT_EQ(dump, ref_dump)
-                    << kern.name() << " sparse=" << sparse
-                    << " zskip=" << zskip;
-            }
-        }
-    }
-}
-
-TEST(PackedArray, SparsePlansPreserveFaultCensus)
-{
-    // Same contract as PanelAndZeroSkipPreserveFaultCensus, but across
-    // the sparsity toggle: plan-compacted folds must report the exact
-    // same fault census as dense folds for the schemes that consume
-    // plans and for UG (which must never consume them — its bipolar
-    // encoding gives zero-valued operands half-density streams).
-    PanelFlagsGuard guard;
-    setPanelGemmEnabled(true);
-    setZeroSkipEnabled(true);
-    for (const Scheme scheme :
-         {Scheme::USystolicRate, Scheme::UgemmHybrid, Scheme::TubGemm}) {
-        ArrayConfig cfg;
-        cfg.rows = 4;
-        cfg.cols = 4;
-        cfg.kernel = {scheme, scheme == Scheme::UgemmHybrid ? 7 : 8, 0};
-        cfg.faults.seed = 77;
-        cfg.faults.rates.weight_reg = 0.3;
-        cfg.faults.rates.dram_word = 0.2;
-        Prng prng(u64(int(scheme)) + 7000);
-        auto input = randomMatrix(6, cfg.rows, cfg.kernel.bits, prng);
-        auto weights =
-            randomMatrix(cfg.rows, cfg.cols, cfg.kernel.bits, prng);
-        for (int r = 0; r < input.rows(); ++r)
-            input(r, r % cfg.rows) = 0;
-
-        SystolicArray::FoldResult ref;
-        FoldStatsDelta ref_delta;
-        bool have_ref = false;
-        for (const bool sparse : {false, true}) {
-            setSparseEnabled(sparse);
-            FoldStatsDelta delta;
-            const auto out =
-                PackedArray(cfg).runFold(input, weights, &delta);
-            ASSERT_GT(delta.faultTotal(), 0u);
-            if (!have_ref) {
-                ref = out;
-                ref_delta = delta;
-                have_ref = true;
-                continue;
-            }
-            EXPECT_EQ(out.output, ref.output) << schemeTag(scheme);
-            EXPECT_EQ(out.cycles, ref.cycles) << schemeTag(scheme);
-            EXPECT_EQ(delta.faults_weight_reg,
-                      ref_delta.faults_weight_reg) << schemeTag(scheme);
-            EXPECT_EQ(delta.faults_dram, ref_delta.faults_dram)
-                << schemeTag(scheme);
-            EXPECT_EQ(delta.faultTotal(), ref_delta.faultTotal())
-                << schemeTag(scheme);
-        }
-    }
-}
-
-TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
-{
-    // Weight-register and DRAM faults pre-corrupt the staged codes, so
-    // the panel fast path stays eligible; the census and outputs must
-    // not depend on panel blocking or zero-stream skipping.
-    PanelFlagsGuard guard;
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    cfg.kernel = {Scheme::USystolicRate, 8, 6};
-    cfg.faults.seed = 99;
-    cfg.faults.rates.weight_reg = 0.3;
-    cfg.faults.rates.dram_word = 0.2;
-    Prng prng(4000);
-    auto input = randomMatrix(5, cfg.rows, 8, prng);
-    auto weights = randomMatrix(cfg.rows, cfg.cols, 8, prng);
-    input(0, 1) = 0;
-    weights(1, 2) = 0;
-
-    struct Variant
-    {
-        bool panel;
-        bool zskip;
+    const KernelConfig kernels[] = {
+        {Scheme::BinaryParallel, 8, 0}, {Scheme::BinarySerial, 8, 0},
+        {Scheme::USystolicRate, 8, 0},  {Scheme::USystolicRate, 8, 6},
+        {Scheme::USystolicTemporal, 8, 0}, {Scheme::UgemmHybrid, 7, 0},
+        {Scheme::TubGemm, 8, 0},        {Scheme::TuGemm, 4, 0},
     };
-    SystolicArray::FoldResult ref;
-    FoldStatsDelta ref_delta;
-    bool have_ref = false;
-    for (const Variant v : {Variant{false, false}, Variant{false, true},
-                            Variant{true, false}, Variant{true, true}}) {
-        setPanelGemmEnabled(v.panel);
-        setZeroSkipEnabled(v.zskip);
-        FoldStatsDelta delta;
-        const auto out = PackedArray(cfg).runFold(input, weights, &delta);
-        ASSERT_GT(delta.faultTotal(), 0u);
-        if (!have_ref) {
-            ref = out;
-            ref_delta = delta;
-            have_ref = true;
-            continue;
+    // weight_reg + dram_word pre-corrupt the codes, so the fault-free
+    // path stays eligible; activation_stream makes the integer-GEMM
+    // schemes build their own plan over the staged operands; an
+    // accumulator fault forces the per-MAC loop.
+    struct FaultCase
+    {
+        const char *name;
+        FaultRates rates;
+    };
+    FaultCase faults[4] = {{"none", {}},
+                           {"weight_reg+dram_word", {}},
+                           {"activation_stream", {}},
+                           {"accumulator", {}}};
+    faults[1].rates.weight_reg = 0.3;
+    faults[1].rates.dram_word = 0.2;
+    faults[2].rates.activation_stream = 0.3;
+    faults[3].rates.accumulator = 0.3;
+
+    ArrayConfig cfg;
+    cfg.rows = 8;
+    cfg.cols = 12;
+    auto check = [&](const KernelConfig &kern, u64 zero_pct,
+                     const FaultCase &fc, u64 seed) {
+        Prng prng(seed * 7919 + 17);
+        // Ragged in every dimension: K and N never fill their last
+        // tile, and N always spans >= 2 column shards.
+        const int m = 1 + int(prng.below(5));
+        const int k = cfg.rows * int(prng.below(3)) + 1 +
+                      int(prng.below(u64(cfg.rows - 1)));
+        const int n = cfg.cols * (1 + int(prng.below(2))) + 1 +
+                      int(prng.below(u64(cfg.cols - 1)));
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " " << kern.name() << " zeros "
+                     << zero_pct << "% faults " << fc.name << " M/K/N "
+                     << m << "/" << k << "/" << n);
+        auto a = randomMatrix(m, k, kern.bits, prng);
+        auto b = randomMatrix(k, n, kern.bits, prng);
+        for (i32 &v : a.data())
+            if (prng.below(100) < zero_pct)
+                v = 0;
+            else if (v == 0)
+                v = 1; // 0% means no zero activation at all
+        for (i32 &v : b.data())
+            if (prng.below(4) == 0)
+                v = 0;
+        cfg.kernel = kern;
+        cfg.faults = FaultPlan{};
+        cfg.faults.seed = seed;
+        cfg.faults.rates = fc.rates;
+
+        setPackedEngineEnabled(false);
+        const GemmRun scalar = runGemm(cfg, a, b);
+        EXPECT_EQ(scalar.delta.faultTotal() > 0, fc.rates.any());
+
+        setPackedEngineEnabled(true);
+        for (const unsigned nthreads : {1u, 3u}) {
+            ex.setThreads(nthreads);
+            const GemmRun packed = runGemm(cfg, a, b);
+            EXPECT_EQ(packed.res.acc, scalar.res.acc) << "t" << nthreads;
+            EXPECT_EQ(packed.res.cycles, scalar.res.cycles)
+                << "t" << nthreads;
+            EXPECT_EQ(packed.res.folds, scalar.res.folds) << "t" << nthreads;
+            EXPECT_EQ(packed.dump, scalar.dump) << "t" << nthreads;
+            EXPECT_EQ(packed.delta.faultTotal(), scalar.delta.faultTotal())
+                << "t" << nthreads;
         }
-        EXPECT_EQ(out.output, ref.output) << v.panel << v.zskip;
-        EXPECT_EQ(out.cycles, ref.cycles) << v.panel << v.zskip;
-        EXPECT_EQ(delta.faults_weight_reg, ref_delta.faults_weight_reg);
-        EXPECT_EQ(delta.faults_dram, ref_delta.faults_dram);
-        EXPECT_EQ(delta.faultTotal(), ref_delta.faultTotal());
-    }
+    };
+    u64 seed = 0;
+    for (const KernelConfig &kern : kernels)
+        for (const u64 zero_pct : {0u, 60u, 100u})
+            for (const FaultCase &fc : faults)
+                for (int trial = 0; trial < 3; ++trial)
+                    check(kern, zero_pct, fc, ++seed);
+    ex.setThreads(saved_threads);
 }
 
 TEST(SystolicGemm, ParallelRunsAreDeterministic)

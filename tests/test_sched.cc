@@ -7,6 +7,8 @@
  * exactly the simulator's contention-free cycle count.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
@@ -50,6 +52,20 @@ TEST(GemmLayer, MatmulEncoding)
     const auto fc = GemmLayer::matmul("fc", 1, 9216, 4096);
     EXPECT_EQ(fc.m(), 1);
     EXPECT_EQ(fc.k(), 9216);
+}
+
+TEST(GemmLayer, CheckRejectsOutOfRangeAndNanSparsity)
+{
+    auto l = GemmLayer::matmul("m", 8, 16, 4);
+    l.act_sparsity = 1.0;
+    l.check();
+    for (const double bad :
+         {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        l.act_sparsity = bad;
+        EXPECT_EXIT(l.check(), ::testing::ExitedWithCode(1),
+                    "act_sparsity")
+            << bad;
+    }
 }
 
 TEST(Tiling, FoldCountsAndUtilization)
@@ -135,6 +151,25 @@ TEST(Simulator, UnaryCrawlsDramBandwidth)
     // Byte-crawling: two orders of magnitude lower DRAM bandwidth.
     EXPECT_LT(ur.dram_bw_gbps * 50.0, bp.dram_bw_gbps);
     EXPECT_LT(ur.dram_bw_gbps, 0.5);
+}
+
+TEST(Simulator, SparsityDeratesExactlyTheZeroSkippingSchemes)
+{
+    // Zero-magnitude unary streams assert no bits, so every unary
+    // scheme but uGEMM-H (whose bipolar bias streams zeros at full
+    // length) derates by act_sparsity; binary schemes never do.
+    auto layer = GemmLayer::conv("c", 15, 15, 64, 3, 3, 1, 64);
+    layer.act_sparsity = 0.5;
+    for (const Scheme sch :
+         {Scheme::BinaryParallel, Scheme::BinarySerial,
+          Scheme::USystolicRate, Scheme::USystolicTemporal,
+          Scheme::UgemmHybrid, Scheme::TubGemm, Scheme::TuGemm}) {
+        const auto stats =
+            simulateLayer(edgeSystem({sch, 8, 0}, false), layer);
+        const bool skips = isUnary(sch) && sch != Scheme::UgemmHybrid;
+        EXPECT_EQ(stats.sparsity_frac, skips ? 0.5 : 0.0)
+            << schemeTag(sch);
+    }
 }
 
 TEST(Simulator, EarlyTerminationScalesRuntime)

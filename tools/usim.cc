@@ -47,12 +47,6 @@ usage()
         "  --sram | --no-sram        force SRAM presence\n"
         "  --trace                   use the trace-driven memory model\n"
         "  --no-packed               force the scalar simulation engine\n"
-        "  --no-panel                disable cache-blocked panel GEMM\n"
-        "  --panel-kb N              panel arena budget in KiB (default:\n"
-        "                            USYS_L2_KB, else detected L2)\n"
-        "  --no-zero-skip            disable the zero-stream fast path\n"
-        "  --no-sparse               disable sparsity exploitation "
-        "(census stays)\n"
         "  --sparsity F|measured     activation sparsity: F in [0,1] for\n"
         "                            every layer, or 'measured' to use the\n"
         "                            AlexLite-measured per-layer fractions\n"
@@ -132,28 +126,13 @@ main(int argc, char **argv)
             trace = true;
         else if (arg == "--no-packed")
             setPackedEngineEnabled(false);
-        else if (arg == "--no-panel")
-            setPanelGemmEnabled(false);
-        else if (arg == "--panel-kb")
-            setPanelBudgetKb(u32(
-                parseIntFlag("--panel-kb", next().c_str(), 16, 1048576)));
-        else if (arg == "--no-zero-skip")
-            setZeroSkipEnabled(false);
-        else if (arg == "--no-sparse")
-            setSparseEnabled(false);
         else if (arg == "--sparsity") {
             const std::string v = next();
-            if (v == "measured") {
+            if (v == "measured")
                 measured_sparsity = true;
-            } else {
-                try {
-                    sparsity = std::stod(v);
-                } catch (...) {
-                    fatal("--sparsity expects a fraction or 'measured'");
-                }
-                fatalIf(sparsity < 0.0 || sparsity > 1.0,
-                        "--sparsity outside [0, 1]");
-            }
+            else
+                sparsity = parseDoubleFlag("--sparsity", v.c_str(), 0.0,
+                                           1.0);
         }
         else if (arg == "--threads") {
             const i64 n =
