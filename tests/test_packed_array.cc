@@ -20,6 +20,7 @@
 #include "common/stats_registry.h"
 #include "arch/packed_array.h"
 #include "arch/rtl_array.h"
+#include "arch/sparsity.h"
 
 namespace usys {
 namespace {
@@ -360,6 +361,155 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
                 for (int trial = 0; trial < 3; ++trial)
                     check(kern, zero_pct, fc, ++seed);
     ex.setThreads(saved_threads);
+}
+
+// Large enough that every column of a tile fits one panel.
+constexpr u32 kOnePanelBudgetKb = 1u << 20;
+// Panel budgets that split an 8 x 12 fold into several column panels:
+// 2 KiB holds about one column of 8-bit count tables for every scheme,
+// 16 KiB splits UT and UG but can hold a whole UR tile under EBT.
+constexpr u32 kSplitBudgetsKb[] = {2, 16};
+
+TEST(SystolicGemm, PanelBlockedMatchesUnblockedAcrossThreads)
+{
+    // Column-panel blocking is a cache lever only: a GEMM whose folds
+    // split into several panels must match the same GEMM with one panel
+    // per fold, at any thread count.
+    PanelFlagsGuard guard;
+    setPackedEngineEnabled(true);
+    Executor &ex = Executor::global();
+    const unsigned saved_threads = ex.threads();
+
+    ArrayConfig cfg;
+    cfg.rows = 8;
+    cfg.cols = 12;
+    for (const KernelConfig kern :
+         {KernelConfig{Scheme::USystolicRate, 8, 6},
+          KernelConfig{Scheme::USystolicTemporal, 8, 0},
+          KernelConfig{Scheme::UgemmHybrid, 7, 0},
+          KernelConfig{Scheme::BinarySerial, 8, 0},
+          KernelConfig{Scheme::BinaryParallel, 8, 0}}) {
+        cfg.kernel = kern;
+        Prng prng(u64(int(kern.scheme)) + 2000);
+        const auto a = randomMatrix(6, 20, kern.bits, prng);
+        const auto b = randomMatrix(20, 30, kern.bits, prng);
+
+        setPanelBudgetKb(kOnePanelBudgetKb);
+        ex.setThreads(1);
+        statsRegistry().reset();
+        const auto unblocked = SystolicGemm(cfg).run(a, b);
+        const std::string unblocked_dump = statsRegistry().dumpText();
+
+        for (const u32 budget_kb : kSplitBudgetsKb) {
+            setPanelBudgetKb(budget_kb);
+            for (unsigned nthreads : {1u, 3u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << kern.name() << " " << budget_kb
+                             << " KiB t" << nthreads);
+                ex.setThreads(nthreads);
+                statsRegistry().reset();
+                const auto blocked = SystolicGemm(cfg).run(a, b);
+                const std::string blocked_dump = statsRegistry().dumpText();
+                EXPECT_EQ(blocked.acc, unblocked.acc);
+                EXPECT_EQ(blocked.cycles, unblocked.cycles);
+                EXPECT_EQ(blocked_dump, unblocked_dump);
+            }
+        }
+    }
+    ex.setThreads(saved_threads);
+}
+
+/** Expect two folds to agree on outputs, cycles and the fault census. */
+void
+expectSameFoldAndCensus(const SystolicArray::FoldResult &out,
+                        const FoldStatsDelta &delta,
+                        const SystolicArray::FoldResult &ref,
+                        const FoldStatsDelta &ref_delta)
+{
+    EXPECT_EQ(out.output, ref.output);
+    EXPECT_EQ(out.cycles, ref.cycles);
+    EXPECT_EQ(delta.faults_weight_reg, ref_delta.faults_weight_reg);
+    EXPECT_EQ(delta.faults_dram, ref_delta.faults_dram);
+    EXPECT_EQ(delta.faultTotal(), ref_delta.faultTotal());
+}
+
+TEST(PackedArray, SparsePlansPreserveFaultCensus)
+{
+    // Plan-compacted folds must report the exact fault census and
+    // outputs of the scalar fold, which visits every MAC, for the
+    // schemes that consume plans and for UG (which must never consume
+    // them — its bipolar encoding gives zero-valued operands
+    // half-density streams). Both the fold's own plan and a plan built
+    // by the caller are checked.
+    for (const Scheme scheme :
+         {Scheme::USystolicRate, Scheme::UgemmHybrid, Scheme::TubGemm}) {
+        SCOPED_TRACE(schemeTag(scheme));
+        ArrayConfig cfg;
+        cfg.rows = 4;
+        cfg.cols = 4;
+        cfg.kernel = {scheme, scheme == Scheme::UgemmHybrid ? 7 : 8, 0};
+        cfg.faults.seed = 77;
+        cfg.faults.rates.weight_reg = 0.3;
+        cfg.faults.rates.dram_word = 0.2;
+        Prng prng(u64(int(scheme)) + 7000);
+        auto input = randomMatrix(6, cfg.rows, cfg.kernel.bits, prng);
+        auto weights =
+            randomMatrix(cfg.rows, cfg.cols, cfg.kernel.bits, prng);
+        for (int r = 0; r < input.rows(); ++r)
+            input(r, r % cfg.rows) = 0;
+
+        FoldStatsDelta ref_delta;
+        const auto ref =
+            SystolicArray(cfg).runFold(input, weights, &ref_delta);
+        ASSERT_GT(ref_delta.faultTotal(), 0u);
+
+        FoldStatsDelta own_delta;
+        const auto own = PackedArray(cfg).runFold(input, weights, &own_delta);
+        expectSameFoldAndCensus(own, own_delta, ref, ref_delta);
+
+        SparsityPlan plan;
+        plan.build(input);
+        FoldStatsDelta shared_delta;
+        const auto shared = PackedArray(cfg).runFold(input, weights,
+                                                     &shared_delta, 0, &plan);
+        expectSameFoldAndCensus(shared, shared_delta, ref, ref_delta);
+    }
+}
+
+TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
+{
+    // Weight-register and DRAM faults pre-corrupt the staged codes, so
+    // the panel fast path stays eligible; the census and outputs must
+    // match the scalar fold whether the fold splits into several column
+    // panels or runs as one, with zero operands skipped.
+    PanelFlagsGuard guard;
+    ArrayConfig cfg;
+    cfg.rows = 8;
+    cfg.cols = 12;
+    cfg.kernel = {Scheme::USystolicRate, 8, 6};
+    cfg.faults.seed = 99;
+    cfg.faults.rates.weight_reg = 0.3;
+    cfg.faults.rates.dram_word = 0.2;
+    Prng prng(4000);
+    auto input = randomMatrix(5, cfg.rows, 8, prng);
+    auto weights = randomMatrix(cfg.rows, cfg.cols, 8, prng);
+    input(0, 1) = 0;
+    input(3, 6) = 0;
+    weights(1, 2) = 0;
+    weights(5, 9) = 0;
+
+    FoldStatsDelta ref_delta;
+    const auto ref = SystolicArray(cfg).runFold(input, weights, &ref_delta);
+    ASSERT_GT(ref_delta.faultTotal(), 0u);
+
+    for (const u32 budget_kb :
+         {kSplitBudgetsKb[0], kSplitBudgetsKb[1], kOnePanelBudgetKb}) {
+        SCOPED_TRACE(::testing::Message() << budget_kb << " KiB");
+        setPanelBudgetKb(budget_kb);
+        FoldStatsDelta delta;
+        const auto out = PackedArray(cfg).runFold(input, weights, &delta);
+        expectSameFoldAndCensus(out, delta, ref, ref_delta);
+    }
 }
 
 TEST(SystolicGemm, ParallelRunsAreDeterministic)
