@@ -182,26 +182,6 @@ BM_SimdThresholdPack(benchmark::State &state)
 BENCHMARK(BM_SimdThresholdPack)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_SimdPrefixPopcount(benchmark::State &state)
-{
-    const SimdKernels *k = tierForArg(state);
-    if (!k)
-        return;
-    Prng prng(7);
-    const u32 nwords = u32(1) << 14;
-    std::vector<u64> words(nwords);
-    for (auto &w : words)
-        w = prng.next();
-    std::vector<u32> prefix(nwords + 1);
-    for (auto _ : state) {
-        k->prefixPopcount(words.data(), nwords, prefix.data());
-        benchmark::DoNotOptimize(prefix.data());
-    }
-    state.SetBytesProcessed(state.iterations() * nwords * 8);
-}
-BENCHMARK(BM_SimdPrefixPopcount)->Arg(0)->Arg(1)->Arg(2);
-
-void
 BM_SimdAxpyF32(benchmark::State &state)
 {
     const SimdKernels *k = tierForArg(state);

@@ -324,7 +324,6 @@ main(int argc, char **argv)
         for (auto &v : vals)
             v = u32(prng.below(257));
         std::vector<u64> pack_a(nvals / 64), pack_b(nvals / 64);
-        std::vector<u32> pfx_a(nwords + 1), pfx_b(nwords + 1);
         const int vn = 4096;
         // The i64 output row spills L1 at vn (32 KiB of c alone), which
         // would measure DRAM bandwidth instead of the kernel — keep the
@@ -350,9 +349,6 @@ main(int argc, char **argv)
         gen.thresholdPackWords(vals.data(), nvals, 128, pack_a.data());
         chk.thresholdPackWords(vals.data(), nvals, 128, pack_b.data());
         fatalIf(pack_a != pack_b, "simd threshold-pack parity failure");
-        gen.prefixPopcount(words.data(), u32(nwords), pfx_a.data());
-        chk.prefixPopcount(words.data(), u32(nwords), pfx_b.data());
-        fatalIf(pfx_a != pfx_b, "simd prefix-popcount parity failure");
         gen.axpyF32(fc_a.data(), fb.data(), 0.25f, vn);
         chk.axpyF32(fc_b.data(), fb.data(), 0.25f, vn);
         fatalIf(std::memcmp(fc_a.data(), fc_b.data(),
@@ -409,17 +405,6 @@ main(int argc, char **argv)
             [&] {
                 chk.thresholdPackWords(vals.data(), nvals, 128,
                                        pack_b.data());
-            },
-            50);
-        record(
-            "prefix_popcount",
-            [&] {
-                gen.prefixPopcount(words.data(), u32(nwords),
-                                   pfx_a.data());
-            },
-            [&] {
-                chk.prefixPopcount(words.data(), u32(nwords),
-                                   pfx_b.data());
             },
             50);
         record(

@@ -1,11 +1,11 @@
 #include "arch/packed_array.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -51,50 +51,6 @@ poisonArena(std::vector<T> &v)
 }
 
 /**
- * Packed threshold-comparison stream with per-word prefix popcounts:
- * stream bit k is (values[k] < threshold), and prefixOnes(n) counts the
- * 1s among the first n bits with one masked popcount — the SWAR form of
- * stepping a C-W comparator + AND + counter n times.
- */
-struct PackedStream
-{
-    std::vector<u64> words;
-    std::vector<u32> prefix; // prefix[w] = ones in words[0..w)
-
-    PackedStream() = default;
-
-    /** (Re)build in place, reusing the word/prefix capacity — pooled
-     *  instances make a fold allocation-free once warmed up. */
-    void
-    fill(const std::vector<u32> &values, u32 threshold)
-    {
-        const u32 n = u32(values.size());
-        const u32 nwords = (n + 63) / 64;
-        const SimdKernels &simd = simdKernels();
-        words.resize(nwords);
-        poisonArena(words);
-        if (n)
-            simd.thresholdPackWords(values.data(), n, threshold,
-                                    words.data());
-        prefix.resize(nwords + 1);
-        poisonArena(prefix);
-        simd.prefixPopcount(words.data(), nwords, prefix.data());
-    }
-
-    /** 1s among stream bits [0, n). */
-    u32
-    prefixOnes(u32 n) const
-    {
-        const u32 w = n >> 6;
-        const u32 rem = n & 63;
-        u32 ones = prefix[w];
-        if (rem)
-            ones += u32(std::popcount(words[w] & lowMask(rem)));
-        return ones;
-    }
-};
-
-/**
  * Arena key for one prefix-count table: the first `mul` outputs of the
  * (dimension, bits) shared weight RNG thresholded at `threshold`.
  */
@@ -114,11 +70,11 @@ struct CountTableKey
 };
 
 /**
- * Per-worker arena of prefix-count tables, the panel fast path's form
- * of a staged weight bitstream: tbl[o] = ones among the first o bits
- * of the packed comparison stream b_k = (rng.at(k) < threshold) — by
- * construction identical to PackedStream::prefixOnes(o) for every o,
- * so a table lookup is bit-exact with a stream query. Tables persist
+ * Per-worker arena of prefix-count tables, the packed engine's only
+ * form of a staged weight bitstream: tbl[o] = ones among the first o
+ * bits of the comparison stream b_k = (rng.at(k) < threshold) — the
+ * count a C-W comparator + AND + counter reaches after o input 1-bits,
+ * since the C-BSG advances only on input 1s. Tables persist
  * across folds/GEMMs/sweeps (weights recur) under a byte budget sized
  * to the configured L2 share: building evicts the oldest unpinned
  * tables first, and tables pinned by the panel being staged are never
@@ -191,10 +147,18 @@ class CountTableArena
     std::size_t pinned_bytes_ = 0;
 };
 
-/** Key for one persistent input-ones memo (scheme kind x RNG shape). */
+/** Input bitstream family of a unary scheme (the ones-memo kind). */
+enum class InputStream
+{
+    Rate,     // uSystolic rate: RateBsg over |a|
+    Temporal, // uSystolic temporal: TemporalBsg over |a|
+    Bipolar,  // uGEMM-H: BipolarRateBsg over the signed code
+};
+
+/** Key for one persistent input-ones memo (stream kind x RNG shape). */
 struct OnesMemoKey
 {
-    int kind; // 0 = rate, 1 = temporal, 2 = bipolar
+    InputStream kind;
     int bits;
     u32 mul;
 
@@ -209,33 +173,28 @@ struct OnesMemoKey
 /**
  * Per-worker fold scratch. The executor's workers are persistent, so
  * this arena survives across folds, GEMMs, and whole sweeps: the
- * stream pool hands back PackedStream instances with their word/prefix
- * capacity intact, the count-table arena keeps staged weight panels
- * warm, and the ones-memos keep every input magnitude's delivered-ones
- * count (a pure function of (scheme, bits, mul, magnitude), so reuse
- * across folds is bit-exact). Entirely thread-local — parallel tile
- * shards never share scratch.
+ * count-table arena keeps staged weight panels warm, and the ones-memos
+ * keep every input code's delivered-ones count (a pure function of
+ * (stream kind, bits, mul, code), so reuse across folds is bit-exact).
+ * Entirely thread-local — parallel tile shards never share scratch.
  */
 struct FoldScratch
 {
     std::map<OnesMemoKey, std::vector<i64>> ones_memos;
-    std::vector<std::unique_ptr<PackedStream>> stream_pool;
     CountTableArena tables;
     SparsityPlan plan; // plan of a fold given none, or faulted operands
 
     // Panel staging buffers (capacity reused across folds).
     std::vector<u32> in_ones;          // per (m, r) delivered ones
     std::vector<i64> in_neg;           // per (m, r) sign, 0 or -1
-    std::vector<const u32 *> stage_a;  // column-major staging
-    std::vector<const u32 *> stage_b;
+    std::vector<const u32 *> stage[2]; // column-major staging per lane
     std::vector<i64> stage_neg;
-    std::vector<const u32 *> grid_a;   // row-major panel grids
-    std::vector<const u32 *> grid_b;
+    std::vector<const u32 *> grid[2];  // row-major panel grids per lane
     std::vector<i64> grid_neg;
 
     /** Persistent memo for one (kind, bits, mul), grown to `size`. */
     std::vector<i64> &
-    onesMemo(int kind, int bits, u32 mul, std::size_t size)
+    onesMemo(InputStream kind, int bits, u32 mul, std::size_t size)
     {
         std::vector<i64> &memo = ones_memos[OnesMemoKey{kind, bits, mul}];
         if (memo.size() < size)
@@ -250,54 +209,6 @@ foldScratch()
     thread_local FoldScratch scratch;
     return scratch;
 }
-
-/**
- * Lazily built per-threshold packed streams over one shared RNG value
- * sequence. Weights are stationary and every PE row sees the same RNG
- * values, so a fold needs at most one stream per distinct magnitude.
- * Stream objects are borrowed from the per-worker pool and returned on
- * destruction, so steady-state folds allocate nothing.
- */
-class StreamCache
-{
-  public:
-    StreamCache(const std::vector<u32> &values, u32 max_threshold,
-                std::vector<std::unique_ptr<PackedStream>> &pool)
-        : values_(values), pool_(pool),
-          slots_(std::size_t(max_threshold) + 1, nullptr)
-    {}
-
-    ~StreamCache()
-    {
-        for (auto &s : owned_)
-            pool_.push_back(std::move(s));
-    }
-
-    const PackedStream &
-    forThreshold(u32 t)
-    {
-        PackedStream *&slot = slots_[t];
-        if (!slot) {
-            std::unique_ptr<PackedStream> s;
-            if (!pool_.empty()) {
-                s = std::move(pool_.back());
-                pool_.pop_back();
-            } else {
-                s = std::make_unique<PackedStream>();
-            }
-            s->fill(values_, t);
-            slot = s.get();
-            owned_.push_back(std::move(s));
-        }
-        return *slot;
-    }
-
-  private:
-    const std::vector<u32> &values_;
-    std::vector<std::unique_ptr<PackedStream>> &pool_;
-    std::vector<PackedStream *> slots_;
-    std::vector<std::unique_ptr<PackedStream>> owned_;
-};
 
 /**
  * First `count` outputs of a Sobol dimension (the shared lane RNG),
@@ -348,6 +259,100 @@ maxAbs(const Matrix<i32> &m)
         for (int c = 0; c < m.cols(); ++c)
             best = std::max(best, toSignMag(m(r, c)).magnitude);
     return best;
+}
+
+/**
+ * 1-bits the input stream of `code` delivers within the first `mul`
+ * cycles, corrupted by `fault` (if any) before counting. This count is
+ * all the weight side of a unary MAC ever sees: the C-BSG advances on
+ * observed input 1-bits, exactly like the scalar engine's consumption
+ * counters.
+ */
+u32
+deliveredOnes(InputStream kind, i32 code, int rng_bits, u32 mul,
+              const Fault *fault)
+{
+    const u32 iabs = toSignMag(code).magnitude;
+    switch (kind) {
+      case InputStream::Rate: {
+        RateBsg gen(iabs, kInputRngDim, rng_bits);
+        return u32(onesInWindow(gen, mul, fault));
+      }
+      case InputStream::Temporal: {
+        TemporalBsg gen(iabs, rng_bits);
+        return u32(onesInWindow(gen, mul, fault));
+      }
+      case InputStream::Bipolar: {
+        BipolarRateBsg gen(code, kInputRngDim, rng_bits);
+        return u32(onesInWindow(gen, mul, fault));
+      }
+    }
+    return 0;
+}
+
+/** One count-table lane of a weight panel: a shared weight RNG. */
+struct TableLane
+{
+    int dim;                        // Sobol dimension (arena key)
+    const std::vector<u32> *values; // its first `mul` outputs
+};
+
+/**
+ * Stage the weight column panel that starts at c0 into the scratch
+ * grids: grid[l][r * pcols + cl] is lane l's count table for
+ * w(r, c0 + cl) and grid_neg[r * pcols + cl] its sign (0 or -1).
+ * Sign-magnitude lanes (bias 0, uSystolic) threshold at |w|; the
+ * offset-binary lanes of uGEMM-H threshold at w + bias. The panel grows
+ * column by column until its pinned tables reach `budget` (always >= 1
+ * column), so its tables stay cache-resident through the MAC loop.
+ * Returns the panel end c1.
+ */
+int
+stageWeightPanel(FoldScratch &s, const Matrix<i32> &w, int c0, int bits,
+                 u32 mul, i64 bias, const TableLane *lanes, int nlanes,
+                 std::size_t budget)
+{
+    USYS_PROF_SCOPE("fold.packed.stage");
+    const int rows = w.rows();
+    CountTableArena &arena = s.tables;
+    arena.beginPanel();
+    for (int l = 0; l < nlanes; ++l)
+        s.stage[l].clear();
+    s.stage_neg.clear();
+    int c1 = c0;
+    while (c1 < w.cols() && (c1 == c0 || arena.pinnedBytes() < budget)) {
+        for (int r = 0; r < rows; ++r) {
+            const SignMag sm = toSignMag(w(r, c1));
+            const u32 threshold =
+                bias ? u32(w(r, c1) + bias) : sm.magnitude;
+            for (int l = 0; l < nlanes; ++l)
+                s.stage[l].push_back(
+                    arena.get({lanes[l].dim, bits, mul, threshold},
+                              *lanes[l].values, budget));
+            s.stage_neg.push_back(sm.negative ? i64(-1) : i64(0));
+        }
+        ++c1;
+    }
+
+    // Transpose the staging to row-major grids so the MAC inner loops
+    // walk contiguous pointers per array row.
+    const int pcols = c1 - c0;
+    const std::size_t n = std::size_t(rows) * pcols;
+    for (int l = 0; l < nlanes; ++l) {
+        s.grid[l].resize(n);
+        poisonArena(s.grid[l]);
+    }
+    s.grid_neg.resize(n);
+    poisonArena(s.grid_neg);
+    for (int cl = 0; cl < pcols; ++cl)
+        for (int r = 0; r < rows; ++r) {
+            const std::size_t src = std::size_t(cl) * rows + r;
+            const std::size_t dst = std::size_t(r) * pcols + cl;
+            for (int l = 0; l < nlanes; ++l)
+                s.grid[l][dst] = s.stage[l][src];
+            s.grid_neg[dst] = s.stage_neg[src];
+        }
+    return c1;
 }
 
 } // namespace
@@ -513,129 +518,211 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
       }
 
       case Scheme::USystolicRate:
-      case Scheme::USystolicTemporal: {
-        const bool rate = kern.scheme == Scheme::USystolicRate;
-        const int rng_bits = kern.bits - 1;
+      case Scheme::USystolicTemporal:
+      case Scheme::UgemmHybrid: {
+        // Every unary MAC is a prefix count over one shared weight RNG
+        // sequence (DESIGN.md §8): a PE whose input delivers `ones`
+        // 1-bits counts tbl(|w|)[ones] product 1s, and uGEMM-H adds its
+        // polarity-0 lane over the `mul - ones` input 0-cycles. So the
+        // fold stages the input side once, stages the weight tables one
+        // column panel at a time, and runs one MAC loop per panel.
+        USYS_PROF_SCOPE("fold.packed.panel");
+        const bool bipolar = kern.scheme == Scheme::UgemmHybrid;
+        const InputStream kind =
+            bipolar ? InputStream::Bipolar
+                    : kern.scheme == Scheme::USystolicRate
+                          ? InputStream::Rate
+                          : InputStream::Temporal;
+        const int rng_bits = bipolar ? kern.bits : kern.bits - 1;
+        const i64 bias = bipolar ? i64(1) << (kern.bits - 1) : 0;
+        // Weight-register and DRAM faults already corrupted the codes
+        // above; the other three sites hook individual MACs.
+        const bool hooks = fa || fs || fo;
         FoldScratch &scratch = foldScratch();
-        // One packed weight-comparison stream per distinct |w|, over the
-        // row-shared weight RNG values (C-BSG index k = k-th input 1).
-        const std::vector<u32> &wvals =
-            sharedSobolValues(kWeightRngDim, rng_bits, mul);
-        // Input 1s delivered inside the (possibly early-terminated)
-        // window depend only on |i| (a pure function of the RNG shape),
-        // so the memo persists across folds in the worker arena.
-        std::vector<i64> &ones_memo = scratch.onesMemo(
-            rate ? 0 : 1, rng_bits, mul, std::size_t(maxAbs(input)) + 1);
-        auto ones_of = [&](u32 iabs) -> u32 {
-            // Zero-magnitude streams are all-zero by construction (the
-            // comparator threshold is 0), so never materialize their
-            // RNG words — the stream-generation level of zero skipping.
-            if (iabs == 0)
-                return 0;
-            i64 &slot = ones_memo[iabs];
-            if (slot < 0) {
-                if (rate) {
-                    RateBsg gen(iabs, kInputRngDim, rng_bits);
-                    slot = i64(onesInWindow(gen, mul));
-                } else {
-                    TemporalBsg gen(iabs, rng_bits);
-                    slot = i64(onesInWindow(gen, mul));
-                }
+
+        // --- 1. Input side: delivered ones and sign per (m, r) -------
+        // Fault-free delivered ones depend only on the code (a pure
+        // function of the RNG shape), so the memo persists across folds
+        // in the worker arena.
+        std::vector<i64> &ones_memo =
+            scratch.onesMemo(kind, rng_bits, mul,
+                             std::size_t(maxAbs(input) + bias) + 1);
+        std::vector<u32> &in_ones = scratch.in_ones;
+        std::vector<i64> &in_neg = scratch.in_neg;
+        in_ones.resize(std::size_t(m_rows) * rows);
+        in_neg.resize(std::size_t(m_rows) * rows);
+        poisonArena(in_ones);
+        poisonArena(in_neg);
+        auto stage_in = [&](int m, int r) {
+            const i32 code = input(m, r);
+            const SignMag in = toSignMag(code);
+            const std::size_t i = std::size_t(m) * rows + r;
+            in_neg[i] = in.negative ? -1 : 0;
+            // ActivationStream site: a faulted stream stages its
+            // corrupted ones-count (memo bypassed).
+            std::optional<Fault> af;
+            if (fa)
+                af = plan->activationStream(tile, m, r, mul);
+            if (af) {
+                in_ones[i] = deliveredOnes(kind, code, rng_bits, mul, &*af);
+            } else if (!bipolar && in.magnitude == 0) {
+                // Zero-magnitude streams are all-zero by construction
+                // (the comparator threshold is 0), so never materialize
+                // their RNG words — the stream-generation level of zero
+                // skipping.
+                in_ones[i] = 0;
+            } else {
+                i64 &slot = ones_memo[bipolar ? std::size_t(code + bias)
+                                              : in.magnitude];
+                if (slot < 0)
+                    slot = deliveredOnes(kind, code, rng_bits, mul,
+                                         nullptr);
+                in_ones[i] = u32(slot);
             }
-            return u32(slot);
         };
-
-        if (!fa && !fs && !fo) {
-            // --- Cache-blocked panel fast path (DESIGN.md §13) ------
-            // No per-MAC fault hook is active (weight-reg and DRAM
-            // faults already corrupted the codes above), so each MAC
-            // is a pure count-table lookup: count = tbl(|w|)[ones],
-            // where tbl(|w|)[o] == PackedStream::prefixOnes(o) by
-            // construction. Columns are processed in panels whose
-            // staged tables fit the L2 budget; the sign is applied
-            // branchless so the inner loop has no data-dependent
-            // branches.
-            USYS_PROF_SCOPE("fold.packed.panel");
-            const std::size_t budget = std::max<std::size_t>(
-                std::size_t(panelBudgetKb()) * 1024,
-                (std::size_t(mul) + 1) * sizeof(u32));
-
-            // Stage the input side once per fold — delivered ones and
-            // sign per (m, r) — and reuse it for every column panel.
-            // Only the plan's nonzero operands are staged: zero ones
-            // never reach the memo, and the MAC loop below walks the
-            // same plan, so their unstaged slots are never read.
-            const SparsityPlan &sp = plan_of(input);
-            std::vector<u32> &in_ones = scratch.in_ones;
-            std::vector<i64> &in_neg = scratch.in_neg;
-            in_ones.resize(std::size_t(m_rows) * rows);
-            in_neg.resize(std::size_t(m_rows) * rows);
-            poisonArena(in_ones);
-            poisonArena(in_neg);
-            {
-                USYS_PROF_SCOPE("fold.packed.stage");
-                for (int m = 0; m < m_rows; ++m) {
-                    const u32 *idx = sp.rowIdx(m);
-                    const u32 cnt = sp.rowCount(m);
-                    for (u32 i = 0; i < cnt; ++i) {
-                        const int r = int(idx[i]);
-                        const SignMag in = toSignMag(input(m, r));
-                        in_ones[std::size_t(m) * rows + r] =
-                            ones_of(in.magnitude);
-                        in_neg[std::size_t(m) * rows + r] =
-                            in.negative ? -1 : 0;
-                    }
+        // The fault-free uSystolic loop walks the nonzero-index plan of
+        // `input`, so only the plan's operands are staged (their
+        // unstaged slots are never read). The per-MAC loop cannot use
+        // that plan — an activation-stream fault can give a zero code
+        // nonzero ones — and uGEMM-H never skips: its bias makes even
+        // zero operands contribute.
+        const SparsityPlan *sp =
+            (bipolar || hooks) ? nullptr : &plan_of(input);
+        {
+            USYS_PROF_SCOPE("fold.packed.stage");
+            for (int m = 0; m < m_rows; ++m) {
+                if (sp) {
+                    const u32 *idx = sp->rowIdx(m);
+                    const u32 cnt = sp->rowCount(m);
+                    for (u32 i = 0; i < cnt; ++i)
+                        stage_in(m, int(idx[i]));
+                } else {
+                    for (int r = 0; r < rows; ++r)
+                        stage_in(m, r);
                 }
             }
+        }
 
-            CountTableArena &arena = scratch.tables;
-            for (int c0 = 0; c0 < cols;) {
-                // Grow the panel column by column until its pinned
-                // tables reach the budget (always >= 1 column).
-                std::vector<const u32 *> &ctbl = scratch.stage_a;
-                std::vector<i64> &cneg = scratch.stage_neg;
-                ctbl.clear();
-                cneg.clear();
-                arena.beginPanel();
-                int c1 = c0;
-                {
-                    USYS_PROF_SCOPE("fold.packed.stage");
-                    while (c1 < cols &&
-                           (c1 == c0 || arena.pinnedBytes() < budget)) {
-                        for (int r = 0; r < rows; ++r) {
-                            const SignMag w = toSignMag((*wp)(r, c1));
-                            ctbl.push_back(arena.get(
-                                {kWeightRngDim, rng_bits, mul,
-                                 w.magnitude},
-                                wvals, budget));
-                            cneg.push_back(w.negative ? i64(-1)
-                                                      : i64(0));
+        // --- 2. Weight side: one column panel of tables at a time ----
+        // Bipolar uMUL: input 1-cycles consume the polarity-1 weight RNG
+        // (product bit = rnum < woffset), input 0-cycles the polarity-0
+        // RNG (product bit = !(rnum_alt < woffset)).
+        const int nlanes = bipolar ? 2 : 1;
+        const TableLane lanes[2] = {
+            {kWeightRngDim,
+             &sharedSobolValues(kWeightRngDim, rng_bits, mul)},
+            {kWeightRngDim + kWeightAltRngOffset,
+             bipolar ? &sharedSobolValues(
+                           kWeightRngDim + kWeightAltRngOffset, rng_bits,
+                           mul)
+                     : nullptr}};
+        const std::vector<u32> &wvals = *lanes[0].values;
+        const std::size_t budget = std::max<std::size_t>(
+            std::size_t(panelBudgetKb()) * 1024,
+            std::size_t(nlanes) * (std::size_t(mul) + 1) * sizeof(u32));
+
+        for (int c0 = 0, c1; c0 < cols; c0 = c1) {
+            c1 = stageWeightPanel(scratch, *wp, c0, rng_bits, mul, bias,
+                                  lanes, nlanes, budget);
+            const int pcols = c1 - c0;
+            // Lane 0 is the polarity-1 (C-BSG) lane of every scheme,
+            // lane 1 the polarity-0 lane of uGEMM-H.
+            const u32 *const *grid1 = scratch.grid[0].data();
+            const u32 *const *grid0 = scratch.grid[1].data();
+            const i64 *gneg = scratch.grid_neg.data();
+
+            // --- 3. One MAC loop over the panel ----------------------
+            USYS_PROF_SCOPE("fold.packed.mac");
+            if (hooks) {
+                // Per-MAC loop: the fault-free count plus the weight-
+                // stream and accumulator hooks at their scalar points.
+                for (int m = 0; m < m_rows; ++m) {
+                    for (int r = 0; r < rows; ++r) {
+                        const std::size_t i = std::size_t(m) * rows + r;
+                        const u32 ones = in_ones[i];
+                        // Zero delivered ones: every count is 0 and
+                        // weight-stream faults only cover indices below
+                        // the ones-count, so the row contributes exactly
+                        // nothing — unless an accumulator fault could
+                        // still fire on it.
+                        if (!bipolar && !fo && ones == 0)
+                            continue;
+                        const u32 zeros = mul - ones;
+                        const i64 nin = in_neg[i];
+                        const std::size_t g = std::size_t(r) * pcols;
+                        for (int cl = 0; cl < pcols; ++cl) {
+                            const int c = c0 + cl;
+                            i64 count = i64(grid1[g + cl][ones]);
+                            if (bipolar)
+                                count += i64(zeros) -
+                                         i64(grid0[g + cl][zeros]);
+                            // WeightStream site: re-derive the covered
+                            // comparison bits b_k = (wrng.at(k) < thr)
+                            // of the C-BSG (polarity-1) lane and swap
+                            // each for its corrupted value — only
+                            // indices below the delivered ones-count
+                            // ever reach a comparator.
+                            if (fs)
+                                if (const auto f = plan->weightStream(
+                                        tile, m, r, c, mul)) {
+                                    const i32 wv = (*wp)(r, c);
+                                    const u32 thr =
+                                        bipolar ? u32(wv + bias)
+                                                : toSignMag(wv).magnitude;
+                                    const u64 hi = std::min<u64>(
+                                        u64(f->first) + f->len, ones);
+                                    for (u64 k = f->first; k < hi; ++k) {
+                                        const bool b =
+                                            wvals[std::size_t(k)] < thr;
+                                        count +=
+                                            i64(f->corruptBit(b, u32(k))) -
+                                            i64(b);
+                                    }
+                                }
+                            // Sign-magnitude product, or finishMac's
+                            // bipolar count -> signed product offset.
+                            const i64 ng = gneg[g + cl] ^ nin; // 0 or -1
+                            i64 contrib =
+                                bipolar ? count - bias : (count ^ ng) - ng;
+                            // Accumulator site: per-MAC signed OREG
+                            // contribution, pre-merge, pre-shift — same
+                            // point as PeCore::finishMac.
+                            if (fo)
+                                if (const auto f = plan->accumulator(
+                                        tile, m, r, c, acc_width))
+                                    contrib =
+                                        f->applyToInt(contrib, acc_width);
+                            out(m, c) += contrib;
                         }
-                        ++c1;
                     }
                 }
-                const int pcols = c1 - c0;
-                // Transpose the staging to row-major grids so the MAC
-                // inner loop walks contiguous pointers per array row.
-                std::vector<const u32 *> &wtbl = scratch.grid_a;
-                std::vector<i64> &wneg = scratch.grid_neg;
-                wtbl.resize(std::size_t(rows) * pcols);
-                wneg.resize(std::size_t(rows) * pcols);
-                poisonArena(wtbl);
-                poisonArena(wneg);
-                for (int cl = 0; cl < pcols; ++cl)
-                    for (int r = 0; r < rows; ++r) {
-                        wtbl[std::size_t(r) * pcols + cl] =
-                            ctbl[std::size_t(cl) * rows + r];
-                        wneg[std::size_t(r) * pcols + cl] =
-                            cneg[std::size_t(cl) * rows + r];
-                    }
-
-                USYS_PROF_SCOPE("fold.packed.mac");
+            } else if (bipolar) {
+                // Bipolar MAC as two table lookups per column:
+                //   contrib = t1(woff)[ones] + (zeros - t0(woff)[zeros])
+                //           - bias
                 for (int m = 0; m < m_rows; ++m) {
                     i64 *out_row = &out(m, c0);
-                    const u32 *idx = sp.rowIdx(m);
-                    const u32 cnt = sp.rowCount(m);
+                    for (int r = 0; r < rows; ++r) {
+                        const u32 ones =
+                            in_ones[std::size_t(m) * rows + r];
+                        const u32 zeros = mul - ones;
+                        const i64 zb = i64(zeros) - bias;
+                        const u32 *const *t1row =
+                            &grid1[std::size_t(r) * pcols];
+                        const u32 *const *t0row =
+                            &grid0[std::size_t(r) * pcols];
+                        for (int cl = 0; cl < pcols; ++cl)
+                            out_row[cl] += i64(t1row[cl][ones]) -
+                                           i64(t0row[cl][zeros]) + zb;
+                    }
+                }
+            } else {
+                // count = tbl(|w|)[ones], the sign applied branchless so
+                // the inner loop has no data-dependent branches.
+                for (int m = 0; m < m_rows; ++m) {
+                    i64 *out_row = &out(m, c0);
+                    const u32 *idx = sp->rowIdx(m);
+                    const u32 cnt = sp->rowCount(m);
                     for (u32 i = 0; i < cnt; ++i) {
                         const int r = int(idx[i]);
                         const u32 ones =
@@ -648,245 +735,14 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
                         const i64 nin =
                             in_neg[std::size_t(m) * rows + r];
                         const u32 *const *trow =
-                            &wtbl[std::size_t(r) * pcols];
-                        const i64 *nrow =
-                            &wneg[std::size_t(r) * pcols];
+                            &grid1[std::size_t(r) * pcols];
+                        const i64 *nrow = &gneg[std::size_t(r) * pcols];
                         for (int cl = 0; cl < pcols; ++cl) {
                             const i64 v = i64(trow[cl][ones]);
                             const i64 ng = nrow[cl] ^ nin; // 0 or -1
                             out_row[cl] += (v ^ ng) - ng;
                         }
                     }
-                }
-                c0 = c1;
-            }
-            break;
-        }
-
-        StreamCache wstreams(wvals, maxAbs(*wp), scratch.stream_pool);
-        for (int m = 0; m < m_rows; ++m) {
-            for (int r = 0; r < rows; ++r) {
-                const SignMag in = toSignMag(input(m, r));
-                // ActivationStream site: corrupt the packed input stream
-                // before counting — the corrupted ones-count is all the
-                // weight side ever sees (the C-BSG advances on observed
-                // 1-bits), matching the scalar engine's corrupted
-                // consumption counters. Faulted MACs bypass the memo.
-                u32 ones;
-                std::optional<Fault> af;
-                if (fa)
-                    af = plan->activationStream(tile, m, r, mul);
-                if (af) {
-                    if (rate) {
-                        RateBsg gen(in.magnitude, kInputRngDim, rng_bits);
-                        ones = u32(onesInWindow(gen, mul, &*af));
-                    } else {
-                        TemporalBsg gen(in.magnitude, rng_bits);
-                        ones = u32(onesInWindow(gen, mul, &*af));
-                    }
-                } else {
-                    ones = ones_of(in.magnitude);
-                }
-                // Zero delivered ones: every count is 0 and weight-
-                // stream faults only cover indices below the ones-count,
-                // so the whole column sweep contributes exactly nothing
-                // — unless an accumulator fault could still fire on it.
-                if (!fo && ones == 0)
-                    continue;
-                for (int c = 0; c < cols; ++c) {
-                    const SignMag w = toSignMag((*wp)(r, c));
-                    i64 count =
-                        wstreams.forThreshold(w.magnitude).prefixOnes(ones);
-                    // WeightStream site: re-derive the covered
-                    // comparison bits b_k = (wrng.at(k) < |w|) and swap
-                    // each for its corrupted value — only indices below
-                    // the delivered ones-count ever reach a comparator.
-                    if (fs)
-                        if (const auto f = plan->weightStream(tile, m, r,
-                                                              c, mul)) {
-                            const u64 hi =
-                                std::min<u64>(u64(f->first) + f->len,
-                                              ones);
-                            for (u64 k = f->first; k < hi; ++k) {
-                                const bool b =
-                                    wvals[std::size_t(k)] < w.magnitude;
-                                count += i64(f->corruptBit(b, u32(k))) -
-                                         i64(b);
-                            }
-                        }
-                    i64 contrib =
-                        (in.negative != w.negative) ? -count : count;
-                    // Accumulator site: per-MAC signed OREG contribution,
-                    // pre-merge, pre-shift — same point as finishMac.
-                    if (fo)
-                        if (const auto f = plan->accumulator(tile, m, r, c,
-                                                             acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
-                    out(m, c) += contrib;
-                }
-            }
-        }
-        break;
-      }
-
-      case Scheme::UgemmHybrid: {
-        const int rng_bits = kern.bits;
-        const i64 bias = i64(1) << (kern.bits - 1);
-        // Bipolar uMUL: input 1-cycles consume the polarity-1 weight RNG
-        // (product bit = rnum < woffset), input 0-cycles the polarity-0
-        // RNG (product bit = !(rnum_alt < woffset)).
-        const u32 max_woff = u32(maxAbs(*wp) + bias);
-        FoldScratch &scratch = foldScratch();
-        const std::vector<u32> &s1vals =
-            sharedSobolValues(kWeightRngDim, rng_bits, mul);
-        const std::vector<u32> &s0vals = sharedSobolValues(
-            kWeightRngDim + kWeightAltRngOffset, rng_bits, mul);
-        std::vector<i64> &ones_memo = scratch.onesMemo(
-            2, rng_bits, mul, std::size_t(maxAbs(input) + bias) + 1);
-        auto ones_of = [&](i32 value) -> u32 {
-            i64 &slot = ones_memo[std::size_t(value + bias)];
-            if (slot < 0) {
-                BipolarRateBsg gen(value, kInputRngDim, kern.bits);
-                slot = i64(onesInWindow(gen, mul));
-            }
-            return u32(slot);
-        };
-
-        if (!fa && !fs && !fo) {
-            // --- Cache-blocked panel fast path (DESIGN.md §13) ------
-            // Bipolar MAC as two table lookups per column:
-            //   contrib = t1(woff)[ones] + (zeros - t0(woff)[zeros])
-            //           - bias
-            // No zero-skip here: the bias makes even zero-valued
-            // operands contribute nonzero bipolar counts.
-            USYS_PROF_SCOPE("fold.packed.panel");
-            const std::size_t budget = std::max<std::size_t>(
-                std::size_t(panelBudgetKb()) * 1024,
-                2 * (std::size_t(mul) + 1) * sizeof(u32));
-
-            std::vector<u32> &in_ones = scratch.in_ones;
-            in_ones.resize(std::size_t(m_rows) * rows);
-            poisonArena(in_ones);
-            {
-                USYS_PROF_SCOPE("fold.packed.stage");
-                for (int m = 0; m < m_rows; ++m)
-                    for (int r = 0; r < rows; ++r)
-                        in_ones[std::size_t(m) * rows + r] =
-                            ones_of(input(m, r));
-            }
-
-            CountTableArena &arena = scratch.tables;
-            for (int c0 = 0; c0 < cols;) {
-                std::vector<const u32 *> &ctbl1 = scratch.stage_a;
-                std::vector<const u32 *> &ctbl0 = scratch.stage_b;
-                ctbl1.clear();
-                ctbl0.clear();
-                arena.beginPanel();
-                int c1 = c0;
-                {
-                    USYS_PROF_SCOPE("fold.packed.stage");
-                    while (c1 < cols &&
-                           (c1 == c0 || arena.pinnedBytes() < budget)) {
-                        for (int r = 0; r < rows; ++r) {
-                            const u32 woff =
-                                u32((*wp)(r, c1) + bias);
-                            ctbl1.push_back(arena.get(
-                                {kWeightRngDim, rng_bits, mul, woff},
-                                s1vals, budget));
-                            ctbl0.push_back(arena.get(
-                                {kWeightRngDim + kWeightAltRngOffset,
-                                 rng_bits, mul, woff},
-                                s0vals, budget));
-                        }
-                        ++c1;
-                    }
-                }
-                const int pcols = c1 - c0;
-                std::vector<const u32 *> &wtbl1 = scratch.grid_a;
-                std::vector<const u32 *> &wtbl0 = scratch.grid_b;
-                wtbl1.resize(std::size_t(rows) * pcols);
-                wtbl0.resize(std::size_t(rows) * pcols);
-                poisonArena(wtbl1);
-                poisonArena(wtbl0);
-                for (int cl = 0; cl < pcols; ++cl)
-                    for (int r = 0; r < rows; ++r) {
-                        wtbl1[std::size_t(r) * pcols + cl] =
-                            ctbl1[std::size_t(cl) * rows + r];
-                        wtbl0[std::size_t(r) * pcols + cl] =
-                            ctbl0[std::size_t(cl) * rows + r];
-                    }
-
-                USYS_PROF_SCOPE("fold.packed.mac");
-                for (int m = 0; m < m_rows; ++m) {
-                    i64 *out_row = &out(m, c0);
-                    for (int r = 0; r < rows; ++r) {
-                        const u32 ones =
-                            in_ones[std::size_t(m) * rows + r];
-                        const u32 zeros = mul - ones;
-                        const i64 zb = i64(zeros) - bias;
-                        const u32 *const *t1row =
-                            &wtbl1[std::size_t(r) * pcols];
-                        const u32 *const *t0row =
-                            &wtbl0[std::size_t(r) * pcols];
-                        for (int cl = 0; cl < pcols; ++cl)
-                            out_row[cl] += i64(t1row[cl][ones]) -
-                                           i64(t0row[cl][zeros]) + zb;
-                    }
-                }
-                c0 = c1;
-            }
-            break;
-        }
-
-        StreamCache s1(s1vals, max_woff, scratch.stream_pool);
-        StreamCache s0(s0vals, max_woff, scratch.stream_pool);
-        for (int m = 0; m < m_rows; ++m) {
-            for (int r = 0; r < rows; ++r) {
-                // ActivationStream site: corrupt the packed bipolar
-                // stream before counting (memo bypassed); the corrupted
-                // split between 1-cycles and 0-cycles drives both
-                // polarity lanes exactly as the scalar front end's
-                // corrupted consumption counters do.
-                u32 ones;
-                std::optional<Fault> af;
-                if (fa)
-                    af = plan->activationStream(tile, m, r, mul);
-                if (af) {
-                    BipolarRateBsg gen(input(m, r), kInputRngDim,
-                                       kern.bits);
-                    ones = u32(onesInWindow(gen, mul, &*af));
-                } else {
-                    ones = ones_of(input(m, r));
-                }
-                const u32 zeros = mul - ones;
-                for (int c = 0; c < cols; ++c) {
-                    const u32 woff = u32((*wp)(r, c) + bias);
-                    i64 count =
-                        i64(s1.forThreshold(woff).prefixOnes(ones)) +
-                        (i64(zeros) - s0.forThreshold(woff).prefixOnes(zeros));
-                    // WeightStream site: the polarity-1 lane is the same
-                    // C-BSG structure the unipolar schemes fault, so
-                    // corrupt its covered comparison bits only.
-                    if (fs)
-                        if (const auto f = plan->weightStream(tile, m, r,
-                                                              c, mul)) {
-                            const u64 hi =
-                                std::min<u64>(u64(f->first) + f->len,
-                                              ones);
-                            for (u64 k = f->first; k < hi; ++k) {
-                                const bool b =
-                                    s1vals[std::size_t(k)] < woff;
-                                count += i64(f->corruptBit(b, u32(k))) -
-                                         i64(b);
-                            }
-                        }
-                    // finishMac's bipolar count -> signed product offset.
-                    i64 contrib = count - bias;
-                    if (fo)
-                        if (const auto f = plan->accumulator(tile, m, r, c,
-                                                             acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
-                    out(m, c) += contrib;
                 }
             }
         }

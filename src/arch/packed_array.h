@@ -12,28 +12,29 @@
  * advances only on input 1-bits, so the k-th random number a PE
  * compares against WABS is wrng.at(k) regardless of *where* the input
  * 1-bits fall in the MAC interval. A rate/temporal MAC therefore
- * reduces to two packed-popcount queries:
+ * reduces to one popcount and one count-table lookup:
  *
  *     ones  = popcount(input stream over the mul window)   (per row)
- *     count = popcount(first `ones` bits of the packed
- *             weight-comparison stream bit_k = (wrng.at(k) < wabs))
+ *     count = tbl_wabs[ones], where tbl_wabs[o] counts the
+ *             k < o with wrng.at(k) < wabs
  *
  * with the sign handled in sign-magnitude exactly as in PeCore, and the
  * uGEMM-H bipolar variant splitting the count across the polarity-1 and
- * polarity-0 weight streams. Early termination truncates the input
+ * polarity-0 weight tables. Early termination truncates the input
  * window (masked final word); the top-row shifter rescale is identical
  * to SystolicArray. See DESIGN.md §8 for the full derivation.
  *
- * Each scheme has exactly one fault-free path plus one per-MAC path for
- * the fault sites that hook individual MACs. On fault-free folds (and
- * under weight-register / DRAM fault plans, which pre-corrupt the
- * staged codes) the unary MAC loop runs cache-blocked: weight streams
- * are staged once per column panel as prefix-count tables in an
- * L2-budgeted per-worker arena. The zero-skipping schemes iterate a
- * SparsityPlan, so zero-magnitude streams never reach the MAC loop —
- * in hardware they assert no bits, so skipping them is not a mode.
- * Both transforms are bit-exact, including stats and the fault census.
- * See DESIGN.md §13 and §16.
+ * Every unary fold follows one pattern: stage the input ones (and sign)
+ * once, stage the weight count tables one column panel at a time in an
+ * L2-budgeted per-worker arena, and run one MAC loop per panel — the
+ * branch-free fault-free loop, or a per-MAC loop that adds the
+ * weight-stream and accumulator fault hooks (an activation-stream fault
+ * is already in the staged ones). Weight-register and DRAM faults
+ * pre-corrupt the staged codes, so they keep the fault-free loop. The
+ * zero-skipping schemes iterate a SparsityPlan, so zero-magnitude
+ * streams never reach the MAC loop — in hardware they assert no bits,
+ * so skipping them is not a mode. All of it is bit-exact, including
+ * stats and the fault census. See DESIGN.md §13 and §16.
  */
 
 #ifndef USYS_ARCH_PACKED_ARRAY_H

@@ -46,29 +46,6 @@ thresholdPackWordsGeneric(const u32 *values, u32 n, u32 threshold,
 }
 
 void
-prefixPopcountGeneric(const u64 *words, u32 nwords, u32 *prefix)
-{
-    // Two-pass block-offset scheme (DESIGN.md §11): pass 1 writes the
-    // independent per-word counts into the prefix slots — a pure
-    // store loop with no serial dependency, so the popcounts pipeline
-    // (and auto-vectorize where the baseline ISA allows) — and pass 2
-    // folds the running offset through the block with simple one-cycle
-    // adds. Blocks keep both passes L1-resident on large streams.
-    constexpr u32 kBlock = 4096;
-    prefix[0] = 0;
-    u32 run = 0;
-    for (u32 base = 0; base < nwords; base += kBlock) {
-        const u32 hi = std::min(nwords, base + kBlock);
-        for (u32 w = base; w < hi; ++w)
-            prefix[w + 1] = u32(std::popcount(words[w]));
-        for (u32 w = base; w < hi; ++w) {
-            run += prefix[w + 1];
-            prefix[w + 1] = run;
-        }
-    }
-}
-
-void
 axpyF32Generic(float *c, const float *b, float a, int n)
 {
     // One multiply + one add per element, element order; this TU is
@@ -97,8 +74,8 @@ gemmRowI32Generic(i64 *c, const i32 *b, i32 a, int n)
 
 const SimdKernels kGeneric = {
     SimdLevel::Generic,       popcountWordsGeneric,
-    thresholdPackWordsGeneric, prefixPopcountGeneric,
-    axpyF32Generic,           gemmRowI32Generic,
+    thresholdPackWordsGeneric, axpyF32Generic,
+    gemmRowI32Generic,
 };
 
 // --- Dispatch -------------------------------------------------------

@@ -81,14 +81,6 @@ struct SimdKernels
                                u64 *out);
 
     /**
-     * Per-word prefix popcount table over a packed stream:
-     * prefix[0] = 0, prefix[w + 1] = prefix[w] + popcount(words[w]).
-     * Writes nwords + 1 entries (u32 is ample: streams are < 2^32
-     * bits).
-     */
-    void (*prefixPopcount)(const u64 *words, u32 nwords, u32 *prefix);
-
-    /**
      * Row-major fp32 GEMM inner loop: c[j] += a * b[j] for j in
      * [0, n), exactly one multiply and one add per element (never an
      * FMA), so results are bitwise identical across tiers.

@@ -157,68 +157,6 @@ thresholdPackWordsAvx2(const u32 *values, u32 n, u32 threshold, u64 *out)
 }
 
 void
-prefixPopcountAvx2(const u64 *words, u32 nwords, u32 *prefix)
-{
-    // Two-pass block-offset scheme. Pass 1 stores the independent
-    // per-word counts (nibble-LUT popcounts, narrowed to u32) into the
-    // prefix slots with no serial dependency at all; pass 2 turns them
-    // into the running prefix with an 8-lane in-register scan (three
-    // log-step shifted adds + a cross-half fixup) instead of the old
-    // one-word-at-a-time scalar carry. Blocks keep the count slab
-    // L1-resident between the passes.
-    constexpr u32 kBlock = 4096;
-    const __m256i even =
-        _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6); // u64 -> u32 lanes
-    const __m256i bcast3 = _mm256_set1_epi32(3);
-    prefix[0] = 0;
-    u32 run = 0;
-    for (u32 base = 0; base < nwords; base += kBlock) {
-        const u32 hi = std::min(nwords, base + kBlock);
-        u32 w = base;
-        for (; w + 8 <= hi; w += 8) {
-            // Counts of words w..w+7 as eight u32 lanes: two 4-word
-            // popcounts, each narrowed via an even-lane permute.
-            const __m256i c0 = popcount256(_mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(words + w)));
-            const __m256i c1 = popcount256(_mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(words + w + 4)));
-            const __m128i n0 = _mm256_castsi256_si128(
-                _mm256_permutevar8x32_epi32(c0, even));
-            const __m128i n1 = _mm256_castsi256_si128(
-                _mm256_permutevar8x32_epi32(c1, even));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(prefix + w + 1),
-                _mm256_set_m128i(n1, n0));
-        }
-        for (; w < hi; ++w)
-            prefix[w + 1] = u32(std::popcount(words[w]));
-
-        w = base;
-        for (; w + 8 <= hi; w += 8) {
-            __m256i x = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(prefix + w + 1));
-            // In-lane inclusive scan (each 128-bit half independently).
-            x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
-            x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
-            // Add the low half's total (lane 3) into the upper half.
-            const __m256i low_total =
-                _mm256_permutevar8x32_epi32(x, bcast3);
-            x = _mm256_add_epi32(
-                x, _mm256_blend_epi32(_mm256_setzero_si256(), low_total,
-                                      0xF0));
-            x = _mm256_add_epi32(x, _mm256_set1_epi32(i32(run)));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(prefix + w + 1), x);
-            run = u32(_mm256_extract_epi32(x, 7));
-        }
-        for (; w < hi; ++w) {
-            run += prefix[w + 1];
-            prefix[w + 1] = run;
-        }
-    }
-}
-
-void
 axpyF32Avx2(float *c, const float *b, float a, int n)
 {
     const __m256 va = _mm256_set1_ps(a);
@@ -253,8 +191,8 @@ gemmRowI32Avx2(i64 *c, const i32 *b, i32 a, int n)
 }
 
 const SimdKernels kAvx2 = {
-    SimdLevel::Avx2,        popcountWordsAvx2, thresholdPackWordsAvx2,
-    prefixPopcountAvx2,     axpyF32Avx2,       gemmRowI32Avx2,
+    SimdLevel::Avx2, popcountWordsAvx2, thresholdPackWordsAvx2,
+    axpyF32Avx2,     gemmRowI32Avx2,
 };
 
 } // namespace

@@ -111,62 +111,6 @@ thresholdPackWordsAvx512(const u32 *values, u32 n, u32 threshold, u64 *out)
 }
 
 USYS_AVX512_NO_TSAN void
-prefixPopcountAvx512(const u64 *words, u32 nwords, u32 *prefix)
-{
-    // Two-pass block-offset scheme. Pass 1 stores the independent
-    // per-word counts — two VPOPCNTDQ vectors narrowed to sixteen u32
-    // lanes per store, no serial dependency — into the prefix slots;
-    // pass 2 scans them with a 16-lane in-register prefix sum (four
-    // log-step shifted adds via valignd) instead of the old scalar
-    // carry ripple. Blocks keep the count slab L1-resident between
-    // the passes.
-    constexpr u32 kBlock = 4096;
-    const __m512i zero = _mm512_setzero_si512();
-    prefix[0] = 0;
-    u32 run = 0;
-    for (u32 base = 0; base < nwords; base += kBlock) {
-        const u32 hi = std::min(nwords, base + kBlock);
-        u32 w = base;
-        for (; w + 16 <= hi; w += 16) {
-            const __m256i n0 =
-                _mm512_cvtepi64_epi32(_mm512_popcnt_epi64(
-                    _mm512_loadu_si512(reinterpret_cast<const __m512i *>(
-                        words + w))));
-            const __m256i n1 =
-                _mm512_cvtepi64_epi32(_mm512_popcnt_epi64(
-                    _mm512_loadu_si512(reinterpret_cast<const __m512i *>(
-                        words + w + 8))));
-            _mm512_storeu_si512(
-                reinterpret_cast<__m512i *>(prefix + w + 1),
-                _mm512_inserti64x4(_mm512_castsi256_si512(n0), n1, 1));
-        }
-        for (; w < hi; ++w)
-            prefix[w + 1] = u32(std::popcount(words[w]));
-
-        w = base;
-        for (; w + 16 <= hi; w += 16) {
-            __m512i x = _mm512_loadu_si512(
-                reinterpret_cast<const __m512i *>(prefix + w + 1));
-            // Inclusive 16-lane scan: valignd(x, zero, 16-k) shifts x
-            // up by k lanes with zero fill.
-            x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 15));
-            x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 14));
-            x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 12));
-            x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 8));
-            x = _mm512_add_epi32(x, _mm512_set1_epi32(i32(run)));
-            _mm512_storeu_si512(
-                reinterpret_cast<__m512i *>(prefix + w + 1), x);
-            run = u32(_mm_extract_epi32(_mm512_extracti32x4_epi32(x, 3),
-                                        3));
-        }
-        for (; w < hi; ++w) {
-            run += prefix[w + 1];
-            prefix[w + 1] = run;
-        }
-    }
-}
-
-USYS_AVX512_NO_TSAN void
 axpyF32Avx512(float *c, const float *b, float a, int n)
 {
     const __m512 va = _mm512_set1_ps(a);
@@ -231,8 +175,8 @@ gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
 }
 
 const SimdKernels kAvx512 = {
-    SimdLevel::Avx512,      popcountWordsAvx512, thresholdPackWordsAvx512,
-    prefixPopcountAvx512,   axpyF32Avx512,       gemmRowI32Avx512,
+    SimdLevel::Avx512, popcountWordsAvx512, thresholdPackWordsAvx512,
+    axpyF32Avx512,     gemmRowI32Avx512,
 };
 
 } // namespace

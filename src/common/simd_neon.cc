@@ -87,37 +87,6 @@ thresholdPackWordsNeon(const u32 *values, u32 n, u32 threshold, u64 *out)
 }
 
 void
-prefixPopcountNeon(const u64 *words, u32 nwords, u32 *prefix)
-{
-    // Two-pass block-offset scheme (DESIGN.md §11): pass 1 stores the
-    // independent per-word counts — vcnt popcounts of word pairs,
-    // narrowed to u32 lanes — with no serial dependency; pass 2 folds
-    // the running offset with one-cycle scalar adds. Blocks keep the
-    // count slab L1-resident between the passes.
-    constexpr u32 kBlock = 4096;
-    const u8 *bytes = reinterpret_cast<const u8 *>(words);
-    prefix[0] = 0;
-    u32 run = 0;
-    for (u32 base = 0; base < nwords; base += kBlock) {
-        const u32 hi = std::min(nwords, base + kBlock);
-        u32 w = base;
-        for (; w + 2 <= hi; w += 2) {
-            const uint8x16_t v = vld1q_u8(bytes + w * 8);
-            const uint64x2_t cnt =
-                vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(v))));
-            prefix[w + 1] = u32(vgetq_lane_u64(cnt, 0));
-            prefix[w + 2] = u32(vgetq_lane_u64(cnt, 1));
-        }
-        for (; w < hi; ++w)
-            prefix[w + 1] = u32(std::popcount(words[w]));
-        for (w = base; w < hi; ++w) {
-            run += prefix[w + 1];
-            prefix[w + 1] = run;
-        }
-    }
-}
-
-void
 axpyF32Neon(float *c, const float *b, float a, int n)
 {
     const float32x4_t va = vdupq_n_f32(a);
@@ -152,8 +121,8 @@ gemmRowI32Neon(i64 *c, const i32 *b, i32 a, int n)
 }
 
 const SimdKernels kNeon = {
-    SimdLevel::Neon,    popcountWordsNeon, thresholdPackWordsNeon,
-    prefixPopcountNeon, axpyF32Neon,       gemmRowI32Neon,
+    SimdLevel::Neon, popcountWordsNeon, thresholdPackWordsNeon,
+    axpyF32Neon,     gemmRowI32Neon,
 };
 
 } // namespace

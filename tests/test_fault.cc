@@ -392,7 +392,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Scheme::BinaryParallel, Scheme::BinarySerial,
                           Scheme::USystolicRate, Scheme::USystolicTemporal,
-                          Scheme::UgemmHybrid),
+                          Scheme::UgemmHybrid, Scheme::TubGemm,
+                          Scheme::TuGemm),
         ::testing::ValuesIn(kKinds)));
 
 class EngineToggleGuard

@@ -290,20 +290,24 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     // weight_reg + dram_word pre-corrupt the codes, so the fault-free
     // path stays eligible; activation_stream makes the integer-GEMM
     // schemes build their own plan over the staged operands; an
-    // accumulator fault forces the per-MAC loop.
+    // accumulator fault forces the per-MAC loop; a weight-stream fault
+    // alone takes the per-MAC loop with its zero-ones skip still armed,
+    // over split panels.
     struct FaultCase
     {
         const char *name;
         FaultRates rates;
     };
-    FaultCase faults[4] = {{"none", {}},
+    FaultCase faults[5] = {{"none", {}},
                            {"weight_reg+dram_word", {}},
                            {"activation_stream", {}},
-                           {"accumulator", {}}};
+                           {"accumulator", {}},
+                           {"weight_stream", {}}};
     faults[1].rates.weight_reg = 0.3;
     faults[1].rates.dram_word = 0.2;
     faults[2].rates.activation_stream = 0.3;
     faults[3].rates.accumulator = 0.3;
+    faults[4].rates.weight_stream = 0.3;
 
     ArrayConfig cfg;
     cfg.rows = 8;
@@ -339,7 +343,11 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
 
         setPackedEngineEnabled(false);
         const GemmRun scalar = runGemm(cfg, a, b);
-        EXPECT_EQ(scalar.delta.faultTotal() > 0, fc.rates.any());
+        // The weight-stream site exists only behind a C-BSG weight
+        // comparator (UR/UT/UG); elsewhere that plan injects nothing.
+        const bool sited =
+            fc.rates.weight_stream == 0.0 || hasWeightBsg(kern.scheme);
+        EXPECT_EQ(scalar.delta.faultTotal() > 0, fc.rates.any() && sited);
 
         setPackedEngineEnabled(true);
         for (const unsigned nthreads : {1u, 3u}) {
@@ -479,36 +487,67 @@ TEST(PackedArray, SparsePlansPreserveFaultCensus)
 TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
 {
     // Weight-register and DRAM faults pre-corrupt the staged codes, so
-    // the panel fast path stays eligible; the census and outputs must
-    // match the scalar fold whether the fold splits into several column
-    // panels or runs as one, with zero operands skipped.
+    // the fault-free panel loop stays eligible; activation-stream,
+    // weight-stream and accumulator faults take the per-MAC loop over
+    // the same panels. Either way the census and outputs must match the
+    // scalar fold whether the fold splits into several column panels
+    // (evicting tables between them) or runs as one, with zero operands
+    // skipped.
     PanelFlagsGuard guard;
     ArrayConfig cfg;
     cfg.rows = 8;
     cfg.cols = 12;
-    cfg.kernel = {Scheme::USystolicRate, 8, 6};
-    cfg.faults.seed = 99;
-    cfg.faults.rates.weight_reg = 0.3;
-    cfg.faults.rates.dram_word = 0.2;
-    Prng prng(4000);
-    auto input = randomMatrix(5, cfg.rows, 8, prng);
-    auto weights = randomMatrix(cfg.rows, cfg.cols, 8, prng);
-    input(0, 1) = 0;
-    input(3, 6) = 0;
-    weights(1, 2) = 0;
-    weights(5, 9) = 0;
+    struct FaultCase
+    {
+        const char *name;
+        FaultRates rates;
+    };
+    FaultCase plans[4] = {{"weight_reg+dram_word", {}},
+                          {"activation_stream", {}},
+                          {"weight_stream", {}},
+                          {"accumulator", {}}};
+    plans[0].rates.weight_reg = 0.3;
+    plans[0].rates.dram_word = 0.2;
+    plans[1].rates.activation_stream = 0.3;
+    plans[2].rates.weight_stream = 0.3;
+    plans[3].rates.accumulator = 0.3;
 
-    FoldStatsDelta ref_delta;
-    const auto ref = SystolicArray(cfg).runFold(input, weights, &ref_delta);
-    ASSERT_GT(ref_delta.faultTotal(), 0u);
+    for (const KernelConfig kern :
+         {KernelConfig{Scheme::USystolicRate, 8, 6},
+          KernelConfig{Scheme::USystolicTemporal, 8, 0},
+          KernelConfig{Scheme::UgemmHybrid, 7, 0}}) {
+        cfg.kernel = kern;
+        Prng prng(4000);
+        auto input = randomMatrix(5, cfg.rows, kern.bits, prng);
+        auto weights = randomMatrix(cfg.rows, cfg.cols, kern.bits, prng);
+        input(0, 1) = 0;
+        input(3, 6) = 0;
+        weights(1, 2) = 0;
+        weights(5, 9) = 0;
 
-    for (const u32 budget_kb :
-         {kSplitBudgetsKb[0], kSplitBudgetsKb[1], kOnePanelBudgetKb}) {
-        SCOPED_TRACE(::testing::Message() << budget_kb << " KiB");
-        setPanelBudgetKb(budget_kb);
-        FoldStatsDelta delta;
-        const auto out = PackedArray(cfg).runFold(input, weights, &delta);
-        expectSameFoldAndCensus(out, delta, ref, ref_delta);
+        for (const FaultCase &fc : plans) {
+            cfg.faults = FaultPlan{};
+            cfg.faults.seed = 99;
+            cfg.faults.rates = fc.rates;
+            FoldStatsDelta ref_delta;
+            const auto ref =
+                SystolicArray(cfg).runFold(input, weights, &ref_delta);
+            ASSERT_GT(ref_delta.faultTotal(), 0u)
+                << kern.name() << " " << fc.name;
+
+            for (const u32 budget_kb : {kSplitBudgetsKb[0],
+                                        kSplitBudgetsKb[1],
+                                        kOnePanelBudgetKb}) {
+                SCOPED_TRACE(::testing::Message()
+                             << kern.name() << " faults " << fc.name
+                             << " " << budget_kb << " KiB");
+                setPanelBudgetKb(budget_kb);
+                FoldStatsDelta delta;
+                const auto out =
+                    PackedArray(cfg).runFold(input, weights, &delta);
+                expectSameFoldAndCensus(out, delta, ref, ref_delta);
+            }
+        }
     }
 }
 

@@ -65,7 +65,6 @@ TEST(SimdDispatch, TablesConsistent)
     const SimdKernels &active = simdKernels();
     EXPECT_NE(active.popcountWords, nullptr);
     EXPECT_NE(active.thresholdPackWords, nullptr);
-    EXPECT_NE(active.prefixPopcount, nullptr);
     EXPECT_NE(active.axpyF32, nullptr);
     EXPECT_NE(active.gemmRowI32, nullptr);
 }
@@ -150,29 +149,6 @@ TEST(SimdThresholdPack, ParityFuzzWithTails)
                         << " n=" << n << " thr=" << thr;
                 }
             }
-        }
-    }
-}
-
-TEST(SimdPrefixPopcount, Parity)
-{
-    // Sizes straddle the vector-group widths (8 AVX2 / 16 AVX-512
-    // words per store in the two-pass scheme) and the 4096-word block
-    // boundary where the running offset hands over between blocks.
-    Prng prng(303);
-    for (u32 nwords : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u,
-                       17u, 33u, 257u, 4095u, 4096u, 4097u, 8200u}) {
-        std::vector<u64> words(nwords);
-        for (auto &w : words)
-            w = prng.next();
-        std::vector<u32> naive(nwords + 1, 0);
-        for (u32 w = 0; w < nwords; ++w)
-            naive[w + 1] = naive[w] + u32(std::popcount(words[w]));
-        for (const SimdKernels *k : tablesUnderTest()) {
-            std::vector<u32> got(nwords + 1, 0xdeadbeefu);
-            k->prefixPopcount(words.data(), nwords, got.data());
-            EXPECT_EQ(got, naive)
-                << simdLevelName(k->level) << " nwords=" << nwords;
         }
     }
 }
