@@ -7,6 +7,7 @@
 #include "common/executor.h"
 #include "common/profiler.h"
 #include "common/stats_registry.h"
+#include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "arch/pe.h"
 #include "mem/dram_faults.h"
@@ -264,13 +265,12 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
 
     const bool packed = packedEngineEnabled();
     const SystolicArray scalar_array(cfg_);
-    const PackedArray packed_array(cfg_);
 
     const u64 n_tiles = u64((n_dim + cols - 1) / cols);
     const u64 k_tiles = u64((k_dim + rows - 1) / rows);
 
     RunResult result;
-    result.acc = Matrix<i64>(m_rows, n_dim, 0);
+    result.folds = n_tiles * k_tiles;
 
     // DramWord site: operand codes corrupt once per GEMM, as they leave
     // memory — before tiling, so every fold (and either engine)
@@ -278,18 +278,79 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
     const FaultPlan &fp = cfg_.faults;
     const Matrix<i32> *pa = &a, *pb = &b;
     Matrix<i32> a_faulted, b_faulted;
-    u64 dram_events = 0;
+    FoldStatsDelta total;
     if (fp.enabled() && fp.rates.dram_word > 0.0) {
         USYS_PROF_SCOPE("gemm.dram_faults");
         a_faulted = a;
         b_faulted = b;
-        dram_events += applyDramFaults(fp, a_faulted, kDramOperandA,
-                                       cfg_.kernel.bits);
-        dram_events += applyDramFaults(fp, b_faulted, kDramOperandB,
-                                       cfg_.kernel.bits);
+        total.faults_dram += applyDramFaults(fp, a_faulted, kDramOperandA,
+                                             cfg_.kernel.bits);
+        total.faults_dram += applyDramFaults(fp, b_faulted, kDramOperandB,
+                                             cfg_.kernel.bits);
         pa = &a_faulted;
         pb = &b_faulted;
     }
+
+    if (packed && !fp.rates.perFold() && hasSmallProductTables(cfg_.kernel)) {
+        // Closed form: with no per-fold fault site, a fold's outputs are
+        // the table-row kernel's over its tile, and everything else it
+        // books depends only on shapes and operand zeros. Zero padding
+        // adds exactly zero in every scheme, so one kernel call over the
+        // whole GEMM is the sum of the folds.
+        {
+            USYS_PROF_SCOPE("gemm.table");
+            result.acc = GemmExecutor(cfg_.kernel).run(*pa, *pb);
+        }
+        const KernelConfig &kern = cfg_.kernel;
+        const Cycles latency = scalar_array.foldLatency(m_rows);
+        const u32 trace_len =
+            kern.scheme == Scheme::BinaryParallel ? 1 : kern.mulCycles();
+        for (u64 f = 0; f < result.folds; ++f)
+            total.add(m_rows, rows, cols, latency, trace_len);
+        result.cycles = result.folds * latency;
+
+        // The census counts the staged tiles, padding included: each
+        // K-padding row of an A-tile streams M zero activations per
+        // column tile, and every padded weight slot holds a zero.
+        const auto zeros = [](const Matrix<i32> &m) {
+            return u64(std::count(m.data().begin(), m.data().end(), 0));
+        };
+        const u64 pad_k = k_tiles * u64(rows) - u64(k_dim);
+        const u64 weight_slots = k_tiles * u64(rows) * n_tiles * u64(cols);
+        SparsityCensus census;
+        census.zero_acts = n_tiles * (zeros(*pa) + u64(m_rows) * pad_k);
+        census.zero_weights =
+            zeros(*pb) + weight_slots - u64(k_dim) * u64(n_dim);
+        if (kern.scheme != Scheme::UgemmHybrid)
+            census.skippable_macs = census.zero_acts * u64(cols);
+        total.addSparsity(census);
+    } else {
+        result.acc = Matrix<i64>(m_rows, n_dim, 0);
+        runFolds(*pa, *pb, result, total);
+    }
+
+    if (stats)
+        stats->merge(total);
+    else
+        total.flush(cfg_.kernel);
+    return result;
+}
+
+void
+SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
+                       RunResult &result, FoldStatsDelta &total) const
+{
+    const int m_rows = a.rows();
+    const int k_dim = a.cols();
+    const int n_dim = b.cols();
+    const int rows = cfg_.rows;
+    const int cols = cfg_.cols;
+    const u64 n_tiles = u64((n_dim + cols - 1) / cols);
+    const u64 k_tiles = u64((k_dim + rows - 1) / rows);
+
+    const bool packed = packedEngineEnabled();
+    const SystolicArray scalar_array(cfg_);
+    const PackedArray packed_array(cfg_);
 
     // Stage every K-tile of A once, up front, shared read-only across
     // the column-tile shards, instead of every shard re-staging the same
@@ -310,7 +371,7 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
             Matrix<i32> t(m_rows, rows, 0);
             for (int m = 0; m < m_rows; ++m)
                 for (int r = 0; r < rows && k0 + r < k_dim; ++r)
-                    t(m, r) = (*pa)(m, k0 + r);
+                    t(m, r) = a(m, k0 + r);
             if (packed)
                 a_plans[kt].build(t);
             a_tiles.push_back(std::move(t));
@@ -322,7 +383,6 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
     // stats deltas are reduced serially in tile order below, keeping
     // totals and dumps identical to the serial loop.
     std::vector<FoldStatsDelta> deltas(n_tiles);
-    deltas[0].faults_dram = dram_events;
     std::vector<Cycles> tile_cycles(n_tiles, 0);
     auto run_tile = [&](u64 ti) {
         USYS_PROF_SCOPE("gemm.tile");
@@ -337,7 +397,7 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
             std::fill(w_tile.data().begin(), w_tile.data().end(), 0);
             for (int r = 0; r < rows && k0 + r < k_dim; ++r)
                 for (int c = 0; c < cols && n0 + c < n_dim; ++c)
-                    w_tile(r, c) = (*pb)(k0 + r, n0 + c);
+                    w_tile(r, c) = b(k0 + r, n0 + c);
 
             // Global fold index: the coordinate every per-fold fault
             // site hashes, identical under any tile schedule.
@@ -362,13 +422,8 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
 
     for (u64 ti = 0; ti < n_tiles; ++ti) {
         result.cycles += tile_cycles[ti];
-        if (stats)
-            stats->merge(deltas[ti]);
-        else
-            deltas[ti].flush(cfg_.kernel);
+        total.merge(deltas[ti]);
     }
-    result.folds = n_tiles * k_tiles;
-    return result;
 }
 
 } // namespace usys

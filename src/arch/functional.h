@@ -25,6 +25,7 @@
 #ifndef USYS_ARCH_FUNCTIONAL_H
 #define USYS_ARCH_FUNCTIONAL_H
 
+#include <cstddef>
 #include <memory>
 
 #include "common/matrix.h"
@@ -37,6 +38,40 @@ namespace usys {
 /** Shared, cached product tables keyed by bitwidth. */
 const UnaryProductModel &unaryModelFor(int signed_bits);
 const BipolarProductModel &bipolarModelFor(int signed_bits);
+
+/** Largest product-table footprint hasSmallProductTables() admits. */
+constexpr std::size_t kSmallProductTableBytes = std::size_t(32) << 20;
+
+/**
+ * Whether the product tables a GemmExecutor for `kern` builds are small.
+ * A model holds two u16 prefix tables of side 2^S + 1: S = N-1 for the
+ * unipolar UR/UT model (about 4·(2^(N-1)+1)² bytes), S = N for the
+ * bipolar UG model (about 4·(2^N+1)²). The exact schemes build none.
+ * Up to 12-bit UR/UT and 11-bit UG fit; a 16-bit UR or UG table would
+ * be gigabytes, so such kernels must not build one per GEMM.
+ */
+constexpr bool
+hasSmallProductTables(const KernelConfig &kern)
+{
+    int side_bits = 0;
+    switch (kern.scheme) {
+      case Scheme::USystolicRate:
+      case Scheme::USystolicTemporal:
+        side_bits = kern.bits - 1;
+        break;
+      case Scheme::UgemmHybrid:
+        side_bits = kern.bits;
+        break;
+      default:
+        return true;
+    }
+    // From 2^16 on, the tables take 16 GiB or more; stopping here also
+    // keeps the product below from overflowing at any bitwidth.
+    if (side_bits >= 16)
+        return false;
+    const std::size_t side = (std::size_t(1) << side_bits) + 1;
+    return 2 * sizeof(u16) * side * side <= kSmallProductTableBytes;
+}
 
 /** Functional GEMM under a kernel configuration. */
 class GemmExecutor

@@ -173,9 +173,17 @@ struct FaultRates
     bool
     any() const
     {
+        return perFold() || dram_word > 0.0;
+    }
+
+    /** Any site a fold resolves per (tile, ...) coordinate is armed
+     *  (every site but dram_word, which corrupts operands once per
+     *  GEMM). */
+    bool
+    perFold() const
+    {
         return weight_reg > 0.0 || activation_stream > 0.0 ||
-               weight_stream > 0.0 || accumulator > 0.0 ||
-               dram_word > 0.0;
+               weight_stream > 0.0 || accumulator > 0.0;
     }
 };
 

@@ -14,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cli.h"
 #include "common/executor.h"
 #include "common/matrix.h"
 #include "common/prng.h"
 #include "common/stats.h"
+#include "common/stats_registry.h"
 #include "arch/array.h"
 #include "arch/functional.h"
 #include "arch/pe.h"
@@ -216,6 +218,17 @@ TEST_P(RandomShapes, ArrayMatchesFunctional)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomShapes, ::testing::Range(0, 20));
 
+/** Restores the packed-engine switch on scope exit. */
+class EngineGuard
+{
+  public:
+    EngineGuard() : saved_(packedEngineEnabled()) {}
+    ~EngineGuard() { setPackedEngineEnabled(saved_); }
+
+  private:
+    bool saved_;
+};
+
 TEST(SystolicGemm, TiledBinaryExactAcrossRaggedShapes)
 {
     ArrayConfig cfg;
@@ -243,13 +256,98 @@ TEST(SystolicGemm, TiledUnaryMatchesFunctionalTiled)
     Prng prng(5);
     auto a = randomMatrix(3, 9, 8, prng);
     auto b = randomMatrix(9, 6, 8, prng);
-    auto result = gemm.run(a, b);
+
+    // The packed engine computes a fault-free GEMM with GemmExecutor
+    // itself, so the tiled array under test is the scalar engine
+    // (--no-packed), which simulates every padded fold.
+    EngineGuard guard;
+    setPackedEngineEnabled(false);
+    const auto tiled = gemm.run(a, b);
+    setPackedEngineEnabled(true);
+    const auto closed = gemm.run(a, b);
 
     // Functional equivalent with identical zero padding: padding with
     // zero codes adds exactly zero in the unipolar scheme.
     GemmExecutor exec(cfg.kernel);
-    auto expected = exec.run(a, b);
-    EXPECT_EQ(result.acc, expected);
+    EXPECT_EQ(tiled.acc, exec.run(a, b));
+    EXPECT_EQ(closed.acc, tiled.acc);
+    EXPECT_EQ(closed.cycles, tiled.cycles);
+    EXPECT_EQ(closed.folds, tiled.folds);
+}
+
+TEST(SystolicGemm, EmptyGemmsAgreeAcrossEngines)
+{
+    // M, K or N = 0 is a well-defined GEMM on every path: an M x N zero
+    // result, K-tiles x N-tiles folds, and the same stats dump. UR-8
+    // runs in closed form; UR-16 (tables too large) and a weight_reg
+    // plan (a per-fold site) take the packed fold path.
+    EngineGuard guard;
+    ArrayConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    struct Case
+    {
+        KernelConfig kern;
+        FaultRates rates;
+    };
+    FaultRates dram, weight_reg;
+    dram.dram_word = 0.5;
+    weight_reg.weight_reg = 0.5;
+    const Case cases[] = {{{Scheme::USystolicRate, 8, 0}, {}},
+                          {{Scheme::USystolicRate, 8, 0}, dram},
+                          {{Scheme::USystolicRate, 8, 0}, weight_reg},
+                          {{Scheme::USystolicRate, 16, 0}, {}},
+                          {{Scheme::BinaryParallel, 8, 0}, dram}};
+    const int shapes[][3] = {{0, 8, 5}, {2, 0, 5}, {2, 8, 0}, {0, 0, 0}};
+    Prng prng(11);
+    for (const Case &c : cases) {
+        for (const auto &shape : shapes) {
+            const auto [m, k, n] = std::tuple(shape[0], shape[1], shape[2]);
+            SCOPED_TRACE(::testing::Message()
+                         << c.kern.name() << " dram " << c.rates.dram_word
+                         << " M/K/N " << m << "/" << k << "/" << n);
+            cfg.kernel = c.kern;
+            cfg.faults = FaultPlan{};
+            cfg.faults.seed = 5;
+            cfg.faults.rates = c.rates;
+            const auto a = randomMatrix(m, k, c.kern.bits, prng);
+            const auto b = randomMatrix(k, n, c.kern.bits, prng);
+
+            setPackedEngineEnabled(false);
+            statsRegistry().reset();
+            const auto scalar = SystolicGemm(cfg).run(a, b);
+            const std::string scalar_dump = statsRegistry().dumpText();
+            setPackedEngineEnabled(true);
+            statsRegistry().reset();
+            const auto packed = SystolicGemm(cfg).run(a, b);
+            const std::string packed_dump = statsRegistry().dumpText();
+
+            EXPECT_EQ(packed.acc.rows(), m);
+            EXPECT_EQ(packed.acc.cols(), n);
+            EXPECT_EQ(packed.acc, scalar.acc);
+            EXPECT_EQ(packed.cycles, scalar.cycles);
+            EXPECT_EQ(packed.folds, scalar.folds);
+            EXPECT_EQ(packed.folds, u64((k + 3) / 4) * u64((n + 3) / 4));
+            EXPECT_EQ(packed_dump, scalar_dump);
+        }
+    }
+}
+
+TEST(Functional, SmallProductTablesGate)
+{
+    // The footprint gate of the closed-form GEMM: exact schemes build no
+    // table; UR/UT fit through 12 bits and UG through 11 (about 16 MiB
+    // each); one more bit quadruples past the limit.
+    for (const Scheme s : {Scheme::BinaryParallel, Scheme::BinarySerial,
+                           Scheme::TubGemm, Scheme::TuGemm})
+        EXPECT_TRUE(hasSmallProductTables({s, 16, 0}));
+    EXPECT_TRUE(hasSmallProductTables({Scheme::USystolicRate, 12, 6}));
+    EXPECT_TRUE(hasSmallProductTables({Scheme::USystolicTemporal, 12, 0}));
+    EXPECT_FALSE(hasSmallProductTables({Scheme::USystolicRate, 13, 0}));
+    EXPECT_FALSE(hasSmallProductTables({Scheme::USystolicRate, 16, 8}));
+    EXPECT_TRUE(hasSmallProductTables({Scheme::UgemmHybrid, 11, 0}));
+    EXPECT_FALSE(hasSmallProductTables({Scheme::UgemmHybrid, 12, 0}));
+    EXPECT_FALSE(hasSmallProductTables({Scheme::UgemmHybrid, 31, 0}));
 }
 
 TEST(Functional, UnaryAccuracyImprovesWithBits)

@@ -9,6 +9,7 @@
  * change a result or a dump.
  */
 
+#include <optional>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/fixed_point.h"
 #include "common/prng.h"
 #include "common/stats_registry.h"
+#include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "arch/rtl_array.h"
 #include "arch/sparsity.h"
@@ -265,14 +267,35 @@ runGemm(const ArrayConfig &cfg, const Matrix<i32> &a, const Matrix<i32> &b)
     return run;
 }
 
+/** Expect two GEMM stats deltas to agree field by field. */
+void
+expectSameDelta(const FoldStatsDelta &got, const FoldStatsDelta &want)
+{
+    EXPECT_EQ(got.folds, want.folds);
+    EXPECT_EQ(got.mac_slots, want.mac_slots);
+    EXPECT_EQ(got.fold_cycles, want.fold_cycles);
+    EXPECT_EQ(got.bitstream_cycles, want.bitstream_cycles);
+    EXPECT_EQ(got.m_rows_samples, want.m_rows_samples);
+    EXPECT_EQ(got.faults_weight_reg, want.faults_weight_reg);
+    EXPECT_EQ(got.faults_activation, want.faults_activation);
+    EXPECT_EQ(got.faults_weight_stream, want.faults_weight_stream);
+    EXPECT_EQ(got.faults_accumulator, want.faults_accumulator);
+    EXPECT_EQ(got.faults_dram, want.faults_dram);
+    EXPECT_EQ(got.sparsity_zero_acts, want.sparsity_zero_acts);
+    EXPECT_EQ(got.sparsity_zero_weights, want.sparsity_zero_weights);
+    EXPECT_EQ(got.sparsity_skippable_macs, want.sparsity_skippable_macs);
+}
+
 TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
 {
-    // The packed engine has one fault-free path per scheme (the
-    // plan-driven integer GEMM for BP/BS/TUB/TU, the count-table panels
-    // for UR/UT/UG) plus one per-MAC fault path. Every path must match
-    // the scalar referee on random ragged GEMMs — outputs, cycles, the
-    // stats dump, and the fault census — at any thread count, whatever
-    // the share of zero operands.
+    // The packed engine runs a GEMM with no per-fold fault site in
+    // closed form (one table-row kernel call plus analytic bookkeeping);
+    // every other GEMM runs PackedArray folds: one fault-free path per
+    // scheme (the plan-driven integer GEMM for BP/BS/TUB/TU, the
+    // count-table panels for UR/UT/UG) plus one per-MAC fault path.
+    // Every path must match the scalar referee on random ragged GEMMs —
+    // outputs, cycles, the stats dump, and the fault census — at any
+    // thread count, whatever the share of zero operands.
     PanelFlagsGuard guard;
     // 16 KiB on an 8 x 12 array: an 8-bit UR column pins up to eight
     // 516-byte count tables, so each fold splits into several column
@@ -287,41 +310,53 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
         {Scheme::USystolicTemporal, 8, 0}, {Scheme::UgemmHybrid, 7, 0},
         {Scheme::TubGemm, 8, 0},        {Scheme::TuGemm, 4, 0},
     };
-    // weight_reg + dram_word pre-corrupt the codes, so the fault-free
-    // path stays eligible; activation_stream makes the integer-GEMM
-    // schemes build their own plan over the staged operands; an
-    // accumulator fault forces the per-MAC loop; a weight-stream fault
-    // alone takes the per-MAC loop with its zero-ones skip still armed,
-    // over split panels.
+    // "none" and dram_word alone take the closed form (DRAM faults
+    // corrupt the operands before it). weight_reg + dram_word
+    // pre-corrupt the codes, so the folds keep the fault-free path;
+    // activation_stream makes the integer-GEMM schemes build their own
+    // plan over the staged operands; an accumulator fault forces the
+    // per-MAC loop; a weight-stream fault alone takes the per-MAC loop
+    // with its zero-ones skip still armed, over split panels.
     struct FaultCase
     {
         const char *name;
         FaultRates rates;
     };
-    FaultCase faults[5] = {{"none", {}},
+    FaultCase faults[6] = {{"none", {}},
                            {"weight_reg+dram_word", {}},
                            {"activation_stream", {}},
                            {"accumulator", {}},
-                           {"weight_stream", {}}};
+                           {"weight_stream", {}},
+                           {"dram_word", {}}};
     faults[1].rates.weight_reg = 0.3;
     faults[1].rates.dram_word = 0.2;
     faults[2].rates.activation_stream = 0.3;
     faults[3].rates.accumulator = 0.3;
     faults[4].rates.weight_stream = 0.3;
+    // High enough that even the smallest GEMM (>= 14 operand words)
+    // draws an event.
+    faults[5].rates.dram_word = 0.5;
 
     ArrayConfig cfg;
     cfg.rows = 8;
     cfg.cols = 12;
+    struct Shape
+    {
+        int m, k, n;
+    };
     auto check = [&](const KernelConfig &kern, u64 zero_pct,
-                     const FaultCase &fc, u64 seed) {
+                     const FaultCase &fc, u64 seed,
+                     std::optional<Shape> fixed = std::nullopt) {
         Prng prng(seed * 7919 + 17);
         // Ragged in every dimension: K and N never fill their last
         // tile, and N always spans >= 2 column shards.
-        const int m = 1 + int(prng.below(5));
-        const int k = cfg.rows * int(prng.below(3)) + 1 +
-                      int(prng.below(u64(cfg.rows - 1)));
-        const int n = cfg.cols * (1 + int(prng.below(2))) + 1 +
-                      int(prng.below(u64(cfg.cols - 1)));
+        int m = 1 + int(prng.below(5));
+        int k = cfg.rows * int(prng.below(3)) + 1 +
+                int(prng.below(u64(cfg.rows - 1)));
+        int n = cfg.cols * (1 + int(prng.below(2))) + 1 +
+                int(prng.below(u64(cfg.cols - 1)));
+        if (fixed)
+            std::tie(m, k, n) = std::tuple(fixed->m, fixed->k, fixed->n);
         SCOPED_TRACE(::testing::Message()
                      << "seed " << seed << " " << kern.name() << " zeros "
                      << zero_pct << "% faults " << fc.name << " M/K/N "
@@ -358,8 +393,7 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
                 << "t" << nthreads;
             EXPECT_EQ(packed.res.folds, scalar.res.folds) << "t" << nthreads;
             EXPECT_EQ(packed.dump, scalar.dump) << "t" << nthreads;
-            EXPECT_EQ(packed.delta.faultTotal(), scalar.delta.faultTotal())
-                << "t" << nthreads;
+            expectSameDelta(packed.delta, scalar.delta);
         }
     };
     u64 seed = 0;
@@ -368,6 +402,76 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
             for (const FaultCase &fc : faults)
                 for (int trial = 0; trial < 3; ++trial)
                     check(kern, zero_pct, fc, ++seed);
+
+    // A 16-bit UR or UG product table would be gigabytes, so the
+    // table-size gate must keep these kernels on the fold path: one
+    // tiny ragged fold that finishes inside the test timeout and
+    // matches is the check.
+    for (const KernelConfig kern : {KernelConfig{Scheme::USystolicRate, 16, 0},
+                                    KernelConfig{Scheme::UgemmHybrid, 16, 0}}) {
+        EXPECT_FALSE(hasSmallProductTables(kern));
+        check(kern, 60, faults[0], ++seed, Shape{1, 3, 2});
+    }
+    ex.setThreads(saved_threads);
+}
+
+TEST(SystolicGemm, ClosedFormMatchesScalarOnPaperKernels)
+{
+    // The closed form books cycles, folds, per-fold stats and the
+    // sparsity census analytically. On the eight paper kernels (BP, BS,
+    // UR at 6/7/8 effective bits, UG, TUB, TU at 8 bits) plus UT, with
+    // and without DRAM faults, every booked field must equal the scalar
+    // engine's fold-by-fold count — padding zeros included, so K and N
+    // are ragged and a quarter of the activations are zero.
+    PackedFlagGuard guard;
+    Executor &ex = Executor::global();
+    const unsigned saved_threads = ex.threads();
+
+    ArrayConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 5;
+    u64 seed = 0;
+    for (const KernelConfig kern :
+         {KernelConfig{Scheme::BinaryParallel, 8, 0},
+          KernelConfig{Scheme::BinarySerial, 8, 0},
+          KernelConfig{Scheme::USystolicRate, 8, 6},
+          KernelConfig{Scheme::USystolicRate, 8, 7},
+          KernelConfig{Scheme::USystolicRate, 8, 8},
+          KernelConfig{Scheme::UgemmHybrid, 8, 0},
+          KernelConfig{Scheme::TubGemm, 8, 0},
+          KernelConfig{Scheme::TuGemm, 8, 0},
+          KernelConfig{Scheme::USystolicTemporal, 8, 0}}) {
+        ASSERT_TRUE(hasSmallProductTables(kern));
+        for (const double dram : {0.0, 0.3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << kern.name() << " dram_word " << dram);
+            cfg.kernel = kern;
+            cfg.faults = FaultPlan{};
+            cfg.faults.seed = ++seed;
+            cfg.faults.rates.dram_word = dram;
+            Prng prng(seed + 9000);
+            auto a = randomMatrix(3, 10, kern.bits, prng);
+            const auto b = randomMatrix(10, 7, kern.bits, prng);
+            for (i32 &v : a.data())
+                if (prng.below(4) == 0)
+                    v = 0;
+
+            setPackedEngineEnabled(false);
+            const GemmRun scalar = runGemm(cfg, a, b);
+            EXPECT_EQ(scalar.delta.faults_dram > 0, dram > 0.0);
+            setPackedEngineEnabled(true);
+            for (const unsigned nthreads : {1u, 3u}) {
+                SCOPED_TRACE(::testing::Message() << "t" << nthreads);
+                ex.setThreads(nthreads);
+                const GemmRun packed = runGemm(cfg, a, b);
+                EXPECT_EQ(packed.res.acc, scalar.res.acc);
+                EXPECT_EQ(packed.res.cycles, scalar.res.cycles);
+                EXPECT_EQ(packed.res.folds, scalar.res.folds);
+                expectSameDelta(packed.delta, scalar.delta);
+                EXPECT_EQ(packed.dump, scalar.dump);
+            }
+        }
+    }
     ex.setThreads(saved_threads);
 }
 
@@ -382,7 +486,11 @@ TEST(SystolicGemm, PanelBlockedMatchesUnblockedAcrossThreads)
 {
     // Column-panel blocking is a cache lever only: a GEMM whose folds
     // split into several panels must match the same GEMM with one panel
-    // per fold, at any thread count.
+    // per fold, at any thread count. A fault-free GEMM runs in closed
+    // form and never reaches a panel, so the GEMM carries a weight_reg
+    // plan: a per-fold site that keeps it on the folds, and one that
+    // pre-corrupts the codes, so the folds still run the fault-free
+    // panel loop.
     PanelFlagsGuard guard;
     setPackedEngineEnabled(true);
     Executor &ex = Executor::global();
@@ -391,6 +499,8 @@ TEST(SystolicGemm, PanelBlockedMatchesUnblockedAcrossThreads)
     ArrayConfig cfg;
     cfg.rows = 8;
     cfg.cols = 12;
+    cfg.faults.seed = 31;
+    cfg.faults.rates.weight_reg = 0.2;
     for (const KernelConfig kern :
          {KernelConfig{Scheme::USystolicRate, 8, 6},
           KernelConfig{Scheme::USystolicTemporal, 8, 0},
