@@ -1,6 +1,7 @@
 #include "arch/array.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/cli.h"
@@ -263,7 +264,10 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
     const int rows = cfg_.rows;
     const int cols = cfg_.cols;
 
-    const bool packed = packedEngineEnabled();
+    // A kernel without small product tables has no packed engine: its
+    // GEMMs run on SystolicArray, the referee, like --no-packed ones.
+    const bool packed =
+        packedEngineEnabled() && hasSmallProductTables(cfg_.kernel);
     const SystolicArray scalar_array(cfg_);
 
     const u64 n_tiles = u64((n_dim + cols - 1) / cols);
@@ -291,7 +295,7 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         pb = &b_faulted;
     }
 
-    if (packed && !fp.rates.perFold() && hasSmallProductTables(cfg_.kernel)) {
+    if (packed && !fp.rates.perFold()) {
         // Closed form: with no per-fold fault site, a fold's outputs are
         // the table-row kernel's over its tile, and everything else it
         // books depends only on shapes and operand zeros. Zero padding
@@ -312,21 +316,18 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         // The census counts the staged tiles, padding included: each
         // K-padding row of an A-tile streams M zero activations per
         // column tile, and every padded weight slot holds a zero.
-        const auto zeros = [](const Matrix<i32> &m) {
-            return u64(std::count(m.data().begin(), m.data().end(), 0));
-        };
         const u64 pad_k = k_tiles * u64(rows) - u64(k_dim);
         const u64 weight_slots = k_tiles * u64(rows) * n_tiles * u64(cols);
         SparsityCensus census;
-        census.zero_acts = n_tiles * (zeros(*pa) + u64(m_rows) * pad_k);
+        census.zero_acts = n_tiles * (countZeros(*pa) + u64(m_rows) * pad_k);
         census.zero_weights =
-            zeros(*pb) + weight_slots - u64(k_dim) * u64(n_dim);
+            countZeros(*pb) + weight_slots - u64(k_dim) * u64(n_dim);
         if (kern.scheme != Scheme::UgemmHybrid)
             census.skippable_macs = census.zero_acts * u64(cols);
         total.addSparsity(census);
     } else {
         result.acc = Matrix<i64>(m_rows, n_dim, 0);
-        runFolds(*pa, *pb, result, total);
+        runFolds(*pa, *pb, packed, result, total);
     }
 
     if (stats)
@@ -338,7 +339,8 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
 
 void
 SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
-                       RunResult &result, FoldStatsDelta &total) const
+                       bool packed, RunResult &result,
+                       FoldStatsDelta &total) const
 {
     const int m_rows = a.rows();
     const int k_dim = a.cols();
@@ -348,9 +350,10 @@ SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
     const u64 n_tiles = u64((n_dim + cols - 1) / cols);
     const u64 k_tiles = u64((k_dim + rows - 1) / rows);
 
-    const bool packed = packedEngineEnabled();
     const SystolicArray scalar_array(cfg_);
-    const PackedArray packed_array(cfg_);
+    std::optional<PackedArray> packed_array;
+    if (packed)
+        packed_array.emplace(cfg_);
 
     // Stage every K-tile of A once, up front, shared read-only across
     // the column-tile shards, instead of every shard re-staging the same
@@ -403,9 +406,9 @@ SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
             // site hashes, identical under any tile schedule.
             const u64 tile = ti * k_tiles + kt;
             const auto fold =
-                packed ? packed_array.runFold(in, w_tile,
-                                              &deltas[ti], tile,
-                                              &a_plans[kt])
+                packed ? packed_array->runFold(in, w_tile,
+                                               &deltas[ti], tile,
+                                               &a_plans[kt])
                        : scalar_array.runFold(in, w_tile,
                                               &deltas[ti], tile);
             tile_cycles[ti] += fold.cycles;

@@ -176,17 +176,18 @@ class SystolicGemm
      * Compute C = A (M x K) x B (K x N), tiling K over array rows and N
      * over array columns, accumulating partial sums across K folds.
      *
-     * With the packed engine enabled (see packedEngineEnabled()), a
-     * GEMM whose fault plan arms no per-fold site (dram_word alone is
-     * allowed) and whose kernel has small product tables
-     * (hasSmallProductTables()) runs in closed form: one GemmExecutor
-     * call computes the accumulations, and cycles, folds, the per-fold
-     * stats and the sparsity census (padding zeros included) are booked
-     * analytically. Every other packed GEMM runs its folds on
-     * PackedArray, with the column-tile shards — which own disjoint
-     * output columns — under parallelFor. Either way results, cycle
-     * counts, and stats dumps are identical to the scalar serial path
-     * (--no-packed), which simulates every fold on SystolicArray.
+     * The packed engine runs a GEMM when it is enabled (see
+     * packedEngineEnabled()) and the kernel has small product tables
+     * (hasSmallProductTables()); a GEMM whose fault plan also arms no
+     * per-fold site (dram_word alone is allowed) runs in closed form:
+     * one GemmExecutor call computes the accumulations, and cycles,
+     * folds, the per-fold stats and the sparsity census (padding zeros
+     * included) are booked analytically. Every other packed GEMM runs
+     * its folds on PackedArray, with the column-tile shards — which own
+     * disjoint output columns — under parallelFor. Either way results,
+     * cycle counts, and stats dumps are identical to the scalar serial
+     * path (--no-packed, or a kernel with wide tables such as 16-bit
+     * UR/UG), which simulates every fold on SystolicArray.
      * Empty GEMMs (M, K or N = 0) return an M x N zero result.
      *
      * @param stats if non-null, merge this GEMM's registry deltas there
@@ -200,10 +201,11 @@ class SystolicGemm
                   FoldStatsDelta *stats = nullptr) const;
 
   private:
-    /** Fold-by-fold GEMM over operands already DRAM-faulted: adds into
-     *  result.acc (pre-sized M x N) and result.cycles, merges the fold
-     *  deltas into `total` in tile order. */
-    void runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
+    /** Fold-by-fold GEMM over operands already DRAM-faulted, on
+     *  PackedArray shards when `packed`, else serially on SystolicArray:
+     *  adds into result.acc (pre-sized M x N) and result.cycles, merges
+     *  the fold deltas into `total` in tile order. */
+    void runFolds(const Matrix<i32> &a, const Matrix<i32> &b, bool packed,
                   RunResult &result, FoldStatsDelta &total) const;
 
     ArrayConfig cfg_;

@@ -1,40 +1,43 @@
 /**
  * @file
- * Word-packed (64-lane SWAR) weight-stationary array simulator.
+ * Product-table weight-stationary array simulator.
  *
  * PackedArray computes exactly the same FoldResult as SystolicArray /
  * RtlArray — same outputs, same cycle counts, same stats-registry
- * deltas under the same stat names — but advances the unary bitstreams
- * 64 simulated cycles per host word operation instead of one nextBit()
- * per PE per cycle.
+ * deltas under the same stat names — without simulating a single
+ * bitstream cycle on a fault-free fold.
  *
  * The key identity that makes this possible: the C-BSG weight RNG
  * advances only on input 1-bits, so the k-th random number a PE
  * compares against WABS is wrng.at(k) regardless of *where* the input
  * 1-bits fall in the MAC interval. A rate/temporal MAC therefore
- * reduces to one popcount and one count-table lookup:
+ * reduces to one lookup into the shared unary product model
+ * (unaryModelFor(bits), src/unary/product_table.h):
  *
- *     ones  = popcount(input stream over the mul window)   (per row)
- *     count = tbl_wabs[ones], where tbl_wabs[o] counts the
- *             k < o with wrng.at(k) < wabs
+ *     ones  = rateOnes(|a|, mul) for UR (early termination shortens
+ *             mul), |a| for UT
+ *     count = countAfterOnes(ones, |w|) = #{k < ones : wrng.at(k) < |w|}
  *
  * with the sign handled in sign-magnitude exactly as in PeCore, and the
- * uGEMM-H bipolar variant splitting the count across the polarity-1 and
- * polarity-0 weight tables. Early termination truncates the input
- * window (masked final word); the top-row shifter rescale is identical
- * to SystolicArray. See DESIGN.md §8 for the full derivation.
+ * uGEMM-H bipolar variant reading BipolarProductModel::countAfter over
+ * its polarity-1 and polarity-0 lanes (ones = a + 2^(N-1)). The top-row
+ * shifter rescale is identical to SystolicArray. The exact schemes (BP,
+ * BS, tubGEMM, tuGEMM) are plain integer GEMMs. See DESIGN.md §8.
  *
- * Every unary fold follows one pattern: stage the input ones (and sign)
- * once, stage the weight count tables one column panel at a time in an
- * L2-budgeted per-worker arena, and run one MAC loop per panel — the
- * branch-free fault-free loop, or a per-MAC loop that adds the
- * weight-stream and accumulator fault hooks (an activation-stream fault
- * is already in the staged ones). Weight-register and DRAM faults
- * pre-corrupt the staged codes, so they keep the fault-free loop. The
- * zero-skipping schemes iterate a SparsityPlan, so zero-magnitude
- * streams never reach the MAC loop — in hardware they assert no bits,
- * so skipping them is not a mode. All of it is bit-exact, including
- * stats and the fault census. See DESIGN.md §13 and §16.
+ * Fault-free UR/UT folds walk a SparsityPlan of the input, so
+ * zero-magnitude streams never reach the MAC loop — in hardware they
+ * assert no bits, so skipping them is not a mode. uGEMM-H, and any fold
+ * with an activation-stream, weight-stream or accumulator fault, runs a
+ * per-MAC loop over the same table counts: an activation-stream fault
+ * counts the faulted input stream, a weight-stream fault re-derives the
+ * comparison bits as table steps and corrupts them, and an accumulator
+ * fault corrupts the per-MAC product. Weight-register and DRAM faults
+ * pre-corrupt the codes. All of it is bit-exact, including stats and
+ * the fault census. See DESIGN.md §13 and §16.
+ *
+ * A kernel without small product tables (hasSmallProductTables(): UR/UT
+ * above 12 bits, UG above 11) is refused at construction; SystolicGemm
+ * runs such kernels on SystolicArray.
  */
 
 #ifndef USYS_ARCH_PACKED_ARRAY_H
@@ -46,7 +49,7 @@
 
 namespace usys {
 
-/** Word-packed drop-in for SystolicArray::runFold. */
+/** Product-table drop-in for SystolicArray::runFold. */
 class PackedArray
 {
   public:

@@ -48,6 +48,9 @@ struct SparsityCensus
     bool any() const { return zero_acts || zero_weights; }
 };
 
+/** Zero elements of `m` (the census's one zero count). */
+u64 countZeros(const Matrix<i32> &m);
+
 /**
  * Census of one fold's operand tiles. Counted from the engine's input
  * arguments (before any in-fold fault corruption), so the scalar and

@@ -19,7 +19,6 @@ namespace usys {
 namespace {
 
 bool g_packed_engine = true;
-u32 g_panel_kb_override = 0;
 
 /**
  * Probe cpu0's L2 size from sysfs ("512K" / "1M" style). Returns 0
@@ -116,19 +115,11 @@ setPackedEngineEnabled(bool on)
 u32
 panelBudgetKb()
 {
-    if (g_panel_kb_override)
-        return g_panel_kb_override;
     static const u32 resolved = [] {
         const u32 kb = sysfsL2Kb();
         return kb ? kb : 512u;
     }();
     return resolved;
-}
-
-void
-setPanelBudgetKb(u32 kb)
-{
-    g_panel_kb_override = kb;
 }
 
 i64
@@ -240,8 +231,7 @@ parseBenchArgs(int *argc, char **argv, const std::string &bench)
     // of a stats artifact) so every bench run is self-describing.
     inform("engine: simd=" +
            std::string(simdLevelName(simdLevel())) + " packed=" +
-           (packedEngineEnabled() ? "on" : "off") + " panel=" +
-           std::to_string(panelBudgetKb()) + "KB");
+           (packedEngineEnabled() ? "on" : "off"));
     return opts;
 }
 

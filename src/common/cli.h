@@ -121,12 +121,13 @@ class ProgressMeter
 };
 
 /**
- * Global gate for the fast simulation path: word-packed (SWAR) unary
+ * Global gate for the fast simulation path: product-table unary
  * kernels plus tile-/layer-parallel scheduling. Defaults to on; the
  * scalar reference engine stays available behind --no-packed for
  * cross-checking and debugging. This is the only engine option: the
- * packed engine has one fault-free path per scheme. Both engines are bit-exact, produce the
- * same cycle counts, and commit identical stats-registry deltas.
+ * packed engine has one fault-free path per scheme. Both engines are
+ * bit-exact, produce the same cycle counts, and commit identical
+ * stats-registry deltas.
  */
 bool packedEngineEnabled();
 
@@ -134,18 +135,14 @@ bool packedEngineEnabled();
 void setPackedEngineEnabled(bool on);
 
 /**
- * Per-worker panel arena budget in KiB: the sysfs L2 cache size of
- * cpu0, else a 512 KiB fallback. The packed engine sizes its column
- * panels so the staged prefix-count tables fit this budget, keeping
- * panel working sets L2-resident.
+ * The sysfs L2 cache size of cpu0 in KiB, else a 512 KiB fallback. No
+ * engine reads it any more (the packed engine has no column panels);
+ * it stays, under its old name and value, only because the repository
+ * benchmark records it as the host fingerprint's `panel_kb` and
+ * benchmark/compare.py refuses to compare runs whose fingerprints
+ * differ.
  */
 u32 panelBudgetKb();
-
-/**
- * Test hook: pin the panel budget (0 restores the probed value). Small
- * budgets force multi-panel folds and arena eviction.
- */
-void setPanelBudgetKb(u32 kb);
 
 } // namespace usys
 

@@ -2,11 +2,11 @@
  * @file
  * Runtime-dispatched SIMD kernels behind the packed unary engines.
  *
- * The word-packed simulation path (DESIGN.md §8) retires one scalar
- * popcount / comparison per 64-bit word; on AVX2 hosts the same work
- * runs 4-16 words per instruction. This layer exposes the handful of
- * data-parallel inner loops as a function-pointer table with two
- * implementations:
+ * Faulted unary streams (DESIGN.md §10) are generated and counted one
+ * 64-bit word at a time, and the exact-scheme folds are integer GEMM
+ * rows; on AVX2 hosts the same work runs 4-16 words per instruction.
+ * This layer exposes the handful of data-parallel inner loops as a
+ * function-pointer table with two implementations:
  *
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback

@@ -48,11 +48,21 @@ class UnaryProductModel
     /** Magnitude bitwidth N-1. */
     int magBits() const { return mag_bits_; }
 
+    /**
+     * Row of countAfterOnes(ones, .), indexed by wabs in [0, period]:
+     * lets a loop over many weights against one input hoist the row.
+     */
+    const u16 *
+    countsAfterOnes(u32 ones) const
+    {
+        return &weight_prefix_[std::size_t(ones) * stride_];
+    }
+
     /** Product 1-count after the input has delivered `ones` 1-bits. */
     u32
     countAfterOnes(u32 ones, u32 wabs) const
     {
-        return weight_prefix_[std::size_t(ones) * stride_ + wabs];
+        return countsAfterOnes(ones)[wabs];
     }
 
     /** Full-period product count (rate or temporal input coding). */
@@ -111,22 +121,29 @@ class BipolarProductModel
     /** Stream length 2^N. */
     u32 period() const { return period_; }
 
+    /**
+     * Output 1-count after the input has delivered `ones` 1-bits and
+     * `zeros` 0-bits against the offset weight `w_off` = w + 2^(N-1).
+     * Input 1-cycles consume the polarity-1 sequence and input 0-cycles
+     * the polarity-0 one, each advancing only on its own cycles, so the
+     * XNOR output is 1 on a polarity-1 hit or a polarity-0 miss.
+     */
+    u32
+    countAfter(u32 ones, u32 zeros, u32 w_off) const
+    {
+        return prefix_one_[std::size_t(ones) * stride_ + w_off] + zeros -
+               prefix_zero_[std::size_t(zeros) * stride_ + w_off];
+    }
+
     /** Output 1-count over a full period for signed inputs x, w. */
     u32
     onesCount(i32 x, i32 w) const
     {
         const u32 half = period_ / 2;
         const u32 x_off = u32(x + i32(half));
-        const u32 w_off = u32(w + i32(half));
         // Input delivers x_off 1-bits and (period - x_off) 0-bits per
         // period.
-        const u32 ones_on_one =
-            prefix_one_[std::size_t(x_off) * stride_ + w_off];
-        const u32 zeros = period_ - x_off;
-        const u32 w_hits_on_zero =
-            prefix_zero_[std::size_t(zeros) * stride_ + w_off];
-        // XNOR: output 1 when (x=1, w=1) or (x=0, w=0).
-        return ones_on_one + (zeros - w_hits_on_zero);
+        return countAfter(x_off, period_ - x_off, u32(w + i32(half)));
     }
 
     /**

@@ -1,12 +1,12 @@
 /**
  * @file
- * Packed-engine cross-validation: the word-packed PackedArray must
- * reproduce SystolicArray and RtlArray bit-for-bit and cycle-for-cycle
- * on every scheme, bitwidth, early-termination point, and array shape —
- * including the masked-final-word boundary (UR EBT windows shorter than
- * one 64-bit word) — and commit byte-identical stats-registry deltas,
- * so flipping the engine (or running tiles in parallel) can never
- * change a result or a dump.
+ * Packed-engine cross-validation: PackedArray, whose unary MACs are
+ * lookups into the shared product-model tables, must reproduce
+ * SystolicArray and RtlArray bit-for-bit and cycle-for-cycle on every
+ * scheme, bitwidth, early-termination point (UR EBT windows far shorter
+ * than the period), and array shape, and commit byte-identical
+ * stats-registry deltas, so flipping the engine (or running tiles in
+ * parallel) can never change a result or a dump.
  */
 
 #include <optional>
@@ -93,13 +93,13 @@ INSTANTIATE_TEST_SUITE_P(
         PackedCase{Scheme::BinarySerial, 8, 0, 4, 4},
         PackedCase{Scheme::BinarySerial, 12, 0, 5, 3},
         PackedCase{Scheme::USystolicRate, 8, 0, 4, 4},
-        // EBT 6: a 32-cycle window — the masked-final-word boundary.
+        // EBT 6: a 32-cycle window, a quarter of the 128-cycle period.
         PackedCase{Scheme::USystolicRate, 8, 6, 4, 5},
         PackedCase{Scheme::USystolicRate, 8, 7, 2, 7},
         PackedCase{Scheme::USystolicRate, 8, 8, 3, 3},
         PackedCase{Scheme::USystolicRate, 10, 6, 3, 3},
         PackedCase{Scheme::USystolicRate, 10, 8, 3, 3},
-        // 4-bit: the whole 8-cycle period fits in a fraction of a word.
+        // 4-bit: an 8-cycle period, the smallest tables.
         PackedCase{Scheme::USystolicRate, 4, 0, 4, 4},
         PackedCase{Scheme::USystolicTemporal, 8, 0, 4, 4},
         PackedCase{Scheme::USystolicTemporal, 7, 0, 6, 2},
@@ -197,22 +197,6 @@ class PackedFlagGuard
     bool saved_;
 };
 
-/** Saves and restores the packed-engine gate and resets the panel
- * budget override to 0 = probed, the process-start state. */
-class PanelFlagsGuard
-{
-  public:
-    PanelFlagsGuard() : packed_(packedEngineEnabled()) {}
-    ~PanelFlagsGuard()
-    {
-        setPackedEngineEnabled(packed_);
-        setPanelBudgetKb(0);
-    }
-
-  private:
-    bool packed_;
-};
-
 TEST(SystolicGemm, PackedAndScalarEnginesAgreeIncludingStats)
 {
     PackedFlagGuard guard;
@@ -290,17 +274,13 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
 {
     // The packed engine runs a GEMM with no per-fold fault site in
     // closed form (one table-row kernel call plus analytic bookkeeping);
-    // every other GEMM runs PackedArray folds: one fault-free path per
-    // scheme (the plan-driven integer GEMM for BP/BS/TUB/TU, the
-    // count-table panels for UR/UT/UG) plus one per-MAC fault path.
-    // Every path must match the scalar referee on random ragged GEMMs —
-    // outputs, cycles, the stats dump, and the fault census — at any
-    // thread count, whatever the share of zero operands.
-    PanelFlagsGuard guard;
-    // 16 KiB on an 8 x 12 array: an 8-bit UR column pins up to eight
-    // 516-byte count tables, so each fold splits into several column
-    // panels and the arena evicts between folds.
-    setPanelBudgetKb(16);
+    // every other GEMM runs PackedArray folds: the plan-driven integer
+    // GEMM for BP/BS/TUB/TU, the plan-walking table loop for fault-free
+    // UR/UT, and the per-MAC table loop for UG and every per-MAC fault
+    // site. Every path must match the scalar referee on random ragged
+    // GEMMs — outputs, cycles, the stats dump, and the fault census — at
+    // any thread count, whatever the share of zero operands.
+    PackedFlagGuard guard;
     Executor &ex = Executor::global();
     const unsigned saved_threads = ex.threads();
 
@@ -316,7 +296,7 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     // activation_stream makes the integer-GEMM schemes build their own
     // plan over the staged operands; an accumulator fault forces the
     // per-MAC loop; a weight-stream fault alone takes the per-MAC loop
-    // with its zero-ones skip still armed, over split panels.
+    // with its zero-ones skip still armed.
     struct FaultCase
     {
         const char *name;
@@ -404,13 +384,15 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
                     check(kern, zero_pct, fc, ++seed);
 
     // A 16-bit UR or UG product table would be gigabytes, so the
-    // table-size gate must keep these kernels on the fold path: one
-    // tiny ragged fold that finishes inside the test timeout and
-    // matches is the check.
+    // table-size gate must send these kernels to the scalar engine
+    // (PackedArray refuses them): one tiny ragged GEMM that finishes
+    // inside the test timeout and matches is the check, fault-free (the
+    // closed-form gate) and under weight_reg + dram_word (the fold path).
     for (const KernelConfig kern : {KernelConfig{Scheme::USystolicRate, 16, 0},
                                     KernelConfig{Scheme::UgemmHybrid, 16, 0}}) {
         EXPECT_FALSE(hasSmallProductTables(kern));
         check(kern, 60, faults[0], ++seed, Shape{1, 3, 2});
+        check(kern, 60, faults[1], ++seed, Shape{1, 3, 2});
     }
     ex.setThreads(saved_threads);
 }
@@ -469,68 +451,6 @@ TEST(SystolicGemm, ClosedFormMatchesScalarOnPaperKernels)
                 EXPECT_EQ(packed.res.folds, scalar.res.folds);
                 expectSameDelta(packed.delta, scalar.delta);
                 EXPECT_EQ(packed.dump, scalar.dump);
-            }
-        }
-    }
-    ex.setThreads(saved_threads);
-}
-
-// Large enough that every column of a tile fits one panel.
-constexpr u32 kOnePanelBudgetKb = 1u << 20;
-// Panel budgets that split an 8 x 12 fold into several column panels:
-// 2 KiB holds about one column of 8-bit count tables for every scheme,
-// 16 KiB splits UT and UG but can hold a whole UR tile under EBT.
-constexpr u32 kSplitBudgetsKb[] = {2, 16};
-
-TEST(SystolicGemm, PanelBlockedMatchesUnblockedAcrossThreads)
-{
-    // Column-panel blocking is a cache lever only: a GEMM whose folds
-    // split into several panels must match the same GEMM with one panel
-    // per fold, at any thread count. A fault-free GEMM runs in closed
-    // form and never reaches a panel, so the GEMM carries a weight_reg
-    // plan: a per-fold site that keeps it on the folds, and one that
-    // pre-corrupts the codes, so the folds still run the fault-free
-    // panel loop.
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    Executor &ex = Executor::global();
-    const unsigned saved_threads = ex.threads();
-
-    ArrayConfig cfg;
-    cfg.rows = 8;
-    cfg.cols = 12;
-    cfg.faults.seed = 31;
-    cfg.faults.rates.weight_reg = 0.2;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::USystolicRate, 8, 6},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::BinarySerial, 8, 0},
-          KernelConfig{Scheme::BinaryParallel, 8, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 2000);
-        const auto a = randomMatrix(6, 20, kern.bits, prng);
-        const auto b = randomMatrix(20, 30, kern.bits, prng);
-
-        setPanelBudgetKb(kOnePanelBudgetKb);
-        ex.setThreads(1);
-        statsRegistry().reset();
-        const auto unblocked = SystolicGemm(cfg).run(a, b);
-        const std::string unblocked_dump = statsRegistry().dumpText();
-
-        for (const u32 budget_kb : kSplitBudgetsKb) {
-            setPanelBudgetKb(budget_kb);
-            for (unsigned nthreads : {1u, 3u}) {
-                SCOPED_TRACE(::testing::Message()
-                             << kern.name() << " " << budget_kb
-                             << " KiB t" << nthreads);
-                ex.setThreads(nthreads);
-                statsRegistry().reset();
-                const auto blocked = SystolicGemm(cfg).run(a, b);
-                const std::string blocked_dump = statsRegistry().dumpText();
-                EXPECT_EQ(blocked.acc, unblocked.acc);
-                EXPECT_EQ(blocked.cycles, unblocked.cycles);
-                EXPECT_EQ(blocked_dump, unblocked_dump);
             }
         }
     }
@@ -597,13 +517,10 @@ TEST(PackedArray, SparsePlansPreserveFaultCensus)
 TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
 {
     // Weight-register and DRAM faults pre-corrupt the staged codes, so
-    // the fault-free panel loop stays eligible; activation-stream,
-    // weight-stream and accumulator faults take the per-MAC loop over
-    // the same panels. Either way the census and outputs must match the
-    // scalar fold whether the fold splits into several column panels
-    // (evicting tables between them) or runs as one, with zero operands
-    // skipped.
-    PanelFlagsGuard guard;
+    // fault-free UR/UT keep the plan-walking loop and skip zero
+    // operands; activation-stream, weight-stream and accumulator faults
+    // take the per-MAC loop. Either way the census and outputs must
+    // match the scalar fold.
     ArrayConfig cfg;
     cfg.rows = 8;
     cfg.cols = 12;
@@ -636,28 +553,72 @@ TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
         weights(5, 9) = 0;
 
         for (const FaultCase &fc : plans) {
+            SCOPED_TRACE(::testing::Message()
+                         << kern.name() << " faults " << fc.name);
             cfg.faults = FaultPlan{};
             cfg.faults.seed = 99;
             cfg.faults.rates = fc.rates;
             FoldStatsDelta ref_delta;
             const auto ref =
                 SystolicArray(cfg).runFold(input, weights, &ref_delta);
-            ASSERT_GT(ref_delta.faultTotal(), 0u)
-                << kern.name() << " " << fc.name;
+            ASSERT_GT(ref_delta.faultTotal(), 0u);
 
-            for (const u32 budget_kb : {kSplitBudgetsKb[0],
-                                        kSplitBudgetsKb[1],
-                                        kOnePanelBudgetKb}) {
-                SCOPED_TRACE(::testing::Message()
-                             << kern.name() << " faults " << fc.name
-                             << " " << budget_kb << " KiB");
-                setPanelBudgetKb(budget_kb);
-                FoldStatsDelta delta;
-                const auto out =
-                    PackedArray(cfg).runFold(input, weights, &delta);
-                expectSameFoldAndCensus(out, delta, ref, ref_delta);
-            }
+            FoldStatsDelta delta;
+            const auto out = PackedArray(cfg).runFold(input, weights, &delta);
+            expectSameFoldAndCensus(out, delta, ref, ref_delta);
         }
+    }
+}
+
+TEST(PackedArray, RefusesKernelsWithoutSmallProductTables)
+{
+    // UR/UT above 12 bits and UG above 11 have no small product table:
+    // PackedArray refuses them, and SystolicGemm runs them on the scalar
+    // engine instead. The widest admitted kernels still construct.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ArrayConfig cfg;
+    cfg.rows = 2;
+    cfg.cols = 2;
+    cfg.kernel = {Scheme::USystolicRate, 13, 0};
+    EXPECT_EXIT(PackedArray{cfg}, ::testing::ExitedWithCode(1),
+                "no small product table");
+    cfg.kernel = {Scheme::UgemmHybrid, 12, 0};
+    EXPECT_EXIT(PackedArray{cfg}, ::testing::ExitedWithCode(1),
+                "no small product table");
+    for (const KernelConfig kern : {KernelConfig{Scheme::USystolicRate, 12, 0},
+                                    KernelConfig{Scheme::UgemmHybrid, 11, 0}}) {
+        cfg.kernel = kern;
+        EXPECT_EQ(PackedArray(cfg).config().kernel.bits, kern.bits);
+    }
+}
+
+TEST(PackedArray, CodesOutsideTheTableAreFatal)
+{
+    // The tables cover |code| <= 2^(bits-1); one past either edge, on
+    // either operand, would read past them.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ArrayConfig cfg;
+    cfg.rows = 2;
+    cfg.cols = 2;
+    const Matrix<i32> ok(2, 2, 1);
+    for (const Scheme scheme :
+         {Scheme::USystolicRate, Scheme::USystolicTemporal,
+          Scheme::UgemmHybrid}) {
+        cfg.kernel = {scheme, 8, 0};
+        const PackedArray array(cfg);
+        Matrix<i32> high(2, 2, 1), low(2, 2, 1);
+        high(1, 0) = 129;
+        low(0, 1) = -129;
+        EXPECT_EXIT(array.runFold(high, ok), ::testing::ExitedWithCode(1),
+                    "code 129 outside the 8-bit product table");
+        EXPECT_EXIT(array.runFold(ok, low), ::testing::ExitedWithCode(1),
+                    "code -129 outside");
+        // The table edge itself is in range and matches the referee.
+        Matrix<i32> edge(2, 2, 128);
+        edge(0, 0) = -128;
+        EXPECT_EQ(array.runFold(edge, edge).output,
+                  SystolicArray(cfg).runFold(edge, edge).output)
+            << cfg.kernel.name();
     }
 }
 
