@@ -11,25 +11,6 @@ namespace usys {
 
 namespace {
 
-float
-maxAbs(const MatF &m)
-{
-    float mx = 0.0f;
-    for (float v : m.data())
-        mx = std::max(mx, std::fabs(v));
-    return mx;
-}
-
-Matrix<i32>
-quantizeMat(const MatF &m, double scale, int bits)
-{
-    Matrix<i32> q(m.rows(), m.cols());
-    for (int r = 0; r < m.rows(); ++r)
-        for (int c = 0; c < m.cols(); ++c)
-            q(r, c) = quantize(m(r, c), scale, bits);
-    return q;
-}
-
 MatF
 dequantizeAcc(const Matrix<i64> &acc, double factor)
 {
@@ -41,6 +22,33 @@ dequantizeAcc(const Matrix<i64> &acc, double factor)
 }
 
 } // namespace
+
+float
+maxAbs(const float *v, std::size_t n)
+{
+    float mx = 0.0f;
+    for (std::size_t i = 0; i < n; ++i)
+        mx = std::max(mx, std::fabs(v[i]));
+    return mx;
+}
+
+void
+quantizeInto(const float *v, std::size_t n, double scale, int bits,
+             i32 *codes)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        codes[i] = quantize(v[i], scale, bits);
+}
+
+QuantizedMat
+quantizeMat(const MatF &m, int bits)
+{
+    QuantizedMat q{Matrix<i32>(m.rows(), m.cols()),
+                   symmetricScale(maxAbs(m.data().data(), m.size()), bits)};
+    quantizeInto(m.data().data(), m.size(), q.scale, bits,
+                 q.codes.data().data());
+    return q;
+}
 
 MatF
 gemmFp32(const MatF &a, const MatF &b)
@@ -69,6 +77,48 @@ gemmFp32(const MatF &a, const MatF &b)
     return c;
 }
 
+OperandBits
+operandBits(const NumericConfig &cfg)
+{
+    if (cfg.mode != NumericMode::FxpOres)
+        return {cfg.ebt, cfg.ebt};
+    // n-bit output resolution: the inputs share n bits; the weight gets
+    // the extra bit when n is odd (Section V-A).
+    const int a_bits = cfg.ebt / 2;
+    return {std::max(a_bits, 2), std::max(cfg.ebt - a_bits, 2)};
+}
+
+CodeGemm
+gemmCodes(const Matrix<i32> &qa, const Matrix<i32> &qb,
+          const NumericConfig &cfg)
+{
+    cfg.check();
+    Scheme scheme = Scheme::USystolicRate;
+    switch (cfg.mode) {
+      case NumericMode::FxpIres:
+      case NumericMode::FxpOres:
+        return {referenceGemm(qa, qb), 1.0};
+      case NumericMode::UnaryRate:
+        break;
+      case NumericMode::UnaryTemporal:
+        scheme = Scheme::USystolicTemporal;
+        break;
+      case NumericMode::UgemmH:
+        scheme = Scheme::UgemmHybrid;
+        break;
+      case NumericMode::TubGemm:
+        scheme = Scheme::TubGemm;
+        break;
+      case NumericMode::TuGemm:
+        scheme = Scheme::TuGemm;
+        break;
+      default:
+        panic("gemmCodes: not a quantized mode");
+    }
+    const GemmExecutor exec({scheme, cfg.ebt, 0});
+    return {exec.run(qa, qb), exec.resultScale()};
+}
+
 MatF
 gemmWithMode(const MatF &a, const MatF &b, const NumericConfig &cfg)
 {
@@ -76,48 +126,12 @@ gemmWithMode(const MatF &a, const MatF &b, const NumericConfig &cfg)
     if (cfg.mode == NumericMode::Fp32)
         return gemmFp32(a, b);
 
-    // Bit allocation per mode. B is the weight operand.
-    int a_bits = cfg.ebt, b_bits = cfg.ebt;
-    if (cfg.mode == NumericMode::FxpOres) {
-        // n-bit output resolution: the inputs share n bits; the weight
-        // gets the extra bit when n is odd (Section V-A).
-        a_bits = cfg.ebt / 2;
-        b_bits = cfg.ebt - a_bits;
-        a_bits = std::max(a_bits, 2);
-        b_bits = std::max(b_bits, 2);
-    }
-
-    const double sa = symmetricScale(maxAbs(a), a_bits);
-    const double sb = symmetricScale(maxAbs(b), b_bits);
-    const auto qa = quantizeMat(a, sa, a_bits);
-    const auto qb = quantizeMat(b, sb, b_bits);
-
-    switch (cfg.mode) {
-      case NumericMode::FxpIres:
-      case NumericMode::FxpOres:
-        return dequantizeAcc(referenceGemm(qa, qb), sa * sb);
-      case NumericMode::UnaryRate:
-      case NumericMode::UnaryTemporal:
-      case NumericMode::UgemmH:
-      case NumericMode::TubGemm:
-      case NumericMode::TuGemm: {
-        Scheme scheme = Scheme::USystolicRate;
-        if (cfg.mode == NumericMode::UnaryTemporal)
-            scheme = Scheme::USystolicTemporal;
-        if (cfg.mode == NumericMode::UgemmH)
-            scheme = Scheme::UgemmHybrid;
-        if (cfg.mode == NumericMode::TubGemm)
-            scheme = Scheme::TubGemm;
-        if (cfg.mode == NumericMode::TuGemm)
-            scheme = Scheme::TuGemm;
-        GemmExecutor exec({scheme, cfg.ebt, 0});
-        const auto acc = exec.run(qa, qb);
-        return dequantizeAcc(acc, sa * sb * exec.resultScale());
-      }
-      default:
-        break;
-    }
-    panic("gemmWithMode: unhandled mode");
+    const OperandBits bits = operandBits(cfg);
+    const QuantizedMat qa = quantizeMat(a, bits.a);
+    const QuantizedMat qb = quantizeMat(b, bits.b);
+    const CodeGemm r = gemmCodes(qa.codes, qb.codes, cfg);
+    // FXP's result scale is 1, so this is today's sa * sb exactly.
+    return dequantizeAcc(r.acc, qa.scale * qb.scale * r.result_scale);
 }
 
 } // namespace usys

@@ -1,7 +1,10 @@
 #include "dnn/layers.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+
+#include "common/fixed_point.h"
 
 namespace usys {
 
@@ -9,10 +12,10 @@ namespace {
 
 /** He-style normal initialization. */
 void
-initWeights(std::vector<float> &w, int fan_in, Prng &prng)
+initWeights(MatF &w, int fan_in, Prng &prng)
 {
     const float stddev = std::sqrt(2.0f / float(fan_in));
-    for (auto &v : w)
+    for (auto &v : w.data())
         v = float(prng.gaussian()) * stddev;
 }
 
@@ -28,28 +31,72 @@ sgdStep(std::vector<float> &param, std::vector<float> &grad,
     }
 }
 
-/** im2col: (N,C,H,W) -> (N*OH*OW) x (C*k*k). */
-MatF
-im2col(const Tensor &x, int kernel, int stride, int pad, int out_h,
-       int out_w)
+/**
+ * Geometry of a convolution over an (n, c, h, w) input; Linear is the
+ * 1x1 case over (n, in_features, 1, 1). GEMM row (ni * out_h + oh) *
+ * out_w + ow is output pixel (ni, oh, ow); column (ci * k + kh) * k + kw
+ * is the tap it reads from input channel ci.
+ */
+struct ConvGeom
 {
-    const int n = x.n(), c = x.c(), h = x.h(), w = x.w();
-    MatF cols(n * out_h * out_w, c * kernel * kernel, 0.0f);
-    for (int ni = 0; ni < n; ++ni) {
-        for (int oh = 0; oh < out_h; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                const int row = (ni * out_h + oh) * out_w + ow;
-                int col = 0;
-                for (int ci = 0; ci < c; ++ci) {
-                    for (int kh = 0; kh < kernel; ++kh) {
-                        const int ih = oh * stride + kh - pad;
-                        for (int kw = 0; kw < kernel; ++kw, ++col) {
-                            const int iw = ow * stride + kw - pad;
-                            if (ih >= 0 && ih < h && iw >= 0 && iw < w)
-                                cols(row, col) = x.at(ni, ci, ih, iw);
-                        }
+    int n, c, h, w, kernel, stride, pad, out_h, out_w;
+
+    ConvGeom(int n, int c, int h, int w, int kernel, int stride, int pad)
+        : n(n), c(c), h(h), w(w), kernel(kernel), stride(stride), pad(pad),
+          out_h((h + 2 * pad - kernel) / stride + 1),
+          out_w((w + 2 * pad - kernel) / stride + 1)
+    {}
+
+    int rows() const { return n * out_h * out_w; }
+    int cols() const { return c * kernel * kernel; }
+};
+
+ConvGeom
+convGeom(const Tensor &x, int kernel, int stride, int pad)
+{
+    return {x.n(), x.c(), x.h(), x.w(), kernel, stride, pad};
+}
+
+/**
+ * im2col: (N,C,H,W) -> rows() x cols(), over the float input (FP32
+ * forward, backward) or its i32 codes (quantized forward). Padding taps
+ * read T(0), which is also quantize(0).
+ */
+template <class T>
+Matrix<T>
+im2col(const T *x, const ConvGeom &g)
+{
+    Matrix<T> cols(g.rows(), g.cols(), T(0));
+    T *dst = cols.data().data();
+    if (g.kernel == g.h && g.kernel == g.w && g.stride == 1 && g.pad == 0) {
+        // One window covers each whole image: rows are the images.
+        std::copy(x, x + cols.size(), dst);
+        return cols;
+    }
+    // Each window reads taps [lo, hi) of its rows and columns; the
+    // rest stay T(0).
+    const auto taps = [&](int first, int size) {
+        return std::pair{std::max(0, -first),
+                         std::min(g.kernel, size - first)};
+    };
+    for (int ni = 0; ni < g.n; ++ni) {
+        for (int oh = 0; oh < g.out_h; ++oh) {
+            const int ih0 = oh * g.stride - g.pad;
+            const auto [kh_lo, kh_hi] = taps(ih0, g.h);
+            for (int ow = 0; ow < g.out_w; ++ow) {
+                const int iw0 = ow * g.stride - g.pad;
+                const auto [kw_lo, kw_hi] = taps(iw0, g.w);
+                for (int ci = 0; ci < g.c; ++ci) {
+                    const T *plane =
+                        x + (std::size_t(ni) * g.c + ci) * g.h * g.w;
+                    for (int kh = kh_lo; kh < kh_hi; ++kh) {
+                        const T *src = plane + std::size_t(ih0 + kh) * g.w;
+                        T *row = dst + (ci * g.kernel + kh) * g.kernel;
+                        for (int kw = kw_lo; kw < kw_hi; ++kw)
+                            row[kw] = src[iw0 + kw];
                     }
                 }
+                dst += g.cols();
             }
         }
     }
@@ -58,22 +105,19 @@ im2col(const Tensor &x, int kernel, int stride, int pad, int out_h,
 
 /** col2im: scatter-add the gradient of im2col. */
 void
-col2im(const MatF &cols, Tensor &grad_x, int kernel, int stride, int pad,
-       int out_h, int out_w)
+col2im(const MatF &cols, Tensor &grad_x, const ConvGeom &g)
 {
-    const int n = grad_x.n(), c = grad_x.c(), h = grad_x.h(),
-              w = grad_x.w();
-    for (int ni = 0; ni < n; ++ni) {
-        for (int oh = 0; oh < out_h; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                const int row = (ni * out_h + oh) * out_w + ow;
+    for (int ni = 0; ni < g.n; ++ni) {
+        for (int oh = 0; oh < g.out_h; ++oh) {
+            for (int ow = 0; ow < g.out_w; ++ow) {
+                const int row = (ni * g.out_h + oh) * g.out_w + ow;
                 int col = 0;
-                for (int ci = 0; ci < c; ++ci) {
-                    for (int kh = 0; kh < kernel; ++kh) {
-                        const int ih = oh * stride + kh - pad;
-                        for (int kw = 0; kw < kernel; ++kw, ++col) {
-                            const int iw = ow * stride + kw - pad;
-                            if (ih >= 0 && ih < h && iw >= 0 && iw < w)
+                for (int ci = 0; ci < g.c; ++ci) {
+                    for (int kh = 0; kh < g.kernel; ++kh) {
+                        const int ih = oh * g.stride + kh - g.pad;
+                        for (int kw = 0; kw < g.kernel; ++kw, ++col) {
+                            const int iw = ow * g.stride + kw - g.pad;
+                            if (ih >= 0 && ih < g.h && iw >= 0 && iw < g.w)
                                 grad_x.at(ni, ci, ih, iw) += cols(row, col);
                         }
                     }
@@ -83,6 +127,94 @@ col2im(const MatF &cols, Tensor &grad_x, int kernel, int stride, int pad,
     }
 }
 
+/** Which of `size` input positions along one axis some window reads. */
+std::vector<char>
+windowCoverage(int size, int out, int kernel, int stride, int pad)
+{
+    std::vector<char> covered(size, 0);
+    for (int o = 0; o < out; ++o)
+        for (int k = 0; k < kernel; ++k) {
+            const int i = o * stride + k - pad;
+            if (i >= 0 && i < size)
+                covered[i] = 1;
+        }
+    return covered;
+}
+
+/**
+ * max |x| over the pixels some window reads, which is maxAbs(im2col(x))
+ * since padding taps read 0. A pixel is read iff its row and its column
+ * are, so coverage is one mask per axis. A stride-2 1x1 window never
+ * reads odd pixels, whose values must not set the scale.
+ */
+float
+windowMaxAbs(const float *x, const ConvGeom &g)
+{
+    const auto rows = windowCoverage(g.h, g.out_h, g.kernel, g.stride, g.pad);
+    const auto cols = windowCoverage(g.w, g.out_w, g.kernel, g.stride, g.pad);
+    const auto all = [](const std::vector<char> &m) {
+        return std::find(m.begin(), m.end(), 0) == m.end();
+    };
+    if (all(rows) && all(cols))
+        return maxAbs(x, std::size_t(g.n) * g.c * g.h * g.w);
+    float mx = 0.0f;
+    for (int plane = 0; plane < g.n * g.c; ++plane)
+        for (int ih = 0; ih < g.h; ++ih) {
+            if (!rows[ih])
+                continue;
+            const float *row = x + (std::size_t(plane) * g.h + ih) * g.w;
+            for (int iw = 0; iw < g.w; ++iw)
+                mx = std::max(mx, cols[iw] ? std::fabs(row[iw]) : 0.0f);
+        }
+    return mx;
+}
+
+/**
+ * y (n, N, out_h, out_w) = im2col(x) (MxK) x weight (KxN) + bias under
+ * cfg. A quantized mode quantizes x once, gathers codes, and writes
+ * float(acc * sa * sb * resultScale) + bias: the same two roundings, in
+ * the same order, as dequantizing gemmWithMode(im2col(x), weight).
+ */
+Tensor
+convForward(const Tensor &x, const ConvGeom &g, const MatF &weight,
+            const std::vector<float> &bias, const NumericConfig &cfg)
+{
+    Tensor y(g.n, weight.cols(), g.out_h, g.out_w);
+    const int plane = g.out_h * g.out_w;
+    const auto write = [&](const auto &value) {
+        float *out = y.data();
+        for (int ni = 0; ni < g.n; ++ni)
+            for (int oc = 0; oc < weight.cols(); ++oc)
+                for (int p = 0; p < plane; ++p)
+                    *out++ = value(ni * plane + p, oc) + bias[oc];
+    };
+
+    if (cfg.mode == NumericMode::Fp32) {
+        const MatF out = gemmFp32(im2col(x.data(), g), weight);
+        write([&](int row, int oc) { return out(row, oc); });
+        return y;
+    }
+    const OperandBits bits = operandBits(cfg);
+    const double sa = symmetricScale(windowMaxAbs(x.data(), g), bits.a);
+    std::vector<i32> qx(x.size());
+    quantizeInto(x.data(), x.size(), sa, bits.a, qx.data());
+    const QuantizedMat qw = quantizeMat(weight, bits.b);
+    const CodeGemm r = gemmCodes(im2col(qx.data(), g), qw.codes, cfg);
+    const double factor = sa * qw.scale * r.result_scale;
+    write([&](int row, int oc) {
+        return float(double(r.acc(row, oc)) * factor);
+    });
+    return y;
+}
+
+/** std::max(v, 0.0f) with no data-dependent branch: NaN and -0 pass. */
+float
+relu(float v)
+{
+    return std::bit_cast<float>(std::bit_cast<u32>(v) &
+                                (u32(v < 0.0f) - 1u));
+}
+
 } // namespace
 
 // --- Conv2d ----------------------------------------------------------------
@@ -90,16 +222,14 @@ col2im(const MatF &cols, Tensor &grad_x, int kernel, int stride, int pad,
 Conv2d::Conv2d(int in_ch, int out_ch, int kernel, int stride, int pad,
                Prng &init)
     : in_ch_(in_ch), out_ch_(out_ch), kernel_(kernel), stride_(stride),
-      pad_(pad)
+      pad_(pad), weight_(in_ch * kernel * kernel, out_ch)
 {
-    const std::size_t k = std::size_t(in_ch) * kernel * kernel;
-    weight_.assign(k * out_ch, 0.0f);
     bias_.assign(out_ch, 0.0f);
     grad_w_.assign(weight_.size(), 0.0f);
     grad_b_.assign(bias_.size(), 0.0f);
     vel_w_.assign(weight_.size(), 0.0f);
     vel_b_.assign(bias_.size(), 0.0f);
-    initWeights(weight_, int(k), init);
+    initWeights(weight_, weight_.rows(), init);
 }
 
 i64
@@ -114,41 +244,24 @@ Tensor
 Conv2d::forward(const Tensor &x, const NumericConfig &cfg)
 {
     input_ = x;
-    out_h_ = (x.h() + 2 * pad_ - kernel_) / stride_ + 1;
-    out_w_ = (x.w() + 2 * pad_ - kernel_) / stride_ + 1;
-    cols_ = im2col(x, kernel_, stride_, pad_, out_h_, out_w_);
-
-    const int k = in_ch_ * kernel_ * kernel_;
-    MatF wmat(k, out_ch_);
-    for (int r = 0; r < k; ++r)
-        for (int c = 0; c < out_ch_; ++c)
-            wmat(r, c) = weight_[std::size_t(r) * out_ch_ + c];
-
-    const MatF out = gemmWithMode(cols_, wmat, cfg);
-
-    Tensor y(x.n(), out_ch_, out_h_, out_w_);
-    for (int ni = 0; ni < x.n(); ++ni)
-        for (int oh = 0; oh < out_h_; ++oh)
-            for (int ow = 0; ow < out_w_; ++ow) {
-                const int row = (ni * out_h_ + oh) * out_w_ + ow;
-                for (int oc = 0; oc < out_ch_; ++oc)
-                    y.at(ni, oc, oh, ow) = out(row, oc) + bias_[oc];
-            }
-    return y;
+    return convForward(x, convGeom(x, kernel_, stride_, pad_), weight_,
+                       bias_, cfg);
 }
 
 Tensor
 Conv2d::backward(const Tensor &grad_out)
 {
-    const int k = in_ch_ * kernel_ * kernel_;
-    const int rows = grad_out.n() * out_h_ * out_w_;
+    const ConvGeom geom = convGeom(input_, kernel_, stride_, pad_);
+    const int k = geom.cols();
+    const int rows = geom.rows();
+    const MatF cols = im2col(input_.data(), geom);
 
     // Flatten grad_out to (rows x out_ch).
     MatF g(rows, out_ch_);
-    for (int ni = 0; ni < grad_out.n(); ++ni)
-        for (int oh = 0; oh < out_h_; ++oh)
-            for (int ow = 0; ow < out_w_; ++ow) {
-                const int row = (ni * out_h_ + oh) * out_w_ + ow;
+    for (int ni = 0; ni < geom.n; ++ni)
+        for (int oh = 0; oh < geom.out_h; ++oh)
+            for (int ow = 0; ow < geom.out_w; ++ow) {
+                const int row = (ni * geom.out_h + oh) * geom.out_w + ow;
                 for (int oc = 0; oc < out_ch_; ++oc)
                     g(row, oc) = grad_out.at(ni, oc, oh, ow);
             }
@@ -156,7 +269,7 @@ Conv2d::backward(const Tensor &grad_out)
     // grad_w (k x out_ch) = cols^T x g; grad_b = column sums of g.
     for (int r = 0; r < rows; ++r) {
         for (int kk = 0; kk < k; ++kk) {
-            const float cv = cols_(r, kk);
+            const float cv = cols(r, kk);
             if (cv == 0.0f)
                 continue;
             float *gw = &grad_w_[std::size_t(kk) * out_ch_];
@@ -176,34 +289,33 @@ Conv2d::backward(const Tensor &grad_out)
             if (gv == 0.0f)
                 continue;
             for (int kk = 0; kk < k; ++kk)
-                grad_cols(r, kk) +=
-                    gv * weight_[std::size_t(kk) * out_ch_ + oc];
+                grad_cols(r, kk) += gv * weight_(kk, oc);
         }
     }
     Tensor grad_x(input_.n(), input_.c(), input_.h(), input_.w());
-    col2im(grad_cols, grad_x, kernel_, stride_, pad_, out_h_, out_w_);
+    col2im(grad_cols, grad_x, geom);
     return grad_x;
 }
 
 void
 Conv2d::step(float lr, float momentum)
 {
-    sgdStep(weight_, grad_w_, vel_w_, lr, momentum);
+    sgdStep(weight_.data(), grad_w_, vel_w_, lr, momentum);
     sgdStep(bias_, grad_b_, vel_b_, lr, momentum);
 }
 
 std::vector<std::vector<float> *>
 Conv2d::paramBlobs()
 {
-    return {&weight_, &bias_};
+    return {&weight_.data(), &bias_};
 }
 
 // --- Linear ------------------------------------------------------------------
 
 Linear::Linear(int in_features, int out_features, Prng &init)
-    : in_f_(in_features), out_f_(out_features)
+    : in_f_(in_features), out_f_(out_features),
+      weight_(in_features, out_features)
 {
-    weight_.assign(std::size_t(in_f_) * out_f_, 0.0f);
     bias_.assign(out_f_, 0.0f);
     grad_w_.assign(weight_.size(), 0.0f);
     grad_b_.assign(bias_.size(), 0.0f);
@@ -222,23 +334,8 @@ Linear::forward(const Tensor &x, const NumericConfig &cfg)
     in_w_ = x.w();
     const int per_sample = in_c_ * in_h_ * in_w_;
     fatalIf(per_sample != in_f_, "Linear: input feature mismatch");
-
-    MatF a(in_n_, in_f_);
-    for (int ni = 0; ni < in_n_; ++ni)
-        for (int f = 0; f < in_f_; ++f)
-            a(ni, f) = x.raw()[std::size_t(ni) * in_f_ + f];
-
-    MatF wmat(in_f_, out_f_);
-    for (int r = 0; r < in_f_; ++r)
-        for (int c = 0; c < out_f_; ++c)
-            wmat(r, c) = weight_[std::size_t(r) * out_f_ + c];
-
-    const MatF out = gemmWithMode(a, wmat, cfg);
-    Tensor y(in_n_, out_f_, 1, 1);
-    for (int ni = 0; ni < in_n_; ++ni)
-        for (int f = 0; f < out_f_; ++f)
-            y.at(ni, f, 0, 0) = out(ni, f) + bias_[f];
-    return y;
+    return convForward(x, {in_n_, in_f_, 1, 1, 1, 1, 0}, weight_, bias_,
+                       cfg);
 }
 
 Tensor
@@ -255,7 +352,7 @@ Linear::backward(const Tensor &grad_out)
                 continue;
             for (int f = 0; f < in_f_; ++f) {
                 grad_w_[std::size_t(f) * out_f_ + o] += gv * xin[f];
-                gx[f] += gv * weight_[std::size_t(f) * out_f_ + o];
+                gx[f] += gv * weight_(f, o);
             }
         }
     }
@@ -265,14 +362,14 @@ Linear::backward(const Tensor &grad_out)
 void
 Linear::step(float lr, float momentum)
 {
-    sgdStep(weight_, grad_w_, vel_w_, lr, momentum);
+    sgdStep(weight_.data(), grad_w_, vel_w_, lr, momentum);
     sgdStep(bias_, grad_b_, vel_b_, lr, momentum);
 }
 
 std::vector<std::vector<float> *>
 Linear::paramBlobs()
 {
-    return {&weight_, &bias_};
+    return {&weight_.data(), &bias_};
 }
 
 // --- ReLU / MaxPool ---------------------------------------------------------
@@ -281,9 +378,9 @@ Tensor
 ReLU::forward(const Tensor &x, const NumericConfig &)
 {
     input_ = x;
-    Tensor y = x;
-    for (auto &v : y.raw())
-        v = std::max(v, 0.0f);
+    Tensor y(x.n(), x.c(), x.h(), x.w());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        y.data()[i] = relu(x.data()[i]);
     return y;
 }
 
@@ -300,39 +397,42 @@ ReLU::backward(const Tensor &grad_out)
 Tensor
 MaxPool2d::forward(const Tensor &x, const NumericConfig &)
 {
-    input_ = x;
-    out_h_ = x.h() / 2;
-    out_w_ = x.w() / 2;
-    Tensor y(x.n(), x.c(), out_h_, out_w_);
-    argmax_.assign(y.size(), 0);
+    in_n_ = x.n();
+    in_c_ = x.c();
+    in_h_ = x.h();
+    in_w_ = x.w();
+    const int out_h = x.h() / 2, out_w = x.w() / 2;
+    Tensor y(x.n(), x.c(), out_h, out_w);
+    argmax_.resize(y.size());
+    // Window taps in (dh, dw) order; the first strict max wins. The
+    // update is a bitwise select, so no branch depends on the data.
+    const u32 taps[4] = {0, 1, u32(x.w()), u32(x.w()) + 1};
+    const float *src = x.data();
     std::size_t oi = 0;
-    for (int ni = 0; ni < x.n(); ++ni)
-        for (int ci = 0; ci < x.c(); ++ci)
-            for (int oh = 0; oh < out_h_; ++oh)
-                for (int ow = 0; ow < out_w_; ++ow, ++oi) {
-                    float best = -1e30f;
-                    u32 best_idx = 0;
-                    for (int dh = 0; dh < 2; ++dh)
-                        for (int dw = 0; dw < 2; ++dw) {
-                            const int ih = oh * 2 + dh, iw = ow * 2 + dw;
-                            const float v = x.at(ni, ci, ih, iw);
-                            if (v > best) {
-                                best = v;
-                                best_idx = u32(
-                                    ((std::size_t(ni) * x.c() + ci) *
-                                         x.h() + ih) * x.w() + iw);
-                            }
-                        }
-                    y.at(ni, ci, oh, ow) = best;
-                    argmax_[oi] = best_idx;
+    for (int plane = 0; plane < x.n() * x.c(); ++plane)
+        for (int oh = 0; oh < out_h; ++oh)
+            for (int ow = 0; ow < out_w; ++ow, ++oi) {
+                const u32 corner = u32(
+                    (std::size_t(plane) * x.h() + oh * 2) * x.w() + ow * 2);
+                u32 best = std::bit_cast<u32>(-1e30f);
+                u32 best_idx = 0;
+                for (const u32 tap : taps) {
+                    const u32 idx = corner + tap;
+                    const float v = src[idx];
+                    const u32 take = -u32(v > std::bit_cast<float>(best));
+                    best = (std::bit_cast<u32>(v) & take) | (best & ~take);
+                    best_idx = (idx & take) | (best_idx & ~take);
                 }
+                y.data()[oi] = std::bit_cast<float>(best);
+                argmax_[oi] = best_idx;
+            }
     return y;
 }
 
 Tensor
 MaxPool2d::backward(const Tensor &grad_out)
 {
-    Tensor g(input_.n(), input_.c(), input_.h(), input_.w());
+    Tensor g(in_n_, in_c_, in_h_, in_w_);
     for (std::size_t i = 0; i < grad_out.size(); ++i)
         g.raw()[argmax_[i]] += grad_out.raw()[i];
     return g;
@@ -426,7 +526,7 @@ ResidualBlock::forward(const Tensor &x, const NumericConfig &cfg)
         sum_.raw()[i] += shortcut.raw()[i];
     Tensor y = sum_;
     for (auto &v : y.raw())
-        v = std::max(v, 0.0f);
+        v = relu(v);
     return y;
 }
 

@@ -43,7 +43,14 @@ class Layer
     virtual std::string name() const = 0;
 };
 
-/** 2-D convolution via im2col + gemmWithMode. */
+/**
+ * 2-D convolution as an im2col GEMM. Under a quantized mode the input
+ * tensor is quantized once, with the scale of the largest |x| some
+ * window reads, and im2col gathers its i32 codes into gemmCodes()
+ * (DESIGN.md §19); FP32 gathers floats into gemmFp32(). Backward is
+ * float whatever the forward mode was: it rebuilds the float im2col
+ * from the cached input.
+ */
 class Conv2d : public Layer
 {
   public:
@@ -58,18 +65,19 @@ class Conv2d : public Layer
 
     i64 macsPerSample(int in_h, int in_w) const;
 
+    int kernel() const { return kernel_; }
+    int stride() const { return stride_; }
+    int pad() const { return pad_; }
+
   private:
     int in_ch_, out_ch_, kernel_, stride_, pad_;
-    std::vector<float> weight_; // (K = in_ch*k*k) x out_ch, row-major
+    MatF weight_; // (K = in_ch*k*k) x out_ch
     std::vector<float> bias_;
     std::vector<float> grad_w_, grad_b_, vel_w_, vel_b_;
-    // Cached forward state.
-    Tensor input_;
-    MatF cols_;
-    int out_h_ = 0, out_w_ = 0;
+    Tensor input_; // cached forward input
 };
 
-/** Fully-connected layer (flattens its input). */
+/** Fully-connected layer: a 1x1 convolution over (n, in_features, 1, 1). */
 class Linear : public Layer
 {
   public:
@@ -83,7 +91,7 @@ class Linear : public Layer
 
   private:
     int in_f_, out_f_;
-    std::vector<float> weight_; // in_f x out_f
+    MatF weight_; // in_f x out_f
     std::vector<float> bias_;
     std::vector<float> grad_w_, grad_b_, vel_w_, vel_b_;
     Tensor input_;
@@ -111,9 +119,8 @@ class MaxPool2d : public Layer
     std::string name() const override { return "maxpool"; }
 
   private:
-    Tensor input_;
-    std::vector<u32> argmax_;
-    int out_h_ = 0, out_w_ = 0;
+    std::vector<u32> argmax_; // flat input index of each output's max
+    int in_n_ = 0, in_c_ = 0, in_h_ = 0, in_w_ = 0;
 };
 
 /** Layer pipeline. */
@@ -131,6 +138,9 @@ class Sequential : public Layer
     std::string name() const override { return "sequential"; }
 
     std::size_t layerCount() const { return layers_.size(); }
+
+    /** Sublayer i, in network order. */
+    Layer &layer(std::size_t i) { return *layers_[i]; }
 
     /**
      * Mixed-precision forward: sublayer i runs under configs[i]. This
