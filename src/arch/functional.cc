@@ -11,6 +11,7 @@
 
 #include "common/executor.h"
 #include "common/fixed_point.h"
+#include "common/simd.h"
 #include "arch/pe.h"
 #include "mem/dram_faults.h"
 
@@ -90,14 +91,51 @@ rowGrain(int k_dim, int n_dim)
     return std::max<u64>(1, 4096 / macs_per_row);
 }
 
-/** Bytes one k-block of the table kernel may stage at worst (its slot
- *  maps plus one weight-side row per distinct activation), so that the
- *  block stays cache-resident while every output row sweeps it. */
+/** Bytes one k-block of the table kernel may stage at worst (its code
+ *  maps, gather indices and one weight-side row per distinct activation),
+ *  so that the block stays cache-resident while every output row sweeps
+ *  it. A 1 MiB budget measured no faster and raised peak RSS. */
 constexpr std::size_t kBlockBudgetBytes = 256 * 1024;
 
-/** Slot-map sentinels: a code adds nothing, or has not been staged. */
-constexpr u32 kSkip = ~u32(0) - 1;
+/** Code-map sentinels: a code not staged for this k yet, and one that
+ *  adds nothing. Staged codes map to (slot << 1 | negative). */
 constexpr u32 kUnseen = ~u32(0);
+constexpr u32 kSkip = ~u32(0) - 1;
+
+/** Columns of the UG polarity-0 gather staged on the stack at a time. */
+constexpr int kGatherTile = 256;
+
+/**
+ * dst[j] = -dst[j] where the weight w[j] is negative, for j in [0, n).
+ * Fixed eight-lane groups let the compiler vectorize the body at -O2.
+ */
+inline void
+signByWeight(i32 *__restrict dst, const i32 *__restrict w, std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (std::size_t l = 0; l < 8; ++l) {
+            const i32 neg = w[j + l] >> 31;
+            dst[j + l] = (dst[j + l] ^ neg) - neg;
+        }
+    for (; j < n; ++j) {
+        const i32 neg = w[j] >> 31;
+        dst[j] = (dst[j] ^ neg) - neg;
+    }
+}
+
+/** dst[j] += bias - p0[j] for j in [0, n), in eight-lane groups. */
+inline void
+subtractBiased(i32 *__restrict dst, const i32 *__restrict p0, i32 bias,
+               std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (std::size_t l = 0; l < 8; ++l)
+            dst[j + l] += bias - p0[j + l];
+    for (; j < n; ++j)
+        dst[j] += bias - p0[j];
+}
 
 [[noreturn, gnu::cold]] void
 codeOutsideTable(const char *operand, i32 code, int bits)
@@ -105,30 +143,6 @@ codeOutsideTable(const char *operand, i32 code, int bits)
     fatal(std::string("GemmExecutor: ") + operand + " code " +
           std::to_string(code) + " outside the " + std::to_string(bits) +
           "-bit product table");
-}
-
-/**
- * acc[j] += row[j], or acc[j] -= row[j] when `negate`, for j in [0, n).
- * Fixed eight-lane groups let the compiler vectorize the body at -O2.
- */
-inline void
-addRow(i32 *__restrict acc, const i32 *__restrict row, std::size_t n,
-       bool negate)
-{
-    std::size_t j = 0;
-    if (negate) {
-        for (; j + 8 <= n; j += 8)
-            for (std::size_t l = 0; l < 8; ++l)
-                acc[j + l] -= row[j + l];
-        for (; j < n; ++j)
-            acc[j] -= row[j];
-    } else {
-        for (; j + 8 <= n; j += 8)
-            for (std::size_t l = 0; l < 8; ++l)
-                acc[j + l] += row[j + l];
-        for (; j < n; ++j)
-            acc[j] += row[j];
-    }
 }
 
 } // namespace
@@ -198,7 +212,10 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
         cfg_.scheme == Scheme::TubGemm ||
         cfg_.scheme == Scheme::TuGemm) {
         // Exact-product schemes: a plain integer GEMM (referenceGemm
-        // already zero-skips per element and runs row-parallel).
+        // already zero-skips per element and runs row-parallel). An
+        // empty operand has no row for it to point into.
+        if (k_dim == 0 || n_dim == 0)
+            return out;
         return referenceGemm(a, b);
     }
 
@@ -215,41 +232,24 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     if (m_rows == 0 || k_dim == 0 || n_dim == 0)
         return out;
 
-    // An activation stages as (table row << 1 | negative). UR/UT rows
-    // are the delivered ones-count (the rate stream's prefix count under
+    // An activation stages as a table row and a sign. UR/UT rows are
+    // the delivered ones-count (the rate stream's prefix count under
     // early termination); row 0 adds nothing, so it is skipped. UG rows
     // are the offset code a + 2^(N-1) and carry no sign; a zero
     // activation still adds the bipolar bias, so nothing is skipped.
     const bool rate = cfg_.scheme == Scheme::USystolicRate;
     const u32 cycles = cfg_.mulCycles();
+    const bool truncated = rate && cycles < unary_->period();
     const int shift =
         (rate && cfg_.et_bits > 0) ? cfg_.bits - cfg_.et_bits : 0;
-    const auto stageCode = [&](i32 code) {
+    const auto rowOf = [&](i32 code) {
         if (ug)
-            return u32(code + lim) << 1;
-        const SignMag sa = toSignMag(code);
-        const u32 ones = (rate && cycles < unary_->period())
-                             ? unary_->rateOnes(sa.magnitude, cycles)
-                             : sa.magnitude;
-        return ones == 0 ? kSkip : (ones << 1 | u32(sa.negative));
+            return u32(code + lim);
+        const u32 mag = u32(code < 0 ? -code : code);
+        return truncated ? unary_->rateOnes(mag, cycles) : mag;
     };
-
-    // Weight-side row of k for a positive activation on table row `row`:
-    // the scheme's exact signed product with every b(k, n).
-    const auto fillRow = [&](u32 row, int k, i32 *dst) {
-        if (ug) {
-            const i32 x = i32(row) - lim;
-            for (int n = 0; n < n_dim; ++n)
-                dst[n] = bipolar_->scaledProduct(x, b(k, n));
-            return;
-        }
-        for (int n = 0; n < n_dim; ++n) {
-            const SignMag sb = toSignMag(b(k, n));
-            const i32 count =
-                i32(unary_->countAfterOnes(row, sb.magnitude)) << shift;
-            dst[n] = sb.negative ? -count : count;
-        }
-    };
+    // The largest row a code can stage (rateOnes grows with |a|).
+    const u32 max_row = rowOf(lim);
 
     // Every entry is bounded by 2^(N-1) in magnitude: a UR/UT count
     // never exceeds the ones delivered (at most 2^(et-1) before the
@@ -257,102 +257,143 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     // in [0, 2^N] around its 2^(N-1) bias. A block of at most
     // INT32_MAX / 2^(N-1) k values therefore sums in i32 without
     // overflow. Within that bound, the block is sized so its worst-case
-    // staging (slot maps plus one row per distinct activation) fits the
-    // cache budget.
+    // staging fits the cache budget: per k, its code map, a gather-index
+    // row, and a weight-side row per distinct table row. A k takes at
+    // least 16 bytes (a code map of 3 codes, one index), so the budget
+    // caps a block at 16384 k values, below the INT32_MAX / 2^(N-1)
+    // >= 2^19 - 1 of every table bitwidth (N <= 13): the byte budget is
+    // what binds, and the clamp only backs it up.
+    const std::size_t n = std::size_t(n_dim);
     const std::size_t codes = 2 * std::size_t(lim) + 1;
-    const std::size_t table_rows = ug ? codes : std::size_t(lim) + 1;
     const std::size_t worst_rows =
-        std::min(table_rows, std::size_t(m_rows));
+        std::min<std::size_t>(max_row + 1, std::size_t(m_rows));
     const std::size_t bytes_per_k =
-        (codes + table_rows + worst_rows * std::size_t(n_dim)) *
-        sizeof(u32);
+        (codes + n) * sizeof(u32) + worst_rows * n * sizeof(i32);
     const std::size_t max_block_k =
         std::min(std::size_t(k_dim),
                  std::size_t(std::numeric_limits<i32>::max() / lim));
     const int block_k = int(std::clamp<std::size_t>(
         kBlockBudgetBytes / bytes_per_k, 1, max_block_k));
 
-    // Per block: code_slot[kl][code] holds a code's staged slot
-    // (j << 1 | negative) or kSkip, row_slot[kl][row] shares slot j among
-    // the codes on one table row, and row j's entries sit at rows[j * N].
+    // Per block: code_slot[kl * codes + code + 2^(N-1)] holds the code's
+    // slot (j << 1 | negative) or kSkip, row_slot shares slot j among the
+    // codes of one k on one table row, and slot j's weight-side row sits
+    // at rows[j * N]. Both maps hold kUnseen outside the k being staged.
     std::vector<u32> code_slot(std::size_t(block_k) * codes, kUnseen);
-    std::vector<u32> row_slot(std::size_t(block_k) * table_rows, kUnseen);
+    std::vector<u32> row_slot(std::size_t(max_row) + 1, kUnseen);
     std::vector<std::size_t> seen;         // code_slot entries set
     std::vector<std::pair<int, u32>> used; // (kl, row) of slot j
+    std::vector<u32> b_idx; // gather indices of the block's weights
     std::vector<i32> rows;
+    const SimdKernels &simd = simdKernels();
     for (int k0 = 0; k0 < k_dim; k0 += block_k) {
         const int kb = std::min(block_k, k_dim - k0);
-        for (int m = 0; m < m_rows; ++m) {
-            const i32 *arow = &a(m, k0);
-            for (int kl = 0; kl < kb; ++kl) {
-                const i32 code = arow[kl];
+        // Stage one k at a time: each code of column k gets its slot in
+        // the k's code map, and codes sharing a table row (+-a, or
+        // several codes under early termination) share one.
+        used.clear();
+        for (int kl = 0; kl < kb; ++kl) {
+            const std::size_t first = used.size();
+            const std::size_t map = std::size_t(kl) * codes;
+            for (int m = 0; m < m_rows; ++m) {
+                const i32 code = a(m, k0 + kl);
                 if (code < -lim || code > lim) [[unlikely]]
                     codeOutsideTable("activation", code, cfg_.bits);
-                const std::size_t ci =
-                    std::size_t(kl) * codes + std::size_t(code + lim);
+                const std::size_t ci = map + std::size_t(code + lim);
                 if (code_slot[ci] != kUnseen)
                     continue;
                 seen.push_back(ci);
-                const u32 s = stageCode(code);
-                if (s == kSkip) {
+                const u32 row = rowOf(code);
+                if (row == 0 && !ug) {
                     code_slot[ci] = kSkip;
                     continue;
                 }
-                u32 &j = row_slot[std::size_t(kl) * table_rows + (s >> 1)];
+                u32 &j = row_slot[row];
                 if (j == kUnseen) {
                     j = u32(used.size());
-                    used.emplace_back(kl, s >> 1);
+                    used.emplace_back(kl, row);
                 }
-                code_slot[ci] = j << 1 | (s & 1);
+                code_slot[ci] = j << 1 | u32(!ug && code < 0);
             }
+            for (std::size_t j = first; j < used.size(); ++j)
+                row_slot[used[j].second] = kUnseen;
         }
-        rows.resize(used.size() * std::size_t(n_dim));
+
+        // Gather indices of the block's weights: |b| for UR/UT (the sign
+        // is applied after the gather, from b itself), the offset code
+        // b + 2^(N-1) for UG.
+        b_idx.resize(std::size_t(kb) * n);
+        const i32 *bw = &b(k0, 0);
+        for (std::size_t i = 0; i < b_idx.size(); ++i)
+            b_idx[i] = ug ? u32(bw[i] + lim)
+                          : u32(bw[i] < 0 ? -bw[i] : bw[i]);
+
+        // Weight-side row of k for a positive activation on table row
+        // `row`: the scheme's signed product with every b(k, n), before
+        // the early-termination shift-back, from gathered table entries.
+        rows.resize(used.size() * n);
         parallelFor(
             0, used.size(),
-            [&](u64 j) {
-                fillRow(used[j].second, k0 + used[j].first,
-                        &rows[j * std::size_t(n_dim)]);
+            [&, k0](u64 j) {
+                const auto [kl, row] = used[j];
+                const u32 *idx = &b_idx[std::size_t(kl) * n];
+                i32 *dst = &rows[j * n];
+                if (!ug) {
+                    simd.gatherU16(dst, unary_->countsAfterOnes(row), idx,
+                                   n_dim);
+                    signByWeight(dst, &b(k0 + kl, 0), n);
+                    return;
+                }
+                // UG: p1 + zeros - p0 - 2^(N-1) for the input's `row`
+                // ones and `zeros` zeros per period.
+                const u32 zeros = bipolar_->period() - row;
+                const i32 bias = i32(zeros) - lim;
+                simd.gatherU16(dst, bipolar_->hitsAfterOnes(row), idx,
+                               n_dim);
+                i32 p0[kGatherTile];
+                for (int c0 = 0; c0 < n_dim; c0 += kGatherTile) {
+                    const int w = std::min(kGatherTile, n_dim - c0);
+                    simd.gatherU16(p0, bipolar_->hitsAfterZeros(zeros),
+                                   idx + c0, w);
+                    subtractBiased(dst + c0, p0, bias, std::size_t(w));
+                }
             },
             std::max<u64>(1, 4096 / u64(n_dim)));
 
-        // Each output row sums its selected weight-side rows in i32 and
-        // spills into the i64 output once per block.
+        // Each output row lists the slots its activations selected (a
+        // code that adds nothing drops out) and sums those rows in i32
+        // registers, spilled into the i64 output once per block.
         const u64 grain = rowGrain(kb, n_dim);
         parallelFor(
             0, (u64(m_rows) + grain - 1) / grain,
             [&, kb, k0](u64 chunk) {
-                const std::size_t n = std::size_t(n_dim);
-                const std::ptrdiff_t slot_stride = std::ptrdiff_t(codes);
+                const std::ptrdiff_t stride = std::ptrdiff_t(codes);
                 const u32 *slot_of = code_slot.data() + lim;
-                const i32 *block_rows = rows.data();
-                std::vector<i32> acc(n, 0);
+                std::vector<u32> list(std::size_t(kb), 0);
                 const int m_end =
                     int(std::min(u64(m_rows), (chunk + 1) * grain));
                 for (int m = int(chunk * grain); m < m_end; ++m) {
                     const i32 *arow = &a(m, k0);
+                    int count = 0;
                     for (int kl = 0; kl < kb; ++kl) {
-                        const u32 cs =
-                            slot_of[kl * slot_stride + arow[kl]];
-                        if (cs == kSkip)
-                            continue;
-                        addRow(acc.data(), block_rows + (cs >> 1) * n, n,
-                               cs & 1);
+                        const u32 cs = slot_of[kl * stride + arow[kl]];
+                        list[std::size_t(count)] = cs;
+                        count += int(cs != kSkip);
                     }
-                    i64 *orow = &out(m, 0);
-                    for (std::size_t c = 0; c < n; ++c) {
-                        orow[c] += acc[c];
-                        acc[c] = 0;
-                    }
+                    simd.sumRowsI32(&out(m, 0), rows.data(), list.data(),
+                                    count, n_dim);
                 }
             });
 
         for (const std::size_t ci : seen)
             code_slot[ci] = kUnseen;
-        for (const auto &[kl, row] : used)
-            row_slot[std::size_t(kl) * table_rows + row] = kUnseen;
         seen.clear();
-        used.clear();
     }
+    // Rows hold counts before the early-termination shift-back, which
+    // distributes over the sums.
+    if (shift > 0)
+        for (i64 &v : out.data())
+            v *= i64(1) << shift;
     return out;
 }
 

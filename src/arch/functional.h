@@ -10,16 +10,21 @@
  *
  * The table schemes (UR, UT, UG) share one weight-staged kernel. Each
  * activation stages once as a table row and a sign: the delivered
- * ones-count for UR/UT (a zero row adds nothing and is skipped), the
- * offset code a + 2^(N-1) for UG (never skipped: a zero activation
+ * ones-count for UR/UT (a zero row adds nothing and is dropped), the
+ * offset code a + 2^(N-1) for UG (never dropped: a zero activation
  * still adds the bipolar bias). Per block of k, only the weight-side
  * rows T_k[row][0..N) some activation uses are built, each entry the
- * scheme's exact product of the row with b(k, n). An output row is then
- * a sum of whole selected rows in an i32 accumulator, spilled into the
- * i64 output once per block; every entry is at most 2^(N-1) in
- * magnitude, so a block of at most INT32_MAX / 2^(N-1) k values cannot
- * overflow. singleProduct() is the per-MAC referee the tests hold the
- * kernel to. A code outside the tables' [-2^(N-1), 2^(N-1)] is fatal.
+ * scheme's product of the row with b(k, n) before the early-termination
+ * shift-back (applied to the output once): gathered from the shared
+ * product tables (SimdKernels::gatherU16), then signed (UR/UT) or
+ * combined (UG) element-wise. An output row is then a signed sum of whole
+ * selected rows (SimdKernels::sumRowsI32), held in i32 registers and
+ * spilled into the i64 output once per block; every entry is at most
+ * 2^(N-1) in magnitude, so a block of at most INT32_MAX / 2^(N-1) k
+ * values cannot overflow, and the block's 256 KiB staging budget binds
+ * long before that. singleProduct() is the per-MAC referee the tests
+ * hold the kernel to. A code outside the tables' [-2^(N-1), 2^(N-1)]
+ * is fatal.
  */
 
 #ifndef USYS_ARCH_FUNCTIONAL_H

@@ -3,33 +3,46 @@
  * Runtime-dispatched SIMD kernels behind the packed unary engines.
  *
  * Faulted unary streams (DESIGN.md §10) are generated and counted one
- * 64-bit word at a time, and the exact-scheme folds are integer GEMM
- * rows; on AVX2 hosts the same work runs 4-16 words per instruction.
- * This layer exposes the handful of data-parallel inner loops as a
- * function-pointer table with two implementations:
+ * 64-bit word at a time, the exact-scheme folds are integer GEMM rows,
+ * and the functional table kernel (DESIGN.md §17) gathers product-table
+ * rows and sums them; on AVX2 hosts the same work runs 4-16 words per
+ * instruction. This layer exposes the handful of data-parallel inner
+ * loops as a function-pointer table:
+ *
+ *   popcountWords       bulk popcount of packed stream words
+ *   thresholdPackWords  value < threshold comparisons packed into words
+ *   axpyF32             fp32 GEMM row (one multiply, one add per element)
+ *   gemmRowI32          widening integer GEMM row
+ *   gatherU16           product-table row gather, u16 -> i32
+ *   sumRowsI32          signed sum of selected i32 rows, spilled to i64
+ *
+ * in four implementations:
  *
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
  *   avx2     Harley-Seal / vpshufb-nibble-LUT popcounts, vectorized
- *            threshold packing and GEMM rows; compiled in its own
+ *            threshold packing and GEMM rows, vpgatherdd row gathers
+ *            and register-tiled row sums; compiled in its own
  *            translation unit with -mavx2 so the rest of the binary
  *            stays runnable on machines without AVX2
  *   avx512   VPOPCNTDQ bulk/prefix popcounts, mask-register threshold
  *            packing, 16-lane fp32 and 8-lane widening integer GEMM
- *            rows; own translation unit with -mavx512{f,bw,vpopcntdq},
+ *            rows, 16-lane gathers and 64-column register-tiled row
+ *            sums; own translation unit with -mavx512{f,bw,vpopcntdq},
  *            runtime CPUID-gated like the AVX2 tier
  *   neon     AArch64 ASIMD: cnt/addv popcounts, compare+mask threshold
- *            packing, vmull_s32 widening integer GEMM rows; own
- *            translation unit, available whenever the build targeted
- *            arm64 (ASIMD is architecturally mandatory there)
+ *            packing, vmull_s32 widening integer GEMM rows (the
+ *            gather and row-sum slots point at the generic kernels);
+ *            own translation unit, available whenever the build
+ *            targeted arm64 (ASIMD is architecturally mandatory there)
  *
  * Every kernel is BIT-EXACT against its generic counterpart — integer
  * kernels trivially, the fp32 kernel because both sides perform exactly
  * one multiply and one add per element in element order (the kernel
  * translation units are built with -ffp-contract=off so no path is
  * ever contracted into an FMA). Selection happens once at startup:
- * CPUID picks the best table, overridable with USYS_SIMD=auto|avx2|
- * generic or the --simd flag (see DESIGN.md §11).
+ * CPUID picks the best table, overridable with USYS_SIMD=auto|avx512|
+ * avx2|neon|generic or the --simd flag (see DESIGN.md §11).
  */
 
 #ifndef USYS_COMMON_SIMD_H
@@ -93,6 +106,24 @@ struct SimdKernels
      * i32 range of both operands.
      */
     void (*gemmRowI32)(i64 *c, const i32 *b, i32 a, int n);
+
+    /**
+     * Product-table row gather: dst[j] = row[idx[j]] for j in [0, n),
+     * the u16 entry widened to i32. The vector tiers load 32 bits at
+     * &row[idx[j]], so the u16 after the largest indexed entry must be
+     * readable (the product models pad their tables by one u16).
+     */
+    void (*gatherU16)(i32 *dst, const u16 *row, const u32 *idx, int n);
+
+    /**
+     * Signed sum of selected rows: out[j] += sum over i in [0, count)
+     * of +-rows[(slots[i] >> 1) * n + j] for j in [0, n), negated when
+     * bit 0 of slots[i] is set. The rows are summed in i32 and spilled
+     * into out once, so the caller guarantees every column's sum fits
+     * in i32. With count 0, rows and slots may be null.
+     */
+    void (*sumRowsI32)(i64 *out, const i32 *rows, const u32 *slots,
+                       int count, int n);
 };
 
 /** The portable fallback table (always available). */
@@ -144,6 +175,10 @@ SimdLevel simdLevel();
 void setSimdMode(const std::string &mode);
 
 namespace detail {
+/** Generic kernels the NEON table shares (defined in simd.cc). */
+void gatherU16Generic(i32 *dst, const u16 *row, const u32 *idx, int n);
+void sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots,
+                       int count, int n);
 /** Defined in simd_avx2.cc; null when built without AVX2 support. */
 const SimdKernels *avx2KernelsImpl();
 /** Defined in simd_avx512.cc; null when built without AVX-512. */

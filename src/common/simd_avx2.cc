@@ -190,9 +190,106 @@ gemmRowI32Avx2(i64 *c, const i32 *b, i32 a, int n)
         c[j] += i64(a) * i64(b[j]);
 }
 
+void
+gatherU16Avx2(i32 *dst, const u16 *row, const u32 *idx, int n)
+{
+    // A 32-bit gather at scale 2 reads row[idx] and the u16 after it
+    // (the caller keeps that one readable); the mask keeps the entry.
+    const __m256i low16 = _mm256_set1_epi32(0xffff);
+    const int *base = reinterpret_cast<const int *>(row);
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256i vi = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(idx + j));
+        const __m256i g = _mm256_i32gather_epi32(base, vi, 2);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
+                            _mm256_and_si256(g, low16));
+    }
+    for (; j < n; ++j)
+        dst[j] = i32(row[idx[j]]);
+}
+
+/**
+ * One register tile of sumRowsI32: V vectors of 8 columns held in ymm
+ * accumulators across every selected row, the last vector loaded under
+ * `last` (lanes with the sign bit set). A negated row adds v ^ -1 ==
+ * -v - 1, and the count of negated rows is added back before the spill.
+ */
+template <int V>
+inline void
+sumTileAvx2(i64 *out, const i32 *rows, const u32 *slots, int count,
+            std::size_t stride, __m256i last, int width)
+{
+    __m256i acc[V];
+    for (int v = 0; v < V; ++v)
+        acc[v] = _mm256_setzero_si256();
+    u32 negated = 0;
+    for (int i = 0; i < count; ++i) {
+        const u32 s = slots[i];
+        const __m256i mask = _mm256_set1_epi32(-i32(s & 1));
+        negated += s & 1;
+        const i32 *row = rows + std::size_t(s >> 1) * stride;
+        for (int v = 0; v + 1 < V; ++v)
+            acc[v] = _mm256_add_epi32(
+                acc[v], _mm256_xor_si256(
+                            _mm256_loadu_si256(
+                                reinterpret_cast<const __m256i *>(row + 8 * v)),
+                            mask));
+        acc[V - 1] = _mm256_add_epi32(
+            acc[V - 1],
+            _mm256_xor_si256(_mm256_maskload_epi32(row + 8 * (V - 1), last),
+                             mask));
+    }
+    alignas(32) i32 sums[8 * V];
+    const __m256i bias = _mm256_set1_epi32(i32(negated));
+    for (int v = 0; v < V; ++v)
+        _mm256_store_si256(reinterpret_cast<__m256i *>(sums + 8 * v),
+                           _mm256_add_epi32(acc[v], bias));
+    for (int j = 0; j < width; ++j)
+        out[j] += sums[j];
+}
+
+void
+sumRowsI32Avx2(i64 *out, const i32 *rows, const u32 *slots, int count,
+               int n)
+{
+    // No rows adds nothing (and `rows` may then be null).
+    if (count == 0)
+        return;
+    // Tiles of 32 columns (four ymm) sweep every row once; the last
+    // tile narrows to the vectors it needs and masks its final one.
+    const std::size_t stride = std::size_t(n);
+    const __m256i all = _mm256_set1_epi32(-1);
+    int j = 0;
+    for (; j + 32 <= n; j += 32)
+        sumTileAvx2<4>(out + j, rows + j, slots, count, stride, all, 32);
+    const int rest = n - j;
+    if (rest == 0)
+        return;
+    const int vecs = (rest + 7) / 8;
+    const __m256i last = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(rest - 8 * (vecs - 1)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    switch (vecs) {
+      case 1:
+        sumTileAvx2<1>(out + j, rows + j, slots, count, stride, last, rest);
+        break;
+      case 2:
+        sumTileAvx2<2>(out + j, rows + j, slots, count, stride, last, rest);
+        break;
+      case 3:
+        sumTileAvx2<3>(out + j, rows + j, slots, count, stride, last, rest);
+        break;
+      default:
+        sumTileAvx2<4>(out + j, rows + j, slots, count, stride, last, rest);
+        break;
+    }
+}
+
 const SimdKernels kAvx2 = {
     SimdLevel::Avx2, popcountWordsAvx2, thresholdPackWordsAvx2,
-    axpyF32Avx2,     gemmRowI32Avx2,
+    axpyF32Avx2,     gemmRowI32Avx2,    gatherU16Avx2,
+    sumRowsI32Avx2,
 };
 
 } // namespace

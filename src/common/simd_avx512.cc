@@ -174,9 +174,118 @@ gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
         c[j] += i64(a) * i64(b[j]);
 }
 
+USYS_AVX512_NO_TSAN void
+gatherU16Avx512(i32 *dst, const u16 *row, const u32 *idx, int n)
+{
+    // A 32-bit gather at scale 2 reads row[idx] and the u16 after it
+    // (the caller keeps that one readable); the mask keeps the entry.
+    const __m512i low16 = _mm512_set1_epi32(0xffff);
+    const __m512i zero = _mm512_setzero_si512();
+    int j = 0;
+    for (; j + 16 <= n; j += 16) {
+        const __m512i vi = _mm512_loadu_si512(idx + j);
+        const __m512i g = _mm512_mask_i32gather_epi32(
+            zero, __mmask16(0xffff), vi, row, 2);
+        _mm512_storeu_si512(dst + j, _mm512_and_si512(g, low16));
+    }
+    if (j < n) {
+        const __mmask16 m = __mmask16((1u << (n - j)) - 1);
+        const __m512i vi = _mm512_maskz_loadu_epi32(m, idx + j);
+        const __m512i g =
+            _mm512_mask_i32gather_epi32(zero, m, vi, row, 2);
+        _mm512_mask_storeu_epi32(dst + j, m, _mm512_and_si512(g, low16));
+    }
+}
+
+/**
+ * One register tile of sumRowsI32: V vectors of 16 columns held in
+ * zmm accumulators across every selected row, the last vector loaded
+ * under `last`. A negated row adds v ^ -1 == -v - 1, and the count of
+ * negated rows is added back once before the spill into i64.
+ */
+template <int V>
+USYS_AVX512_NO_TSAN inline void
+sumTileAvx512(i64 *out, const i32 *rows, const u32 *slots, int count,
+              std::size_t stride, __mmask16 last)
+{
+    __m512i acc[V];
+    for (int v = 0; v < V; ++v)
+        acc[v] = _mm512_setzero_si512();
+    u32 negated = 0;
+    for (int i = 0; i < count; ++i) {
+        const u32 s = slots[i];
+        const __m512i mask = _mm512_set1_epi32(-i32(s & 1));
+        negated += s & 1;
+        const i32 *row = rows + std::size_t(s >> 1) * stride;
+        for (int v = 0; v + 1 < V; ++v)
+            acc[v] = _mm512_add_epi32(
+                acc[v],
+                _mm512_xor_si512(_mm512_loadu_si512(row + 16 * v), mask));
+        acc[V - 1] = _mm512_add_epi32(
+            acc[V - 1],
+            _mm512_xor_si512(
+                _mm512_maskz_loadu_epi32(last, row + 16 * (V - 1)), mask));
+    }
+    const __m512i bias = _mm512_set1_epi32(i32(negated));
+    for (int v = 0; v < V; ++v) {
+        const __m512i sum = _mm512_add_epi32(acc[v], bias);
+        const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+        const __mmask8 mlo = __mmask8(m);
+        const __mmask8 mhi = __mmask8(m >> 8);
+        i64 *o = out + 16 * v;
+        // The zero-masked forms widen the same lanes as the plain ones
+        // without GCC's undefined-source false -Wmaybe-uninitialized.
+        const __m512i lo = _mm512_maskz_cvtepi32_epi64(
+            0xff, _mm512_maskz_extracti64x4_epi64(0xf, sum, 0));
+        const __m512i hi = _mm512_maskz_cvtepi32_epi64(
+            0xff, _mm512_maskz_extracti64x4_epi64(0xf, sum, 1));
+        _mm512_mask_storeu_epi64(
+            o, mlo, _mm512_add_epi64(_mm512_maskz_loadu_epi64(mlo, o), lo));
+        _mm512_mask_storeu_epi64(
+            o + 8, mhi,
+            _mm512_add_epi64(_mm512_maskz_loadu_epi64(mhi, o + 8), hi));
+    }
+}
+
+USYS_AVX512_NO_TSAN void
+sumRowsI32Avx512(i64 *out, const i32 *rows, const u32 *slots, int count,
+                 int n)
+{
+    // No rows adds nothing (and `rows` may then be null).
+    if (count == 0)
+        return;
+    // Tiles of 64 columns (four zmm) sweep every row once; the last
+    // tile narrows to the vectors it needs and masks its final one.
+    const std::size_t stride = std::size_t(n);
+    int j = 0;
+    for (; j + 64 <= n; j += 64)
+        sumTileAvx512<4>(out + j, rows + j, slots, count, stride,
+                         __mmask16(0xffff));
+    const int rest = n - j;
+    if (rest == 0)
+        return;
+    const int vecs = (rest + 15) / 16;
+    const __mmask16 last = __mmask16(0xffffu >> (16 * vecs - rest));
+    switch (vecs) {
+      case 1:
+        sumTileAvx512<1>(out + j, rows + j, slots, count, stride, last);
+        break;
+      case 2:
+        sumTileAvx512<2>(out + j, rows + j, slots, count, stride, last);
+        break;
+      case 3:
+        sumTileAvx512<3>(out + j, rows + j, slots, count, stride, last);
+        break;
+      default:
+        sumTileAvx512<4>(out + j, rows + j, slots, count, stride, last);
+        break;
+    }
+}
+
 const SimdKernels kAvx512 = {
     SimdLevel::Avx512, popcountWordsAvx512, thresholdPackWordsAvx512,
-    axpyF32Avx512,     gemmRowI32Avx512,
+    axpyF32Avx512,     gemmRowI32Avx512,    gatherU16Avx512,
+    sumRowsI32Avx512,
 };
 
 } // namespace

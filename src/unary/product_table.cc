@@ -10,13 +10,15 @@ namespace {
 /**
  * Build the 2-D prefix-count table for a sequence S of length L:
  * table[m * (L+1) + w] = #{ j < m : S[j] < w } for m, w in [0, L].
+ * One zero u16 pads the end, so a 32-bit gather at the last entry of
+ * the last row stays inside the allocation (SimdKernels::gatherU16).
  */
 std::vector<u16>
 buildPrefixTable(const std::vector<u32> &seq)
 {
     const std::size_t len = seq.size();
     const std::size_t stride = len + 1;
-    std::vector<u16> table(stride * stride, 0);
+    std::vector<u16> table(stride * stride + 1, 0);
     for (std::size_t m = 1; m <= len; ++m) {
         const u32 sample = seq[m - 1];
         const u16 *prev = &table[(m - 1) * stride];

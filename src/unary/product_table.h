@@ -51,6 +51,7 @@ class UnaryProductModel
     /**
      * Row of countAfterOnes(ones, .), indexed by wabs in [0, period]:
      * lets a loop over many weights against one input hoist the row.
+     * One readable u16 follows every row, the last one included.
      */
     const u16 *
     countsAfterOnes(u32 ones) const
@@ -131,8 +132,26 @@ class BipolarProductModel
     u32
     countAfter(u32 ones, u32 zeros, u32 w_off) const
     {
-        return prefix_one_[std::size_t(ones) * stride_ + w_off] + zeros -
-               prefix_zero_[std::size_t(zeros) * stride_ + w_off];
+        return hitsAfterOnes(ones)[w_off] + zeros -
+               hitsAfterZeros(zeros)[w_off];
+    }
+
+    /**
+     * Rows of countAfter's two prefix terms, indexed by w_off in
+     * [0, period]: polarity-1 hits after `ones` input 1-bits, and
+     * polarity-0 hits after `zeros` input 0-bits. Like
+     * UnaryProductModel::countsAfterOnes, they let a loop over many
+     * weights hoist the rows; one readable u16 follows every row.
+     */
+    const u16 *
+    hitsAfterOnes(u32 ones) const
+    {
+        return &prefix_one_[std::size_t(ones) * stride_];
+    }
+    const u16 *
+    hitsAfterZeros(u32 zeros) const
+    {
+        return &prefix_zero_[std::size_t(zeros) * stride_];
     }
 
     /** Output 1-count over a full period for signed inputs x, w. */

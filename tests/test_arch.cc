@@ -9,6 +9,8 @@
  */
 
 #include <limits>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -541,12 +543,92 @@ sameAccumulations(const Matrix<i64> &got, const Matrix<i64> &want)
     return ::testing::AssertionSuccess();
 }
 
+/** Whether run() disagrees with the referee on (a, b). */
+bool
+mismatches(const GemmExecutor &exec, const Matrix<i32> &a,
+           const Matrix<i32> &b)
+{
+    return !sameAccumulations(exec.run(a, b), refereeGemm(exec, a, b));
+}
+
+/** The submatrix of `m` on the listed rows and columns. */
+Matrix<i32>
+pick(const Matrix<i32> &m, const std::vector<int> &rows,
+     const std::vector<int> &cols)
+{
+    Matrix<i32> out(int(rows.size()), int(cols.size()));
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        for (std::size_t c = 0; c < cols.size(); ++c)
+            out(int(r), int(c)) = m(rows[r], cols[c]);
+    return out;
+}
+
+/**
+ * Shrink a failing (a, b) while run() still disagrees with the referee:
+ * drop runs of output rows (M), of the shared dimension (K: a column of
+ * a with its row of b) and of output columns (N), halving the run length
+ * down to one, until no single drop keeps the failure. Returns the
+ * smallest failing shape and, when it is small, its operands.
+ */
+std::string
+shrinkFailure(const GemmExecutor &exec, const Matrix<i32> &a,
+              const Matrix<i32> &b)
+{
+    const auto indices = [](int n) {
+        std::vector<int> v(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i)
+            v[std::size_t(i)] = i;
+        return v;
+    };
+    std::vector<int> ms = indices(a.rows()), ks = indices(a.cols()),
+                     ns = indices(b.cols());
+    const auto fails = [&] {
+        return mismatches(exec, pick(a, ms, ks), pick(b, ks, ns));
+    };
+    for (bool shrunk = true; shrunk;) {
+        shrunk = false;
+        for (std::vector<int> *dim : {&ms, &ks, &ns}) {
+            for (std::size_t run = dim->size() / 2; run >= 1; run /= 2) {
+                for (std::size_t at = 0; at + run <= dim->size();) {
+                    const std::vector<int> kept = *dim;
+                    dim->erase(dim->begin() + std::ptrdiff_t(at),
+                               dim->begin() + std::ptrdiff_t(at + run));
+                    if (fails()) {
+                        shrunk = true;
+                    } else {
+                        *dim = kept;
+                        at += run;
+                    }
+                }
+            }
+        }
+    }
+    std::ostringstream os;
+    os << ms.size() << "x" << ks.size() << "x" << ns.size();
+    if (ms.size() * ks.size() + ks.size() * ns.size() <= 32) {
+        const auto dump = [&os](const Matrix<i32> &m) {
+            for (int r = 0; r < m.rows(); ++r) {
+                os << (r ? "; " : "");
+                for (int c = 0; c < m.cols(); ++c)
+                    os << (c ? " " : "") << m(r, c);
+            }
+        };
+        os << " a = [";
+        dump(pick(a, ms, ks));
+        os << "] b = [";
+        dump(pick(b, ks, ns));
+        os << "]";
+    }
+    return os.str();
+}
+
 /**
  * Randomized differential test: GemmExecutor::run against the sum of
  * singleProduct over UR (with and without early termination), UT and UG
  * at every bitwidth the tables support, on random shapes (N past 64
  * included), negative codes, zero-heavy and all-zero rows and columns,
- * at one and three threads. A failure names the seed that reproduces it.
+ * at one and three threads. A failure names the seed that reproduces it
+ * and the smallest M x K x N sub-problem that still fails.
  */
 TEST(Functional, TableKernelMatchesPerMacReferee)
 {
@@ -585,10 +667,14 @@ TEST(Functional, TableKernelMatchesPerMacReferee)
             const auto want = refereeGemm(exec, a, b);
             for (unsigned threads : {1u, 3u}) {
                 ThreadGuard guard(threads);
-                EXPECT_TRUE(sameAccumulations(exec.run(a, b), want))
-                    << "seed " << seed << ": " << kernel.name() << " "
-                    << m_rows << "x" << k_dim << "x" << n_dim << " at "
-                    << threads << " threads";
+                if (sameAccumulations(exec.run(a, b), want))
+                    continue;
+                ADD_FAILURE() << "seed " << seed << ": " << kernel.name()
+                              << " " << m_rows << "x" << k_dim << "x"
+                              << n_dim << " at " << threads
+                              << " threads disagrees with the referee; "
+                              << "smallest failing shape "
+                              << shrinkFailure(exec, a, b);
             }
         }
     }
@@ -598,7 +684,9 @@ TEST(Functional, TableKernelMatchesPerMacReferee)
  * Sums past INT32_MAX: the table kernel accumulates a block of k in i32
  * and spills into the i64 output, so a K whose full-scale products
  * overflow i32 must still match the referee exactly, at the widest
- * bitwidth of each table.
+ * bitwidth of each table. Two output rows of opposite sign and N = 17
+ * and 65 put every column past INT32_MAX or INT32_MIN, so every register
+ * tile of every tier spills, a masked tail tile included.
  */
 TEST(Functional, TableKernelSpillsPastInt32)
 {
@@ -608,18 +696,27 @@ TEST(Functional, TableKernelSpillsPastInt32)
         const i32 lim = i32(1) << (kernel.bits - 1);
         // Each full-scale product is +-2^(bits-1); K of them pass i32.
         const int k_dim = int(std::numeric_limits<i32>::max() / lim) + 3;
-        Matrix<i32> a(1, k_dim, lim);
-        Matrix<i32> b(k_dim, 2, lim);
+        Matrix<i32> a(2, k_dim, lim);
         for (int k = 0; k < k_dim; ++k)
-            b(k, 1) = -lim;
+            a(1, k) = -lim;
         const GemmExecutor exec(kernel);
-        const auto got = exec.run(a, b);
-        EXPECT_TRUE(sameAccumulations(got, refereeGemm(exec, a, b)))
-            << kernel.name();
-        EXPECT_GT(got(0, 0), i64(std::numeric_limits<i32>::max()))
-            << kernel.name();
-        EXPECT_LT(got(0, 1), i64(std::numeric_limits<i32>::min()))
-            << kernel.name();
+        for (const int n_dim : {17, 65}) {
+            Matrix<i32> b(k_dim, n_dim, lim);
+            for (int k = 0; k < k_dim; ++k)
+                for (int n = 1; n < n_dim; n += 2)
+                    b(k, n) = -lim;
+            const auto got = exec.run(a, b);
+            EXPECT_TRUE(sameAccumulations(got, refereeGemm(exec, a, b)))
+                << kernel.name() << " N=" << n_dim;
+            for (int m = 0; m < 2; ++m)
+                for (int n = 0; n < n_dim; ++n) {
+                    const i64 v = got(m, n);
+                    EXPECT_TRUE(v > i64(std::numeric_limits<i32>::max()) ||
+                                v < i64(std::numeric_limits<i32>::min()))
+                        << kernel.name() << " out(" << m << ", " << n
+                        << ") = " << v;
+                }
+        }
     }
 }
 

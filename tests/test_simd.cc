@@ -16,11 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/prng.h"
 #include "common/simd.h"
+#include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "dnn/backend.h"
 #include "fault/fault.h"
@@ -67,6 +70,11 @@ TEST(SimdDispatch, TablesConsistent)
     EXPECT_NE(active.thresholdPackWords, nullptr);
     EXPECT_NE(active.axpyF32, nullptr);
     EXPECT_NE(active.gemmRowI32, nullptr);
+    // The table-kernel slots are populated on every available tier.
+    for (const SimdKernels *k : tablesUnderTest()) {
+        EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
+        EXPECT_NE(k->sumRowsI32, nullptr) << simdLevelName(k->level);
+    }
 }
 
 TEST(SimdDispatch, SetSimdModeSwitchesAndRestores)
@@ -170,12 +178,16 @@ TEST(SimdAxpyF32, BitExactParity)
                 std::vector<float> got = c0;
                 k->axpyF32(got.data(), b.data(), a, n);
                 // Bitwise, not approximate: the contract is one
-                // multiply + one add per element on every tier.
-                ASSERT_EQ(std::memcmp(got.data(), naive.data(),
-                                      std::size_t(n) * sizeof(float)),
-                          0)
-                    << simdLevelName(k->level) << " n=" << n
-                    << " a=" << a;
+                // multiply + one add per element on every tier. (An
+                // empty vector's data() may be null, which memcmp must
+                // not see even with a zero length.)
+                if (n > 0) {
+                    ASSERT_EQ(std::memcmp(got.data(), naive.data(),
+                                          std::size_t(n) * sizeof(float)),
+                              0)
+                        << simdLevelName(k->level) << " n=" << n
+                        << " a=" << a;
+                }
             }
         }
     }
@@ -209,6 +221,169 @@ TEST(SimdGemmRowI32, ParityIncludingExtremes)
                     << simdLevelName(k->level) << " n=" << n
                     << " a=" << a;
             }
+        }
+    }
+}
+
+/** Row widths of the table-kernel tests: empty, sub-vector, every
+ *  vector and 64-column tile boundary +-1, and the benchmark's 112. */
+const int kRowWidths[] = {0, 1, 7, 8, 15, 16, 17, 33, 64, 65, 112};
+
+/** Check gatherU16 on every tier against row[idx[j]]. */
+void
+expectGatherParity(const u16 *row, const std::vector<u32> &idx,
+                   const std::string &what)
+{
+    const int n = int(idx.size());
+    std::vector<i32> naive(idx.size());
+    for (int j = 0; j < n; ++j)
+        naive[std::size_t(j)] = i32(row[idx[std::size_t(j)]]);
+    for (const SimdKernels *k : tablesUnderTest()) {
+        // Poison the output one past n so an overlong store would show.
+        std::vector<i32> got(idx.size() + 1, -7);
+        k->gatherU16(got.data(), row, idx.data(), n);
+        EXPECT_EQ(got.back(), -7) << simdLevelName(k->level) << " " << what;
+        got.pop_back();
+        EXPECT_EQ(got, naive) << simdLevelName(k->level) << " " << what;
+    }
+}
+
+TEST(SimdGatherU16, ParityWithTailsAndRowEnds)
+{
+    Prng prng(909);
+    // A synthetic row of len + 1 entries and the one u16 of padding the
+    // contract asks for; entries near 0xffff show a sign-extending or
+    // unmasked gather.
+    const u32 len = 129;
+    std::vector<u16> row(len + 2, 0);
+    for (u32 i = 0; i <= len; ++i)
+        row[i] = u16(prng.below(2) ? 0xffff - prng.below(4) : prng.next());
+    row[len + 1] = 0xabcd;
+    for (int n : kRowWidths) {
+        std::vector<u32> idx(static_cast<std::size_t>(n));
+        for (auto &v : idx)
+            v = u32(prng.below(len + 1));
+        // The row's last entry in the first and the final lane.
+        if (n > 0) {
+            idx.front() = len;
+            idx.back() = len;
+        }
+        expectGatherParity(row.data(), idx, "n=" + std::to_string(n));
+    }
+
+    // The shared product tables, gathered at the last index of their
+    // last row: the read past the entry must stay inside the table.
+    for (int bits : {2, 8, 12}) {
+        const UnaryProductModel &model = unaryModelFor(bits);
+        const u32 period = model.period();
+        for (int n : {1, 17, 65}) {
+            std::vector<u32> idx(std::size_t(n), period);
+            for (std::size_t j = 1; j + 1 < idx.size(); ++j)
+                idx[j] = u32(prng.below(period + 1));
+            expectGatherParity(model.countsAfterOnes(period), idx,
+                               "UR bits=" + std::to_string(bits));
+        }
+    }
+    for (int bits : {2, 8, 11}) {
+        const BipolarProductModel &model = bipolarModelFor(bits);
+        const u32 period = model.period();
+        const std::vector<u32> idx(17, period);
+        expectGatherParity(model.hitsAfterOnes(period), idx,
+                           "UG ones bits=" + std::to_string(bits));
+        expectGatherParity(model.hitsAfterZeros(period), idx,
+                           "UG zeros bits=" + std::to_string(bits));
+    }
+}
+
+TEST(SimdSumRowsI32, ParityWithSignsAndZeroRows)
+{
+    Prng prng(1010);
+    for (int bits : {2, 8, 13}) {
+        const i32 lim = i32(1) << (bits - 1);
+        for (int n : kRowWidths) {
+            // Row 0 is the zero row skipped codes may point at; the
+            // others hold entries in [-lim, lim], with the extremes.
+            const int nrows = 9;
+            std::vector<i32> rows(std::size_t(nrows) * std::size_t(n), 0);
+            for (std::size_t i = std::size_t(n); i < rows.size(); ++i)
+                rows[i] = i32(prng.below(2 * u64(lim) + 1)) - lim;
+            if (n > 0) {
+                rows[std::size_t(n)] = lim;
+                rows[2 * std::size_t(n) - 1] = -lim;
+            }
+            for (int count : {0, 1, 2, 5, 37}) {
+                std::vector<u32> slots(static_cast<std::size_t>(count));
+                for (auto &sl : slots)
+                    sl = u32(prng.below(nrows)) << 1 | u32(prng.below(2));
+                if (count > 1) {
+                    slots[0] = 0; // the zero row, added and negated
+                    slots[1] = 1;
+                }
+                std::vector<i64> out0(static_cast<std::size_t>(n));
+                for (auto &v : out0)
+                    v = i64(prng.next() >> 20) - (i64(1) << 43);
+                std::vector<i64> naive = out0;
+                for (const u32 sl : slots)
+                    for (int j = 0; j < n; ++j) {
+                        const i64 v = rows[(sl >> 1) * std::size_t(n) +
+                                           std::size_t(j)];
+                        naive[std::size_t(j)] += (sl & 1) ? -v : v;
+                    }
+                for (const SimdKernels *k : tablesUnderTest()) {
+                    std::vector<i64> got = out0;
+                    got.push_back(-7); // sentinel past n
+                    k->sumRowsI32(got.data(), rows.data(), slots.data(),
+                                  count, n);
+                    EXPECT_EQ(got.back(), -7)
+                        << simdLevelName(k->level) << " n=" << n;
+                    got.pop_back();
+                    EXPECT_EQ(got, naive)
+                        << simdLevelName(k->level) << " bits=" << bits
+                        << " n=" << n << " count=" << count;
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdSumRowsI32, NoRowsLeavesTheOutputAlone)
+{
+    // A block whose activations all add nothing stages no rows, so the
+    // row buffer may be null.
+    for (const SimdKernels *k : tablesUnderTest()) {
+        std::vector<i64> out(65, 3);
+        k->sumRowsI32(out.data(), nullptr, nullptr, 0, 65);
+        EXPECT_EQ(out, std::vector<i64>(65, 3)) << simdLevelName(k->level);
+    }
+}
+
+TEST(SimdSumRowsI32, ColumnSumsAtTheInt32Edge)
+{
+    // The contract is only that each column's total fits in i32: sums
+    // that reach INT32_MAX and INT32_MIN + 1 through negated rows (whose
+    // v ^ -1 terms wrap on the way) must still come out exact.
+    const i32 big = std::numeric_limits<i32>::max();
+    for (int n : {1, 16, 17, 65}) {
+        std::vector<i32> rows(3 * std::size_t(n));
+        for (int j = 0; j < n; ++j) {
+            rows[std::size_t(j)] = big;                // row 0
+            rows[std::size_t(n + j)] = -big;           // row 1
+            rows[std::size_t(2 * n + j)] = j % 2 ? 1 : -1; // row 2
+        }
+        const std::vector<u32> plus_max = {0u << 1, 2u << 1, 2u << 1 | 1};
+        const std::vector<u32> minus_max = {0u << 1 | 1, 1u << 1 | 1,
+                                            0u << 1 | 1};
+        for (const SimdKernels *k : tablesUnderTest()) {
+            std::vector<i64> got(std::size_t(n), 5);
+            k->sumRowsI32(got.data(), rows.data(), plus_max.data(), 3, n);
+            for (int j = 0; j < n; ++j)
+                EXPECT_EQ(got[std::size_t(j)], i64(big) + 5)
+                    << simdLevelName(k->level) << " n=" << n;
+            std::vector<i64> neg(std::size_t(n), 0);
+            k->sumRowsI32(neg.data(), rows.data(), minus_max.data(), 3, n);
+            for (int j = 0; j < n; ++j)
+                EXPECT_EQ(neg[std::size_t(j)], -i64(big))
+                    << simdLevelName(k->level) << " n=" << n;
         }
     }
 }
