@@ -444,7 +444,7 @@ main(int argc, char **argv)
     }
 
     // ---- Sparsity: zero-heavy inputs vs a dense input ----------------
-    // Activation sparsity is what the plans compact (weights stay
+    // Activation sparsity is what the packed fold skips (weights stay
     // dense, mirroring ReLU-fed layers). Zero skipping is how the one
     // packed path works, so the baseline is the same fold over an
     // input with no zeros to skip.
@@ -453,9 +453,9 @@ main(int argc, char **argv)
     {
         ScopedTimer timer("perf_smoke_sparsity", "bench");
         USYS_PROF_SCOPE("perf.sparsity");
-        // Tall fold (256 input rows on a 64x64 tile): the MAC loop the
-        // plans compact dominates the activation-independent weight
-        // staging, as in real im2col layers where M >> R.
+        // Tall fold (256 input rows on a 64x64 tile): the MAC loop that
+        // zero skipping shortens dominates the activation-independent
+        // weight staging, as in real im2col layers where M >> R.
         const int sdim = 64;
         const int srows = 256;
         Prng prng(57);

@@ -357,26 +357,17 @@ SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
 
     // Stage every K-tile of A once, up front, shared read-only across
     // the column-tile shards, instead of every shard re-staging the same
-    // input slice per fold. The packed engine also gets one sparsity
-    // plan per staged tile (its nonzero indices, compacted once and
-    // shared by every shard that reuses the tile). Plans encode the
-    // skips the engine takes, never stats it books, so dumps match the
-    // scalar engine, which consumes none.
+    // input slice per fold.
     std::vector<Matrix<i32>> a_tiles;
-    std::vector<SparsityPlan> a_plans;
     {
         USYS_PROF_SCOPE("gemm.stage_a");
         a_tiles.reserve(k_tiles);
-        if (packed)
-            a_plans.resize(k_tiles);
         for (u64 kt = 0; kt < k_tiles; ++kt) {
             const int k0 = int(kt) * rows;
             Matrix<i32> t(m_rows, rows, 0);
             for (int m = 0; m < m_rows; ++m)
                 for (int r = 0; r < rows && k0 + r < k_dim; ++r)
                     t(m, r) = a(m, k0 + r);
-            if (packed)
-                a_plans[kt].build(t);
             a_tiles.push_back(std::move(t));
         }
     }
@@ -407,8 +398,7 @@ SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
             const u64 tile = ti * k_tiles + kt;
             const auto fold =
                 packed ? packed_array->runFold(in, w_tile,
-                                               &deltas[ti], tile,
-                                               &a_plans[kt])
+                                               &deltas[ti], tile)
                        : scalar_array.runFold(in, w_tile,
                                               &deltas[ti], tile);
             tile_cycles[ti] += fold.cycles;

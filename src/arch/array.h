@@ -79,7 +79,7 @@ struct FoldStatsDelta
     u64 faults_dram = 0;
 
     // Value-sparsity census of the operand tiles (pure data properties,
-    // booked by every engine whether or not the skips execute; flush()
+    // booked by every engine whether or not it skips the zeros; flush()
     // emits arch.<kern>.sparsity_* only when any zero operand was seen,
     // so fully-dense stats dumps are unchanged).
     u64 sparsity_zero_acts = 0;

@@ -35,7 +35,6 @@
 
 #include "common/matrix.h"
 #include "arch/scheme.h"
-#include "fault/fault.h"
 #include "unary/product_table.h"
 
 namespace usys {
@@ -90,17 +89,6 @@ class GemmExecutor
      * product counts, shifted back by 2^(N-n) under early termination.
      */
     Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b) const;
-
-    /**
-     * Same GEMM under a fault plan. The functional model has no cycle
-     * or stream state, so only the DramWord site is representable here;
-     * the per-fold sites (weight registers, streams, accumulators)
-     * require a cycle/stream engine and are ignored — callers wanting
-     * the full model run SystolicGemm. With a dram-only plan this is
-     * bit-exact against SystolicGemm::run under the same plan.
-     */
-    Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b,
-                    const FaultPlan &plan) const;
 
     /**
      * Factor converting accumulator units to exact-product units:

@@ -23,9 +23,9 @@ namespace {
  */
 struct FoldScratch
 {
-    SparsityPlan plan;      // plan of a fold given none, or faulted operands
     std::vector<u32> wkey;  // per (r, c) product-table column of the weight
     std::vector<i64> wneg;  // per (r, c) weight sign, 0 or -1
+    std::vector<u32> nz;    // per input row, the indices of nonzero codes
 };
 
 FoldScratch &
@@ -63,6 +63,22 @@ faultedOnes(Scheme scheme, i32 code, int rng_bits, u32 window,
     }
 }
 
+/**
+ * Indices of the nonzero codes of row[0..n) into idx, returning their
+ * count. Branch-free: post-ReLU zeros fall at random, and a skip branch
+ * per code made a 60%-zero 128-row fold over 2x slower.
+ */
+u32
+nonzeroIndices(const i32 *row, int n, u32 *idx)
+{
+    u32 cnt = 0;
+    for (int r = 0; r < n; ++r) {
+        idx[cnt] = u32(r);
+        cnt += row[r] != 0;
+    }
+    return cnt;
+}
+
 [[noreturn, gnu::cold]] void
 codeOutsideTable(i32 code, int bits)
 {
@@ -84,7 +100,7 @@ PackedArray::PackedArray(const ArrayConfig &cfg)
 SystolicArray::FoldResult
 PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
                      FoldStatsDelta *stats, u64 tile,
-                     const SparsityPlan *sparsity) const
+                     const SparsityPlan *) const
 {
     USYS_PROF_SCOPE("fold.packed");
     const int rows = cfg_.rows;
@@ -138,25 +154,15 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
         wp = &wfaulted;
     }
 
-    // Nonzero-index plan of the tile a zero-skipping scheme iterates:
-    // the SystolicGemm-shared plan when that tile is `input`, else one
-    // built into the worker scratch. A dense tile is a plan with full
-    // rows. uGEMM-H never consumes one (its bipolar bias makes zero
-    // operands contribute — the carve-out in foldSparsityCensus).
-    auto plan_of = [&](const Matrix<i32> &tile) -> const SparsityPlan & {
-        if (sparsity && &tile == &input)
-            return *sparsity;
-        SparsityPlan &own = foldScratch().plan;
-        own.build(tile);
-        return own;
-    };
-
     const int shift =
         (kern.scheme == Scheme::USystolicRate && kern.et_bits > 0)
             ? kern.bits - kern.et_bits
             : 0;
 
     Matrix<i64> out(m_rows, cols, 0);
+    FoldScratch &scratch = foldScratch();
+    std::vector<u32> &nz = scratch.nz;
+    nz.resize(std::size_t(rows));
 
     switch (kern.scheme) {
       case Scheme::BinaryParallel:
@@ -204,18 +210,16 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
 
         if (!fo) {
             // No per-MAC fault hook: run the dispatched SIMD row kernel
-            // over the plan's nonzero operands only (weight-register and
-            // DRAM faults already corrupted the staged codes).
+            // over the nonzero staged codes only (weight-register and
+            // DRAM faults already corrupted them).
             USYS_PROF_SCOPE("fold.packed.mac");
             const SimdKernels &simd = simdKernels();
-            const SparsityPlan &sp = plan_of(a);
             for (int m = 0; m < m_rows; ++m) {
-                const u32 *idx = sp.rowIdx(m);
-                const u32 cnt = sp.rowCount(m);
+                const i32 *arow = &a(m, 0);
+                const u32 cnt = nonzeroIndices(arow, rows, nz.data());
                 for (u32 i = 0; i < cnt; ++i) {
-                    const int r = int(idx[i]);
-                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), a(m, r),
-                                    cols);
+                    const int r = int(nz[i]);
+                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), arow[r], cols);
                 }
             }
             break;
@@ -283,7 +287,6 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
         };
 
         // Weight side: table column and sign per PE, row-major.
-        FoldScratch &scratch = foldScratch();
         std::vector<u32> &wkey = scratch.wkey;
         std::vector<i64> &wneg = scratch.wneg;
         {
@@ -300,22 +303,21 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
 
         USYS_PROF_SCOPE("fold.packed.mac");
         if (!bipolar && !fa && !fs && !fo) {
-            // Fault-free uSystolic: walk the nonzero-index plan of
-            // `input` (a zero magnitude delivers no 1-bits), one table
-            // lookup per MAC with the sign applied branchless.
-            const SparsityPlan &sp = plan_of(input);
+            // Fault-free uSystolic: per nonzero input code (a zero
+            // magnitude delivers no 1-bits), one table lookup per MAC
+            // with the sign applied branchless.
             for (int m = 0; m < m_rows; ++m) {
                 i64 *out_row = &out(m, 0);
-                const u32 *idx = sp.rowIdx(m);
-                const u32 cnt = sp.rowCount(m);
+                const i32 *irow = &input(m, 0);
+                const u32 cnt = nonzeroIndices(irow, rows, nz.data());
                 for (u32 i = 0; i < cnt; ++i) {
-                    const int r = int(idx[i]);
+                    const int r = int(nz[i]);
                     const u32 ones = ones_of(m, r);
                     // An early-terminated window can deliver zero 1s
                     // even for a nonzero magnitude.
                     if (ones == 0)
                         continue;
-                    const i64 nin = input(m, r) < 0 ? -1 : 0;
+                    const i64 nin = irow[r] < 0 ? -1 : 0;
                     const u16 *counts = um->countsAfterOnes(ones);
                     const u32 *krow = &wkey[std::size_t(r) * cols];
                     const i64 *nrow = &wneg[std::size_t(r) * cols];
@@ -331,9 +333,7 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
 
         // Per-MAC loop: uGEMM-H (whose bias makes even zero operands
         // contribute, so it never skips), and every fold with an
-        // activation-stream, weight-stream or accumulator fault (an
-        // activation-stream fault can give a zero code nonzero ones, so
-        // these folds cannot use the plan either).
+        // activation-stream, weight-stream or accumulator fault.
         for (int m = 0; m < m_rows; ++m) {
             for (int r = 0; r < rows; ++r) {
                 const u32 ones = ones_of(m, r);

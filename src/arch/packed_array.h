@@ -24,9 +24,9 @@
  * shifter rescale is identical to SystolicArray. The exact schemes (BP,
  * BS, tubGEMM, tuGEMM) are plain integer GEMMs. See DESIGN.md §8.
  *
- * Fault-free UR/UT folds walk a SparsityPlan of the input, so
- * zero-magnitude streams never reach the MAC loop — in hardware they
- * assert no bits, so skipping them is not a mode. uGEMM-H, and any fold
+ * Fault-free folds of every scheme but uGEMM-H visit only the nonzero
+ * input codes of each row — in hardware a zero-magnitude stream asserts
+ * no bits, so skipping it is not a mode. uGEMM-H, and any fold
  * with an activation-stream, weight-stream or accumulator fault, runs a
  * per-MAC loop over the same table counts: an activation-stream fault
  * counts the faulted input stream, a weight-stream fault re-derives the
@@ -65,20 +65,16 @@ class PackedArray
      *        accumulates the registry delta for a later ordered flush()
      * @param tile fold index for fault-site resolution (SystolicGemm
      *        numbers folds ti * k_tiles + kt; standalone folds use 0)
-     * @param sparsity optional pre-built nonzero-index plan of `input`
-     *        (SystolicGemm builds one per staged A-tile and shares it
-     *        across column shards). Null means the fold builds its own.
-     *        So does a fold whose staged operands differ from `input`
-     *        (an active activation-stream fault). Plans encode skips,
-     *        never results — outputs, cycles, stats, and the fault
-     *        census are bit-identical with or without one.
+     *
+     * The trailing SparsityPlan is ignored: each fold finds the nonzero
+     * codes of its input rows itself. The parameter survives only until
+     * the benchmark's fold replay, its last caller, stops passing one.
      */
     SystolicArray::FoldResult runFold(const Matrix<i32> &input,
                                       const Matrix<i32> &weights,
                                       FoldStatsDelta *stats = nullptr,
                                       u64 tile = 0,
-                                      const SparsityPlan *sparsity =
-                                          nullptr) const;
+                                      const SparsityPlan * = nullptr) const;
 
     const ArrayConfig &config() const { return cfg_; }
 

@@ -5,8 +5,11 @@
  *
  * A zero-magnitude operand in a unary scheme produces an all-zero
  * bitstream: its entire MAC, its stream generation, and its toggle
- * activity can be elided without changing a single output bit. The two
- * pieces here make that a first-class, measured property:
+ * activity can be elided without changing a single output bit. The
+ * engines skip such MACs without help from this file: a PackedArray
+ * fold compacts the nonzero codes of each input row itself, and
+ * GemmExecutor's table kernel drops rows that deliver no 1-bits. What
+ * is here:
  *
  *  - SparsityCensus: per-fold counts of zero activation/weight elements
  *    and the MAC slots an all-zero activation stream makes skippable.
@@ -15,11 +18,9 @@
  *    byte-identical whether the skips actually happen or not.
  *
  *  - SparsityPlan: per input row of a staged M x R activation tile, the
- *    compacted list of nonzero column indices. Built once per staged
- *    tile (SystolicGemm shares one plan across all column shards that
- *    reuse the tile) and the only row iterator of the packed fold's
- *    zero-skipping schemes: a dense tile is simply a plan with full
- *    rows, so there is no separate dense loop.
+ *    compacted list of nonzero column indices. No engine reads one; it
+ *    remains only for the benchmark's fold replay, which still builds
+ *    and times one per staged tile.
  *
  * The uGEMM-H carve-out: its bipolar MAC adds a bias term even for
  * zero-valued operands, so nothing is skippable there — the census
@@ -44,8 +45,6 @@ struct SparsityCensus
     u64 zero_acts = 0;      // zero activation elements (M x R tile)
     u64 zero_weights = 0;   // zero weight elements (R x C tile)
     u64 skippable_macs = 0; // MAC slots elided by all-zero act streams
-
-    bool any() const { return zero_acts || zero_weights; }
 };
 
 /** Zero elements of `m` (the census's one zero count). */

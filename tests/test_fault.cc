@@ -472,6 +472,10 @@ TEST(FaultedGemm, FaultFreeDumpHasNoFaultCounters)
 
 TEST(FaultedGemm, FunctionalMatchesCycleEngineDramOnly)
 {
+    // DRAM faults corrupt the operands before tiling, so the functional
+    // model fed the same corrupted reads must equal the scalar cycle
+    // engine, which simulates every fold.
+    EngineToggleGuard engine_guard;
     ArrayConfig cfg;
     cfg.rows = 5;
     cfg.cols = 5;
@@ -483,16 +487,20 @@ TEST(FaultedGemm, FunctionalMatchesCycleEngineDramOnly)
     const auto a = randomMatrix(4, 10, cfg.kernel.bits, prng);
     const auto b = randomMatrix(10, 7, cfg.kernel.bits, prng);
 
+    setPackedEngineEnabled(false);
     statsRegistry().reset();
     const auto cyc = SystolicGemm(cfg).run(a, b);
     statsRegistry().reset();
-    const auto fun = GemmExecutor(cfg.kernel).run(a, b, cfg.faults);
-    EXPECT_EQ(fun, cyc.acc);
 
-    // Disabled plan must be a strict no-op overload.
-    const FaultPlan none;
-    EXPECT_EQ(GemmExecutor(cfg.kernel).run(a, b, none),
-              GemmExecutor(cfg.kernel).run(a, b));
+    auto a_faulted = a;
+    auto b_faulted = b;
+    const u64 events =
+        applyDramFaults(cfg.faults, a_faulted, kDramOperandA,
+                        cfg.kernel.bits) +
+        applyDramFaults(cfg.faults, b_faulted, kDramOperandB,
+                        cfg.kernel.bits);
+    ASSERT_GT(events, 0u);
+    EXPECT_EQ(GemmExecutor(cfg.kernel).run(a_faulted, b_faulted), cyc.acc);
 }
 
 TEST(FaultedGemm, DramCorruptionIsDeterministicPerOperand)

@@ -22,7 +22,6 @@
 #include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "arch/rtl_array.h"
-#include "arch/sparsity.h"
 
 namespace usys {
 namespace {
@@ -274,8 +273,8 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
 {
     // The packed engine runs a GEMM with no per-fold fault site in
     // closed form (one table-row kernel call plus analytic bookkeeping);
-    // every other GEMM runs PackedArray folds: the plan-driven integer
-    // GEMM for BP/BS/TUB/TU, the plan-walking table loop for fault-free
+    // every other GEMM runs PackedArray folds: the zero-skipping integer
+    // GEMM for BP/BS/TUB/TU, the zero-skipping table loop for fault-free
     // UR/UT, and the per-MAC table loop for UG and every per-MAC fault
     // site. Every path must match the scalar referee on random ragged
     // GEMMs — outputs, cycles, the stats dump, and the fault census — at
@@ -293,8 +292,8 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     // "none" and dram_word alone take the closed form (DRAM faults
     // corrupt the operands before it). weight_reg + dram_word
     // pre-corrupt the codes, so the folds keep the fault-free path;
-    // activation_stream makes the integer-GEMM schemes build their own
-    // plan over the staged operands; an accumulator fault forces the
+    // activation_stream makes the integer-GEMM schemes multiply the
+    // faulted codes instead of the input; an accumulator fault forces the
     // per-MAC loop; a weight-stream fault alone takes the per-MAC loop
     // with its zero-ones skip still armed.
     struct FaultCase
@@ -473,12 +472,10 @@ expectSameFoldAndCensus(const SystolicArray::FoldResult &out,
 
 TEST(PackedArray, SparsePlansPreserveFaultCensus)
 {
-    // Plan-compacted folds must report the exact fault census and
-    // outputs of the scalar fold, which visits every MAC, for the
-    // schemes that consume plans and for UG (which must never consume
-    // them — its bipolar encoding gives zero-valued operands
-    // half-density streams). Both the fold's own plan and a plan built
-    // by the caller are checked.
+    // Folds over sparse inputs skip zero operands (UR and TUB), so they
+    // must still report the exact fault census and outputs of the
+    // scalar fold, which visits every MAC. UG must never skip: its
+    // bipolar encoding gives zero-valued operands half-density streams.
     for (const Scheme scheme :
          {Scheme::USystolicRate, Scheme::UgemmHybrid, Scheme::TubGemm}) {
         SCOPED_TRACE(schemeTag(scheme));
@@ -501,26 +498,22 @@ TEST(PackedArray, SparsePlansPreserveFaultCensus)
             SystolicArray(cfg).runFold(input, weights, &ref_delta);
         ASSERT_GT(ref_delta.faultTotal(), 0u);
 
-        FoldStatsDelta own_delta;
-        const auto own = PackedArray(cfg).runFold(input, weights, &own_delta);
-        expectSameFoldAndCensus(own, own_delta, ref, ref_delta);
-
-        SparsityPlan plan;
-        plan.build(input);
-        FoldStatsDelta shared_delta;
-        const auto shared = PackedArray(cfg).runFold(input, weights,
-                                                     &shared_delta, 0, &plan);
-        expectSameFoldAndCensus(shared, shared_delta, ref, ref_delta);
+        FoldStatsDelta delta;
+        const auto out = PackedArray(cfg).runFold(input, weights, &delta);
+        expectSameFoldAndCensus(out, delta, ref, ref_delta);
     }
 }
 
 TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
 {
     // Weight-register and DRAM faults pre-corrupt the staged codes, so
-    // fault-free UR/UT keep the plan-walking loop and skip zero
-    // operands; activation-stream, weight-stream and accumulator faults
-    // take the per-MAC loop. Either way the census and outputs must
-    // match the scalar fold.
+    // fault-free UR/UT keep the zero-skipping table loop and TUB its
+    // integer GEMM; activation-stream faults stage faulted codes (TUB
+    // still takes the integer GEMM); weight-stream and accumulator
+    // faults take the per-MAC loop. UG never skips a zero operand: its
+    // bipolar encoding gives zero-valued operands half-density streams.
+    // Whatever the path, the census and outputs must match the scalar
+    // fold, which visits every MAC.
     ArrayConfig cfg;
     cfg.rows = 8;
     cfg.cols = 12;
@@ -541,8 +534,10 @@ TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
 
     for (const KernelConfig kern :
          {KernelConfig{Scheme::USystolicRate, 8, 6},
+          KernelConfig{Scheme::USystolicRate, 8, 0},
           KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0}}) {
+          KernelConfig{Scheme::UgemmHybrid, 7, 0},
+          KernelConfig{Scheme::TubGemm, 8, 0}}) {
         cfg.kernel = kern;
         Prng prng(4000);
         auto input = randomMatrix(5, cfg.rows, kern.bits, prng);
@@ -561,7 +556,11 @@ TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
             FoldStatsDelta ref_delta;
             const auto ref =
                 SystolicArray(cfg).runFold(input, weights, &ref_delta);
-            ASSERT_GT(ref_delta.faultTotal(), 0u);
+            // TUB has no C-BSG weight comparator, so no weight-stream
+            // site: that plan injects nothing there.
+            const bool sited = fc.rates.weight_stream == 0.0 ||
+                               hasWeightBsg(kern.scheme);
+            ASSERT_EQ(ref_delta.faultTotal() > 0, sited);
 
             FoldStatsDelta delta;
             const auto out = PackedArray(cfg).runFold(input, weights, &delta);
