@@ -144,6 +144,65 @@ codeOutsideTable(const char *operand, i32 code, int bits)
           "-bit product table");
 }
 
+/**
+ * Gather indices of n weight codes, range-checked in the same pass:
+ * idx[j] = |w[j]| for UR/UT, w[j] + 2^(N-1) for UG. Returns false when
+ * some code lies outside [-lim, lim]. Each lane ORs a u32 whose top bit
+ * is set exactly for an offending code (lim - |w| for UR/UT; t and
+ * 2·lim - t for UG's t = w + lim, which wraps below zero), so the pass
+ * has no branch and runs in fixed eight-lane groups the compiler
+ * vectorizes at -O2.
+ */
+bool
+weightIndices(u32 *__restrict idx, const i32 *__restrict w, std::size_t n,
+              i32 lim, bool ug)
+{
+    const u32 ulim = u32(lim);
+    u32 bad[8] = {};
+    const std::size_t groups = n / 8 * 8;
+    if (ug) {
+        for (std::size_t j = 0; j < groups; j += 8)
+            for (std::size_t l = 0; l < 8; ++l) {
+                const u32 t = u32(w[j + l]) + ulim;
+                idx[j + l] = t;
+                bad[l] |= t | (2 * ulim - t);
+            }
+        for (std::size_t j = groups; j < n; ++j) {
+            const u32 t = u32(w[j]) + ulim;
+            idx[j] = t;
+            bad[0] |= t | (2 * ulim - t);
+        }
+    } else {
+        for (std::size_t j = 0; j < groups; j += 8)
+            for (std::size_t l = 0; l < 8; ++l) {
+                const i32 s = w[j + l] >> 31;
+                const u32 mag = u32(w[j + l] ^ s) - u32(s);
+                idx[j + l] = mag;
+                bad[l] |= ulim - mag;
+            }
+        for (std::size_t j = groups; j < n; ++j) {
+            const i32 s = w[j] >> 31;
+            const u32 mag = u32(w[j] ^ s) - u32(s);
+            idx[j] = mag;
+            bad[0] |= ulim - mag;
+        }
+    }
+    u32 all = 0;
+    for (const u32 f : bad)
+        all |= f;
+    return (all >> 31) == 0;
+}
+
+/** Report the first of n weight codes outside [-lim, lim]. */
+[[noreturn, gnu::cold]] void
+weightOutsideTable(const i32 *w, std::size_t n, i32 lim, int bits)
+{
+    for (std::size_t j = 0; j < n; ++j)
+        if (w[j] < -lim || w[j] > lim)
+            codeOutsideTable("weight", w[j], bits);
+    panic("weightOutsideTable: every code is in range");
+}
+
 } // namespace
 
 GemmExecutor::GemmExecutor(const KernelConfig &cfg)
@@ -204,31 +263,26 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     const int m_rows = a.rows();
     const int k_dim = a.cols();
     const int n_dim = b.cols();
-    Matrix<i64> out(m_rows, n_dim, 0);
 
+    // Exact-product schemes: a plain integer GEMM, row-parallel on the
+    // 16-bit pair kernel (gemmI16).
     if (cfg_.scheme == Scheme::BinaryParallel ||
         cfg_.scheme == Scheme::BinarySerial ||
         cfg_.scheme == Scheme::TubGemm ||
-        cfg_.scheme == Scheme::TuGemm) {
-        // Exact-product schemes: a plain integer GEMM (referenceGemm
-        // already zero-skips per element and runs row-parallel). An
-        // empty operand has no row for it to point into.
-        if (k_dim == 0 || n_dim == 0)
-            return out;
+        cfg_.scheme == Scheme::TuGemm)
         return referenceGemm(a, b);
-    }
 
     // Table schemes (UR, UT, UG). Every code the tables cover lies in
     // [-lim, lim]: |code| <= 2^(N-1) delivered ones for UR/UT, and
     // code + 2^(N-1) in [0, 2^N] for UG's bipolar offset. A code outside
-    // would read past the tables, so it is fatal: weights are checked
-    // here, activations as the staging pass meets them.
+    // would read past the tables, so it is fatal: each block checks its
+    // weights as it builds their gather indices (so an M = 0 call still
+    // checks every weight), and activations as the staging pass meets
+    // them.
+    Matrix<i64> out(m_rows, n_dim, 0);
     const bool ug = cfg_.scheme == Scheme::UgemmHybrid;
     const i32 lim = i32(1) << (cfg_.bits - 1);
-    for (const i32 code : b.data())
-        if (code < -lim || code > lim) [[unlikely]]
-            codeOutsideTable("weight", code, cfg_.bits);
-    if (m_rows == 0 || k_dim == 0 || n_dim == 0)
+    if (k_dim == 0 || n_dim == 0)
         return out;
 
     // An activation stages as a table row and a sign. UR/UT rows are
@@ -287,6 +341,14 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     const SimdKernels &simd = simdKernels();
     for (int k0 = 0; k0 < k_dim; k0 += block_k) {
         const int kb = std::min(block_k, k_dim - k0);
+        // Gather indices of the block's weights: |b| for UR/UT (the sign
+        // is applied after the gather, from b itself), the offset code
+        // b + 2^(N-1) for UG.
+        b_idx.resize(std::size_t(kb) * n);
+        if (!weightIndices(b_idx.data(), &b(k0, 0), b_idx.size(), lim, ug))
+            [[unlikely]]
+            weightOutsideTable(&b(k0, 0), b_idx.size(), lim, cfg_.bits);
+
         // Stage one k at a time: each code of column k gets its slot in
         // the k's code map, and codes sharing a table row (+-a, or
         // several codes under early termination) share one.
@@ -317,15 +379,6 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
             for (std::size_t j = first; j < used.size(); ++j)
                 row_slot[used[j].second] = kUnseen;
         }
-
-        // Gather indices of the block's weights: |b| for UR/UT (the sign
-        // is applied after the gather, from b itself), the offset code
-        // b + 2^(N-1) for UG.
-        b_idx.resize(std::size_t(kb) * n);
-        const i32 *bw = &b(k0, 0);
-        for (std::size_t i = 0; i < b_idx.size(); ++i)
-            b_idx[i] = ug ? u32(bw[i] + lim)
-                          : u32(bw[i] < 0 ? -bw[i] : bw[i]);
 
         // Weight-side row of k for a positive activation on table row
         // `row`: the scheme's signed product with every b(k, n), before

@@ -24,7 +24,13 @@
  * values cannot overflow, and the block's 256 KiB staging budget binds
  * long before that. singleProduct() is the per-MAC referee the tests
  * hold the kernel to. A code outside the tables' [-2^(N-1), 2^(N-1)]
- * is fatal.
+ * is fatal; each block checks its weights in the pass that builds their
+ * gather indices.
+ *
+ * The exact schemes (BP, BS, tubGEMM, tuGEMM) multiply exactly, so run()
+ * is one referenceGemm call: the 16-bit pair kernel
+ * (SimdKernels::gemmI16), row-parallel and bitwise-identical at any
+ * thread count.
  */
 
 #ifndef USYS_ARCH_FUNCTIONAL_H
@@ -85,8 +91,9 @@ class GemmExecutor
 
     /**
      * Compute the scheme's accumulations for C = A (MxK) x B (KxN).
-     * Binary schemes are exact; unary schemes return binary-accumulated
-     * product counts, shifted back by 2^(N-n) under early termination.
+     * BP, BS, tubGEMM and tuGEMM are exact (referenceGemm); the table
+     * schemes (UR, UT, UG) return binary-accumulated product counts,
+     * shifted back by 2^(N-n) under early termination.
      */
     Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b) const;
 

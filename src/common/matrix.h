@@ -8,9 +8,7 @@
 
 #include <vector>
 
-#include "common/executor.h"
 #include "common/logging.h"
-#include "common/simd.h"
 #include "common/types.h"
 
 namespace usys {
@@ -70,32 +68,16 @@ class Matrix
     std::vector<T> data_;
 };
 
-/** Reference integer GEMM: C (MxN) = A (MxK) * B (KxN), exact in i64. */
-inline Matrix<i64>
-referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
-{
-    fatalIf(a.cols() != b.rows(), "referenceGemm: shape mismatch");
-    Matrix<i64> c(a.rows(), b.cols(), 0);
-    // Row-parallel; each row owns its output slice and the i64
-    // accumulation is exact, so the result is independent of the thread
-    // count. Small products stay serial via the grain.
-    const u64 grain = std::max<u64>(
-        1, 4096 / u64(std::max(1, a.cols() * b.cols())));
-    const SimdKernels &simd = simdKernels();
-    parallelFor(
-        0, u64(a.rows()),
-        [&](u64 mi) {
-            const int m = int(mi);
-            for (int k = 0; k < a.cols(); ++k) {
-                const i32 av = a(m, k);
-                if (av == 0)
-                    continue;
-                simd.gemmRowI32(&c(m, 0), &b(k, 0), av, b.cols());
-            }
-        },
-        grain);
-    return c;
-}
+/**
+ * Exact integer GEMM: C (MxN) = A (MxK) * B (KxN) in i64, row-parallel
+ * and bitwise-identical at any thread count. When every code lies in
+ * [-2^14, 2^14] it runs SimdKernels::gemmI16 (16-bit k-pair
+ * multiply-adds summed in i32, spilled to i64 per block), reading B
+ * from a k-pair panel packed once per call when M has the rows to
+ * amortize the pass; any wider code sends the whole call to the
+ * widening gemmRowI32 loop.
+ */
+Matrix<i64> referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b);
 
 } // namespace usys
 

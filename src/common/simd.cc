@@ -123,11 +123,177 @@ sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots, int count,
 
 namespace {
 
+/** A gemmI16 k pair: the low code in the low half, the high one above. */
+inline u32
+pairOf(i32 lo, i32 hi)
+{
+    return u32(u16(lo)) | u32(hi) << 16;
+}
+
+/** v + 2^14 as u32: below 2^15 exactly when v lies in gemmI16's range. */
+inline u32
+biased(i32 v)
+{
+    return u32(v) + u32(kGemmI16Limit);
+}
+
+/**
+ * One panel row: out[j] = pairOf(b0[j], b1[j] & keep) for j in [0, n),
+ * returning the OR of the biased codes packed. Fixed eight-lane groups
+ * over unaliased rows let the compiler vectorize it at -O2.
+ */
+u32
+packPairRow(u32 *__restrict out, const i32 *__restrict b0,
+            const i32 *__restrict b1, u32 keep, int n)
+{
+    u32 any[8] = {};
+    int j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (int l = 0; l < 8; ++l) {
+            const i32 hi = i32(u32(b1[j + l]) & keep);
+            out[j + l] = pairOf(b0[j + l], hi);
+            any[l] |= biased(b0[j + l]) | biased(hi);
+        }
+    for (; j < n; ++j) {
+        const i32 hi = i32(u32(b1[j]) & keep);
+        out[j] = pairOf(b0[j], hi);
+        any[0] |= biased(b0[j]) | biased(hi);
+    }
+    u32 all = 0;
+    for (const u32 v : any)
+        all |= v;
+    return all;
+}
+
+} // namespace
+
+bool
+packPairsI16(const i32 *b, int kd, int n, u32 *pairs)
+{
+    // An OR of the biased codes below 2^15 means every code is in range.
+    u32 any = 0;
+    const std::size_t stride = std::size_t(n);
+    for (int p = 0; 2 * p < kd; ++p) {
+        const i32 *b0 = b + 2 * std::size_t(p) * stride;
+        // The odd tail pairs its code with a zero: b0 stands in for the
+        // missing row and is masked off.
+        const bool tail = 2 * p + 1 == kd;
+        any |= packPairRow(pairs + std::size_t(p) * stride, b0,
+                           tail ? b0 : b0 + stride, tail ? 0u : ~0u, n);
+    }
+    return any < 2 * u32(kGemmI16Limit);
+}
+
+namespace detail {
+
+int
+stagePairsI16(const i32 *a, int kd, int rows, int p0, int p1, int n,
+              bool raw, u32 *ap, u32 *off0, u32 *off1)
+{
+    // Branch-free compaction: every pair is written at slot q, and q
+    // only advances past it when some row's codes are nonzero.
+    const std::size_t stride = std::size_t(kd);
+    const u32 row = u32(n);
+    int q = 0;
+    for (int p = p0; p < p1; ++p) {
+        // The odd tail's second code is 0 (and a(r, 2p + 1) is past
+        // the row, so it is not read).
+        const bool tail = 2 * p + 1 == kd;
+        u32 any0 = 0, any1 = 0;
+        for (int r = 0; r < rows; ++r) {
+            const i32 *code = a + std::size_t(r) * stride + 2 * p;
+            const i32 second = tail ? 0 : code[1];
+            ap[r * kPairStride + q] = pairOf(code[0], second);
+            any0 |= u32(code[0]);
+            any1 |= u32(second);
+        }
+        if (raw) {
+            const u32 r0 = 2 * u32(p) * row;
+            off0[q] = any0 ? r0 : r0 + row;
+            off1[q] = any1 ? r0 + row : r0;
+        } else {
+            off0[q] = u32(p) * row;
+        }
+        q += int((any0 | any1) != 0);
+    }
+    return q;
+}
+
+bool
+gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
+               int m, int kd, int n, int kb)
+{
+    // Per output row and block, a memory accumulator of up to 256
+    // columns in fixed eight-lane groups, which the compiler vectorizes
+    // for the baseline ISA. The lanes are u32 so that a raw-mode code
+    // outside the range (whose result is discarded) cannot overflow a
+    // signed int; within the range every block sum fits in i32.
+    constexpr int kTile = 256;
+    u32 acc[kTile];
+    const int np = (kd + 1) / 2;
+    const std::size_t stride = std::size_t(n);
+    u32 any = 0; // OR of the biased raw codes read
+    for (int i = 0; i < m; ++i) {
+        const i32 *arow = a + std::size_t(i) * kd;
+        i64 *crow = c + std::size_t(i) * stride;
+        for (int j0 = 0; j0 < n; j0 += kTile) {
+            const int w = std::min(kTile, n - j0);
+            for (int p0 = 0; p0 < np; p0 += kb) {
+                const int p1 = std::min(np, p0 + kb);
+                std::fill(acc, acc + w, 0u);
+                for (int p = p0; p < p1; ++p) {
+                    const bool tail = 2 * p + 1 == kd;
+                    const i32 a0 = arow[2 * p];
+                    const i32 a1 = tail ? 0 : arow[2 * p + 1];
+                    if ((a0 | a1) == 0)
+                        continue;
+                    if (pairs) {
+                        const u32 *bp = pairs + std::size_t(p) * stride + j0;
+                        const i16 s0 = i16(a0), s1 = i16(a1);
+                        int j = 0;
+                        for (; j + 8 <= w; j += 8)
+                            for (int l = 0; l < 8; ++l)
+                                acc[j + l] += u32(
+                                    s0 * i16(bp[j + l]) +
+                                    s1 * i16(bp[j + l] >> 16));
+                        for (; j < w; ++j)
+                            acc[j] += u32(s0 * i16(bp[j]) +
+                                          s1 * i16(bp[j] >> 16));
+                        continue;
+                    }
+                    const i32 *b0 = b + 2 * std::size_t(p) * stride + j0;
+                    const i32 *b1 = tail ? b0 : b0 + stride;
+                    const u32 u0 = u32(a0), u1 = u32(a1);
+                    int j = 0;
+                    for (; j + 8 <= w; j += 8)
+                        for (int l = 0; l < 8; ++l) {
+                            acc[j + l] += u0 * u32(b0[j + l]) +
+                                          u1 * u32(b1[j + l]);
+                            any |= biased(b0[j + l]) | biased(b1[j + l]);
+                        }
+                    for (; j < w; ++j) {
+                        acc[j] += u0 * u32(b0[j]) + u1 * u32(b1[j]);
+                        any |= biased(b0[j]) | biased(b1[j]);
+                    }
+                }
+                for (int j = 0; j < w; ++j)
+                    crow[j0 + j] += i64(i32(acc[j]));
+            }
+        }
+    }
+    return any < 2 * u32(kGemmI16Limit);
+}
+
+
+} // namespace detail
+
+namespace {
+
 const SimdKernels kGeneric = {
     SimdLevel::Generic,        popcountWordsGeneric,
     thresholdPackWordsGeneric, axpyF32Generic,
-    gemmRowI32Generic,         detail::gatherU16Generic,
-    detail::sumRowsI32Generic,
+    gemmRowI32Generic,         detail::gemmI16Generic,
+    detail::gatherU16Generic,  detail::sumRowsI32Generic,
 };
 
 // --- Dispatch -------------------------------------------------------

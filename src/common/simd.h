@@ -3,16 +3,20 @@
  * Runtime-dispatched SIMD kernels behind the packed unary engines.
  *
  * Faulted unary streams (DESIGN.md §10) are generated and counted one
- * 64-bit word at a time, the exact-scheme folds are integer GEMM rows,
- * and the functional table kernel (DESIGN.md §17) gathers product-table
- * rows and sums them; on AVX2 hosts the same work runs 4-16 words per
- * instruction. This layer exposes the handful of data-parallel inner
- * loops as a function-pointer table:
+ * 64-bit word at a time, the exact-product GEMMs (referenceGemm: BP, BS,
+ * tubGEMM, tuGEMM and the DNN's FXP modes) multiply 16-bit codes, the
+ * per-MAC fault folds are integer GEMM rows, and the functional table
+ * kernel (DESIGN.md §17) gathers product-table rows and sums them; on
+ * AVX2 hosts the same work runs 4-16 words per instruction. This layer
+ * exposes the handful of data-parallel inner loops as a function-pointer
+ * table:
  *
  *   popcountWords       bulk popcount of packed stream words
  *   thresholdPackWords  value < threshold comparisons packed into words
  *   axpyF32             fp32 GEMM row (one multiply, one add per element)
- *   gemmRowI32          widening integer GEMM row
+ *   gemmRowI32          widening integer GEMM row (any i32 codes)
+ *   gemmI16             exact GEMM rows from codes in [-2^14, 2^14):
+ *                       k-pair multiply-adds into i32 register tiles
  *   gatherU16           product-table row gather, u16 -> i32
  *   sumRowsI32          signed sum of selected i32 rows, spilled to i64
  *
@@ -21,18 +25,21 @@
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
  *   avx2     Harley-Seal / vpshufb-nibble-LUT popcounts, vectorized
- *            threshold packing and GEMM rows, vpgatherdd row gathers
- *            and register-tiled row sums; compiled in its own
+ *            threshold packing and GEMM rows, vpmaddwd 4-row x 16-column
+ *            pair tiles, vpgatherdd row gathers and register-tiled row
+ *            sums; compiled in its own
  *            translation unit with -mavx2 so the rest of the binary
  *            stays runnable on machines without AVX2
  *   avx512   VPOPCNTDQ bulk/prefix popcounts, mask-register threshold
  *            packing, 16-lane fp32 and 8-lane widening integer GEMM
- *            rows, 16-lane gathers and 64-column register-tiled row
- *            sums; own translation unit with -mavx512{f,bw,vpopcntdq},
+ *            rows, vpmaddwd 4-row x 64-column pair tiles, 16-lane
+ *            gathers and 64-column register-tiled row sums; own
+ *            translation unit with -mavx512{f,bw,vpopcntdq},
  *            runtime CPUID-gated like the AVX2 tier
  *   neon     AArch64 ASIMD: cnt/addv popcounts, compare+mask threshold
  *            packing, vmull_s32 widening integer GEMM rows (the
- *            gather and row-sum slots point at the generic kernels);
+ *            pair-GEMM, gather and row-sum slots point at the generic
+ *            kernels);
  *            own translation unit, available whenever the build
  *            targeted arm64 (ASIMD is architecturally mandatory there)
  *
@@ -67,6 +74,14 @@ enum class SimdLevel
     Avx512 = 2,
     Neon = 3,
 };
+
+/**
+ * gemmI16 takes codes in [-2^14, 2^14), the 15-bit two's-complement
+ * range: a k pair's two products then sum to at most 2^29 in i16 x i16
+ * -> i32 multiply-adds. referenceGemm sends a call with any wider code
+ * to the gemmRowI32 loop.
+ */
+constexpr i32 kGemmI16Limit = i32(1) << 14;
 
 /** Human-readable tier name ("generic", "avx2", "avx512", "neon"). */
 const char *simdLevelName(SimdLevel level);
@@ -108,6 +123,23 @@ struct SimdKernels
     void (*gemmRowI32)(i64 *c, const i32 *b, i32 a, int n);
 
     /**
+     * Exact integer GEMM rows from codes in [-2^14, 2^14):
+     * c[i * n + j] += sum over k in [0, kd) of a[i * kd + k] * B(k, j)
+     * for i in [0, m), j in [0, n). B is read from `pairs` when it is
+     * non-null (the k-pair panel packPairsI16 builds), else from the
+     * row-major kd x n matrix b, whose codes the kernel then range-checks
+     * as it reads them. Each output row sums its products in i32, a k
+     * pair (a(i, 2p), a(i, 2p + 1)) at a time, over blocks of at most
+     * `kb` pairs, and spills into c once per block: the caller sizes kb
+     * so that 2 * kb * max|a| * 2^14 <= INT32_MAX. k pairs whose codes
+     * are zero in every row of a register tile are skipped. Returns
+     * false, leaving c unspecified, when b held a code outside the
+     * range; with `pairs` it always returns true.
+     */
+    bool (*gemmI16)(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
+                    int m, int kd, int n, int kb);
+
+    /**
      * Product-table row gather: dst[j] = row[idx[j]] for j in [0, n),
      * the u16 entry widened to i32. The vector tiers load 32 bits at
      * &row[idx[j]], so the u16 after the largest indexed entry must be
@@ -125,6 +157,16 @@ struct SimdKernels
     void (*sumRowsI32)(i64 *out, const i32 *rows, const u32 *slots,
                        int count, int n);
 };
+
+/**
+ * Pack the row-major kd x n codes b into gemmI16's k-pair panel:
+ * pairs[p * n + j] = u16(b(2p, j)) | u16(b(2p + 1, j)) << 16 for p in
+ * [0, (kd + 1) / 2), the odd tail's second code 0. `pairs` holds
+ * (kd + 1) / 2 * n words. Returns whether every code lies in
+ * [-2^14, 2^14); if not, codes were packed truncated and the panel must
+ * not be used.
+ */
+bool packPairsI16(const i32 *b, int kd, int n, u32 *pairs);
 
 /** The portable fallback table (always available). */
 const SimdKernels &genericKernels();
@@ -176,9 +218,32 @@ void setSimdMode(const std::string &mode);
 
 namespace detail {
 /** Generic kernels the NEON table shares (defined in simd.cc). */
+bool gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
+                    int m, int kd, int n, int kb);
 void gatherU16Generic(i32 *dst, const u16 *row, const u32 *idx, int n);
 void sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots,
                        int count, int n);
+/** Most k pairs one gemmI16 block stages (the vector tiers' cap). */
+constexpr int kPairBlock = 512;
+/** Row stride of staged pairs: a block plus one vector of store slack. */
+constexpr int kPairStride = kPairBlock + 16;
+/** Rows the vector tiers' gemmI16 register tiles span. */
+constexpr int kPairTileRows = 4;
+
+/**
+ * Stage the k pairs [p0, p1) of `rows` <= kPairTileRows consecutive rows
+ * of a (row stride kd) for a gemmI16 register tile, dropping the pairs
+ * whose codes are zero in every row. For the q-th kept pair p:
+ * ap[r * kPairStride + q] = u16(a(r, 2p)) | u16(a(r, 2p + 1)) << 16 (the
+ * odd tail's second code 0). When `raw` is false, off0[q] is the pair's
+ * panel row (p * n). Otherwise off0[q] and off1[q] are the b rows of
+ * codes 2p and 2p + 1 (times n), except that a code that is zero in
+ * every row borrows its partner's row: its products are zero whatever
+ * it reads, and the tile then reads one b row instead of two (the odd
+ * tail always borrows). p1 - p0 <= kPairBlock. Returns the number kept.
+ */
+int stagePairsI16(const i32 *a, int kd, int rows, int p0, int p1, int n,
+                  bool raw, u32 *ap, u32 *off0, u32 *off1);
 /** Defined in simd_avx2.cc; null when built without AVX2 support. */
 const SimdKernels *avx2KernelsImpl();
 /** Defined in simd_avx512.cc; null when built without AVX-512. */

@@ -9,9 +9,9 @@
  * file degrades to a stub returning nullptr.
  *
  * Bit-exactness notes:
- *  - popcounts / comparisons / widening multiplies are exact integer
- *    operations; only the summation order differs, and integer sums
- *    are order-free.
+ *  - popcounts / comparisons / widening multiplies / vpmaddwd pair
+ *    multiply-adds are exact integer operations; only the summation
+ *    order differs, and integer sums are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
  *    element (never an FMA; -ffp-contract=off on this TU), matching
  *    the generic loop's rounding per element.
@@ -21,6 +21,7 @@
 
 #if defined(USYS_HAVE_AVX2)
 
+#include <algorithm>
 #include <bit>
 #include <immintrin.h>
 
@@ -190,6 +191,141 @@ gemmRowI32Avx2(i64 *c, const i32 *b, i32 a, int n)
         c[j] += i64(a) * i64(b[j]);
 }
 
+/**
+ * One register tile of gemmI16: R output rows x V vectors of 8 columns,
+ * summed in ymm accumulators over the `cnt` staged k pairs and spilled
+ * once (the last vector loaded under `last`, `width` columns in all). A
+ * B vector is a panel load, or (Raw) two b rows interleaved into 16-bit
+ * pairs, their codes biased by 2^14 and ORed into `range`; vpmaddwd
+ * multiplies it by each row's broadcast pair.
+ */
+template <int R, int V, bool Raw>
+inline void
+pairTileAvx2(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
+             const u32 *off1, int cnt, const i32 *b, const u32 *pairs,
+             __m256i last, int width, __m256i &range)
+{
+    const auto load = [last](const void *p, bool full) {
+        return full ? _mm256_loadu_si256(static_cast<const __m256i *>(p))
+                    : _mm256_maskload_epi32(static_cast<const int *>(p),
+                                            last);
+    };
+    const __m256i bias = _mm256_set1_epi32(kGemmI16Limit);
+    __m256i any = range;
+    __m256i acc[R][V];
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            acc[r][v] = _mm256_setzero_si256();
+    for (int q = 0; q < cnt; ++q) {
+        __m256i bv[V];
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+            if constexpr (Raw) {
+                const __m256i x0 = load(b + off0[q] + 8 * v, v + 1 < V);
+                const __m256i x1 = load(b + off1[q] + 8 * v, v + 1 < V);
+                any = _mm256_or_si256(
+                    any, _mm256_or_si256(_mm256_add_epi32(x0, bias),
+                                         _mm256_add_epi32(x1, bias)));
+                bv[v] = _mm256_blend_epi16(x0, _mm256_slli_epi32(x1, 16),
+                                           0xaa);
+            } else {
+                bv[v] = load(pairs + off0[q] + 8 * v, v + 1 < V);
+            }
+        }
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m256i av =
+                _mm256_set1_epi32(i32(ap[r * detail::kPairStride + q]));
+            #pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm256_add_epi32(acc[r][v],
+                                             _mm256_madd_epi16(bv[v], av));
+        }
+    }
+    alignas(32) i32 sums[8 * V];
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            _mm256_store_si256(reinterpret_cast<__m256i *>(sums + 8 * v),
+                               acc[r][v]);
+        for (int j = 0; j < width; ++j)
+            c[r * n + j] += sums[j];
+    }
+    range = any;
+}
+
+/** pairTileAvx2 for a tile of `rows` rows and `vecs` vectors. */
+template <bool Raw>
+void
+pairTileDispatchAvx2(int rows, int vecs, i64 *c, std::size_t n,
+                     const u32 *ap, const u32 *off0, const u32 *off1,
+                     int cnt, const i32 *b, const u32 *pairs, __m256i last,
+                     int width, __m256i &range)
+{
+#define USYS_PAIR_TILE(R, V)                                              \
+    case (R - 1) * 2 + V - 1:                                             \
+        pairTileAvx2<R, V, Raw>(c, n, ap, off0, off1, cnt, b, pairs, last, \
+                                width, range);                            \
+        return;
+    switch ((rows - 1) * 2 + vecs - 1) {
+        USYS_PAIR_TILE(1, 1) USYS_PAIR_TILE(1, 2)
+        USYS_PAIR_TILE(2, 1) USYS_PAIR_TILE(2, 2)
+        USYS_PAIR_TILE(3, 1) USYS_PAIR_TILE(3, 2)
+        USYS_PAIR_TILE(4, 1) USYS_PAIR_TILE(4, 2)
+    }
+#undef USYS_PAIR_TILE
+}
+
+bool
+gemmI16Avx2(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
+            int kd, int n, int kb)
+{
+    // Tiles of kPairTileRows rows x 16 columns (two ymm) sweep each
+    // block's staged pairs once; the last column tile narrows to the
+    // vectors it needs and masks its final one.
+    constexpr int kRows = detail::kPairTileRows;
+    alignas(32) u32 ap[kRows * detail::kPairStride];
+    u32 off0[detail::kPairStride], off1[detail::kPairStride];
+    const bool raw = pairs == nullptr;
+    const int np = (kd + 1) / 2;
+    const int block = std::min(kb, detail::kPairBlock);
+    const std::size_t stride = std::size_t(n);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i range = _mm256_setzero_si256();
+    for (int i0 = 0; i0 < m; i0 += kRows) {
+        const int rows = std::min(kRows, m - i0);
+        for (int p0 = 0; p0 < np; p0 += block) {
+            const int cnt = detail::stagePairsI16(
+                a + std::size_t(i0) * kd, kd, rows, p0,
+                std::min(np, p0 + block), n, raw, ap, off0, off1);
+            if (cnt == 0)
+                continue;
+            for (int j = 0; j < n; j += 16) {
+                const int rest = std::min(16, n - j);
+                const int vecs = (rest + 7) / 8;
+                const __m256i last = _mm256_cmpgt_epi32(
+                    _mm256_set1_epi32(rest - 8 * (vecs - 1)), lane);
+                i64 *ct = c + std::size_t(i0) * stride + j;
+                if (raw)
+                    pairTileDispatchAvx2<true>(rows, vecs, ct, stride, ap,
+                                               off0, off1, cnt, b + j,
+                                               nullptr, last, rest, range);
+                else
+                    pairTileDispatchAvx2<false>(rows, vecs, ct, stride, ap,
+                                                off0, off1, cnt, nullptr,
+                                                pairs + j, last, rest,
+                                                range);
+            }
+        }
+    }
+    // Every lane's OR is below 2^15 exactly when no bit from 15 up is set.
+    return _mm256_testz_si256(range,
+                              _mm256_set1_epi32(-2 * kGemmI16Limit)) != 0;
+}
+
 void
 gatherU16Avx2(i32 *dst, const u16 *row, const u32 *idx, int n)
 {
@@ -288,8 +424,8 @@ sumRowsI32Avx2(i64 *out, const i32 *rows, const u32 *slots, int count,
 
 const SimdKernels kAvx2 = {
     SimdLevel::Avx2, popcountWordsAvx2, thresholdPackWordsAvx2,
-    axpyF32Avx2,     gemmRowI32Avx2,    gatherU16Avx2,
-    sumRowsI32Avx2,
+    axpyF32Avx2,     gemmRowI32Avx2,    gemmI16Avx2,
+    gatherU16Avx2,   sumRowsI32Avx2,
 };
 
 } // namespace

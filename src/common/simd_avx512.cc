@@ -10,9 +10,10 @@
  * nullptr.
  *
  * Bit-exactness notes:
- *  - VPOPCNTDQ popcounts, mask-register compares, and vpmuldq widening
- *    multiplies are exact integer operations; only summation order
- *    differs from the generic loops, and integer sums are order-free.
+ *  - VPOPCNTDQ popcounts, mask-register compares, vpmuldq widening
+ *    multiplies and vpmaddwd pair multiply-adds are exact integer
+ *    operations; only summation order differs from the generic loops,
+ *    and integer sums are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
  *    element (never an FMA; -ffp-contract=off on this TU), matching
  *    the generic loop's rounding per element.
@@ -22,6 +23,7 @@
 
 #if defined(USYS_HAVE_AVX512)
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <immintrin.h>
@@ -174,6 +176,229 @@ gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
         c[j] += i64(a) * i64(b[j]);
 }
 
+/** Add the 16 i32 lanes of `sum` under mask `m` into o[0..16) as i64. */
+USYS_AVX512_NO_TSAN inline void
+spillAvx512(i64 *o, __m512i sum, __mmask16 m)
+{
+    const __mmask8 mlo = __mmask8(m);
+    const __mmask8 mhi = __mmask8(m >> 8);
+    // The zero-masked forms widen the same lanes as the plain ones
+    // without GCC's undefined-source false -Wmaybe-uninitialized.
+    const __m512i lo = _mm512_maskz_cvtepi32_epi64(
+        0xff, _mm512_maskz_extracti64x4_epi64(0xf, sum, 0));
+    const __m512i hi = _mm512_maskz_cvtepi32_epi64(
+        0xff, _mm512_maskz_extracti64x4_epi64(0xf, sum, 1));
+    _mm512_mask_storeu_epi64(
+        o, mlo, _mm512_add_epi64(_mm512_maskz_loadu_epi64(mlo, o), lo));
+    _mm512_mask_storeu_epi64(
+        o + 8, mhi,
+        _mm512_add_epi64(_mm512_maskz_loadu_epi64(mhi, o + 8), hi));
+}
+
+/**
+ * One register tile of gemmI16: R output rows x V vectors of 16
+ * columns, summed in zmm accumulators over the `cnt` staged k pairs and
+ * spilled once. A B vector is a panel load, or (Raw) two b rows
+ * interleaved into 16-bit pairs, their codes biased by 2^14 and ORed
+ * into `range` (below 2^15 in every lane while they are in range);
+ * vpmaddwd multiplies it by each row's broadcast pair.
+ */
+template <int R, int V, bool Raw>
+USYS_AVX512_NO_TSAN inline void
+pairTileAvx512(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
+               const u32 *off1, int cnt, const i32 *b, const u32 *pairs,
+               __mmask16 last, __m512i &range)
+{
+    const __m512i bias = _mm512_set1_epi32(kGemmI16Limit);
+    __m512i any = range;
+    __m512i acc[R][V];
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            acc[r][v] = _mm512_setzero_si512();
+    for (int q = 0; q < cnt; ++q) {
+        __m512i bv[V];
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+            const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+            if constexpr (Raw) {
+                const __m512i x0 =
+                    _mm512_maskz_loadu_epi32(m, b + off0[q] + 16 * v);
+                const __m512i x1 =
+                    _mm512_maskz_loadu_epi32(m, b + off1[q] + 16 * v);
+                // Zero-masked forms for the same GCC false positive as
+                // in spillAvx512.
+                const __mmask16 all = 0xffff;
+                any = _mm512_ternarylogic_epi32(
+                    any, _mm512_maskz_add_epi32(all, x0, bias),
+                    _mm512_maskz_add_epi32(all, x1, bias), 0xfe);
+                bv[v] = _mm512_mask_blend_epi16(
+                    __mmask32(0xaaaaaaaa), x0,
+                    _mm512_maskz_slli_epi32(all, x1, 16));
+            } else {
+                bv[v] = _mm512_maskz_loadu_epi32(m, pairs + off0[q] + 16 * v);
+            }
+        }
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m512i av =
+                _mm512_set1_epi32(i32(ap[r * detail::kPairStride + q]));
+            #pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm512_add_epi32(acc[r][v],
+                                             _mm512_madd_epi16(bv[v], av));
+        }
+    }
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            spillAvx512(c + r * n + 16 * v, acc[r][v],
+                        v + 1 < V ? __mmask16(0xffff) : last);
+    range = any;
+}
+
+/**
+ * detail::stagePairsI16, 16 pairs a step: each row's 32 codes narrow to
+ * 16 i16 pairs (vpmovdw), the rows' OR picks the pairs to keep, and
+ * vpcompressd packs the kept pairs and their b offsets. The scalar
+ * staging's compaction chains every pair on the last, and at N = 8-24
+ * it took two thirds of the kernel's time. Each full-width store may
+ * run up to 15 words past the kept pairs, into the kPairStride slack.
+ */
+USYS_AVX512_NO_TSAN int
+stagePairsAvx512(const i32 *a, int kd, int rows, int p0, int p1, int n,
+                 bool raw, u32 *ap, u32 *off0, u32 *off1)
+{
+    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           11, 12, 13, 14, 15);
+    const __m512i row = _mm512_set1_epi32(n);
+    // B's row (times n) of lane l's pair: p * n in the panel, 2p * n raw.
+    const __m512i step = _mm512_mullo_epi32(lane, raw ? _mm512_add_epi32(
+                                                            row, row)
+                                                      : row);
+    const __m512i low = _mm512_set1_epi32(0xffff);
+    const std::size_t stride = std::size_t(kd);
+    int q = 0;
+    for (int p = p0; p < p1; p += 16) {
+        // Codes [2p, 2p + 32) of each row, cut at the block's last pair
+        // and at the row's end (the odd tail's second code reads 0).
+        const int codes = std::min(2 * std::min(16, p1 - p), kd - 2 * p);
+        const u32 live = codes >= 32 ? ~0u : (1u << codes) - 1;
+        __m512i w[detail::kPairTileRows];
+        __m512i any = _mm512_setzero_si512();
+        for (int r = 0; r < rows; ++r) {
+            const i32 *code = a + std::size_t(r) * stride + 2 * p;
+            // Zero-masked forms, as in spillAvx512.
+            const __m256i lo = _mm512_maskz_cvtepi32_epi16(
+                0xffff, _mm512_maskz_loadu_epi32(__mmask16(live), code));
+            const __m256i hi = _mm512_maskz_cvtepi32_epi16(
+                0xffff,
+                _mm512_maskz_loadu_epi32(__mmask16(live >> 16), code + 16));
+            const __m512i zero = _mm512_setzero_si512();
+            w[r] = _mm512_maskz_inserti64x4(
+                0xff, _mm512_maskz_inserti64x4(0xff, zero, lo, 0), hi, 1);
+            any = _mm512_or_si512(any, w[r]);
+        }
+        const __mmask16 keep = _mm512_test_epi32_mask(any, any);
+        const __m512i r0 = _mm512_add_epi32(
+            _mm512_set1_epi32(i32(u32(raw ? 2 * p : p) * u32(n))), step);
+        for (int r = 0; r < rows; ++r)
+            _mm512_storeu_si512(ap + r * detail::kPairStride + q,
+                                _mm512_maskz_compress_epi32(keep, w[r]));
+        if (raw) {
+            // A code zero in every row borrows its partner's b row.
+            const __m512i r1 = _mm512_add_epi32(r0, row);
+            const __mmask16 has0 = _mm512_test_epi32_mask(any, low);
+            const __mmask16 has1 = _mm512_test_epi32_mask(
+                any, _mm512_slli_epi32(low, 16));
+            _mm512_storeu_si512(
+                off0 + q, _mm512_maskz_compress_epi32(
+                              keep, _mm512_mask_blend_epi32(has0, r1, r0)));
+            _mm512_storeu_si512(
+                off1 + q, _mm512_maskz_compress_epi32(
+                              keep, _mm512_mask_blend_epi32(has1, r0, r1)));
+        } else {
+            _mm512_storeu_si512(off0 + q,
+                                _mm512_maskz_compress_epi32(keep, r0));
+        }
+        q += std::popcount(u32(keep));
+    }
+    return q;
+}
+
+/** pairTileAvx512 for a tile of `rows` rows and `vecs` vectors. */
+template <bool Raw>
+USYS_AVX512_NO_TSAN void
+pairTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
+                       const u32 *ap, const u32 *off0, const u32 *off1,
+                       int cnt, const i32 *b, const u32 *pairs,
+                       __mmask16 last, __m512i &range)
+{
+#define USYS_PAIR_TILE(R, V)                                              \
+    case (R - 1) * 4 + V - 1:                                             \
+        pairTileAvx512<R, V, Raw>(c, n, ap, off0, off1, cnt, b, pairs,    \
+                                  last, range);                           \
+        return;
+    switch ((rows - 1) * 4 + vecs - 1) {
+        USYS_PAIR_TILE(1, 1) USYS_PAIR_TILE(1, 2)
+        USYS_PAIR_TILE(1, 3) USYS_PAIR_TILE(1, 4)
+        USYS_PAIR_TILE(2, 1) USYS_PAIR_TILE(2, 2)
+        USYS_PAIR_TILE(2, 3) USYS_PAIR_TILE(2, 4)
+        USYS_PAIR_TILE(3, 1) USYS_PAIR_TILE(3, 2)
+        USYS_PAIR_TILE(3, 3) USYS_PAIR_TILE(3, 4)
+        USYS_PAIR_TILE(4, 1) USYS_PAIR_TILE(4, 2)
+        USYS_PAIR_TILE(4, 3) USYS_PAIR_TILE(4, 4)
+    }
+#undef USYS_PAIR_TILE
+}
+
+USYS_AVX512_NO_TSAN bool
+gemmI16Avx512(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
+              int kd, int n, int kb)
+{
+    // Tiles of kPairTileRows rows x 64 columns (four zmm) sweep each
+    // block's staged pairs once; the last column tile narrows to the
+    // vectors it needs and masks its final one.
+    constexpr int kRows = detail::kPairTileRows;
+    alignas(64) u32 ap[kRows * detail::kPairStride];
+    u32 off0[detail::kPairStride], off1[detail::kPairStride];
+    const bool raw = pairs == nullptr;
+    const int np = (kd + 1) / 2;
+    const int block = std::min(kb, detail::kPairBlock);
+    const std::size_t stride = std::size_t(n);
+    __m512i range = _mm512_setzero_si512();
+    for (int i0 = 0; i0 < m; i0 += kRows) {
+        const int rows = std::min(kRows, m - i0);
+        for (int p0 = 0; p0 < np; p0 += block) {
+            const int cnt = stagePairsAvx512(
+                a + std::size_t(i0) * kd, kd, rows, p0,
+                std::min(np, p0 + block), n, raw, ap, off0, off1);
+            if (cnt == 0)
+                continue;
+            for (int j = 0; j < n; j += 64) {
+                const int rest = std::min(64, n - j);
+                const int vecs = (rest + 15) / 16;
+                const __mmask16 last =
+                    __mmask16(0xffffu >> (16 * vecs - rest));
+                i64 *ct = c + std::size_t(i0) * stride + j;
+                if (raw)
+                    pairTileDispatchAvx512<true>(rows, vecs, ct, stride, ap,
+                                                 off0, off1, cnt, b + j,
+                                                 nullptr, last, range);
+                else
+                    pairTileDispatchAvx512<false>(rows, vecs, ct, stride,
+                                                  ap, off0, off1, cnt,
+                                                  nullptr, pairs + j, last,
+                                                  range);
+            }
+        }
+    }
+    return _mm512_cmpge_epu32_mask(
+               range, _mm512_set1_epi32(2 * kGemmI16Limit)) == 0;
+}
+
 USYS_AVX512_NO_TSAN void
 gatherU16Avx512(i32 *dst, const u16 *row, const u32 *idx, int n)
 {
@@ -227,24 +452,9 @@ sumTileAvx512(i64 *out, const i32 *rows, const u32 *slots, int count,
                 _mm512_maskz_loadu_epi32(last, row + 16 * (V - 1)), mask));
     }
     const __m512i bias = _mm512_set1_epi32(i32(negated));
-    for (int v = 0; v < V; ++v) {
-        const __m512i sum = _mm512_add_epi32(acc[v], bias);
-        const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
-        const __mmask8 mlo = __mmask8(m);
-        const __mmask8 mhi = __mmask8(m >> 8);
-        i64 *o = out + 16 * v;
-        // The zero-masked forms widen the same lanes as the plain ones
-        // without GCC's undefined-source false -Wmaybe-uninitialized.
-        const __m512i lo = _mm512_maskz_cvtepi32_epi64(
-            0xff, _mm512_maskz_extracti64x4_epi64(0xf, sum, 0));
-        const __m512i hi = _mm512_maskz_cvtepi32_epi64(
-            0xff, _mm512_maskz_extracti64x4_epi64(0xf, sum, 1));
-        _mm512_mask_storeu_epi64(
-            o, mlo, _mm512_add_epi64(_mm512_maskz_loadu_epi64(mlo, o), lo));
-        _mm512_mask_storeu_epi64(
-            o + 8, mhi,
-            _mm512_add_epi64(_mm512_maskz_loadu_epi64(mhi, o + 8), hi));
-    }
+    for (int v = 0; v < V; ++v)
+        spillAvx512(out + 16 * v, _mm512_add_epi32(acc[v], bias),
+                    v + 1 < V ? __mmask16(0xffff) : last);
 }
 
 USYS_AVX512_NO_TSAN void
@@ -284,8 +494,8 @@ sumRowsI32Avx512(i64 *out, const i32 *rows, const u32 *slots, int count,
 
 const SimdKernels kAvx512 = {
     SimdLevel::Avx512, popcountWordsAvx512, thresholdPackWordsAvx512,
-    axpyF32Avx512,     gemmRowI32Avx512,    gatherU16Avx512,
-    sumRowsI32Avx512,
+    axpyF32Avx512,     gemmRowI32Avx512,    gemmI16Avx512,
+    gatherU16Avx512,   sumRowsI32Avx512,
 };
 
 } // namespace

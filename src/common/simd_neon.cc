@@ -120,13 +120,13 @@ gemmRowI32Neon(i64 *c, const i32 *b, i32 a, int n)
         c[j] += i64(a) * i64(b[j]);
 }
 
-// The table-kernel gather and row sum run the generic loops: no arm64
-// host is at hand to measure a NEON version against them.
+// The pair GEMM, table-kernel gather and row sum run the generic loops:
+// no arm64 host is at hand to measure NEON versions against them.
 const SimdKernels kNeon = {
     SimdLevel::Neon,           popcountWordsNeon,
     thresholdPackWordsNeon,    axpyF32Neon,
-    gemmRowI32Neon,            detail::gatherU16Generic,
-    detail::sumRowsI32Generic,
+    gemmRowI32Neon,            detail::gemmI16Generic,
+    detail::gatherU16Generic,  detail::sumRowsI32Generic,
 };
 
 } // namespace

@@ -277,6 +277,46 @@ TEST(SystolicGemm, TiledUnaryMatchesFunctionalTiled)
     EXPECT_EQ(closed.folds, tiled.folds);
 }
 
+TEST(SystolicGemm, ExactClosedFormMatchesScalarEngineRandomized)
+{
+    // A fault-free BP/BS/TUB/TU GEMM is one referenceGemm call on the
+    // 16-bit pair kernel; the scalar engine (--no-packed) simulates every
+    // padded fold PE by PE, so it referees the kernel independently. M = 1
+    // takes the kernel's raw-b path and M >= 16 the packed panel; K and N
+    // are never multiples of the array.
+    EngineGuard guard;
+    const Scheme schemes[] = {Scheme::BinaryParallel, Scheme::BinarySerial,
+                              Scheme::TubGemm, Scheme::TuGemm};
+    Prng prng(29);
+    for (int trial = 0; trial < 16; ++trial) {
+        ArrayConfig cfg;
+        cfg.rows = 3 + int(prng.below(4));
+        cfg.cols = 3 + int(prng.below(4));
+        cfg.kernel = {schemes[trial % 4], 4 + 2 * int(prng.below(3)), 0};
+        const int m = trial % 2 == 0 ? 1 : 16 + int(prng.below(8));
+        const int k = cfg.rows * (1 + int(prng.below(4))) + 1 +
+                      int(prng.below(u64(cfg.rows - 1)));
+        const int n = cfg.cols * (1 + int(prng.below(3))) + 1 +
+                      int(prng.below(u64(cfg.cols - 1)));
+        auto a = randomMatrix(m, k, cfg.kernel.bits, prng);
+        const auto b = randomMatrix(k, n, cfg.kernel.bits, prng);
+        for (i32 &v : a.data())
+            if (prng.below(3) == 0)
+                v = 0;
+        SCOPED_TRACE(::testing::Message()
+                     << cfg.kernel.name() << " " << cfg.rows << "x"
+                     << cfg.cols << " M/K/N " << m << "/" << k << "/" << n);
+
+        setPackedEngineEnabled(false);
+        const auto scalar = SystolicGemm(cfg).run(a, b);
+        setPackedEngineEnabled(true);
+        const auto closed = SystolicGemm(cfg).run(a, b);
+        EXPECT_EQ(closed.acc, scalar.acc);
+        EXPECT_EQ(closed.cycles, scalar.cycles);
+        EXPECT_EQ(closed.folds, scalar.folds);
+    }
+}
+
 TEST(SystolicGemm, EmptyGemmsAgreeAcrossEngines)
 {
     // M, K or N = 0 is a well-defined GEMM on every path: an M x N zero
@@ -745,6 +785,31 @@ TEST(Functional, CodesOutsideTheTableAreFatal)
         edge(0, 0) = -128;
         EXPECT_TRUE(sameAccumulations(exec.run(edge, edge),
                                       refereeGemm(exec, edge, edge)));
+    }
+}
+
+TEST(Functional, WeightCheckNamesTheFirstCodeOutsideTheTable)
+{
+    // The weight pass checks a block's codes while it builds their
+    // gather indices, in eight-lane groups; the message still names the
+    // first offending code in row-major order, extremes included, and
+    // an M = 0 GEMM still checks every weight.
+    const Matrix<i32> a(3, 40, 1), none(0, 40);
+    for (const Scheme scheme :
+         {Scheme::USystolicRate, Scheme::UgemmHybrid}) {
+        const GemmExecutor exec({scheme, 8, 0});
+        for (const i32 bad : {std::numeric_limits<i32>::min(),
+                              std::numeric_limits<i32>::max(), -129, 129,
+                              1 << 20}) {
+            Matrix<i32> b(40, 37, -128);
+            b(17, 20) = bad;
+            b(30, 3) = 200; // a later offender that must not be named
+            const std::string want = "weight code " + std::to_string(bad) +
+                                     " outside the 8-bit product table";
+            EXPECT_EXIT(exec.run(a, b), ::testing::ExitedWithCode(1), want);
+            EXPECT_EXIT(exec.run(none, b), ::testing::ExitedWithCode(1),
+                        want);
+        }
     }
 }
 

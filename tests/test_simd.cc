@@ -70,8 +70,10 @@ TEST(SimdDispatch, TablesConsistent)
     EXPECT_NE(active.thresholdPackWords, nullptr);
     EXPECT_NE(active.axpyF32, nullptr);
     EXPECT_NE(active.gemmRowI32, nullptr);
-    // The table-kernel slots are populated on every available tier.
+    // The pair-GEMM and table-kernel slots are populated on every
+    // available tier.
     for (const SimdKernels *k : tablesUnderTest()) {
+        EXPECT_NE(k->gemmI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->sumRowsI32, nullptr) << simdLevelName(k->level);
     }
@@ -515,6 +517,211 @@ TEST(SimdGemm, ReferenceGemmMatchesNaive)
                 acc += i64(a(m, k)) * i64(b(k, n));
             ASSERT_EQ(got(m, n), acc) << m << "," << n;
         }
+}
+
+/** Plain triple loop in i64: the referee for the exact-product GEMMs. */
+std::vector<i64>
+naiveGemm(const std::vector<i32> &a, const std::vector<i32> &b, int m,
+          int kd, int n, std::vector<i64> c)
+{
+    for (int i = 0; i < m; ++i)
+        for (int k = 0; k < kd; ++k)
+            for (int j = 0; j < n; ++j)
+                c[std::size_t(i) * n + j] +=
+                    i64(a[std::size_t(i) * kd + k]) *
+                    i64(b[std::size_t(k) * n + j]);
+    return c;
+}
+
+/** Codes of at most `bits` bits, a third of them zero, with the edges. */
+std::vector<i32>
+pairCodes(std::size_t count, int bits, Prng &prng)
+{
+    // gemmI16's range is [-2^14, 2^14), so at 15 bits the top code is
+    // 2^14 - 1.
+    const i32 lo = -(i32(1) << (bits - 1));
+    const i32 hi = std::min(-lo, kGemmI16Limit - 1);
+    std::vector<i32> v(count);
+    for (auto &x : v)
+        x = prng.below(3) == 0 ? 0
+                               : lo + i32(prng.below(u64(hi - lo) + 1));
+    if (count > 0)
+        v[0] = lo;
+    if (count > 1)
+        v[count - 1] = hi;
+    return v;
+}
+
+/**
+ * Run gemmI16 on one table in both B layouts (raw rows and the packed
+ * panel) over a c prefilled with offsets, and hold each to the naive
+ * loop; a sentinel past c catches writes beyond the last row.
+ */
+void
+expectPairGemm(const SimdKernels &k, const std::vector<i32> &a,
+               const std::vector<i32> &b, int m, int kd, int n, int kb,
+               const std::string &what)
+{
+    std::vector<i64> c0(std::size_t(m) * n);
+    for (std::size_t i = 0; i < c0.size(); ++i)
+        c0[i] = i64(i % 7) - 3;
+    const auto want = naiveGemm(a, b, m, kd, n, c0);
+    std::vector<u32> panel(std::size_t((kd + 1) / 2) * n + 1, 0xdeadbeef);
+    ASSERT_TRUE(packPairsI16(b.data(), kd, n, panel.data())) << what;
+    EXPECT_EQ(panel.back(), 0xdeadbeefu) << what;
+    for (const bool raw : {true, false}) {
+        std::vector<i64> got = c0;
+        got.push_back(-7);
+        EXPECT_TRUE(k.gemmI16(got.data(), a.data(), b.data(),
+                              raw ? nullptr : panel.data(), m, kd, n, kb))
+            << simdLevelName(k.level) << " " << what;
+        EXPECT_EQ(got.back(), -7) << simdLevelName(k.level) << " " << what;
+        got.pop_back();
+        EXPECT_EQ(got, want) << simdLevelName(k.level) << " " << what
+                             << (raw ? " raw" : " panel");
+    }
+}
+
+TEST(SimdGemmI16, ParityAcrossShapesTailsAndBlocks)
+{
+    Prng prng(1212);
+    for (int n : {1, 7, 8, 15, 16, 17, 63, 64, 65, 112, 129})
+        for (int m : {0, 1, 2, 5, 33})
+            for (int kd : {0, 1, 2, 7, 26}) {
+                const auto a = pairCodes(std::size_t(m) * kd, 8, prng);
+                const auto b = pairCodes(std::size_t(kd) * n, 8, prng);
+                // The block the caller would size, and one or two pairs
+                // a block so every spill path runs.
+                for (int kb : {512, 1, 2})
+                    for (const SimdKernels *k : tablesUnderTest())
+                        expectPairGemm(*k, a, b, m, kd, n, kb,
+                                       "m=" + std::to_string(m) +
+                                           " k=" + std::to_string(kd) +
+                                           " n=" + std::to_string(n) +
+                                           " kb=" + std::to_string(kb));
+            }
+}
+
+TEST(SimdGemmI16, ParityAtEveryCodeWidth)
+{
+    // Codes at +-2^(b-1) for b = 2..15, with the block sized from the
+    // widest code as referenceGemm sizes it.
+    Prng prng(1313);
+    for (int bits = 2; bits <= 15; ++bits) {
+        const int m = 6, kd = 41, n = 23;
+        const auto a = pairCodes(std::size_t(m) * kd, bits, prng);
+        const auto b = pairCodes(std::size_t(kd) * n, bits, prng);
+        const u64 max_a = u64(1) << (bits - 1);
+        const int kb = int(u64(std::numeric_limits<i32>::max()) /
+                           (2 * max_a * u64(kGemmI16Limit)));
+        for (const SimdKernels *k : tablesUnderTest())
+            expectPairGemm(*k, a, b, m, kd, n, kb,
+                           "bits=" + std::to_string(bits));
+    }
+}
+
+TEST(SimdGemmI16, LongKCrossesTheStagingBlock)
+{
+    // The vector tiers stage at most 512 k pairs a block whatever kb the
+    // caller allows, so a K past 1024 spans several staged blocks.
+    Prng prng(1616);
+    const int m = 6, kd = 2101, n = 19;
+    const auto a = pairCodes(std::size_t(m) * kd, 8, prng);
+    const auto b = pairCodes(std::size_t(kd) * n, 8, prng);
+    for (const SimdKernels *k : tablesUnderTest())
+        for (const int kb : {512, 700, 4096})
+            expectPairGemm(*k, a, b, m, kd, n, kb,
+                           "kb=" + std::to_string(kb));
+}
+
+TEST(SimdGemmI16, AllZeroPairsAreSkippedExactly)
+{
+    // Rows whose pairs vanish together (the register tile skips them),
+    // pairs zero in one row only, and pairs with a single nonzero code
+    // (the raw path then reads one b row for both).
+    Prng prng(1414);
+    const int m = 9, kd = 19, n = 21;
+    auto a = pairCodes(std::size_t(m) * kd, 8, prng);
+    for (int i = 0; i < m; ++i)
+        for (int k = 0; k < kd; ++k)
+            if (k % 4 < 2 || (k % 4 == 2 && i % 2 == 0) || i == 4)
+                a[std::size_t(i) * kd + k] = 0;
+    const auto b = pairCodes(std::size_t(kd) * n, 8, prng);
+    for (const SimdKernels *k : tablesUnderTest())
+        expectPairGemm(*k, a, b, m, kd, n, 512, "sparse");
+}
+
+TEST(SimdGemmI16, RawCodesOutsideTheRangeAreReported)
+{
+    // The raw path checks every b code it reads against [-2^14, 2^14);
+    // the panel packer reports the same codes.
+    const int m = 3, kd = 5, n = 20;
+    const std::vector<i32> a(std::size_t(m) * kd, 1);
+    for (const i32 bad : {kGemmI16Limit, -kGemmI16Limit - 1, i32(1) << 20,
+                          std::numeric_limits<i32>::min(),
+                          std::numeric_limits<i32>::max()}) {
+        std::vector<i32> b(std::size_t(kd) * n, 3);
+        b[std::size_t(kd - 1) * n + n - 1] = bad; // the odd tail's last
+        std::vector<u32> panel(std::size_t((kd + 1) / 2) * n);
+        EXPECT_FALSE(packPairsI16(b.data(), kd, n, panel.data())) << bad;
+        for (const SimdKernels *k : tablesUnderTest()) {
+            std::vector<i64> c(std::size_t(m) * n, 0);
+            EXPECT_FALSE(k->gemmI16(c.data(), a.data(), b.data(), nullptr,
+                                    m, kd, n, 3))
+                << simdLevelName(k->level) << " " << bad;
+        }
+    }
+}
+
+TEST(SimdGemm, ReferenceGemmSpillsPastInt32)
+{
+    // 15-bit codes at the range's edge: every pair adds 2^29, so a block
+    // of four pairs would wrap i32. referenceGemm sizes the block at
+    // three; a single i32 accumulator over K = 64 would be off by far.
+    const i32 edge = -kGemmI16Limit;
+    const SimdLevel before = simdLevel();
+    for (const int m : {1, 33}) // the raw path and the panel
+        for (const SimdKernels *k : tablesUnderTest()) {
+            setSimdMode(simdLevelName(k->level));
+            const Matrix<i32> a(m, 64, edge), b(64, 17, edge);
+            Matrix<i32> mixed = b;
+            for (int k = 0; k < 64; k += 3)
+                mixed(k, 5) = kGemmI16Limit - 1;
+            const auto got = referenceGemm(a, b);
+            const auto got_mixed = referenceGemm(a, mixed);
+            for (int i = 0; i < m; ++i)
+                for (int j = 0; j < 17; ++j) {
+                    EXPECT_EQ(got(i, j), i64(64) << 28)
+                        << simdLevelName(k->level) << " " << i << "," << j;
+                    i64 want = 0;
+                    for (int kk = 0; kk < 64; ++kk)
+                        want += i64(edge) * mixed(kk, j);
+                    EXPECT_EQ(got_mixed(i, j), want)
+                        << simdLevelName(k->level) << " " << i << "," << j;
+                }
+        }
+    setSimdMode(simdLevelName(before));
+}
+
+TEST(SimdGemm, ReferenceGemmTakesTheLoopPastTheRange)
+{
+    // A code outside [-2^14, 2^14) anywhere sends the call to the
+    // widening gemmRowI32 loop, on either operand and at any M (at
+    // M < 16 a wide b is found by the kernel after the fact).
+    Prng prng(1515);
+    for (const int m : {1, 5, 33})
+        for (const i32 wide : {kGemmI16Limit, -kGemmI16Limit - 1,
+                               i32(1) << 24, std::numeric_limits<i32>::min()})
+            for (const bool in_a : {true, false}) {
+                auto a = randomCodes(m, 37, prng);
+                auto b = randomCodes(37, 19, prng);
+                (in_a ? a(m - 1, 36) : b(36, 18)) = wide;
+                const auto got = referenceGemm(a, b);
+                const std::vector<i64> zero(std::size_t(m) * 19, 0);
+                EXPECT_EQ(got.data(), naiveGemm(a.data(), b.data(), m, 37,
+                                                19, zero))
+                    << "m=" << m << " wide=" << wide << " in_a=" << in_a;
+            }
 }
 
 TEST(SimdGemm, GemmFp32MatchesNaiveBitwise)
