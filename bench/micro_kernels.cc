@@ -145,43 +145,6 @@ tierForArg(benchmark::State &state)
 }
 
 void
-BM_SimdPopcountWords(benchmark::State &state)
-{
-    const SimdKernels *k = tierForArg(state);
-    if (!k)
-        return;
-    Prng prng(5);
-    std::vector<u64> words(std::size_t(1) << 14);
-    for (auto &w : words)
-        w = prng.next();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            k->popcountWords(words.data(), words.size()));
-    state.SetBytesProcessed(state.iterations() * words.size() * 8);
-}
-BENCHMARK(BM_SimdPopcountWords)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_SimdThresholdPack(benchmark::State &state)
-{
-    const SimdKernels *k = tierForArg(state);
-    if (!k)
-        return;
-    Prng prng(6);
-    const u32 n = u32(1) << 15;
-    std::vector<u32> vals(n);
-    for (auto &v : vals)
-        v = u32(prng.below(257));
-    std::vector<u64> out(n / 64);
-    for (auto _ : state) {
-        k->thresholdPackWords(vals.data(), n, 128, out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_SimdThresholdPack)->Arg(0)->Arg(1)->Arg(2);
-
-void
 BM_SimdAxpyF32(benchmark::State &state)
 {
     const SimdKernels *k = tierForArg(state);

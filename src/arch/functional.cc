@@ -22,30 +22,31 @@ namespace {
 // this falls back to the locked cache lookup, which stays correct).
 constexpr int kModelMemoSlots = 32;
 
-} // namespace
-
-const UnaryProductModel &
-unaryModelFor(int signed_bits)
+/**
+ * The shared Model for a signed bitwidth, built once from
+ * (signed_bits, args...). A per-thread memo sits in front of the
+ * mutex-guarded cache: executor workers are persistent, so after one
+ * warm lookup per bitwidth a sweep never touches the mutex again. The
+ * cached models are immutable prefix tables, so sharing one instance
+ * across threads is safe. Each Model type has its own memo and cache.
+ */
+template <typename Model, typename... Args>
+const Model &
+cachedModel(int signed_bits, Args... args)
 {
-    // Per-thread memo in front of the shared cache: executor workers are
-    // persistent, so after one warm lookup per bitwidth a sweep never
-    // touches the mutex again. The cached models are immutable prefix
-    // tables, so sharing one instance across threads is safe.
-    thread_local const UnaryProductModel *memo[kModelMemoSlots] = {};
+    thread_local const Model *memo[kModelMemoSlots] = {};
     const bool memoable = signed_bits >= 0 && signed_bits < kModelMemoSlots;
     if (memoable && memo[signed_bits])
         return *memo[signed_bits];
 
     static std::mutex mutex;
-    static std::map<int, std::unique_ptr<UnaryProductModel>> cache;
-    const UnaryProductModel *model = nullptr;
+    static std::map<int, std::unique_ptr<Model>> cache;
+    const Model *model = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex);
         auto &slot = cache[signed_bits];
-        if (!slot) {
-            slot = std::make_unique<UnaryProductModel>(
-                signed_bits, kWeightRngDim, kInputRngDim);
-        }
+        if (!slot)
+            slot = std::make_unique<Model>(signed_bits, args...);
         model = slot.get();
     }
     if (memoable)
@@ -53,30 +54,20 @@ unaryModelFor(int signed_bits)
     return *model;
 }
 
+} // namespace
+
+const UnaryProductModel &
+unaryModelFor(int signed_bits)
+{
+    return cachedModel<UnaryProductModel>(signed_bits, kWeightRngDim,
+                                          kInputRngDim);
+}
+
 const BipolarProductModel &
 bipolarModelFor(int signed_bits)
 {
-    thread_local const BipolarProductModel *memo[kModelMemoSlots] = {};
-    const bool memoable = signed_bits >= 0 && signed_bits < kModelMemoSlots;
-    if (memoable && memo[signed_bits])
-        return *memo[signed_bits];
-
-    static std::mutex mutex;
-    static std::map<int, std::unique_ptr<BipolarProductModel>> cache;
-    const BipolarProductModel *model = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto &slot = cache[signed_bits];
-        if (!slot) {
-            slot = std::make_unique<BipolarProductModel>(
-                signed_bits, kWeightRngDim,
-                kWeightRngDim + kWeightAltRngOffset);
-        }
-        model = slot.get();
-    }
-    if (memoable)
-        memo[signed_bits] = model;
-    return *model;
+    return cachedModel<BipolarProductModel>(
+        signed_bits, kWeightRngDim, kWeightRngDim + kWeightAltRngOffset);
 }
 
 namespace {

@@ -36,34 +36,6 @@ foldScratch()
 }
 
 /**
- * 1-bits the input stream of `code` delivers within `window` cycles,
- * corrupted by the activation-stream fault `f` before counting: the
- * rate stream of |code| (UR), the offset-binary rate stream of uGEMM-H,
- * or the temporal staircase of |code| (UT, tubGEMM, tuGEMM). The
- * fault-free counts are closed forms read off the product models.
- */
-u32
-faultedOnes(Scheme scheme, i32 code, int rng_bits, u32 window,
-            const Fault &f)
-{
-    const u32 iabs = toSignMag(code).magnitude;
-    switch (scheme) {
-      case Scheme::USystolicRate: {
-        RateBsg gen(iabs, kInputRngDim, rng_bits);
-        return u32(onesInWindow(gen, window, &f));
-      }
-      case Scheme::UgemmHybrid: {
-        BipolarRateBsg gen(code, kInputRngDim, rng_bits);
-        return u32(onesInWindow(gen, window, &f));
-      }
-      default: {
-        TemporalBsg gen(iabs, rng_bits);
-        return u32(onesInWindow(gen, window, &f));
-      }
-    }
-}
-
-/**
  * Indices of the nonzero codes of row[0..n) into idx, returning their
  * count. Branch-free: post-ReLU zeros fall at random, and a skip branch
  * per code made a 60%-zero 128-row fold over 2x slower.
@@ -87,6 +59,35 @@ codeOutsideTable(i32 code, int bits)
 }
 
 } // namespace
+
+namespace detail {
+
+u32
+faultedOnes(Scheme scheme, i32 code, int rng_bits, u32 window,
+            const Fault &f)
+{
+    const auto count = [&](auto &&gen) {
+        u32 ones = 0;
+        for (u32 t = 0; t < window; ++t) {
+            bool bit = gen.nextBit();
+            if (f.covers(t))
+                bit = f.corruptBit(bit, t);
+            ones += u32(bit);
+        }
+        return ones;
+    };
+    const u32 iabs = toSignMag(code).magnitude;
+    switch (scheme) {
+      case Scheme::USystolicRate:
+        return count(RateBsg(iabs, kInputRngDim, rng_bits));
+      case Scheme::UgemmHybrid:
+        return count(BipolarRateBsg(code, kInputRngDim, rng_bits));
+      default:
+        return count(TemporalBsg(iabs, rng_bits));
+    }
+}
+
+} // namespace detail
 
 PackedArray::PackedArray(const ArrayConfig &cfg)
     : cfg_(cfg)
@@ -196,7 +197,7 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
                             plan->activationStream(tile, m, r, awin)) {
                         const i32 code = input(m, r);
                         if (temporal) {
-                            const i32 ones = i32(faultedOnes(
+                            const i32 ones = i32(detail::faultedOnes(
                                 kern.scheme, code, kern.bits - 1, awin, *f));
                             astaged(m, r) = code < 0 ? -ones : ones;
                         } else {
@@ -279,7 +280,8 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
             const i32 code = input(m, r);
             if (fa)
                 if (const auto f = plan->activationStream(tile, m, r, mul))
-                    return faultedOnes(kern.scheme, code, rng_bits, mul, *f);
+                    return detail::faultedOnes(kern.scheme, code, rng_bits,
+                                                 mul, *f);
             const u32 key = table_key(code);
             return kern.scheme == Scheme::USystolicRate
                        ? um->rateOnes(key, mul)

@@ -82,6 +82,22 @@ class PackedArray
     ArrayConfig cfg_;
 };
 
+namespace detail {
+/**
+ * 1-bits the input stream of `code` delivers within `window` cycles,
+ * corrupted by the activation-stream fault `f` before counting: the
+ * rate stream of |code| (UR), the offset-binary rate stream of uGEMM-H,
+ * or the temporal staircase of |code| (UT, tubGEMM, tuGEMM). The stream
+ * is stepped one bit per cycle and each covered position corrupted,
+ * exactly as the scalar PE front end (RowFrontEnd::step) consumes it;
+ * tuGEMM's window is its P stream indices, not its P^2 cycles. The
+ * fault-free counts are closed forms read off the product models.
+ * `rng_bits` is the stream width: N - 1 unipolar, N for uGEMM-H.
+ */
+u32 faultedOnes(Scheme scheme, i32 code, int rng_bits, u32 window,
+                const Fault &f);
+} // namespace detail
+
 } // namespace usys
 
 #endif // USYS_ARCH_PACKED_ARRAY_H

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -16,35 +15,6 @@ namespace {
 // These are the reference semantics every other tier must reproduce
 // bit for bit. Kept branch-light so the compiler can vectorize them
 // for whatever baseline ISA the build targets.
-
-u64
-popcountWordsGeneric(const u64 *words, std::size_t n)
-{
-    // Four independent accumulators give the scalar path some ILP
-    // without changing the (exact, order-free) integer sum.
-    u64 s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        s0 += u64(std::popcount(words[i + 0]));
-        s1 += u64(std::popcount(words[i + 1]));
-        s2 += u64(std::popcount(words[i + 2]));
-        s3 += u64(std::popcount(words[i + 3]));
-    }
-    for (; i < n; ++i)
-        s0 += u64(std::popcount(words[i]));
-    return s0 + s1 + s2 + s3;
-}
-
-void
-thresholdPackWordsGeneric(const u32 *values, u32 n, u32 threshold,
-                          u64 *out)
-{
-    const u32 nwords = (n + 63) / 64;
-    for (u32 w = 0; w < nwords; ++w)
-        out[w] = 0;
-    for (u32 k = 0; k < n; ++k)
-        out[k >> 6] |= u64(values[k] < threshold) << (k & 63);
-}
 
 void
 axpyF32Generic(float *c, const float *b, float a, int n)
@@ -290,10 +260,9 @@ gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
 namespace {
 
 const SimdKernels kGeneric = {
-    SimdLevel::Generic,        popcountWordsGeneric,
-    thresholdPackWordsGeneric, axpyF32Generic,
-    gemmRowI32Generic,         detail::gemmI16Generic,
-    detail::gatherU16Generic,  detail::sumRowsI32Generic,
+    SimdLevel::Generic,       axpyF32Generic,
+    gemmRowI32Generic,        detail::gemmI16Generic,
+    detail::gatherU16Generic, detail::sumRowsI32Generic,
 };
 
 // --- Dispatch -------------------------------------------------------
@@ -393,8 +362,7 @@ cpuSupportsAvx512()
 {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512vpopcntdq");
+           __builtin_cpu_supports("avx512bw");
 #else
     return false;
 #endif

@@ -1,18 +1,14 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels behind the packed unary engines.
+ * Runtime-dispatched SIMD kernels behind the GEMM engines.
  *
- * Faulted unary streams (DESIGN.md §10) are generated and counted one
- * 64-bit word at a time, the exact-product GEMMs (referenceGemm: BP, BS,
- * tubGEMM, tuGEMM and the DNN's FXP modes) multiply 16-bit codes, the
- * per-MAC fault folds are integer GEMM rows, and the functional table
- * kernel (DESIGN.md §17) gathers product-table rows and sums them; on
- * AVX2 hosts the same work runs 4-16 words per instruction. This layer
- * exposes the handful of data-parallel inner loops as a function-pointer
- * table:
+ * The exact-product GEMMs (referenceGemm: BP, BS, tubGEMM, tuGEMM and
+ * the DNN's FXP modes) multiply 16-bit codes, the per-MAC fault folds
+ * are integer GEMM rows, and the functional table kernel (DESIGN.md
+ * §17) gathers product-table rows and sums them; on AVX2 hosts the
+ * same work runs 8-16 lanes per instruction. This layer exposes the
+ * handful of data-parallel inner loops as a function-pointer table:
  *
- *   popcountWords       bulk popcount of packed stream words
- *   thresholdPackWords  value < threshold comparisons packed into words
  *   axpyF32             fp32 GEMM row (one multiply, one add per element)
  *   gemmRowI32          widening integer GEMM row (any i32 codes)
  *   gemmI16             exact GEMM rows from codes in [-2^14, 2^14):
@@ -24,24 +20,21 @@
  *
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
- *   avx2     Harley-Seal / vpshufb-nibble-LUT popcounts, vectorized
- *            threshold packing and GEMM rows, vpmaddwd 4-row x 16-column
- *            pair tiles, vpgatherdd row gathers and register-tiled row
- *            sums; compiled in its own
- *            translation unit with -mavx2 so the rest of the binary
- *            stays runnable on machines without AVX2
- *   avx512   VPOPCNTDQ bulk/prefix popcounts, mask-register threshold
- *            packing, 16-lane fp32 and 8-lane widening integer GEMM
- *            rows, vpmaddwd 4-row x 64-column pair tiles, 16-lane
- *            gathers and 64-column register-tiled row sums; own
- *            translation unit with -mavx512{f,bw,vpopcntdq},
- *            runtime CPUID-gated like the AVX2 tier
- *   neon     AArch64 ASIMD: cnt/addv popcounts, compare+mask threshold
- *            packing, vmull_s32 widening integer GEMM rows (the
- *            pair-GEMM, gather and row-sum slots point at the generic
- *            kernels);
- *            own translation unit, available whenever the build
- *            targeted arm64 (ASIMD is architecturally mandatory there)
+ *   avx2     vectorized GEMM rows, vpmaddwd 4-row x 16-column pair
+ *            tiles, vpgatherdd row gathers and register-tiled row
+ *            sums; compiled in its own translation unit with -mavx2
+ *            so the rest of the binary stays runnable on machines
+ *            without AVX2
+ *   avx512   16-lane fp32 and 8-lane widening integer GEMM rows,
+ *            vpmaddwd 4-row x 64-column pair tiles with mask-register
+ *            pair staging, 16-lane gathers and 64-column
+ *            register-tiled row sums; own translation unit with
+ *            -mavx512{f,bw}, runtime CPUID-gated like the AVX2 tier
+ *   neon     AArch64 ASIMD: vmull_s32 widening integer GEMM rows and
+ *            the fp32 row (the pair-GEMM, gather and row-sum slots
+ *            point at the generic kernels); own translation unit,
+ *            available whenever the build targeted arm64 (ASIMD is
+ *            architecturally mandatory there)
  *
  * Every kernel is BIT-EXACT against its generic counterpart — integer
  * kernels trivially, the fp32 kernel because both sides perform exactly
@@ -55,7 +48,6 @@
 #ifndef USYS_COMMON_SIMD_H
 #define USYS_COMMON_SIMD_H
 
-#include <cstddef>
 #include <string>
 
 #include "common/types.h"
@@ -94,19 +86,6 @@ struct SimdKernels
 {
     /** Tier this table implements (for logging / stats). */
     SimdLevel level;
-
-    /** Total 1-bits across `n` packed stream words. */
-    u64 (*popcountWords)(const u64 *words, std::size_t n);
-
-    /**
-     * Pack threshold comparisons into little-endian stream words:
-     * bit k of out[] is (values[k] < threshold), unsigned. Writes
-     * (n + 63) / 64 words; bits at positions >= n in the final word
-     * are zero (the early-termination boundary mask falls out for
-     * free).
-     */
-    void (*thresholdPackWords)(const u32 *values, u32 n, u32 threshold,
-                               u64 *out);
 
     /**
      * Row-major fp32 GEMM inner loop: c[j] += a * b[j] for j in
@@ -179,8 +158,7 @@ const SimdKernels *avx2Kernels();
 
 /**
  * The AVX-512 table, or nullptr when unavailable — the build lacked
- * -mavx512{f,bw,vpopcntdq} support or the running CPU lacks any of
- * those features.
+ * -mavx512{f,bw} support or the running CPU lacks either feature.
  */
 const SimdKernels *avx512Kernels();
 
@@ -193,7 +171,7 @@ const SimdKernels *neonKernels();
 /** Runtime CPU feature probe (independent of build support). */
 bool cpuSupportsAvx2();
 
-/** Runtime probe for AVX-512F + AVX-512BW + VPOPCNTDQ together. */
+/** Runtime probe for AVX-512F + AVX-512BW together. */
 bool cpuSupportsAvx512();
 
 /**

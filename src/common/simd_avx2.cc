@@ -9,9 +9,9 @@
  * file degrades to a stub returning nullptr.
  *
  * Bit-exactness notes:
- *  - popcounts / comparisons / widening multiplies / vpmaddwd pair
- *    multiply-adds are exact integer operations; only the summation
- *    order differs, and integer sums are order-free.
+ *  - comparisons / widening multiplies / vpmaddwd pair multiply-adds
+ *    are exact integer operations; only the summation order differs,
+ *    and integer sums are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
  *    element (never an FMA; -ffp-contract=off on this TU), matching
  *    the generic loop's rounding per element.
@@ -22,140 +22,10 @@
 #if defined(USYS_HAVE_AVX2)
 
 #include <algorithm>
-#include <bit>
 #include <immintrin.h>
 
 namespace usys {
 namespace {
-
-/** Per-64-bit-lane popcount of a 256-bit vector (vpshufb nibble LUT). */
-inline __m256i
-popcount256(__m256i v)
-{
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low = _mm256_set1_epi8(0x0f);
-    const __m256i lo = _mm256_and_si256(v, low);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-    const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                        _mm256_shuffle_epi8(lut, hi));
-    // Horizontal byte sums per 64-bit lane.
-    return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-/** Carry-save adder step: (h, l) = a + b + c in bit-sliced form. */
-inline void
-csa(__m256i &h, __m256i &l, __m256i a, __m256i b, __m256i c)
-{
-    const __m256i u = _mm256_xor_si256(a, b);
-    h = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c));
-    l = _mm256_xor_si256(u, c);
-}
-
-inline u64
-hsum256(__m256i v)
-{
-    alignas(32) u64 lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
-/**
- * Harley-Seal bulk popcount: a carry-save adder tree folds 16 vectors
- * (64 words) per round into one vector counted at 1/16 weight, cutting
- * the shuffle/sad work 16x for the bulk of the data.
- */
-u64
-popcountWordsAvx2(const u64 *words, std::size_t n)
-{
-    const __m256i *v = reinterpret_cast<const __m256i *>(words);
-    const std::size_t nvec = n / 4;
-
-    __m256i total = _mm256_setzero_si256();
-    __m256i ones = _mm256_setzero_si256();
-    __m256i twos = _mm256_setzero_si256();
-    __m256i fours = _mm256_setzero_si256();
-    __m256i eights = _mm256_setzero_si256();
-
-    std::size_t i = 0;
-    for (; i + 16 <= nvec; i += 16) {
-        __m256i twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens;
-        csa(twosA, ones, ones, _mm256_loadu_si256(v + i + 0),
-            _mm256_loadu_si256(v + i + 1));
-        csa(twosB, ones, ones, _mm256_loadu_si256(v + i + 2),
-            _mm256_loadu_si256(v + i + 3));
-        csa(foursA, twos, twos, twosA, twosB);
-        csa(twosA, ones, ones, _mm256_loadu_si256(v + i + 4),
-            _mm256_loadu_si256(v + i + 5));
-        csa(twosB, ones, ones, _mm256_loadu_si256(v + i + 6),
-            _mm256_loadu_si256(v + i + 7));
-        csa(foursB, twos, twos, twosA, twosB);
-        csa(eightsA, fours, fours, foursA, foursB);
-        csa(twosA, ones, ones, _mm256_loadu_si256(v + i + 8),
-            _mm256_loadu_si256(v + i + 9));
-        csa(twosB, ones, ones, _mm256_loadu_si256(v + i + 10),
-            _mm256_loadu_si256(v + i + 11));
-        csa(foursA, twos, twos, twosA, twosB);
-        csa(twosA, ones, ones, _mm256_loadu_si256(v + i + 12),
-            _mm256_loadu_si256(v + i + 13));
-        csa(twosB, ones, ones, _mm256_loadu_si256(v + i + 14),
-            _mm256_loadu_si256(v + i + 15));
-        csa(foursB, twos, twos, twosA, twosB);
-        csa(eightsB, fours, fours, foursA, foursB);
-        csa(sixteens, eights, eights, eightsA, eightsB);
-        total = _mm256_add_epi64(total, popcount256(sixteens));
-    }
-
-    total = _mm256_slli_epi64(total, 4);
-    total = _mm256_add_epi64(total,
-                             _mm256_slli_epi64(popcount256(eights), 3));
-    total = _mm256_add_epi64(total,
-                             _mm256_slli_epi64(popcount256(fours), 2));
-    total = _mm256_add_epi64(total,
-                             _mm256_slli_epi64(popcount256(twos), 1));
-    total = _mm256_add_epi64(total, popcount256(ones));
-
-    for (; i < nvec; ++i)
-        total = _mm256_add_epi64(total,
-                                 popcount256(_mm256_loadu_si256(v + i)));
-    u64 sum = hsum256(total);
-    for (std::size_t w = nvec * 4; w < n; ++w)
-        sum += u64(std::popcount(words[w]));
-    return sum;
-}
-
-void
-thresholdPackWordsAvx2(const u32 *values, u32 n, u32 threshold, u64 *out)
-{
-    // Unsigned compare via the sign-flip trick; vmovmskps yields one
-    // bit per 32-bit lane in lane order, matching the little-endian
-    // stream packing.
-    const __m256i flip = _mm256_set1_epi32(i32(0x80000000u));
-    const __m256i thr =
-        _mm256_xor_si256(_mm256_set1_epi32(i32(threshold)), flip);
-    u32 k = 0;
-    u32 w = 0;
-    for (; k + 64 <= n; k += 64, ++w) {
-        u64 word = 0;
-        for (u32 j = 0; j < 64; j += 8) {
-            __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(values + k + j));
-            v = _mm256_xor_si256(v, flip);
-            const __m256i lt = _mm256_cmpgt_epi32(thr, v);
-            const u32 mask =
-                u32(_mm256_movemask_ps(_mm256_castsi256_ps(lt)));
-            word |= u64(mask) << j;
-        }
-        out[w] = word;
-    }
-    if (k < n) {
-        u64 word = 0;
-        for (u32 j = 0; k + j < n; ++j)
-            word |= u64(values[k + j] < threshold) << j;
-        out[w] = word;
-    }
-}
 
 void
 axpyF32Avx2(float *c, const float *b, float a, int n)
@@ -423,8 +293,7 @@ sumRowsI32Avx2(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx2 = {
-    SimdLevel::Avx2, popcountWordsAvx2, thresholdPackWordsAvx2,
-    axpyF32Avx2,     gemmRowI32Avx2,    gemmI16Avx2,
+    SimdLevel::Avx2, axpyF32Avx2,   gemmRowI32Avx2, gemmI16Avx2,
     gatherU16Avx2,   sumRowsI32Avx2,
 };
 

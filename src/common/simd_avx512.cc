@@ -3,17 +3,17 @@
  * AVX-512 implementations of the SimdKernels table.
  *
  * This translation unit — and only this one — is compiled with
- * -mavx512f -mavx512bw -mavx512vpopcntdq (see src/common/CMakeLists.txt);
+ * -mavx512f -mavx512bw (see src/common/CMakeLists.txt);
  * nothing here is reachable unless runtime CPUID dispatch selected the
  * table, so the default binary still runs on baseline x86-64. Without
  * compiler AVX-512 support the file degrades to a stub returning
  * nullptr.
  *
  * Bit-exactness notes:
- *  - VPOPCNTDQ popcounts, mask-register compares, vpmuldq widening
- *    multiplies and vpmaddwd pair multiply-adds are exact integer
- *    operations; only summation order differs from the generic loops,
- *    and integer sums are order-free.
+ *  - mask-register compares, vpmuldq widening multiplies and vpmaddwd
+ *    pair multiply-adds are exact integer operations; only summation
+ *    order differs from the generic loops, and integer sums are
+ *    order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
  *    element (never an FMA; -ffp-contract=off on this TU), matching
  *    the generic loop's rounding per element.
@@ -34,8 +34,8 @@ namespace {
 // GCC 12's TSan pass miscompiles these kernels at -O2: the inserted
 // __tsan_read/__tsan_write calls force ZMM/mask-register spills, and
 // reloaded __mmask16 values come back holding stack-address fragments
-// (observed directly in thresholdPackWords: with threshold 0 the packed
-// word's bits 16..47 contained half a stack pointer — DESIGN.md §16).
+// (observed directly: an all-false compare's mask, packed into a word,
+// read back with half a stack pointer in bits 16..47 — DESIGN.md §16).
 // The kernels are synchronization-free leaf code over caller-owned
 // buffers, so skipping instrumentation inside them costs no real race
 // coverage: every buffer they touch is also read/written by
@@ -45,72 +45,6 @@ namespace {
 #else
 #define USYS_AVX512_NO_TSAN
 #endif
-
-/**
- * Bulk popcount via VPOPCNTDQ: one instruction per 8 words replaces
- * the whole AVX2 Harley-Seal adder tree. Two accumulators cover the
- * instruction latency; per-lane u64 counters cannot overflow for any
- * realizable buffer size.
- */
-USYS_AVX512_NO_TSAN u64
-popcountWordsAvx512(const u64 *words, std::size_t n)
-{
-    const __m512i *v = reinterpret_cast<const __m512i *>(words);
-    const std::size_t nvec = n / 8;
-
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 2 <= nvec; i += 2) {
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(_mm512_loadu_si512(v + i)));
-        acc1 = _mm512_add_epi64(
-            acc1, _mm512_popcnt_epi64(_mm512_loadu_si512(v + i + 1)));
-    }
-    for (; i < nvec; ++i)
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(_mm512_loadu_si512(v + i)));
-    u64 sum = u64(_mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1)));
-    for (std::size_t w = nvec * 8; w < n; ++w)
-        sum += u64(std::popcount(words[w]));
-    return sum;
-}
-
-USYS_AVX512_NO_TSAN void
-thresholdPackWordsAvx512(const u32 *values, u32 n, u32 threshold, u64 *out)
-{
-    // Native unsigned compare into a mask register: each vector yields
-    // 16 bits in lane order, four vectors assemble one little-endian
-    // stream word. No sign-flip trick needed.
-    const __m512i thr = _mm512_set1_epi32(i32(threshold));
-    u32 k = 0;
-    u32 w = 0;
-    for (; k + 64 <= n; k += 64, ++w) {
-        const u64 m0 = _mm512_cmplt_epu32_mask(
-            _mm512_loadu_si512(
-                reinterpret_cast<const __m512i *>(values + k)),
-            thr);
-        const u64 m1 = _mm512_cmplt_epu32_mask(
-            _mm512_loadu_si512(
-                reinterpret_cast<const __m512i *>(values + k + 16)),
-            thr);
-        const u64 m2 = _mm512_cmplt_epu32_mask(
-            _mm512_loadu_si512(
-                reinterpret_cast<const __m512i *>(values + k + 32)),
-            thr);
-        const u64 m3 = _mm512_cmplt_epu32_mask(
-            _mm512_loadu_si512(
-                reinterpret_cast<const __m512i *>(values + k + 48)),
-            thr);
-        out[w] = m0 | (m1 << 16) | (m2 << 32) | (m3 << 48);
-    }
-    if (k < n) {
-        u64 word = 0;
-        for (u32 j = 0; k + j < n; ++j)
-            word |= u64(values[k + j] < threshold) << j;
-        out[w] = word;
-    }
-}
 
 USYS_AVX512_NO_TSAN void
 axpyF32Avx512(float *c, const float *b, float a, int n)
@@ -493,8 +427,7 @@ sumRowsI32Avx512(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx512 = {
-    SimdLevel::Avx512, popcountWordsAvx512, thresholdPackWordsAvx512,
-    axpyF32Avx512,     gemmRowI32Avx512,    gemmI16Avx512,
+    SimdLevel::Avx512, axpyF32Avx512,    gemmRowI32Avx512, gemmI16Avx512,
     gatherU16Avx512,   sumRowsI32Avx512,
 };
 

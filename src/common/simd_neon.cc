@@ -10,9 +10,8 @@
  * mirroring simd_avx2.cc.
  *
  * Bit-exactness notes:
- *  - cnt/addv popcounts, compares, and the vmull_s32 widening multiply
- *    are exact integer operations; only summation order differs, and
- *    integer sums are order-free.
+ *  - the vmull_s32 widening multiply is an exact integer operation;
+ *    only summation order differs, and integer sums are order-free.
  *  - the fp32 kernel issues exactly one fmul and one fadd per element
  *    (explicit vmulq/vaddq, never vfmaq; -ffp-contract=off on this TU),
  *    matching the generic loop's rounding per element.
@@ -23,68 +22,9 @@
 #if defined(USYS_HAVE_NEON)
 
 #include <arm_neon.h>
-#include <bit>
 
 namespace usys {
 namespace {
-
-/**
- * Bulk popcount: vcnt gives per-byte counts; the pairwise-widening
- * ladder (vpaddlq u8->u16->u32->u64) folds a 16-byte vector into two
- * u64 lanes without ever overflowing, and the ladder results
- * accumulate across iterations so the horizontal vaddvq runs once.
- */
-u64
-popcountWordsNeon(const u64 *words, std::size_t n)
-{
-    const u8 *bytes = reinterpret_cast<const u8 *>(words);
-    uint64x2_t acc = vdupq_n_u64(0);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint8x16_t v = vld1q_u8(bytes + i * 8);
-        acc = vpadalq_u32(acc, vpaddlq_u16(vpaddlq_u8(vcntq_u8(v))));
-    }
-    u64 sum = vaddvq_u64(acc);
-    for (; i < n; ++i)
-        sum += u64(std::popcount(words[i]));
-    return sum;
-}
-
-/** Low byte of an 8-lane unsigned compare: bit j set iff v[j] < thr. */
-inline u64
-packByteLt(const u32 *values, uint32x4_t thr)
-{
-    // vcltq yields all-ones lanes; masking with the lane's bit weight
-    // and adding across lanes assembles the byte in stream bit order.
-    static const u32 kWeightLo[4] = {1u, 2u, 4u, 8u};
-    static const u32 kWeightHi[4] = {16u, 32u, 64u, 128u};
-    const uint32x4_t w_lo = vld1q_u32(kWeightLo);
-    const uint32x4_t w_hi = vld1q_u32(kWeightHi);
-    const uint32x4_t lt_lo = vcltq_u32(vld1q_u32(values), thr);
-    const uint32x4_t lt_hi = vcltq_u32(vld1q_u32(values + 4), thr);
-    return u64(vaddvq_u32(vandq_u32(lt_lo, w_lo)) +
-               vaddvq_u32(vandq_u32(lt_hi, w_hi)));
-}
-
-void
-thresholdPackWordsNeon(const u32 *values, u32 n, u32 threshold, u64 *out)
-{
-    const uint32x4_t thr = vdupq_n_u32(threshold);
-    u32 k = 0;
-    u32 w = 0;
-    for (; k + 64 <= n; k += 64, ++w) {
-        u64 word = 0;
-        for (u32 j = 0; j < 64; j += 8)
-            word |= packByteLt(values + k + j, thr) << j;
-        out[w] = word;
-    }
-    if (k < n) {
-        u64 word = 0;
-        for (u32 j = 0; k + j < n; ++j)
-            word |= u64(values[k + j] < threshold) << j;
-        out[w] = word;
-    }
-}
 
 void
 axpyF32Neon(float *c, const float *b, float a, int n)
@@ -123,10 +63,9 @@ gemmRowI32Neon(i64 *c, const i32 *b, i32 a, int n)
 // The pair GEMM, table-kernel gather and row sum run the generic loops:
 // no arm64 host is at hand to measure NEON versions against them.
 const SimdKernels kNeon = {
-    SimdLevel::Neon,           popcountWordsNeon,
-    thresholdPackWordsNeon,    axpyF32Neon,
-    gemmRowI32Neon,            detail::gemmI16Generic,
-    detail::gatherU16Generic,  detail::sumRowsI32Generic,
+    SimdLevel::Neon,          axpyF32Neon,
+    gemmRowI32Neon,           detail::gemmI16Generic,
+    detail::gatherU16Generic, detail::sumRowsI32Generic,
 };
 
 } // namespace

@@ -106,8 +106,10 @@ struct Fault
     }
 
     /**
-     * Corrupt the covered bits of a 64-bit stream word holding stream
-     * positions [base, base + 64) — the SWAR form of corruptBit().
+     * Corrupt the covered bits of a 64-bit word holding bit positions
+     * [base, base + 64) — the word form of corruptBit() that
+     * applyToInt(), corruptCode() and corruptMagnitude() apply to
+     * binary values (accumulator contributions, codes, magnitudes).
      */
     u64
     applyToWord(u64 word, u64 base) const

@@ -11,13 +11,10 @@
 #ifndef USYS_UNARY_BITSTREAM_H
 #define USYS_UNARY_BITSTREAM_H
 
-#include <bit>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/simd.h"
 #include "common/types.h"
-#include "fault/fault.h"
 #include "unary/sobol.h"
 
 namespace usys {
@@ -31,36 +28,6 @@ class BitstreamGen
     /** Produce the next bit of the stream. */
     virtual bool nextBit() = 0;
 
-    /**
-     * Produce the next 64 bits of the stream packed little-endian (bit i
-     * of the word is the (i+1)-th nextBit()). The base implementation is
-     * the scalar reference path; concrete generators override it with a
-     * batched advance that is state-identical, so word and bit stepping
-     * can be mixed freely.
-     */
-    virtual u64
-    nextWord()
-    {
-        u64 word = 0;
-        for (int i = 0; i < 64; ++i)
-            word |= u64(nextBit()) << i;
-        return word;
-    }
-
-    /**
-     * Produce the next nwords packed words at once. State-identical to
-     * nwords nextWord() calls; generators whose word step is already
-     * closed-form keep this default, the RNG-compared ones override it
-     * with one batched threshold-pack over the whole block so the SIMD
-     * kernels see long runs (see common/simd.h).
-     */
-    virtual void
-    nextWords(u64 *out, u32 nwords)
-    {
-        for (u32 i = 0; i < nwords; ++i)
-            out[i] = nextWord();
-    }
-
     /** Restart the stream from cycle 0. */
     virtual void reset() = 0;
 };
@@ -71,7 +38,7 @@ class BitstreamGen
  * With a full-period Sobol RNG of the same width, exactly src of the
  * 2^bits bits are 1, in pseudo-random order.
  */
-class RateBsg : public BitstreamGen
+class RateBsg final : public BitstreamGen
 {
   public:
     /**
@@ -88,12 +55,6 @@ class RateBsg : public BitstreamGen
     }
 
     bool nextBit() override { return rng_.next() < src_; }
-    u64 nextWord() override { return rng_.nextWord(src_); }
-    void
-    nextWords(u64 *out, u32 nwords) override
-    {
-        rng_.nextWords(src_, out, nwords);
-    }
     void reset() override { rng_.reset(); }
 
   private:
@@ -109,7 +70,7 @@ class RateBsg : public BitstreamGen
  * The tail placement is why early termination destroys temporal accuracy:
  * truncating the stream drops 1s of small values first (Section II-B3).
  */
-class TemporalBsg : public BitstreamGen
+class TemporalBsg final : public BitstreamGen
 {
   public:
     TemporalBsg(u32 src, int bits)
@@ -122,20 +83,6 @@ class TemporalBsg : public BitstreamGen
         const bool bit = t_ >= period_ - src_;
         ++t_;
         return bit;
-    }
-
-    /** Closed-form word: 1s start at cycle period - src and never stop. */
-    u64
-    nextWord() override
-    {
-        const u64 first_one = period_ - src_;
-        const u64 start = t_;
-        t_ += 64;
-        if (start >= first_one)
-            return ~u64(0);
-        if (t_ <= first_one)
-            return 0;
-        return ~u64(0) << (first_one - start);
     }
 
     void reset() override { t_ = 0; }
@@ -151,7 +98,7 @@ class TemporalBsg : public BitstreamGen
  * [-2^(bits-1), 2^(bits-1)) is offset to [0, 2^bits) and rate-coded; the
  * stream's bipolar value is 2*P(1) - 1 = x / 2^(bits-1).
  */
-class BipolarRateBsg : public BitstreamGen
+class BipolarRateBsg final : public BitstreamGen
 {
   public:
     BipolarRateBsg(i32 src, int rng_dimension, int bits)
@@ -160,48 +107,12 @@ class BipolarRateBsg : public BitstreamGen
     {}
 
     bool nextBit() override { return rng_.next() < offset_; }
-    u64 nextWord() override { return rng_.nextWord(offset_); }
-    void
-    nextWords(u64 *out, u32 nwords) override
-    {
-        rng_.nextWords(offset_, out, nwords);
-    }
     void reset() override { rng_.reset(); }
 
   private:
     u32 offset_;
     SobolSequence rng_;
 };
-
-/**
- * 1s among the first `window` bits of a fresh stream, advanced one
- * packed word at a time (the SWAR form of counting nextBit() results).
- * A final partial word (early-termination boundary, or window < 64) is
- * masked so bits past the window never count. An optional fault event
- * corrupts the covered stream positions *before* counting — the packed
- * engines and the scalar reference both consume the corrupted stream,
- * which is what keeps them bit-exact under injection.
- */
-inline u64
-onesInWindow(BitstreamGen &gen, u32 window, const Fault *fault = nullptr)
-{
-    if (window == 0)
-        return 0;
-    // Batch the whole window: one nextWords() advance, the (rare)
-    // fault pass, the boundary mask, then one bulk popcount through
-    // the dispatched SIMD kernel. The scratch is per-thread so packed
-    // folds running on the executor never share it.
-    thread_local std::vector<u64> buf;
-    const u32 nwords = (window + 63) / 64;
-    buf.resize(nwords);
-    gen.nextWords(buf.data(), nwords);
-    if (fault)
-        for (u32 w = 0; w < nwords; ++w)
-            buf[w] = fault->applyToWord(buf[w], u64(w) * 64);
-    if (window & 63)
-        buf[nwords - 1] &= lowMask(window & 63);
-    return simdKernels().popcountWords(buf.data(), nwords);
-}
 
 /** Materialize n bits of a stream as 0/1 bytes. */
 inline std::vector<u8>

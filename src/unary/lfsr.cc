@@ -1,9 +1,6 @@
 #include "unary/lfsr.h"
 
-#include <vector>
-
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace usys {
 
@@ -48,43 +45,6 @@ Lfsr::next()
     const u32 feedback = u32(__builtin_parity(state_ & tap_mask_));
     state_ = ((state_ << 1) | feedback) & ((u32(1) << bits_) - 1);
     return out;
-}
-
-u64
-Lfsr::nextWord(u32 threshold)
-{
-    const u32 mask = (u32(1) << bits_) - 1;
-    u32 state = state_;
-    u64 word = 0;
-    // Same shift-and-feedback recurrence as next(), kept in a local so
-    // the compiler can hold the register state across all 64 steps.
-    for (int i = 0; i < 64; ++i) {
-        word |= u64(state < threshold) << i;
-        const u32 feedback = u32(__builtin_parity(state & tap_mask_));
-        state = ((state << 1) | feedback) & mask;
-    }
-    state_ = state;
-    return word;
-}
-
-void
-Lfsr::nextWords(u32 threshold, u64 *out, u32 nwords)
-{
-    // Same register recurrence as next()/nextWord(), swept once over a
-    // scratch value buffer; the comparisons pack in one SIMD call.
-    thread_local std::vector<u32> vals;
-    const std::size_t count = std::size_t(nwords) * 64;
-    vals.resize(count);
-    const u32 mask = (u32(1) << bits_) - 1;
-    u32 state = state_;
-    for (std::size_t k = 0; k < count; ++k) {
-        vals[k] = state;
-        const u32 feedback = u32(__builtin_parity(state & tap_mask_));
-        state = ((state << 1) | feedback) & mask;
-    }
-    state_ = state;
-    simdKernels().thresholdPackWords(vals.data(), u32(count), threshold,
-                                     out);
 }
 
 void

@@ -32,21 +32,6 @@ class Lfsr
     /** Current value; advances the register. */
     u32 next();
 
-    /**
-     * Batched advance: pack the next 64 threshold comparisons into one
-     * word — bit i is (v_i < threshold) for the i-th of the next 64
-     * register values. State-identical to 64 next() calls.
-     */
-    u64 nextWord(u32 threshold);
-
-    /**
-     * Batched form of nextWord(): pack the next nwords * 64 threshold
-     * comparisons into out[0..nwords) through the dispatched SIMD
-     * threshold-pack kernel. State-identical to nwords nextWord()
-     * calls.
-     */
-    void nextWords(u32 threshold, u64 *out, u32 nwords);
-
     /** Restart from the construction seed. */
     void reset();
 

@@ -1,7 +1,6 @@
 #include "unary/sobol.h"
 
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace usys {
 
@@ -105,48 +104,6 @@ SobolSequence::next()
         value_ ^= direction_[lowestZeroBit(index_ - 1)];
     }
     return out;
-}
-
-u64
-SobolSequence::nextWord(u32 threshold)
-{
-    // The recurrence is inherently sequential (each value XORs a
-    // direction number selected by the previous index), so the batched
-    // form keeps the scalar advance but packs the threshold comparisons
-    // — one word op per 64 stream bits for the consumer.
-    u64 word = 0;
-    for (int i = 0; i < 64; ++i)
-        word |= u64(next() < threshold) << i;
-    return word;
-}
-
-void
-SobolSequence::nextWords(u32 threshold, u64 *out, u32 nwords)
-{
-    // Materialize the next nwords * 64 sequence values with the same
-    // recurrence next() runs (including the period wrap), keeping the
-    // register state in locals across the whole block, then pack all
-    // the threshold comparisons in one SIMD call.
-    thread_local std::vector<u32> vals;
-    const std::size_t count = std::size_t(nwords) * 64;
-    vals.resize(count);
-    u32 value = value_;
-    u64 index = index_;
-    const u64 p = period();
-    for (std::size_t k = 0; k < count; ++k) {
-        vals[k] = value;
-        ++index;
-        if (index == p) {
-            index = 0;
-            value = 0;
-        } else {
-            value ^= direction_[lowestZeroBit(index - 1)];
-        }
-    }
-    value_ = value;
-    index_ = index;
-    simdKernels().thresholdPackWords(vals.data(), u32(count), threshold,
-                                     out);
 }
 
 void

@@ -44,23 +44,6 @@ class SobolSequence
     /** Next value in [0, 2^bits); advances the generator. */
     u32 next();
 
-    /**
-     * Batched advance: pack the next 64 threshold comparisons into one
-     * word — bit i is (v_i < threshold) for the i-th of the next 64
-     * sequence values. State-identical to 64 next() calls (including
-     * period wrap), so callers can mix word and scalar stepping.
-     */
-    u64 nextWord(u32 threshold);
-
-    /**
-     * Batched form of nextWord(): pack the next nwords * 64 threshold
-     * comparisons into out[0..nwords). The recurrence advances in one
-     * scalar sweep over a scratch buffer and the comparisons go
-     * through the dispatched SIMD threshold-pack kernel, so word,
-     * multi-word, and scalar stepping can still be mixed freely.
-     */
-    void nextWords(u32 threshold, u64 *out, u32 nwords);
-
     /** Restart the sequence from index 0. */
     void reset();
 

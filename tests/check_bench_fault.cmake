@@ -15,8 +15,9 @@
 #      straight run's.
 #   4. Engine leg: an all-site sweep on the packed engine and on the
 #      scalar referee (--no-packed) must write byte-identical artifacts
-#      and stats. No clock is read: every packed fault path is held to
-#      the scalar engine at tool level.
+#      and stats, under --fault-kind flip and under --fault-kind burst.
+#      No clock is read: every packed fault path is held to the scalar
+#      engine at tool level.
 
 set(straight ${WORK_DIR}/BENCH_fault.straight.json)
 set(resumed ${WORK_DIR}/BENCH_fault.resumed.json)
@@ -69,30 +70,36 @@ if(NOT rc EQUAL 0)
                         "restore is not byte-exact")
 endif()
 
-foreach(engine packed scalar)
-    set(extra)
-    if(engine STREQUAL "scalar")
-        set(extra --no-packed)
-    endif()
-    execute_process(
-        COMMAND ${BENCH} --trials 2 --fault-site all ${extra}
-                --out ${WORK_DIR}/BENCH_fault.${engine}.json
-                --stats-json ${WORK_DIR}/fault_stats.${engine}.json
-        RESULT_VARIABLE rc OUTPUT_QUIET)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "fault_sweep --fault-site all on the ${engine} "
-                            "engine failed (${rc})")
-    endif()
-endforeach()
-foreach(artifact BENCH_fault fault_stats)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${WORK_DIR}/${artifact}.packed.json
-                ${WORK_DIR}/${artifact}.scalar.json
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "${artifact}: packed and --no-packed fault "
-                            "sweeps differ (${WORK_DIR}/${artifact}."
-                            "{packed,scalar}.json)")
-    endif()
+foreach(kind flip burst)
+    foreach(engine packed scalar)
+        set(extra)
+        if(engine STREQUAL "scalar")
+            set(extra --no-packed)
+        endif()
+        execute_process(
+            COMMAND ${BENCH} --trials 2 --fault-site all --fault-kind ${kind}
+                    ${extra}
+                    --out ${WORK_DIR}/BENCH_fault.${kind}.${engine}.json
+                    --stats-json
+                    ${WORK_DIR}/fault_stats.${kind}.${engine}.json
+            RESULT_VARIABLE rc OUTPUT_QUIET)
+        if(NOT rc EQUAL 0)
+            message(FATAL_ERROR "fault_sweep --fault-site all --fault-kind "
+                                "${kind} on the ${engine} engine failed "
+                                "(${rc})")
+        endif()
+    endforeach()
+    foreach(artifact BENCH_fault fault_stats)
+        execute_process(
+            COMMAND ${CMAKE_COMMAND} -E compare_files
+                    ${WORK_DIR}/${artifact}.${kind}.packed.json
+                    ${WORK_DIR}/${artifact}.${kind}.scalar.json
+            RESULT_VARIABLE rc)
+        if(NOT rc EQUAL 0)
+            message(FATAL_ERROR "${artifact}: packed and --no-packed "
+                                "--fault-kind ${kind} sweeps differ "
+                                "(${WORK_DIR}/${artifact}.${kind}."
+                                "{packed,scalar}.json)")
+        endif()
+    endforeach()
 endforeach()

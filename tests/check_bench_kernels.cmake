@@ -21,10 +21,9 @@ endif()
 # perf_smoke itself asserts packed/scalar and SIMD/generic equivalence
 # per kernel and exits nonzero when a perf gate misses:
 #   --min-speedup 10             full-period UR packed-vs-scalar
-#   --min-simd-speedup 2         SIMD bulk popcount (self-skips when
-#                                no AVX2/AVX-512 tier is available)
 #   --min-gemm-row-speedup 2.5   SIMD gemm row vs generic (self-skips
-#                                likewise). The DESIGN §13 target is
+#                                when no AVX2/AVX-512 tier is
+#                                available). The DESIGN §13 target is
 #                                4x; the ctest gate is set at 2.5x
 #                                because the generic baseline already
 #                                sustains ~1 imul/cycle and on
@@ -39,14 +38,14 @@ endif()
 #                                cost on the packed UR fold (A/A gated)
 execute_process(
     COMMAND ${BENCH} --stats-json ${stats} --min-speedup 10
-            --min-simd-speedup 2 --min-gemm-row-speedup 2.5
+            --min-gemm-row-speedup 2.5
             ${sparse_gate}
             --max-profile-overhead-pct 2
     RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "perf_smoke failed (${rc}) — equivalence "
-                        "mismatch or a perf gate missed (UR 10x, SIMD "
-                        "popcount 2x, gemm row 2.5x, sparse 2x, or "
+                        "mismatch or a perf gate missed (UR 10x, "
+                        "gemm row 2.5x, sparse 2x, or "
                         "profiling-disabled overhead above 2%)")
 endif()
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -840,6 +841,91 @@ TEST(Functional, UgemmAccuracyComparableToUSystolic)
     EXPECT_LT(ur, 0.1);
     EXPECT_LT(ug, 0.15);
     EXPECT_LT(ug, ur * 6 + 0.02);
+}
+
+
+// --- Shared product-model cache -------------------------------------
+
+TEST(ModelCache, OneModelPerBitwidthAndType)
+{
+    const UnaryProductModel &u6 = unaryModelFor(6);
+    EXPECT_EQ(&unaryModelFor(6), &u6);
+    EXPECT_NE(&unaryModelFor(7), &u6);
+    EXPECT_EQ(u6.period(), 32u);
+    EXPECT_EQ(unaryModelFor(7).period(), 64u);
+
+    // Same bitwidth, other model type: its own cache entry.
+    const BipolarProductModel &b6 = bipolarModelFor(6);
+    EXPECT_EQ(&bipolarModelFor(6), &b6);
+    EXPECT_NE(&bipolarModelFor(5), &b6);
+    EXPECT_EQ(b6.period(), 64u);
+    EXPECT_EQ(bipolarModelFor(5).period(), 32u);
+}
+
+/**
+ * Threads that race to a bitwidth no one has asked for yet all get the
+ * one shared model, and their later (memoized) lookups stay on it.
+ */
+TEST(ModelCache, RacingThreadsShareOneModel)
+{
+    constexpr int kThreads = 4;
+    std::vector<const UnaryProductModel *> unary(kThreads);
+    std::vector<const BipolarProductModel *> bipolar(kThreads);
+    std::vector<int> memo_hits(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            unary[t] = &unaryModelFor(9);
+            bipolar[t] = &bipolarModelFor(8);
+            memo_hits[t] = int(&unaryModelFor(9) == unary[t]) +
+                           int(&bipolarModelFor(8) == bipolar[t]);
+        });
+    for (auto &th : pool)
+        th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(unary[t], &unaryModelFor(9)) << "thread " << t;
+        EXPECT_EQ(bipolar[t], &bipolarModelFor(8)) << "thread " << t;
+        EXPECT_EQ(memo_hits[t], 2) << "thread " << t;
+    }
+}
+
+/**
+ * The cached models are built on the PE's RNG dimensions: the weight
+ * and input dimensions for the unipolar model, and the two weight lanes
+ * (kWeightRngDim and kWeightRngDim + kWeightAltRngOffset) for uGEMM-H —
+ * not BipolarProductModel's default second dimension.
+ */
+TEST(ModelCache, ModelsAreBuiltOnThePeRngDimensions)
+{
+    const int bits = 6;
+    const UnaryProductModel &u = unaryModelFor(bits);
+    const UnaryProductModel fresh_u(bits, kWeightRngDim, kInputRngDim);
+    for (u32 ones = 0; ones <= u.period(); ++ones) {
+        for (u32 w = 0; w <= u.period(); ++w)
+            ASSERT_EQ(u.countAfterOnes(ones, w),
+                      fresh_u.countAfterOnes(ones, w))
+                << "ones " << ones << " w " << w;
+        for (u32 cycles : {u32(1), u.period() / 2, u.period()})
+            ASSERT_EQ(u.rateOnes(ones, cycles),
+                      fresh_u.rateOnes(ones, cycles))
+                << "iabs " << ones << " cycles " << cycles;
+    }
+
+    const BipolarProductModel &b = bipolarModelFor(bits);
+    const BipolarProductModel fresh_b(bits, kWeightRngDim,
+                                      kWeightRngDim + kWeightAltRngOffset);
+    const BipolarProductModel default_dims(bits);
+    bool differs_from_default = false;
+    for (u32 ones = 0; ones <= b.period(); ++ones)
+        for (u32 zeros = 0; ones + zeros <= b.period(); ++zeros)
+            for (u32 w = 0; w <= b.period(); ++w) {
+                const u32 got = b.countAfter(ones, zeros, w);
+                ASSERT_EQ(got, fresh_b.countAfter(ones, zeros, w))
+                    << "ones " << ones << " zeros " << zeros << " w " << w;
+                differs_from_default |=
+                    got != default_dims.countAfter(ones, zeros, w);
+            }
+    EXPECT_TRUE(differs_from_default);
 }
 
 } // namespace

@@ -27,11 +27,11 @@
 #include "arch/array.h"
 #include "arch/functional.h"
 #include "arch/packed_array.h"
+#include "arch/pe.h"
 #include "arch/rtl_array.h"
 #include "eval/resilience.h"
 #include "fault/fault.h"
 #include "mem/dram_faults.h"
-#include "unary/bitstream.h"
 
 namespace usys {
 namespace {
@@ -175,34 +175,177 @@ TEST(FaultOps, KindNamesRoundTrip)
                 ::testing::ExitedWithCode(1), "fault kind");
 }
 
-// --- Corrupted stream counting (packed vs scalar form) ---------------
+// --- Faulted activation-stream ones-count --------------------------
+
+/** The unary kernels whose activation streams the packed engine counts
+ *  under a fault, with the early-terminated UR-8 (ebt 6) window. */
+const KernelConfig kStreamKernels[] = {
+    {Scheme::USystolicRate, 8, 0},    {Scheme::USystolicRate, 8, 6},
+    {Scheme::USystolicRate, 5, 0},    {Scheme::USystolicTemporal, 6, 0},
+    {Scheme::UgemmHybrid, 7, 0},      {Scheme::UgemmHybrid, 4, 0},
+    {Scheme::TubGemm, 6, 0},          {Scheme::TuGemm, 4, 0},
+};
+
+/** Stream width detail::faultedOnes() takes for `kern`. */
+int
+streamBits(const KernelConfig &kern)
+{
+    return kern.scheme == Scheme::UgemmHybrid ? kern.bits : kern.bits - 1;
+}
+
+/**
+ * Ones the scalar PE front end delivers for `code` under the stream
+ * fault `f`: RowFrontEnd::step over the activation window, where a
+ * tuGEMM stream index is held for P cycles (phase idx * P).
+ */
+u32
+frontEndOnes(const KernelConfig &kern, i32 code, const Fault &f)
+{
+    RowFrontEnd fe(kern);
+    fe.loadInput(code);
+    fe.setStreamFault(&f);
+    const u32 stride =
+        kern.scheme == Scheme::TuGemm ? u32(1) << (kern.bits - 1) : 1;
+    u32 ones = 0;
+    for (u32 t = 0; t < activationWindow(kern); ++t)
+        ones += u32(fe.step(t * stride).ibit);
+    return ones;
+}
+
+/** Codes from the negative to the positive end of kern's range. */
+std::vector<i32>
+streamCodes(const KernelConfig &kern)
+{
+    const i32 max = maxMagnitude(kern.bits);
+    return {-max, -max + 1, -5, -1, 0, 1, 3, max / 2, max - 1, max};
+}
 
 TEST(FaultOps, OnesInWindowMatchesScalarCorruption)
 {
-    const int bits = 6;
-    for (FaultKind kind : kKinds) {
-        for (u32 src : {u32(0), u32(13), u32(40), u32(1) << bits}) {
-            for (u32 window : {u32(1), u32(37), u32(64), u32(129)}) {
+    for (const KernelConfig &kern : kStreamKernels) {
+        const u32 window = activationWindow(kern);
+        for (FaultKind kind : kKinds) {
+            for (u32 first : {u32(0), u32(1), window / 2, window - 3,
+                              window - 1}) {
                 Fault f;
                 f.kind = kind;
-                f.first = window > 3 ? window - 3 : 0;
+                f.first = first;
                 f.len = kind == FaultKind::Burst ? 5 : 1;
-
-                RateBsg packed_gen(src, 2, bits);
-                const u64 packed =
-                    onesInWindow(packed_gen, window, &f);
-
-                RateBsg scalar_gen(src, 2, bits);
-                u64 scalar = 0;
-                for (u32 t = 0; t < window; ++t) {
-                    bool bit = scalar_gen.nextBit();
-                    if (f.covers(t))
-                        bit = f.corruptBit(bit, t);
-                    scalar += u64(bit);
+                for (i32 code : streamCodes(kern)) {
+                    EXPECT_EQ(detail::faultedOnes(kern.scheme, code,
+                                                  streamBits(kern), window,
+                                                  f),
+                              frontEndOnes(kern, code, f))
+                        << kern.name() << " " << faultKindName(kind)
+                        << " first " << first << " code " << code;
                 }
-                EXPECT_EQ(packed, scalar)
-                    << faultKindName(kind) << " src " << src
-                    << " window " << window;
+            }
+        }
+    }
+}
+
+/**
+ * A fault that covers no window position leaves the count at the
+ * fault-free closed form the engine reads off the product models: the
+ * rate prefix for UR (shortened by early termination), |code| for the
+ * temporal staircases, the offset code for uGEMM-H.
+ */
+TEST(FaultOps, OnesInWindowWithoutCoverMatchesTheProductModels)
+{
+    for (const KernelConfig &kern : kStreamKernels) {
+        const u32 window = activationWindow(kern);
+        for (FaultKind kind : kKinds) {
+            Fault f;
+            f.kind = kind;
+            f.first = window;
+            f.len = 5;
+            for (i32 code : streamCodes(kern)) {
+                const u32 iabs = toSignMag(code).magnitude;
+                u32 want = iabs;
+                if (kern.scheme == Scheme::USystolicRate)
+                    want = unaryModelFor(kern.bits).rateOnes(iabs, window);
+                else if (kern.scheme == Scheme::UgemmHybrid)
+                    want = u32(code + (i32(1) << (kern.bits - 1)));
+                EXPECT_EQ(detail::faultedOnes(kern.scheme, code,
+                                              streamBits(kern), window, f),
+                          want)
+                    << kern.name() << " " << faultKindName(kind)
+                    << " code " << code;
+            }
+        }
+    }
+}
+
+TEST(FaultOps, OnesInWindowStuckAtOverTheWholeWindowSaturates)
+{
+    for (const KernelConfig &kern : kStreamKernels) {
+        const u32 window = activationWindow(kern);
+        Fault f;
+        f.first = 0;
+        f.len = window;
+        for (i32 code : streamCodes(kern)) {
+            f.kind = FaultKind::StuckAt0;
+            EXPECT_EQ(detail::faultedOnes(kern.scheme, code,
+                                          streamBits(kern), window, f),
+                      0u)
+                << kern.name() << " code " << code;
+            f.kind = FaultKind::StuckAt1;
+            EXPECT_EQ(detail::faultedOnes(kern.scheme, code,
+                                          streamBits(kern), window, f),
+                      window)
+                << kern.name() << " code " << code;
+        }
+    }
+}
+
+/** A burst that runs past the window corrupts only the bits inside it. */
+TEST(FaultOps, OnesInWindowClipsABurstAtTheWindowEnd)
+{
+    for (const KernelConfig &kern : kStreamKernels) {
+        const u32 window = activationWindow(kern);
+        for (u32 inside : {u32(1), u32(2), u32(4)}) {
+            Fault straddling;
+            straddling.kind = FaultKind::Burst;
+            straddling.first = window - inside;
+            straddling.len = inside + 5;
+            Fault clipped = straddling;
+            clipped.len = inside;
+            for (i32 code : streamCodes(kern)) {
+                EXPECT_EQ(detail::faultedOnes(kern.scheme, code,
+                                              streamBits(kern), window,
+                                              straddling),
+                          detail::faultedOnes(kern.scheme, code,
+                                              streamBits(kern), window,
+                                              clipped))
+                    << kern.name() << " inside " << inside << " code "
+                    << code;
+            }
+        }
+    }
+}
+
+/**
+ * The sign-magnitude schemes stream |code| and apply the sign after
+ * counting, so code and -code deliver the same faulted ones-count.
+ */
+TEST(FaultOps, OnesInWindowIsSignBlindForSignMagnitudeStreams)
+{
+    for (const KernelConfig &kern : kStreamKernels) {
+        if (kern.scheme == Scheme::UgemmHybrid)
+            continue;
+        const u32 window = activationWindow(kern);
+        for (FaultKind kind : kKinds) {
+            Fault f;
+            f.kind = kind;
+            f.first = window / 3;
+            f.len = kind == FaultKind::Burst ? 5 : 1;
+            for (i32 code : streamCodes(kern)) {
+                EXPECT_EQ(detail::faultedOnes(kern.scheme, code,
+                                              streamBits(kern), window, f),
+                          detail::faultedOnes(kern.scheme, -code,
+                                              streamBits(kern), window, f))
+                    << kern.name() << " " << faultKindName(kind)
+                    << " code " << code;
             }
         }
     }

@@ -295,18 +295,31 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     // activation_stream makes the integer-GEMM schemes multiply the
     // faulted codes instead of the input; an accumulator fault forces the
     // per-MAC loop; a weight-stream fault alone takes the per-MAC loop
-    // with its zero-ones skip still armed.
+    // with its zero-ones skip still armed. The activation-stream site
+    // runs under every fault kind: the unary schemes count each faulted
+    // input stream bit by bit, so flip, stuck-at-0, stuck-at-1 and a
+    // 5-bit burst (clipped where it starts near the end of the window,
+    // which UR-8 ebt6 shortens and TU-4 indexes by P) must each match
+    // the scalar front end's per-cycle corruption.
     struct FaultCase
     {
         const char *name;
         FaultRates rates;
+        FaultKind kind = FaultKind::BitFlip;
+        u32 burst_len = 4;
     };
-    FaultCase faults[6] = {{"none", {}},
+    FaultCase faults[9] = {{"none", {}},
                            {"weight_reg+dram_word", {}},
                            {"activation_stream", {}},
                            {"accumulator", {}},
                            {"weight_stream", {}},
-                           {"dram_word", {}}};
+                           {"dram_word", {}},
+                           {"activation_stream sa0", {},
+                            FaultKind::StuckAt0},
+                           {"activation_stream sa1", {},
+                            FaultKind::StuckAt1},
+                           {"activation_stream burst5", {},
+                            FaultKind::Burst, 5}};
     faults[1].rates.weight_reg = 0.3;
     faults[1].rates.dram_word = 0.2;
     faults[2].rates.activation_stream = 0.3;
@@ -315,6 +328,8 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     // High enough that even the smallest GEMM (>= 14 operand words)
     // draws an event.
     faults[5].rates.dram_word = 0.5;
+    for (int i = 6; i < 9; ++i)
+        faults[i].rates.activation_stream = 0.3;
 
     ArrayConfig cfg;
     cfg.rows = 8;
@@ -353,6 +368,8 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
         cfg.kernel = kern;
         cfg.faults = FaultPlan{};
         cfg.faults.seed = seed;
+        cfg.faults.kind = fc.kind;
+        cfg.faults.burst_len = fc.burst_len;
         cfg.faults.rates = fc.rates;
 
         setPackedEngineEnabled(false);

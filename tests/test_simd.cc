@@ -3,10 +3,10 @@
  * SIMD-vs-generic parity fuzz tests (DESIGN.md §11).
  *
  * Every dispatched kernel must be bit-exact against the portable
- * fallback — including tail/EBT masked final words, zero magnitudes,
- * threshold extremes, and fault-injected streams. The suite compares
- * three ways: a naive per-bit/per-element reference, the generic
- * table, and (when the host supports it) the AVX2 table directly —
+ * fallback — including row tails, zero codes and the code-range
+ * extremes. The suite compares three ways: a naive per-element
+ * reference, the generic table, and (when the host supports them)
+ * the vector tables directly —
  * so the cross-implementation checks run even when the dispatched
  * level is forced to generic via USYS_SIMD. The `simd_generic_*` /
  * `simd_auto_*` ctest variants rerun the whole binary under both env
@@ -26,9 +26,6 @@
 #include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "dnn/backend.h"
-#include "fault/fault.h"
-#include "unary/bitstream.h"
-#include "unary/lfsr.h"
 
 namespace usys {
 namespace {
@@ -63,16 +60,13 @@ TEST(SimdDispatch, TablesConsistent)
     if (neonKernels() != nullptr) {
         EXPECT_EQ(neonKernels()->level, SimdLevel::Neon);
     }
-    // The active table is one of the known tiers, and every slot is
-    // populated.
-    const SimdKernels &active = simdKernels();
-    EXPECT_NE(active.popcountWords, nullptr);
-    EXPECT_NE(active.thresholdPackWords, nullptr);
-    EXPECT_NE(active.axpyF32, nullptr);
-    EXPECT_NE(active.gemmRowI32, nullptr);
-    // The pair-GEMM and table-kernel slots are populated on every
+    // Every slot is populated on the active table and on every
     // available tier.
-    for (const SimdKernels *k : tablesUnderTest()) {
+    std::vector<const SimdKernels *> tables = tablesUnderTest();
+    tables.push_back(&simdKernels());
+    for (const SimdKernels *k : tables) {
+        EXPECT_NE(k->axpyF32, nullptr) << simdLevelName(k->level);
+        EXPECT_NE(k->gemmRowI32, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gemmI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->sumRowsI32, nullptr) << simdLevelName(k->level);
@@ -108,59 +102,6 @@ TEST(SimdDispatch, SetSimdModeSwitchesAndRestores)
     // Put the env-resolved level back so later tests see the mode the
     // ctest variant requested.
     setSimdMode(simdLevelName(before));
-}
-
-TEST(SimdPopcount, ParityFuzz)
-{
-    Prng prng(101);
-    for (std::size_t n :
-         {std::size_t(0), std::size_t(1), std::size_t(2), std::size_t(3),
-          std::size_t(4), std::size_t(7), std::size_t(15),
-          std::size_t(16), std::size_t(63), std::size_t(64),
-          std::size_t(65), std::size_t(513), std::size_t(4096)}) {
-        std::vector<u64> words(n);
-        for (auto &w : words)
-            w = prng.next();
-        if (n > 2) {
-            words[0] = 0;
-            words[1] = ~u64(0);
-        }
-        u64 naive = 0;
-        for (u64 w : words)
-            naive += u64(std::popcount(w));
-        for (const SimdKernels *k : tablesUnderTest())
-            EXPECT_EQ(k->popcountWords(words.data(), n), naive)
-                << simdLevelName(k->level) << " n=" << n;
-    }
-}
-
-TEST(SimdThresholdPack, ParityFuzzWithTails)
-{
-    Prng prng(202);
-    for (int bits : {1, 5, 8, 12, 30}) {
-        const u32 range = u32(1) << bits;
-        for (u32 n : {1u, 37u, 63u, 64u, 65u, 128u, 130u, 1001u}) {
-            std::vector<u32> values(n);
-            for (auto &v : values)
-                v = u32(prng.below(range));
-            // Threshold extremes 0 and 2^bits alongside interior ones.
-            for (u32 thr : {u32(0), u32(1), range / 2, range}) {
-                const u32 nwords = (n + 63) / 64;
-                std::vector<u64> naive(nwords, 0);
-                for (u32 j = 0; j < n; ++j)
-                    naive[j >> 6] |= u64(values[j] < thr) << (j & 63);
-                for (const SimdKernels *k : tablesUnderTest()) {
-                    // Poison the output so stale tail bits would show.
-                    std::vector<u64> got(nwords, ~u64(0));
-                    k->thresholdPackWords(values.data(), n, thr,
-                                          got.data());
-                    EXPECT_EQ(got, naive)
-                        << simdLevelName(k->level) << " bits=" << bits
-                        << " n=" << n << " thr=" << thr;
-                }
-            }
-        }
-    }
 }
 
 TEST(SimdAxpyF32, BitExactParity)
@@ -386,110 +327,6 @@ TEST(SimdSumRowsI32, ColumnSumsAtTheInt32Edge)
             for (int j = 0; j < n; ++j)
                 EXPECT_EQ(neg[std::size_t(j)], -i64(big))
                     << simdLevelName(k->level) << " n=" << n;
-        }
-    }
-}
-
-/** Scalar reference: count via nextBit(), corrupting covered bits. */
-u64
-onesByBitLoop(BitstreamGen &gen, u32 window, const Fault *fault)
-{
-    u64 ones = 0;
-    for (u32 t = 0; t < window; ++t) {
-        bool bit = gen.nextBit();
-        if (fault && fault->covers(t))
-            bit = fault->corruptBit(bit, t);
-        ones += u64(bit);
-    }
-    return ones;
-}
-
-TEST(SimdOnesInWindow, MatchesBitLoopUnderMasksAndFaults)
-{
-    const int bits = 7; // 128-cycle full window
-    const u32 full = u32(1) << bits;
-    const Fault faults[] = {
-        {FaultKind::BitFlip, 0, 1},
-        {FaultKind::BitFlip, 63, 1},
-        {FaultKind::StuckAt1, 64, 1},
-        {FaultKind::StuckAt0, 17, 1},
-        {FaultKind::Burst, 60, 9}, // straddles a word boundary
-    };
-    // Windows: full period, EBT truncations, sub-word, non-multiples
-    // of 64 (masked final word), and 0.
-    for (u32 window : {full, full / 2, u32(96), u32(64), u32(63),
-                       u32(17), u32(1), u32(0)}) {
-        // Zero magnitude, small, half, and max magnitudes.
-        for (u32 mag : {u32(0), u32(1), full / 2, full}) {
-            for (const Fault *f :
-                 {static_cast<const Fault *>(nullptr), &faults[0],
-                  &faults[1], &faults[2], &faults[3], &faults[4]}) {
-                {
-                    RateBsg a(mag, 1, bits);
-                    RateBsg b(mag, 1, bits);
-                    EXPECT_EQ(onesInWindow(a, window, f),
-                              onesByBitLoop(b, window, f))
-                        << "rate mag=" << mag << " win=" << window;
-                }
-                {
-                    TemporalBsg a(mag, bits);
-                    TemporalBsg b(mag, bits);
-                    EXPECT_EQ(onesInWindow(a, window, f),
-                              onesByBitLoop(b, window, f))
-                        << "temporal mag=" << mag << " win=" << window;
-                }
-            }
-        }
-        for (i32 v : {-(i32(full) / 2), -3, 0, 5, i32(full) / 2 - 1}) {
-            BipolarRateBsg a(v, 2, bits + 1);
-            BipolarRateBsg b(v, 2, bits + 1);
-            EXPECT_EQ(onesInWindow(a, window, &faults[4]),
-                      onesByBitLoop(b, window, &faults[4]))
-                << "bipolar v=" << v << " win=" << window;
-        }
-    }
-}
-
-TEST(SimdSobol, NextWordsMatchesScalarSteppingAndWraps)
-{
-    // bits=5 has a 32-value period: every word wraps twice, exercising
-    // the batched path's period handling.
-    for (int bits : {5, 8, 11}) {
-        for (u32 thr : {u32(0), u32(7), u32(1) << (bits - 1),
-                        u32(1) << bits}) {
-            SobolSequence batched(3, bits);
-            SobolSequence scalar(3, bits);
-            u64 words[5];
-            batched.nextWords(thr, words, 5);
-            for (int w = 0; w < 5; ++w)
-                EXPECT_EQ(words[w], scalar.nextWord(thr))
-                    << "bits=" << bits << " thr=" << thr << " w=" << w;
-            // State-identical afterwards: scalar stepping continues in
-            // lockstep.
-            for (int k = 0; k < 70; ++k)
-                EXPECT_EQ(batched.next(), scalar.next());
-            // And mixed word/batch stepping keeps agreeing.
-            batched.nextWords(thr, words, 2);
-            EXPECT_EQ(words[0], scalar.nextWord(thr));
-            EXPECT_EQ(words[1], scalar.nextWord(thr));
-        }
-    }
-}
-
-TEST(SimdLfsr, NextWordsMatchesScalarStepping)
-{
-    for (int bits : {3, 8, 12}) {
-        for (u32 thr : {u32(0), u32(5), u32(1) << (bits - 1),
-                        u32(1) << bits}) {
-            Lfsr batched(bits, 0xACEu);
-            Lfsr scalar(bits, 0xACEu);
-            u64 words[4];
-            batched.nextWords(thr, words, 4);
-            for (int w = 0; w < 4; ++w)
-                EXPECT_EQ(words[w], scalar.nextWord(thr))
-                    << "bits=" << bits << " thr=" << thr << " w=" << w;
-            for (int k = 0; k < 10; ++k)
-                EXPECT_EQ(batched.next(), scalar.next());
         }
     }
 }

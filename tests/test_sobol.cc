@@ -46,45 +46,19 @@ TEST(Sobol, ResetRestartsStream)
 }
 
 /**
- * The batched word API must be state-identical to 64 scalar next()
- * calls — same comparison bits, same generator state afterwards — for
- * every embedded dimension, across a full period and past the wrap.
+ * next() wraps to the start of the sequence after each period, at every
+ * width — including periods shorter than a 64-bit word.
  */
-TEST(Sobol, NextWordMatchesScalarOverFullPeriod)
+TEST(Sobol, NextWrapsAtEveryWidth)
 {
-    const int bits = 8;
-    const u64 period = u64(1) << bits;
     for (int dim = 0; dim < sobolMaxDimensions(); ++dim) {
-        SobolSequence word_seq(dim, bits);
-        SobolSequence bit_seq(dim, bits);
-        // Thresholds cover empty, sparse, half, dense, and full streams.
-        const u32 thresholds[] = {0, 1, 77, 128, 255, 256};
-        const u32 thr = thresholds[dim % 6];
-        // One full period plus one extra word to cross the wrap.
-        for (u64 w = 0; w < period / 64 + 1; ++w) {
-            const u64 word = word_seq.nextWord(thr);
-            for (int i = 0; i < 64; ++i) {
-                EXPECT_EQ((word >> i) & 1, u64(bit_seq.next() < thr))
-                    << "dim " << dim << " thr " << thr << " word " << w
-                    << " bit " << i;
-            }
+        for (int bits = 1; bits <= 8; ++bits) {
+            SobolSequence seq(dim, bits);
+            const auto period_values = sobolPermutation(dim, bits);
+            for (u64 t = 0; t < 3 * seq.period(); ++t)
+                ASSERT_EQ(seq.next(), period_values[t % seq.period()])
+                    << "dim " << dim << " bits " << bits << " t " << t;
         }
-        // Generators stay interchangeable after mixing word/bit steps.
-        EXPECT_EQ(word_seq.next(), bit_seq.next()) << "dim " << dim;
-    }
-}
-
-TEST(Sobol, NextWordHandlesSubWordPeriods)
-{
-    // 4-bit sequence: period 16, so one word spans four full periods,
-    // exercising the wrap inside a single nextWord() call.
-    for (int dim = 0; dim < sobolMaxDimensions(); ++dim) {
-        SobolSequence word_seq(dim, 4);
-        SobolSequence bit_seq(dim, 4);
-        const u64 word = word_seq.nextWord(9);
-        for (int i = 0; i < 64; ++i)
-            EXPECT_EQ((word >> i) & 1, u64(bit_seq.next() < 9u))
-                << "dim " << dim << " bit " << i;
     }
 }
 

@@ -54,45 +54,17 @@ TEST(Bitstream, RateAllOnesAtFullScale)
     RateBsg gen(u32(period), 0, bits);
     auto stream = generateBits(gen, period);
     EXPECT_EQ(onesCount(stream), period);
-    gen.reset();
-    EXPECT_EQ(gen.nextWord(), ~u64(0));
 }
 
 TEST(Bitstream, RateAllZerosAtZeroSource)
 {
     // src == 0 is the other threshold extreme: no RNG value compares
-    // below it, so both stepping paths emit all 0s forever.
+    // below it, so the stream emits all 0s forever.
     const int bits = 6;
     const u64 period = u64(1) << bits;
     RateBsg gen(0, 0, bits);
     auto stream = generateBits(gen, 2 * period);
     EXPECT_EQ(onesCount(stream), 0u);
-    gen.reset();
-    EXPECT_EQ(gen.nextWord(), u64(0));
-    EXPECT_EQ(gen.nextWord(), u64(0));
-}
-
-TEST(Bitstream, RateMixedBitAndWordSteppingIsStateIdentical)
-{
-    // nextWord() must advance the Sobol state exactly 64 nextBit()
-    // steps, so arbitrary interleavings of the two stay on the same
-    // stream — including at both threshold extremes.
-    const int bits = 6;
-    for (u32 src : {0u, 1u, 29u, 63u, 64u}) {
-        RateBsg mixed(src, 3, bits);
-        RateBsg scalar(src, 3, bits);
-        std::vector<u8> got, want;
-        for (int round = 0; round < 3; ++round) {
-            for (int i = 0; i < 7; ++i)
-                got.push_back(mixed.nextBit() ? 1 : 0);
-            const u64 w = mixed.nextWord();
-            for (int i = 0; i < 64; ++i)
-                got.push_back(u8((w >> i) & 1));
-        }
-        for (std::size_t i = 0; i < got.size(); ++i)
-            want.push_back(scalar.nextBit() ? 1 : 0);
-        EXPECT_EQ(got, want) << "src " << src;
-    }
 }
 
 TEST(Bitstream, RateSrcAboveFullScaleIsFatal)
@@ -102,45 +74,59 @@ TEST(Bitstream, RateSrcAboveFullScaleIsFatal)
                 "exceeds");
 }
 
-TEST(Bitstream, NextWordMatchesNextBitForAllGenerators)
+/**
+ * Rate streams are periodic in their RNG: past the period (including
+ * the sub-64-bit periods of narrow streams) the same bits recur, and
+ * every period carries exactly the encoded count of 1-bits.
+ */
+TEST(Bitstream, RateAndBipolarRepeatEveryPeriodAtEveryWidth)
 {
-    const int bits = 7;
-    // Rate, temporal (incl. the all-ones tail past the period), and
-    // bipolar generators must produce identical packed words to the
-    // scalar reference path.
-    for (u32 src : {0u, 1u, 55u, 128u}) {
-        RateBsg word_gen(src, 1, bits);
-        RateBsg bit_gen(src, 1, bits);
-        for (int w = 0; w < 4; ++w) {
-            u64 expect = 0;
-            for (int i = 0; i < 64; ++i)
-                expect |= u64(bit_gen.nextBit()) << i;
-            EXPECT_EQ(word_gen.nextWord(), expect)
-                << "rate src " << src << " word " << w;
+    for (int bits = 1; bits <= 8; ++bits) {
+        const u32 period = u32(1) << bits;
+        for (u32 src : {u32(0), u32(1), period / 2 + 1, period - 1, period}) {
+            RateBsg gen(src, 2, bits);
+            const auto stream = generateBits(gen, 3 * u64(period));
+            u32 ones = 0;
+            for (u32 t = 0; t < 3 * period; ++t) {
+                ASSERT_EQ(stream[t], stream[t % period])
+                    << "rate bits " << bits << " src " << src << " t " << t;
+                ones += stream[t];
+            }
+            EXPECT_EQ(ones, 3 * src) << "rate bits " << bits;
+        }
+        const i32 half = i32(period / 2);
+        for (i32 src : {-half, -1, 0, half / 2, half - 1}) {
+            BipolarRateBsg gen(src, 2, bits);
+            const auto stream = generateBits(gen, 3 * u64(period));
+            u32 ones = 0;
+            for (u32 t = 0; t < 3 * period; ++t) {
+                ASSERT_EQ(stream[t], stream[t % period])
+                    << "bipolar bits " << bits << " src " << src
+                    << " t " << t;
+                ones += stream[t];
+            }
+            EXPECT_EQ(ones, 3 * u32(src + half)) << "bipolar bits " << bits;
         }
     }
-    for (u32 src : {0u, 3u, 64u, 128u}) {
-        TemporalBsg word_gen(src, bits);
-        TemporalBsg bit_gen(src, bits);
-        for (int w = 0; w < 4; ++w) {
-            u64 expect = 0;
-            for (int i = 0; i < 64; ++i)
-                expect |= u64(bit_gen.nextBit()) << i;
-            EXPECT_EQ(word_gen.nextWord(), expect)
-                << "temporal src " << src << " word " << w;
-        }
-    }
-    for (i32 src : {-64, -5, 0, 17, 63}) {
-        BipolarRateBsg word_gen(src, 1, bits);
-        BipolarRateBsg bit_gen(src, 1, bits);
-        for (int w = 0; w < 4; ++w) {
-            u64 expect = 0;
-            for (int i = 0; i < 64; ++i)
-                expect |= u64(bit_gen.nextBit()) << i;
-            EXPECT_EQ(word_gen.nextWord(), expect)
-                << "bipolar src " << src << " word " << w;
-        }
-    }
+}
+
+TEST(Bitstream, ResetRestartsEveryGenerator)
+{
+    const int bits = 5;
+    const u64 n = 2 * (u64(1) << bits);
+    auto check = [&](BitstreamGen &used, BitstreamGen &fresh,
+                     const char *what) {
+        for (int i = 0; i < 11; ++i)
+            used.nextBit();
+        used.reset();
+        EXPECT_EQ(generateBits(used, n), generateBits(fresh, n)) << what;
+    };
+    RateBsg rate(13, 1, bits), rate_fresh(13, 1, bits);
+    check(rate, rate_fresh, "rate");
+    TemporalBsg temporal(13, bits), temporal_fresh(13, bits);
+    check(temporal, temporal_fresh, "temporal");
+    BipolarRateBsg bipolar(-7, 1, bits), bipolar_fresh(-7, 1, bits);
+    check(bipolar, bipolar_fresh, "bipolar");
 }
 
 TEST(Bitstream, BipolarFullPeriodValue)
@@ -178,26 +164,16 @@ TEST(Lfsr, ZeroSeedCoerced)
     EXPECT_EQ(lfsr.next(), 1u);
 }
 
-/**
- * Batched word advance vs 64 scalar next() calls, over a full period
- * (plus the wrap into the next one), for every supported polynomial.
- */
-TEST(Lfsr, NextWordMatchesScalarOverFullPeriod)
+TEST(Lfsr, ResetRestartsTheSequence)
 {
-    for (int bits = 3; bits <= 16; ++bits) {
-        Lfsr word_gen(bits);
-        Lfsr bit_gen(bits);
-        const u32 thr = (u32(1) << bits) / 2 + 1;
-        const u64 words = word_gen.period() / 64 + 1;
-        for (u64 w = 0; w < words; ++w) {
-            const u64 word = word_gen.nextWord(thr);
-            for (int i = 0; i < 64; ++i) {
-                EXPECT_EQ((word >> i) & 1, u64(bit_gen.next() < thr))
-                    << "bits " << bits << " word " << w << " bit " << i;
-            }
-        }
-        // States stay in lockstep after mixing word and scalar steps.
-        EXPECT_EQ(word_gen.next(), bit_gen.next()) << "bits " << bits;
+    for (u32 seed : {1u, 0x2Bu}) {
+        Lfsr lfsr(7, seed);
+        std::vector<u32> first;
+        for (int i = 0; i < 40; ++i)
+            first.push_back(lfsr.next());
+        lfsr.reset();
+        for (int i = 0; i < 40; ++i)
+            EXPECT_EQ(lfsr.next(), first[i]) << "seed " << seed;
     }
 }
 
@@ -290,6 +266,29 @@ TEST(ProductTable, MatchesCycleLevelUnipolar)
                 EXPECT_EQ(model.rateProduct(iabs, wabs, cut), prefix[cut])
                     << "iabs " << iabs << " wabs " << wabs
                     << " cut " << cut;
+            }
+        }
+    }
+}
+
+/**
+ * rateOnes(iabs, cycles) — the fault-free ones-count of an
+ * early-terminated UR stream — equals the 1-bits of every prefix of the
+ * input rate stream on the model's input dimension.
+ */
+TEST(ProductTable, RateOnesMatchesEveryStreamPrefix)
+{
+    for (int signed_bits : {4, 7}) {
+        const UnaryProductModel model(signed_bits, 0, 3);
+        const u32 period = model.period();
+        for (u32 iabs = 0; iabs <= period; ++iabs) {
+            RateBsg input(iabs, 3, model.magBits());
+            u32 ones = 0;
+            for (u32 t = 1; t <= period; ++t) {
+                ones += u32(input.nextBit());
+                ASSERT_EQ(model.rateOnes(iabs, t), ones)
+                    << "N " << signed_bits << " iabs " << iabs
+                    << " cycles " << t;
             }
         }
     }
