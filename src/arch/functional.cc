@@ -1,6 +1,7 @@
 #include "arch/functional.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <limits>
 #include <map>
@@ -87,10 +88,23 @@ rowGrain(int k_dim, int n_dim)
  *  it. A 1 MiB budget measured no faster and raised peak RSS. */
 constexpr std::size_t kBlockBudgetBytes = 256 * 1024;
 
-/** Code-map sentinels: a code not staged for this k yet, and one that
- *  adds nothing. Staged codes map to (slot << 1 | negative). */
-constexpr u32 kUnseen = ~u32(0);
+/** Code-map entry of a code that adds nothing; staged codes map to
+ *  (slot << 1 | negative). */
 constexpr u32 kSkip = ~u32(0) - 1;
+
+/** A row no code stages: where a UG k's slot assignment starts. */
+constexpr u32 kNoRow = ~u32(0);
+
+/**
+ * Walk steps one gathered table row is worth. A k builds its rows by a
+ * threshold walk when its gathers (one per row for UR/UT, two for UG)
+ * times this reach the walk's length (both UG passes counted), else it
+ * gathers them. A step is one compare-and-add per column and a gathered
+ * entry one table load, so dense M = 128 slices walk and M = 1 slices
+ * gather; 3-6 measured alike on AlexNet and AlexLite shapes (DESIGN.md
+ * §17).
+ */
+constexpr u64 kWalkRowCost = 4;
 
 /** Columns of the UG polarity-0 gather staged on the stack at a time. */
 constexpr int kGatherTile = 256;
@@ -276,24 +290,24 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     if (k_dim == 0 || n_dim == 0)
         return out;
 
-    // An activation stages as a table row and a sign. UR/UT rows are
-    // the delivered ones-count (the rate stream's prefix count under
-    // early termination); row 0 adds nothing, so it is skipped. UG rows
-    // are the offset code a + 2^(N-1) and carry no sign; a zero
-    // activation still adds the bipolar bias, so nothing is skipped.
+    // An activation stages as a table row and a sign, both from its key.
+    // UR/UT keys are |a|, and rows the delivered ones-count (the rate
+    // stream's prefix count under early termination); row 0 adds
+    // nothing, so it is skipped. UG keys and rows are the offset code
+    // a + 2^(N-1), with no sign; a zero activation still adds the
+    // bipolar bias, so nothing is skipped. Either way the row never
+    // falls as the key grows (rateOnes grows with |a|).
     const bool rate = cfg_.scheme == Scheme::USystolicRate;
     const u32 cycles = cfg_.mulCycles();
     const bool truncated = rate && cycles < unary_->period();
     const int shift =
         (rate && cfg_.et_bits > 0) ? cfg_.bits - cfg_.et_bits : 0;
-    const auto rowOf = [&](i32 code) {
-        if (ug)
-            return u32(code + lim);
-        const u32 mag = u32(code < 0 ? -code : code);
-        return truncated ? unary_->rateOnes(mag, cycles) : mag;
+    const auto rowOfKey = [&](u32 key) {
+        return truncated ? unary_->rateOnes(key, cycles) : key;
     };
-    // The largest row a code can stage (rateOnes grows with |a|).
-    const u32 max_row = rowOf(lim);
+    // The largest row a code can stage.
+    const u32 max_row = ug ? 2 * u32(lim) : rowOfKey(u32(lim));
+    const u32 period = ug ? bipolar_->period() : unary_->period();
 
     // Every entry is bounded by 2^(N-1) in magnitude: a UR/UT count
     // never exceeds the ones delivered (at most 2^(et-1) before the
@@ -320,14 +334,18 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
         kBlockBudgetBytes / bytes_per_k, 1, max_block_k));
 
     // Per block: code_slot[kl * codes + code + 2^(N-1)] holds the code's
-    // slot (j << 1 | negative) or kSkip, row_slot shares slot j among the
-    // codes of one k on one table row, and slot j's weight-side row sits
-    // at rows[j * N]. Both maps hold kUnseen outside the k being staged.
-    std::vector<u32> code_slot(std::size_t(block_k) * codes, kUnseen);
-    std::vector<u32> row_slot(std::size_t(max_row) + 1, kUnseen);
-    std::vector<std::size_t> seen;         // code_slot entries set
-    std::vector<std::pair<int, u32>> used; // (kl, row) of slot j
-    std::vector<u32> b_idx; // gather indices of the block's weights
+    // slot (j << 1 | negative) or kSkip, and slot j's weight-side row
+    // sits at rows[j * N]. The slots of k are first[kl] ..
+    // first[kl + 1), in ascending row order: slot_row holds their table
+    // rows (one spare entry past the last), and for UG slot_zeros holds
+    // the k's zeros per period 2^N - row in ascending order, the rows
+    // reversed. A code_slot entry is written for every code its k stages
+    // before the sum reads it, so the maps need no reset between blocks.
+    std::vector<u32> code_slot(std::size_t(block_k) * codes);
+    std::vector<u64> marks((codes + 63) / 64, 0); // the k's keys
+    std::vector<u32> first(std::size_t(block_k) + 1);
+    std::vector<u32> slot_row, slot_zeros;
+    std::vector<u32> b_idx; // gather indices (walk keys) of the block
     std::vector<i32> rows;
     const SimdKernels &simd = simdKernels();
     for (int k0 = 0; k0 < k_dim; k0 += block_k) {
@@ -340,68 +358,131 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
             [[unlikely]]
             weightOutsideTable(&b(k0, 0), b_idx.size(), lim, cfg_.bits);
 
-        // Stage one k at a time: each code of column k gets its slot in
-        // the k's code map, and codes sharing a table row (+-a, or
-        // several codes under early termination) share one.
-        used.clear();
+        // Stage one k at a time: mark the keys of column k in a bitmap,
+        // then give slots in one ascending pass over its set bits, so
+        // keys sharing a table row (+-a share a key; several keys share
+        // a row under early termination) share a slot, and the slots
+        // come out in ascending row order. Giving slots takes no branch
+        // on a code.
+        slot_row.resize(std::size_t(kb) * worst_rows + 1);
+        u32 j = 0; // slots given so far in the block
         for (int kl = 0; kl < kb; ++kl) {
-            const std::size_t first = used.size();
-            const std::size_t map = std::size_t(kl) * codes;
+            first[std::size_t(kl)] = j;
+            // The marked words span [lo, hi]; only they are scanned (and
+            // cleared for the next k), so a short column scans one word.
+            u32 lo = ~u32(0), hi = 0;
             for (int m = 0; m < m_rows; ++m) {
                 const i32 code = a(m, k0 + kl);
                 if (code < -lim || code > lim) [[unlikely]]
                     codeOutsideTable("activation", code, cfg_.bits);
-                const std::size_t ci = map + std::size_t(code + lim);
-                if (code_slot[ci] != kUnseen)
-                    continue;
-                seen.push_back(ci);
-                const u32 row = rowOf(code);
-                if (row == 0 && !ug) {
-                    code_slot[ci] = kSkip;
-                    continue;
-                }
-                u32 &j = row_slot[row];
-                if (j == kUnseen) {
-                    j = u32(used.size());
-                    used.emplace_back(kl, row);
-                }
-                code_slot[ci] = j << 1 | u32(!ug && code < 0);
+                const u32 key =
+                    ug ? u32(code + lim) : u32(code < 0 ? -code : code);
+                marks[key >> 6] |= u64(1) << (key & 63);
+                lo = std::min(lo, key >> 6);
+                hi = std::max(hi, key >> 6);
             }
-            for (std::size_t j = first; j < used.size(); ++j)
-                row_slot[used[j].second] = kUnseen;
+            // A fresh row takes slot j; a repeat of the last row writes
+            // the spare entry and keeps its slot. UR/UT start from row
+            // 0, so row 0 never takes a slot and its codes are skipped.
+            u32 *const map = &code_slot[std::size_t(kl) * codes + lim];
+            u32 prev = ug ? kNoRow : 0;
+            for (u32 w = lo; w <= hi; ++w) {
+                u64 bits = marks[w];
+                marks[w] = 0;
+                for (; bits != 0; bits &= bits - 1) {
+                    const u32 key = w * 64 + u32(std::countr_zero(bits));
+                    const u32 row = ug ? key : rowOfKey(key);
+                    slot_row[j] = row;
+                    j += u32(row != prev);
+                    prev = row;
+                    const u32 slot = (j - 1) << 1;
+                    if (ug) {
+                        map[std::ptrdiff_t(key) - lim] = slot;
+                    } else {
+                        const bool skip = row == 0;
+                        map[key] = skip ? kSkip : slot;
+                        map[-std::ptrdiff_t(key)] = skip ? kSkip : slot | 1;
+                    }
+                }
+            }
+        }
+        first[std::size_t(kb)] = j;
+        if (ug) {
+            slot_zeros.resize(j);
+            for (int kl = 0; kl < kb; ++kl) {
+                const u32 s0 = first[std::size_t(kl)];
+                const u32 s1 = first[std::size_t(kl) + 1];
+                for (u32 i = s0; i < s1; ++i)
+                    slot_zeros[i] = period - slot_row[s0 + s1 - 1 - i];
+            }
         }
 
-        // Weight-side row of k for a positive activation on table row
-        // `row`: the scheme's signed product with every b(k, n), before
-        // the early-termination shift-back, from gathered table entries.
-        rows.resize(used.size() * n);
+        // Weight-side rows of k for positive activations on its table
+        // rows: the scheme's signed product with every b(k, n), before
+        // the early-termination shift-back. A k whose rows are many
+        // against the walk's length builds them all in one walk over the
+        // sequence thresholds; otherwise each row is gathered from the
+        // product tables.
+        rows.resize(std::size_t(j) * n);
+        const u64 rows_per_k = std::max<u64>(1, j / u64(kb));
         parallelFor(
-            0, used.size(),
-            [&, k0](u64 j) {
-                const auto [kl, row] = used[j];
-                const u32 *idx = &b_idx[std::size_t(kl) * n];
-                i32 *dst = &rows[j * n];
-                if (!ug) {
-                    simd.gatherU16(dst, unary_->countsAfterOnes(row), idx,
-                                   n_dim);
-                    signByWeight(dst, &b(k0 + kl, 0), n);
+            0, u64(kb),
+            [&, k0](u64 kl) {
+                const u32 s0 = first[kl];
+                const int count = int(first[kl + 1] - s0);
+                if (count == 0)
+                    return;
+                const u32 *idx = &b_idx[kl * n];
+                const u32 *row_of = &slot_row[s0];
+                const i32 *w = &b(k0 + int(kl), 0);
+                i32 *dst = &rows[s0 * n];
+                const u32 steps = row_of[count - 1] +
+                                  (ug ? period - row_of[0] : 0);
+                if (u64(count) * (ug ? 2 : 1) * kWalkRowCost >= steps) {
+                    if (!ug) {
+                        simd.walkRowsI32(dst, std::ptrdiff_t(n), idx, w,
+                                         unary_->weightThresholds(), row_of,
+                                         count, n_dim, 0, false);
+                        return;
+                    }
+                    // UG: p1 - 2^(N-1) after `row` ones, then plus the
+                    // polarity-0 misses after `zeros` zeros, which are
+                    // zeros - p0; the rows in reverse take ascending
+                    // zeros.
+                    simd.walkRowsI32(dst, std::ptrdiff_t(n), idx, nullptr,
+                                     bipolar_->onesThresholds(), row_of,
+                                     count, n_dim, -lim, false);
+                    simd.walkRowsI32(dst + std::size_t(count - 1) * n,
+                                     -std::ptrdiff_t(n), idx, nullptr,
+                                     bipolar_->zerosThresholds(),
+                                     &slot_zeros[s0], count, n_dim, 0,
+                                     true);
                     return;
                 }
-                // UG: p1 + zeros - p0 - 2^(N-1) for the input's `row`
-                // ones and `zeros` zeros per period.
-                const u32 zeros = bipolar_->period() - row;
-                const i32 bias = i32(zeros) - lim;
-                simd.gatherU16(dst, bipolar_->hitsAfterOnes(row), idx,
-                               n_dim);
-                i32 p0[kGatherTile];
-                for (int c0 = 0; c0 < n_dim; c0 += kGatherTile) {
-                    const int w = std::min(kGatherTile, n_dim - c0);
-                    simd.gatherU16(p0, bipolar_->hitsAfterZeros(zeros),
-                                   idx + c0, w);
-                    subtractBiased(dst + c0, p0, bias, std::size_t(w));
+                for (int i = 0; i < count; ++i, dst += n) {
+                    const u32 row = row_of[i];
+                    if (!ug) {
+                        simd.gatherU16(dst, unary_->countsAfterOnes(row),
+                                       idx, n_dim);
+                        signByWeight(dst, w, n);
+                        continue;
+                    }
+                    // UG: p1 + zeros - p0 - 2^(N-1) for the input's
+                    // `row` ones and `zeros` zeros per period.
+                    const u32 zeros = period - row;
+                    const i32 bias = i32(zeros) - lim;
+                    simd.gatherU16(dst, bipolar_->hitsAfterOnes(row), idx,
+                                   n_dim);
+                    i32 p0[kGatherTile];
+                    for (int c0 = 0; c0 < n_dim; c0 += kGatherTile) {
+                        const int cw = std::min(kGatherTile, n_dim - c0);
+                        simd.gatherU16(p0, bipolar_->hitsAfterZeros(zeros),
+                                       idx + c0, cw);
+                        subtractBiased(dst + c0, p0, bias, std::size_t(cw));
+                    }
                 }
             },
-            std::max<u64>(1, 4096 / u64(n_dim)));
+            std::max<u64>(1, 4096 / (rows_per_k * n)));
 
         // Each output row lists the slots its activations selected (a
         // code that adds nothing drops out) and sums those rows in i32
@@ -428,9 +509,6 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
                 }
             });
 
-        for (const std::size_t ci : seen)
-            code_slot[ci] = kUnseen;
-        seen.clear();
     }
     // Rows hold counts before the early-termination shift-back, which
     // distributes over the sums.

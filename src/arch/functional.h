@@ -12,14 +12,20 @@
  * activation stages once as a table row and a sign: the delivered
  * ones-count for UR/UT (a zero row adds nothing and is dropped), the
  * offset code a + 2^(N-1) for UG (never dropped: a zero activation
- * still adds the bipolar bias). Per block of k, only the weight-side
- * rows T_k[row][0..N) some activation uses are built, each entry the
- * scheme's product of the row with b(k, n) before the early-termination
- * shift-back (applied to the output once): gathered from the shared
- * product tables (SimdKernels::gatherU16), then signed (UR/UT) or
- * combined (UG) element-wise. An output row is then a signed sum of whole
- * selected rows (SimdKernels::sumRowsI32), held in i32 registers and
- * spilled into the i64 output once per block; every entry is at most
+ * still adds the bipolar bias). Per k, the staging pass marks the
+ * column's codes in a bitmap and gives slots in one ascending pass over
+ * its set bits, so a k's slots hold its distinct rows in ascending
+ * order. Per block of k, only the weight-side rows T_k[row][0..N) some
+ * activation uses are built, each entry the scheme's product of the row
+ * with b(k, n) before the early-termination shift-back (applied to the
+ * output once). A k with many rows against its largest one builds them
+ * all in one prefix walk over the Sobol thresholds
+ * (SimdKernels::walkRowsI32: row r + 1 is row r plus the weight's sign
+ * where |b| >= S[r] + 1); any other k gathers each row from the shared
+ * product tables (SimdKernels::gatherU16), then signs (UR/UT) or
+ * combines (UG) it element-wise. An output row is then a signed sum of
+ * whole selected rows (SimdKernels::sumRowsI32), held in i32 registers
+ * and spilled into the i64 output once per block; every entry is at most
  * 2^(N-1) in magnitude, so a block of at most INT32_MAX / 2^(N-1) k
  * values cannot overflow, and the block's 256 KiB staging budget binds
  * long before that. singleProduct() is the per-MAC referee the tests

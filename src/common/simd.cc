@@ -55,6 +55,44 @@ gatherU16Generic(i32 *dst, const u16 *row, const u32 *idx, int n)
 }
 
 void
+walkRowsI32Generic(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+                   const i32 *signs, const u32 *thresh, const u32 *stops,
+                   int count, int n, i32 bias, bool misses)
+{
+    // A tile of up to 64 columns in fixed eight-lane groups, which the
+    // compiler vectorizes for the baseline ISA. A miss walk flips each
+    // compare; u32 lanes keep the negation and bias wrap-free.
+    constexpr int kTile = 64;
+    u32 key[kTile], acc[kTile], neg[kTile];
+    const u32 flip = misses ? 1u : 0u;
+    for (int j0 = 0; j0 < n; j0 += kTile) {
+        const int w = std::min(kTile, n - j0);
+        const int lanes = (w + 7) / 8 * 8;
+        for (int l = 0; l < lanes; ++l) {
+            key[l] = l < w ? keys[j0 + l] : 0;
+            neg[l] = l < w && signs ? u32(signs[j0 + l] >> 31) : 0;
+            acc[l] = 0;
+        }
+        u32 s = 0;
+        for (int i = 0; i < count; ++i) {
+            for (; s < stops[i]; ++s) {
+                const u32 t = thresh[s];
+                for (int g = 0; g < lanes; g += 8)
+                    for (int l = 0; l < 8; ++l)
+                        acc[g + l] += u32(key[g + l] >= t) ^ flip;
+            }
+            i32 *row = rows + i * stride + j0;
+            if (misses)
+                for (int l = 0; l < w; ++l)
+                    row[l] = i32(u32(row[l]) + acc[l] + u32(bias));
+            else
+                for (int l = 0; l < w; ++l)
+                    row[l] = i32((acc[l] ^ neg[l]) - neg[l] + u32(bias));
+        }
+    }
+}
+
+void
 sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots, int count,
                   int n)
 {
@@ -260,9 +298,10 @@ gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
 namespace {
 
 const SimdKernels kGeneric = {
-    SimdLevel::Generic,       axpyF32Generic,
-    gemmRowI32Generic,        detail::gemmI16Generic,
-    detail::gatherU16Generic, detail::sumRowsI32Generic,
+    SimdLevel::Generic,         axpyF32Generic,
+    gemmRowI32Generic,          detail::gemmI16Generic,
+    detail::gatherU16Generic,   detail::walkRowsI32Generic,
+    detail::sumRowsI32Generic,
 };
 
 // --- Dispatch -------------------------------------------------------

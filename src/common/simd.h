@@ -14,6 +14,8 @@
  *   gemmI16             exact GEMM rows from codes in [-2^14, 2^14):
  *                       k-pair multiply-adds into i32 register tiles
  *   gatherU16           product-table row gather, u16 -> i32
+ *   walkRowsI32         product-table rows by a prefix walk over the
+ *                       sequence thresholds, column tile in registers
  *   sumRowsI32          signed sum of selected i32 rows, spilled to i64
  *
  * in four implementations:
@@ -21,18 +23,20 @@
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
  *   avx2     vectorized GEMM rows, vpmaddwd 4-row x 16-column pair
- *            tiles, vpgatherdd row gathers and register-tiled row
- *            sums; compiled in its own translation unit with -mavx2
+ *            tiles, vpgatherdd row gathers, 32-column register-tiled
+ *            threshold walks and row sums; compiled in its own
+ *            translation unit with -mavx2
  *            so the rest of the binary stays runnable on machines
  *            without AVX2
  *   avx512   16-lane fp32 and 8-lane widening integer GEMM rows,
  *            vpmaddwd 4-row x 64-column pair tiles with mask-register
- *            pair staging, 16-lane gathers and 64-column
- *            register-tiled row sums; own translation unit with
+ *            pair staging, 16-lane gathers, 128-column threshold
+ *            walks and 64-column register-tiled row sums; own
+ *            translation unit with
  *            -mavx512{f,bw}, runtime CPUID-gated like the AVX2 tier
  *   neon     AArch64 ASIMD: vmull_s32 widening integer GEMM rows and
- *            the fp32 row (the pair-GEMM, gather and row-sum slots
- *            point at the generic kernels); own translation unit,
+ *            the fp32 row (the pair-GEMM, gather, walk and row-sum
+ *            slots point at the generic kernels); own translation unit,
  *            available whenever the build targeted arm64 (ASIMD is
  *            architecturally mandatory there)
  *
@@ -48,6 +52,7 @@
 #ifndef USYS_COMMON_SIMD_H
 #define USYS_COMMON_SIMD_H
 
+#include <cstddef>
 #include <string>
 
 #include "common/types.h"
@@ -127,6 +132,25 @@ struct SimdKernels
     void (*gatherU16)(i32 *dst, const u16 *row, const u32 *idx, int n);
 
     /**
+     * Product-table rows by a prefix walk over a threshold sequence.
+     * For column j in [0, n), h(s) counts the thresholds thresh[0, s)
+     * that keys[j] reaches (keys[j] >= thresh[t]), or with `misses` set
+     * those it does not (keys[j] < thresh[t]). For each of the `count`
+     * ascending stops, row i at rows + i * stride receives
+     *
+     *   misses false: row[j]  = bias + h(stops[i]), negated first where
+     *                 signs[j] < 0 (signs may be null: no negation)
+     *   misses true:  row[j] += bias + h(stops[i])   (signs unused)
+     *
+     * One walk of stops[count - 1] steps builds every row; stride may be
+     * negative. Keys and thresholds stay below 2^31.
+     */
+    void (*walkRowsI32)(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+                        const i32 *signs, const u32 *thresh,
+                        const u32 *stops, int count, int n, i32 bias,
+                        bool misses);
+
+    /**
      * Signed sum of selected rows: out[j] += sum over i in [0, count)
      * of +-rows[(slots[i] >> 1) * n + j] for j in [0, n), negated when
      * bit 0 of slots[i] is set. The rows are summed in i32 and spilled
@@ -199,6 +223,10 @@ namespace detail {
 bool gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
                     int m, int kd, int n, int kb);
 void gatherU16Generic(i32 *dst, const u16 *row, const u32 *idx, int n);
+void walkRowsI32Generic(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+                        const i32 *signs, const u32 *thresh,
+                        const u32 *stops, int count, int n, i32 bias,
+                        bool misses);
 void sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots,
                        int count, int n);
 /** Most k pairs one gemmI16 block stages (the vector tiers' cap). */

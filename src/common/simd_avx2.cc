@@ -216,6 +216,111 @@ gatherU16Avx2(i32 *dst, const u16 *row, const u32 *idx, int n)
 }
 
 /**
+ * One column tile of walkRowsI32: V vectors of 8 columns, their keys,
+ * signs and counts held in ymm registers through the whole walk, the
+ * last vector under `last` (lanes with the sign bit set). A hit walk
+ * holds key + 1, so key >= t is one signed compare (keys and
+ * thresholds stay below 2^31); each true lane reads -1 and is
+ * subtracted.
+ */
+template <int V, bool Misses>
+inline void
+walkTileAvx2(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+             const i32 *signs, const u32 *thresh, const u32 *stops,
+             int count, i32 bias, __m256i last)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i all = _mm256_set1_epi32(-1);
+    const __m256i vbias = _mm256_set1_epi32(bias);
+    __m256i key[V], neg[V], acc[V];
+    for (int v = 0; v < V; ++v) {
+        const __m256i m = v + 1 < V ? all : last;
+        const __m256i k = _mm256_maskload_epi32(
+            reinterpret_cast<const int *>(keys + 8 * v), m);
+        key[v] = Misses ? k : _mm256_sub_epi32(k, all);
+        neg[v] = signs ? _mm256_srai_epi32(
+                             _mm256_maskload_epi32(signs + 8 * v, m), 31)
+                       : zero;
+        acc[v] = zero;
+    }
+    u32 s = 0;
+    for (int i = 0; i < count; ++i) {
+        for (const u32 stop = stops[i]; s < stop; ++s) {
+            const __m256i t = _mm256_set1_epi32(i32(thresh[s]));
+            for (int v = 0; v < V; ++v)
+                acc[v] = _mm256_sub_epi32(
+                    acc[v], Misses ? _mm256_cmpgt_epi32(t, key[v])
+                                   : _mm256_cmpgt_epi32(key[v], t));
+        }
+        i32 *row = rows + i * stride;
+        for (int v = 0; v < V; ++v) {
+            const __m256i m = v + 1 < V ? all : last;
+            __m256i val;
+            if constexpr (Misses)
+                val = _mm256_add_epi32(_mm256_maskload_epi32(row + 8 * v, m),
+                                       _mm256_add_epi32(acc[v], vbias));
+            else
+                val = _mm256_add_epi32(
+                    _mm256_sub_epi32(_mm256_xor_si256(acc[v], neg[v]),
+                                     neg[v]),
+                    vbias);
+            _mm256_maskstore_epi32(row + 8 * v, m, val);
+        }
+    }
+}
+
+/** walkTileAvx2 over a tile of `vecs` vectors. */
+template <bool Misses>
+void
+walkTileDispatchAvx2(int vecs, i32 *rows, std::ptrdiff_t stride,
+                     const u32 *keys, const i32 *signs, const u32 *thresh,
+                     const u32 *stops, int count, i32 bias, __m256i last)
+{
+    switch (vecs) {
+      case 1:
+        walkTileAvx2<1, Misses>(rows, stride, keys, signs, thresh, stops,
+                                count, bias, last);
+        break;
+      case 2:
+        walkTileAvx2<2, Misses>(rows, stride, keys, signs, thresh, stops,
+                                count, bias, last);
+        break;
+      case 3:
+        walkTileAvx2<3, Misses>(rows, stride, keys, signs, thresh, stops,
+                                count, bias, last);
+        break;
+      default:
+        walkTileAvx2<4, Misses>(rows, stride, keys, signs, thresh, stops,
+                                count, bias, last);
+        break;
+    }
+}
+
+void
+walkRowsI32Avx2(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+                const i32 *signs, const u32 *thresh, const u32 *stops,
+                int count, int n, i32 bias, bool misses)
+{
+    // Tiles of up to 32 columns (four ymm of counts, four of keys) walk
+    // the thresholds once each; the last vector of a tile is masked.
+    for (int j = 0; j < n; j += 32) {
+        const int rest = std::min(32, n - j);
+        const int vecs = (rest + 7) / 8;
+        const __m256i last = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(rest - 8 * (vecs - 1)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        const i32 *sg = signs ? signs + j : nullptr;
+        if (misses)
+            walkTileDispatchAvx2<true>(vecs, rows + j, stride, keys + j, sg,
+                                       thresh, stops, count, bias, last);
+        else
+            walkTileDispatchAvx2<false>(vecs, rows + j, stride, keys + j,
+                                        sg, thresh, stops, count, bias,
+                                        last);
+    }
+}
+
+/**
  * One register tile of sumRowsI32: V vectors of 8 columns held in ymm
  * accumulators across every selected row, the last vector loaded under
  * `last` (lanes with the sign bit set). A negated row adds v ^ -1 ==
@@ -293,8 +398,8 @@ sumRowsI32Avx2(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx2 = {
-    SimdLevel::Avx2, axpyF32Avx2,   gemmRowI32Avx2, gemmI16Avx2,
-    gatherU16Avx2,   sumRowsI32Avx2,
+    SimdLevel::Avx2, axpyF32Avx2,     gemmRowI32Avx2, gemmI16Avx2,
+    gatherU16Avx2,   walkRowsI32Avx2, sumRowsI32Avx2,
 };
 
 } // namespace

@@ -10,10 +10,10 @@
  * nullptr.
  *
  * Bit-exactness notes:
- *  - mask-register compares, vpmuldq widening multiplies and vpmaddwd
- *    pair multiply-adds are exact integer operations; only summation
- *    order differs from the generic loops, and integer sums are
- *    order-free.
+ *  - mask-register compares, vpmuldq widening multiplies, vpmaddwd
+ *    pair multiply-adds and the threshold walk's masked adds are exact
+ *    integer operations; only summation order differs from the generic
+ *    loops, and integer sums are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
  *    element (never an FMA; -ffp-contract=off on this TU), matching
  *    the generic loop's rounding per element.
@@ -61,6 +61,18 @@ axpyF32Avx512(float *c, const float *b, float a, int n)
         c[j] += a * b[j];
 }
 
+/**
+ * The eight i32 at p, sign-extended to i64 lanes. This and the
+ * vpmuldq below use the zero-masked forms with every lane set: they
+ * compute what the plain intrinsics do, without GCC's undefined-source
+ * false -Wmaybe-uninitialized.
+ */
+USYS_AVX512_NO_TSAN inline __m512i
+widen(const __m256i *p)
+{
+    return _mm512_maskz_cvtepi32_epi64(0xff, _mm256_loadu_si256(p));
+}
+
 USYS_AVX512_NO_TSAN void
 gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
 {
@@ -81,14 +93,10 @@ gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
     for (; j + 32 <= n; j += 32) {
         __m512i *cp = reinterpret_cast<__m512i *>(c + j);
         const __m256i *bp = reinterpret_cast<const __m256i *>(b + j);
-        const __m512i p0 = _mm512_mul_epi32(
-            _mm512_cvtepi32_epi64(_mm256_loadu_si256(bp + 0)), va);
-        const __m512i p1 = _mm512_mul_epi32(
-            _mm512_cvtepi32_epi64(_mm256_loadu_si256(bp + 1)), va);
-        const __m512i p2 = _mm512_mul_epi32(
-            _mm512_cvtepi32_epi64(_mm256_loadu_si256(bp + 2)), va);
-        const __m512i p3 = _mm512_mul_epi32(
-            _mm512_cvtepi32_epi64(_mm256_loadu_si256(bp + 3)), va);
+        const __m512i p0 = _mm512_maskz_mul_epi32(0xff, widen(bp + 0), va);
+        const __m512i p1 = _mm512_maskz_mul_epi32(0xff, widen(bp + 1), va);
+        const __m512i p2 = _mm512_maskz_mul_epi32(0xff, widen(bp + 2), va);
+        const __m512i p3 = _mm512_maskz_mul_epi32(0xff, widen(bp + 3), va);
         _mm512_store_si512(
             cp + 0, _mm512_add_epi64(_mm512_load_si512(cp + 0), p0));
         _mm512_store_si512(
@@ -99,9 +107,8 @@ gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
             cp + 3, _mm512_add_epi64(_mm512_load_si512(cp + 3), p3));
     }
     for (; j + 8 <= n; j += 8) {
-        const __m512i vb = _mm512_cvtepi32_epi64(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + j)));
-        const __m512i prod = _mm512_mul_epi32(vb, va);
+        const __m512i prod = _mm512_maskz_mul_epi32(
+            0xff, widen(reinterpret_cast<const __m256i *>(b + j)), va);
         __m512i *cp = reinterpret_cast<__m512i *>(c + j);
         _mm512_storeu_si512(
             cp, _mm512_add_epi64(_mm512_loadu_si512(cp), prod));
@@ -357,6 +364,106 @@ gatherU16Avx512(i32 *dst, const u16 *row, const u32 *idx, int n)
 }
 
 /**
+ * One column tile of walkRowsI32: V vectors of 16 columns, their keys,
+ * signs and counts held in zmm registers through the whole walk, the
+ * last vector under `last`. Each step broadcasts one threshold and adds
+ * one where the compare holds; each stop stores (or adds into) a row.
+ */
+template <int V, bool Misses>
+USYS_AVX512_NO_TSAN inline void
+walkTileAvx512(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+               const i32 *signs, const u32 *thresh, const u32 *stops,
+               int count, i32 bias, __mmask16 last)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i vbias = _mm512_set1_epi32(bias);
+    __m512i key[V], neg[V], acc[V];
+    for (int v = 0; v < V; ++v) {
+        const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+        key[v] = _mm512_maskz_loadu_epi32(m, keys + 16 * v);
+        // The zero-masked shift, as in spillAvx512.
+        neg[v] = signs ? _mm512_maskz_srai_epi32(
+                             0xffff,
+                             _mm512_maskz_loadu_epi32(m, signs + 16 * v), 31)
+                       : zero;
+        acc[v] = zero;
+    }
+    u32 s = 0;
+    for (int i = 0; i < count; ++i) {
+        for (const u32 stop = stops[i]; s < stop; ++s) {
+            const __m512i t = _mm512_set1_epi32(i32(thresh[s]));
+            for (int v = 0; v < V; ++v) {
+                const __mmask16 hit =
+                    Misses ? _mm512_cmplt_epu32_mask(key[v], t)
+                           : _mm512_cmpge_epu32_mask(key[v], t);
+                acc[v] = _mm512_mask_add_epi32(acc[v], hit, acc[v], one);
+            }
+        }
+        i32 *row = rows + i * stride;
+        for (int v = 0; v < V; ++v) {
+            const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+            __m512i val;
+            if constexpr (Misses)
+                val = _mm512_add_epi32(
+                    _mm512_maskz_loadu_epi32(m, row + 16 * v),
+                    _mm512_add_epi32(acc[v], vbias));
+            else
+                val = _mm512_add_epi32(
+                    _mm512_sub_epi32(_mm512_xor_si512(acc[v], neg[v]),
+                                     neg[v]),
+                    vbias);
+            _mm512_mask_storeu_epi32(row + 16 * v, m, val);
+        }
+    }
+}
+
+/** walkTileAvx512 over a tile of `vecs` vectors. */
+template <bool Misses>
+USYS_AVX512_NO_TSAN void
+walkTileDispatchAvx512(int vecs, i32 *rows, std::ptrdiff_t stride,
+                       const u32 *keys, const i32 *signs, const u32 *thresh,
+                       const u32 *stops, int count, i32 bias,
+                       __mmask16 last)
+{
+#define USYS_WALK_TILE(V)                                                 \
+    case V:                                                               \
+        walkTileAvx512<V, Misses>(rows, stride, keys, signs, thresh,      \
+                                  stops, count, bias, last);              \
+        return;
+    switch (vecs) {
+        USYS_WALK_TILE(1) USYS_WALK_TILE(2) USYS_WALK_TILE(3)
+        USYS_WALK_TILE(4) USYS_WALK_TILE(5) USYS_WALK_TILE(6)
+        USYS_WALK_TILE(7) USYS_WALK_TILE(8)
+    }
+#undef USYS_WALK_TILE
+}
+
+USYS_AVX512_NO_TSAN void
+walkRowsI32Avx512(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
+                  const i32 *signs, const u32 *thresh, const u32 *stops,
+                  int count, int n, i32 bias, bool misses)
+{
+    // Tiles of up to 128 columns (eight zmm of counts, eight of keys)
+    // walk the thresholds once each; the last vector of a tile is
+    // masked.
+    for (int j = 0; j < n; j += 128) {
+        const int rest = std::min(128, n - j);
+        const int vecs = (rest + 15) / 16;
+        const __mmask16 last = __mmask16(0xffffu >> (16 * vecs - rest));
+        const i32 *sg = signs ? signs + j : nullptr;
+        if (misses)
+            walkTileDispatchAvx512<true>(vecs, rows + j, stride, keys + j,
+                                         sg, thresh, stops, count, bias,
+                                         last);
+        else
+            walkTileDispatchAvx512<false>(vecs, rows + j, stride, keys + j,
+                                          sg, thresh, stops, count, bias,
+                                          last);
+    }
+}
+
+/**
  * One register tile of sumRowsI32: V vectors of 16 columns held in
  * zmm accumulators across every selected row, the last vector loaded
  * under `last`. A negated row adds v ^ -1 == -v - 1, and the count of
@@ -427,8 +534,8 @@ sumRowsI32Avx512(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx512 = {
-    SimdLevel::Avx512, axpyF32Avx512,    gemmRowI32Avx512, gemmI16Avx512,
-    gatherU16Avx512,   sumRowsI32Avx512,
+    SimdLevel::Avx512, axpyF32Avx512,     gemmRowI32Avx512, gemmI16Avx512,
+    gatherU16Avx512,   walkRowsI32Avx512, sumRowsI32Avx512,
 };
 
 } // namespace

@@ -60,12 +60,14 @@ gemmRowI32Neon(i64 *c, const i32 *b, i32 a, int n)
         c[j] += i64(a) * i64(b[j]);
 }
 
-// The pair GEMM, table-kernel gather and row sum run the generic loops:
-// no arm64 host is at hand to measure NEON versions against them.
+// The pair GEMM, table-kernel gather, threshold walk and row sum run
+// the generic loops: no arm64 host is at hand to measure NEON versions
+// against them.
 const SimdKernels kNeon = {
-    SimdLevel::Neon,          axpyF32Neon,
-    gemmRowI32Neon,           detail::gemmI16Generic,
-    detail::gatherU16Generic, detail::sumRowsI32Generic,
+    SimdLevel::Neon,            axpyF32Neon,
+    gemmRowI32Neon,             detail::gemmI16Generic,
+    detail::gatherU16Generic,   detail::walkRowsI32Generic,
+    detail::sumRowsI32Generic,
 };
 
 } // namespace

@@ -29,6 +29,16 @@ buildPrefixTable(const std::vector<u32> &seq)
     return table;
 }
 
+/** The thresholds S[j] + 1 of a sequence S, one per step. */
+std::vector<u32>
+thresholdsOf(const std::vector<u32> &seq)
+{
+    std::vector<u32> t(seq.size());
+    for (std::size_t j = 0; j < seq.size(); ++j)
+        t[j] = seq[j] + 1;
+    return t;
+}
+
 } // namespace
 
 UnaryProductModel::UnaryProductModel(int signed_bits, int weight_rng_dim,
@@ -39,8 +49,10 @@ UnaryProductModel::UnaryProductModel(int signed_bits, int weight_rng_dim,
             "UnaryProductModel: signed bitwidth must be in [2, 13]");
     period_ = u32(1) << mag_bits_;
     stride_ = std::size_t(period_) + 1;
-    weight_prefix_ = buildPrefixTable(sobolPermutation(weight_rng_dim,
-                                                       mag_bits_));
+    const std::vector<u32> weight_seq =
+        sobolPermutation(weight_rng_dim, mag_bits_);
+    weight_prefix_ = buildPrefixTable(weight_seq);
+    weight_thresholds_ = thresholdsOf(weight_seq);
     input_prefix_ = buildPrefixTable(sobolPermutation(input_rng_dim,
                                                       mag_bits_));
 }
@@ -52,10 +64,14 @@ BipolarProductModel::BipolarProductModel(int signed_bits, int rng_dim_one,
             "BipolarProductModel: signed bitwidth must be in [2, 12]");
     period_ = u32(1) << signed_bits;
     stride_ = std::size_t(period_) + 1;
-    prefix_one_ = buildPrefixTable(sobolPermutation(rng_dim_one,
-                                                    signed_bits));
-    prefix_zero_ = buildPrefixTable(sobolPermutation(rng_dim_zero,
-                                                     signed_bits));
+    const std::vector<u32> seq_one = sobolPermutation(rng_dim_one,
+                                                      signed_bits);
+    const std::vector<u32> seq_zero = sobolPermutation(rng_dim_zero,
+                                                       signed_bits);
+    prefix_one_ = buildPrefixTable(seq_one);
+    prefix_zero_ = buildPrefixTable(seq_zero);
+    thresholds_one_ = thresholdsOf(seq_one);
+    thresholds_zero_ = thresholdsOf(seq_zero);
 }
 
 } // namespace usys

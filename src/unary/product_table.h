@@ -18,6 +18,14 @@
  * MACs in O(1) — the key to running full DNN inference through the unary
  * datapath on one core. The bit-level simulators in src/arch are tested to
  * agree with these tables cycle-for-cycle.
+ *
+ * A row of the table is also reachable by walking the sequence: with the
+ * thresholds t_j = S[j] + 1, row m + 1 is row m plus [w >= t_m] in every
+ * column. GemmExecutor reads whole rows either way: it gathers a row's
+ * entries at many weights (countsAfterOnes and the bipolar hitsAfter*
+ * rows), or, when a weight meets many rows, builds them all in one walk
+ * over the thresholds (weightThresholds, onesThresholds, zerosThresholds;
+ * SimdKernels::walkRowsI32).
  */
 
 #ifndef USYS_UNARY_PRODUCT_TABLE_H
@@ -58,6 +66,13 @@ class UnaryProductModel
     {
         return &weight_prefix_[std::size_t(ones) * stride_];
     }
+
+    /**
+     * The weight sequence's thresholds t_j = S[j] + 1 for j in
+     * [0, period): countAfterOnes(ones + 1, w) is countAfterOnes(ones, w)
+     * plus [w >= t_ones].
+     */
+    const u32 *weightThresholds() const { return weight_thresholds_.data(); }
 
     /** Product 1-count after the input has delivered `ones` 1-bits. */
     u32
@@ -107,6 +122,7 @@ class UnaryProductModel
     // prefix_[m * stride + w] = #{ j < m : S[j] < w }
     std::vector<u16> weight_prefix_;
     std::vector<u16> input_prefix_;
+    std::vector<u32> weight_thresholds_;
 };
 
 /** Exact functional model of the bipolar uMUL (uGEMM-H baseline). */
@@ -154,6 +170,15 @@ class BipolarProductModel
         return &prefix_zero_[std::size_t(zeros) * stride_];
     }
 
+    /**
+     * Thresholds t_j = S[j] + 1 of the polarity-1 and polarity-0
+     * sequences for j in [0, period): hitsAfterOnes(ones + 1)[w] is
+     * hitsAfterOnes(ones)[w] plus [w >= onesThresholds()[ones]], and
+     * likewise for zeros.
+     */
+    const u32 *onesThresholds() const { return thresholds_one_.data(); }
+    const u32 *zerosThresholds() const { return thresholds_zero_.data(); }
+
     /** Output 1-count over a full period for signed inputs x, w. */
     u32
     onesCount(i32 x, i32 w) const
@@ -180,6 +205,8 @@ class BipolarProductModel
     std::size_t stride_;
     std::vector<u16> prefix_one_;  // over the polarity-1 sequence
     std::vector<u16> prefix_zero_; // over the polarity-0 sequence
+    std::vector<u32> thresholds_one_;
+    std::vector<u32> thresholds_zero_;
 };
 
 } // namespace usys

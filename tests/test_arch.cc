@@ -8,11 +8,13 @@
  * and exact results for the binary schemes.
  */
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -663,6 +665,52 @@ shrinkFailure(const GemmExecutor &exec, const Matrix<i32> &a,
     return os.str();
 }
 
+/** A table-kernel configuration the differential tests sweep. */
+struct TableConfig
+{
+    Scheme scheme;
+    int bits;
+    bool et;
+};
+
+/** UR (with and without early termination) and UT at 2-13 bits, UG at
+ *  2-12: every bitwidth the tables support. */
+std::vector<TableConfig>
+tableConfigs()
+{
+    std::vector<TableConfig> configs;
+    for (int bits = 2; bits <= 13; ++bits) {
+        configs.push_back({Scheme::USystolicRate, bits, false});
+        configs.push_back({Scheme::USystolicRate, bits, true});
+        configs.push_back({Scheme::USystolicTemporal, bits, false});
+        if (bits <= 12)
+            configs.push_back({Scheme::UgemmHybrid, bits, false});
+    }
+    return configs;
+}
+
+/**
+ * Check run() against the referee on (a, b) at one and three threads;
+ * a failure names `what` and the smallest failing sub-problem.
+ */
+void
+expectMatchesReferee(const GemmExecutor &exec, const Matrix<i32> &a,
+                     const Matrix<i32> &b, const std::string &what)
+{
+    const auto want = refereeGemm(exec, a, b);
+    for (unsigned threads : {1u, 3u}) {
+        ThreadGuard guard(threads);
+        if (sameAccumulations(exec.run(a, b), want))
+            continue;
+        ADD_FAILURE() << what << ": " << exec.config().name() << " "
+                      << a.rows() << "x" << a.cols() << "x" << b.cols()
+                      << " at " << threads
+                      << " threads disagrees with the referee; "
+                      << "smallest failing shape "
+                      << shrinkFailure(exec, a, b);
+    }
+}
+
 /**
  * Randomized differential test: GemmExecutor::run against the sum of
  * singleProduct over UR (with and without early termination), UT and UG
@@ -673,22 +721,8 @@ shrinkFailure(const GemmExecutor &exec, const Matrix<i32> &a,
  */
 TEST(Functional, TableKernelMatchesPerMacReferee)
 {
-    struct Config
-    {
-        Scheme scheme;
-        int bits;
-        bool et;
-    };
-    std::vector<Config> configs;
-    for (int bits = 2; bits <= 13; ++bits) {
-        configs.push_back({Scheme::USystolicRate, bits, false});
-        configs.push_back({Scheme::USystolicRate, bits, true});
-        configs.push_back({Scheme::USystolicTemporal, bits, false});
-        if (bits <= 12)
-            configs.push_back({Scheme::UgemmHybrid, bits, false});
-    }
     u64 seed = 0;
-    for (const Config &c : configs) {
+    for (const TableConfig &c : tableConfigs()) {
         for (int trial = 0; trial < 3; ++trial, ++seed) {
             Prng prng(0xd1ffu + seed);
             const int et =
@@ -704,19 +738,69 @@ TEST(Functional, TableKernelMatchesPerMacReferee)
                 for (int k = 0; k < k_dim; ++k)
                     b(k, zero_col) = 0;
             }
-            const GemmExecutor exec(kernel);
-            const auto want = refereeGemm(exec, a, b);
-            for (unsigned threads : {1u, 3u}) {
-                ThreadGuard guard(threads);
-                if (sameAccumulations(exec.run(a, b), want))
-                    continue;
-                ADD_FAILURE() << "seed " << seed << ": " << kernel.name()
-                              << " " << m_rows << "x" << k_dim << "x"
-                              << n_dim << " at " << threads
-                              << " threads disagrees with the referee; "
-                              << "smallest failing shape "
-                              << shrinkFailure(exec, a, b);
+            expectMatchesReferee(GemmExecutor(kernel), a, b,
+                                 "seed " + std::to_string(seed));
+        }
+    }
+}
+
+/**
+ * Every column of A holds every code in [-2^(N-1), 2^(N-1)] once, in a
+ * random order, so every k stages every table row and builds its
+ * weight-side rows in one threshold walk (both UG passes included):
+ * UR with and without early termination, UT and UG at every bitwidth,
+ * with N = 17, 65 and 129 (a sub-vector tail, one past a 64-column
+ * tile, one past a 128-column walk tile).
+ */
+TEST(Functional, TableKernelWalksWhenAColumnHoldsEveryCode)
+{
+    u64 seed = 0;
+    for (const TableConfig &c : tableConfigs()) {
+        const i32 lim = i32(1) << (c.bits - 1);
+        const int et = c.et ? std::max(2, c.bits / 2 + 1) : 0;
+        const GemmExecutor exec({c.scheme, c.bits, et});
+        for (const int n_dim : {17, 65, 129}) {
+            Prng prng(0x3a1cu + seed++);
+            const int m_rows = 2 * lim + 1;
+            const int k_dim = 3;
+            Matrix<i32> a(m_rows, k_dim);
+            for (int k = 0; k < k_dim; ++k) {
+                for (int m = 0; m < m_rows; ++m)
+                    a(m, k) = m - lim;
+                for (int m = m_rows - 1; m > 0; --m)
+                    std::swap(a(m, k), a(int(prng.below(u64(m) + 1)), k));
             }
+            const auto b = tableCodes(k_dim, n_dim, c.bits, prng);
+            expectMatchesReferee(exec, a, b,
+                                 "every code, N=" + std::to_string(n_dim));
+        }
+    }
+}
+
+/**
+ * One output row: each k stages at most one table row. From 6 bits on
+ * every k gathers it, since its row (|a| >= 2^(N-2), or about half that
+ * under early termination) is worth more walk steps than one gather,
+ * and a UG walk is a whole period long.
+ */
+TEST(Functional, TableKernelGathersAtOneOutputRow)
+{
+    u64 seed = 0;
+    for (const TableConfig &c : tableConfigs()) {
+        const i32 lim = i32(1) << (c.bits - 1);
+        const int et = c.et ? std::max(2, c.bits - 1) : 0;
+        const GemmExecutor exec({c.scheme, c.bits, et});
+        for (const int n_dim : {17, 65, 129}) {
+            Prng prng(0x6a7eu + seed++);
+            const int k_dim = 1 + int(prng.below(200));
+            Matrix<i32> a(1, k_dim);
+            for (int k = 0; k < k_dim; ++k) {
+                const i32 mag = lim / 2 + i32(prng.below(u64(lim / 2) + 1));
+                a(0, k) = prng.below(2) ? -mag : mag;
+            }
+            const auto b = tableCodes(k_dim, n_dim, c.bits, prng);
+            expectMatchesReferee(exec, a, b,
+                                 "M=1, N=" + std::to_string(n_dim));
         }
     }
 }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -69,6 +70,7 @@ TEST(SimdDispatch, TablesConsistent)
         EXPECT_NE(k->gemmRowI32, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gemmI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
+        EXPECT_NE(k->walkRowsI32, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->sumRowsI32, nullptr) << simdLevelName(k->level);
     }
 }
@@ -235,6 +237,145 @@ TEST(SimdGatherU16, ParityWithTailsAndRowEnds)
                            "UG ones bits=" + std::to_string(bits));
         expectGatherParity(model.hitsAfterZeros(period), idx,
                            "UG zeros bits=" + std::to_string(bits));
+    }
+}
+
+/** One walkRowsI32 call: its operands and the row buffer it writes. */
+struct WalkCase
+{
+    std::vector<u32> keys;
+    std::vector<i32> signs; // empty: no negation
+    const u32 *thresh = nullptr;
+    std::vector<u32> stops;
+    i32 bias = 0;
+    bool misses = false;
+    bool reversed = false; // rows in descending order (negative stride)
+};
+
+/**
+ * walkRowsI32 by definition: row i counts, column by column, the
+ * thresholds among the first stops[i] that the key reaches (or misses).
+ * Rows sit n + 3 apart, so the three words between rows show a store
+ * past n; `rows` holds whatever the buffer held before the call.
+ */
+void
+naiveWalk(const WalkCase &c, std::vector<i32> &rows)
+{
+    const std::size_t n = c.keys.size();
+    const std::size_t count = c.stops.size();
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t at = (c.reversed ? count - 1 - i : i) * (n + 3);
+        for (std::size_t j = 0; j < n; ++j) {
+            i32 h = 0;
+            for (u32 s = 0; s < c.stops[i]; ++s)
+                h += (c.keys[j] >= c.thresh[s]) != c.misses;
+            i32 &dst = rows[at + j];
+            if (c.misses)
+                dst += c.bias + h;
+            else
+                dst = c.bias + (!c.signs.empty() && c.signs[j] < 0 ? -h : h);
+        }
+    }
+}
+
+/** Check walkRowsI32 on every tier against naiveWalk. */
+void
+expectWalkParity(const WalkCase &c, const std::vector<i32> &before,
+                 const std::string &what)
+{
+    const int n = int(c.keys.size());
+    const int count = int(c.stops.size());
+    const std::ptrdiff_t stride = std::ptrdiff_t(n) + 3;
+    std::vector<i32> naive = before;
+    naiveWalk(c, naive);
+    for (const SimdKernels *k : tablesUnderTest()) {
+        std::vector<i32> got = before;
+        i32 *first = got.data() +
+                     (c.reversed ? std::ptrdiff_t(count - 1) * stride : 0);
+        k->walkRowsI32(first, c.reversed ? -stride : stride, c.keys.data(),
+                       c.signs.empty() ? nullptr : c.signs.data(), c.thresh,
+                       c.stops.data(), count, n, c.bias, c.misses);
+        EXPECT_EQ(got, naive) << simdLevelName(k->level) << " " << what;
+    }
+}
+
+/**
+ * walkRowsI32 on every tier against its definition, over the product
+ * models' own threshold sequences: row widths across every vector and
+ * tile boundary (past the 128-column walk tile too), stops at row 0,
+ * after the first threshold and after the last one (a whole period),
+ * repeated stops, keys at 0 and at the period, signed and unsigned
+ * stores with a bias, and UG's miss pass adding into rows in reverse.
+ */
+TEST(SimdWalkRowsI32, ParityWithTailsStopsAndMisses)
+{
+    struct Sequence
+    {
+        std::string name;
+        u32 period;
+        const u32 *thresh;
+    };
+    std::vector<Sequence> seqs;
+    for (int bits : {2, 8, 13}) {
+        const UnaryProductModel &m = unaryModelFor(bits);
+        seqs.push_back({"UR" + std::to_string(bits), m.period(),
+                        m.weightThresholds()});
+    }
+    for (int bits : {2, 8, 12}) {
+        const BipolarProductModel &m = bipolarModelFor(bits);
+        seqs.push_back({"UG1-" + std::to_string(bits), m.period(),
+                        m.onesThresholds()});
+        seqs.push_back({"UG0-" + std::to_string(bits), m.period(),
+                        m.zerosThresholds()});
+    }
+    Prng prng(1111);
+    for (const Sequence &q : seqs) {
+        for (int n : kRowWidths) {
+            for (int count : {1, 2, 5, 17}) {
+                WalkCase c;
+                c.thresh = q.thresh;
+                c.keys.resize(std::size_t(n));
+                for (auto &v : c.keys)
+                    v = u32(prng.below(u64(q.period) + 1));
+                if (n > 0) {
+                    c.keys.front() = 0;
+                    c.keys.back() = q.period;
+                }
+                c.stops.resize(std::size_t(count));
+                for (auto &v : c.stops)
+                    v = u32(prng.below(u64(q.period) + 1));
+                c.stops.back() = q.period;
+                if (count > 2) {
+                    c.stops[0] = 0;
+                    c.stops[1] = 1;
+                }
+                std::sort(c.stops.begin(), c.stops.end());
+                if (count > 4)
+                    c.stops[3] = c.stops[2];
+                std::vector<i32> before(std::size_t(count) *
+                                            (std::size_t(n) + 3),
+                                        -7);
+                const std::string what = q.name + " n=" +
+                                         std::to_string(n) + " count=" +
+                                         std::to_string(count);
+                // A signed store (UR/UT), a biased unsigned one (UG's
+                // first pass) and a miss pass adding into rows in
+                // reverse (UG's second).
+                c.signs.resize(std::size_t(n));
+                for (auto &v : c.signs)
+                    v = i32(prng.below(2 * u64(q.period) + 1)) -
+                        i32(q.period);
+                expectWalkParity(c, before, what + " signed");
+                c.signs.clear();
+                c.bias = -i32(q.period / 2);
+                expectWalkParity(c, before, what + " biased");
+                for (auto &v : before)
+                    v = i32(prng.below(1000)) - 500;
+                c.misses = true;
+                c.reversed = true;
+                expectWalkParity(c, before, what + " misses");
+            }
+        }
     }
 }
 

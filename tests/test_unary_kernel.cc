@@ -272,6 +272,54 @@ TEST(ProductTable, MatchesCycleLevelUnipolar)
 }
 
 /**
+ * Whether every row of a prefix table steps by its threshold: row r + 1
+ * is row r plus [w >= t_r] for every r in [0, period) and w in
+ * [0, period]. Reports the first entry that does not.
+ */
+template <typename RowOf>
+::testing::AssertionResult
+stepsByThresholds(u32 period, const u32 *t, RowOf rowOf)
+{
+    for (u32 r = 0; r < period; ++r) {
+        const u16 *lo = rowOf(r);
+        const u16 *hi = rowOf(r + 1);
+        for (u32 w = 0; w <= period; ++w)
+            if (u32(hi[w] - lo[w]) != u32(w >= t[r]))
+                return ::testing::AssertionFailure()
+                       << "row " << r << " w " << w << ": step "
+                       << (hi[w] - lo[w]) << ", threshold " << t[r];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The thresholds t_j = S[j] + 1 the table kernel walks: for the UR/UT
+ * weight sequence at 2-13 bits and both UG polarities at 2-12 bits,
+ * row r + 1 of each prefix table is row r plus [w >= t_r].
+ */
+TEST(ProductTable, ThresholdsStepEveryRow)
+{
+    for (int bits = 2; bits <= 13; ++bits) {
+        const UnaryProductModel model(bits);
+        EXPECT_TRUE(stepsByThresholds(
+            model.period(), model.weightThresholds(),
+            [&](u32 r) { return model.countsAfterOnes(r); }))
+            << "UR/UT weights, " << bits << " bits";
+    }
+    for (int bits = 2; bits <= 12; ++bits) {
+        const BipolarProductModel model(bits);
+        EXPECT_TRUE(stepsByThresholds(
+            model.period(), model.onesThresholds(),
+            [&](u32 r) { return model.hitsAfterOnes(r); }))
+            << "UG polarity 1, " << bits << " bits";
+        EXPECT_TRUE(stepsByThresholds(
+            model.period(), model.zerosThresholds(),
+            [&](u32 r) { return model.hitsAfterZeros(r); }))
+            << "UG polarity 0, " << bits << " bits";
+    }
+}
+
+/**
  * rateOnes(iabs, cycles) — the fault-free ones-count of an
  * early-terminated UR stream — equals the 1-bits of every prefix of the
  * input rate stream on the model's input dimension.
