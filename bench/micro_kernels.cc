@@ -166,26 +166,6 @@ BM_SimdAxpyF32(benchmark::State &state)
 BENCHMARK(BM_SimdAxpyF32)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_SimdGemmRowI32(benchmark::State &state)
-{
-    const SimdKernels *k = tierForArg(state);
-    if (!k)
-        return;
-    Prng prng(9);
-    const int n = 4096;
-    std::vector<i64> c(n, 0);
-    std::vector<i32> b(n);
-    for (auto &v : b)
-        v = i32(prng.next());
-    for (auto _ : state) {
-        k->gemmRowI32(c.data(), b.data(), 7, n);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_SimdGemmRowI32)->Arg(0)->Arg(1)->Arg(2);
-
-void
 BM_DramDeviceStream(benchmark::State &state)
 {
     DramDevice dram(ddr3Chip(), 0.4);

@@ -14,14 +14,10 @@
  * packed engine's >= 10x floor. Timings use the median of several
  * trials so a loaded CI host doesn't flake the check.
  *
- * A second section times the fp32 and widening integer GEMM row
- * kernels (common/simd.h) generic-vs-best-available (AVX-512 when the
- * host has it, else AVX2) and records simd.<tag>.* stats plus the
- * per-tier availability flags.
- * The SIMD gate self-skips per tier: --min-gemm-row-speedup X
- * (widening GEMM row) is enforced only when some vector tier is
- * available — on generic-only hosts the ratio is 1 by construction and
- * the gate prints a skip note instead of failing.
+ * A second section times the fp32 GEMM row kernel (common/simd.h)
+ * generic-vs-best-available (AVX-512 when the host has it, else AVX2)
+ * and records simd.axpy_f32.* stats plus the per-tier availability
+ * flags. It has no gate.
  *
  * A third section records the absolute time of one 64x64 8-bit UR fold
  * (one product-table lookup per MAC, DESIGN.md §13) as
@@ -120,7 +116,6 @@ main(int argc, char **argv)
         opts.stats_json = "BENCH_kernels.json";
 
     double min_speedup = 0.0;
-    double min_gemm_row_speedup = 0.0;
     double min_sparse_speedup = 0.0;
     double max_profile_overhead_pct = 0.0;
     for (int i = 1; i < argc; ++i) {
@@ -128,11 +123,6 @@ main(int argc, char **argv)
             fatalIf(i + 1 >= argc, "--min-speedup requires a value");
             min_speedup = parseDoubleFlag("--min-speedup", argv[++i],
                                           0.0, 1e6);
-        } else if (std::strcmp(argv[i], "--min-gemm-row-speedup") == 0) {
-            fatalIf(i + 1 >= argc,
-                    "--min-gemm-row-speedup requires a value");
-            min_gemm_row_speedup = parseDoubleFlag(
-                "--min-gemm-row-speedup", argv[++i], 0.0, 1e6);
         } else if (std::strcmp(argv[i], "--min-sparse-speedup") == 0) {
             fatalIf(i + 1 >= argc,
                     "--min-sparse-speedup requires a value");
@@ -305,26 +295,16 @@ main(int argc, char **argv)
                 "3 neon)")
         .set(u64(simdLevel()));
 
-    double gemm_row_speedup = 1.0;
     {
         ScopedTimer timer("perf_smoke_simd", "bench");
         USYS_PROF_SCOPE("perf.simd");
         Prng prng(29);
         const int vn = 4096;
-        // The i64 output row spills L1 at vn (32 KiB of c alone), which
-        // would measure DRAM bandwidth instead of the kernel — keep the
-        // integer GEMM row L1-resident (b + both c copies = 40 KiB)
-        // while amortizing per-call dispatch overhead.
-        const int gn = 2048;
         std::vector<float> fb(vn), fc_a(vn), fc_b(vn);
-        std::vector<i32> ib(gn);
-        std::vector<i64> ic_a(gn, 0), ic_b(gn, 0);
         for (int j = 0; j < vn; ++j) {
             fb[j] = float(prng.uniform(-1.0, 1.0));
             fc_a[j] = fc_b[j] = float(prng.uniform(-1.0, 1.0));
         }
-        for (int j = 0; j < gn; ++j)
-            ib[j] = i32(prng.next());
 
         // Parity before timing: a fast wrong kernel must fail here, not
         // ship a perf number.
@@ -334,9 +314,6 @@ main(int argc, char **argv)
         fatalIf(std::memcmp(fc_a.data(), fc_b.data(),
                             std::size_t(vn) * sizeof(float)) != 0,
                 "simd axpy parity failure");
-        gen.gemmRowI32(ic_a.data(), ib.data(), -12345, gn);
-        chk.gemmRowI32(ic_b.data(), ib.data(), -12345, gn);
-        fatalIf(ic_a != ic_b, "simd gemm-row parity failure");
 
         std::printf("\n%-16s %14s %14s %10s   (active: %s)\n",
                     "simd kernel", "generic us", "simd us", "speedup",
@@ -367,18 +344,12 @@ main(int argc, char **argv)
                 .set(speedup);
             std::printf("%-16s %14.3f %14.3f %9.1fx\n", tag, gen_us,
                         best_us, speedup);
-            return speedup;
         };
 
         record(
             "axpy_f32",
             [&] { gen.axpyF32(fc_a.data(), fb.data(), 1.0f, vn); },
             [&] { chk.axpyF32(fc_b.data(), fb.data(), 1.0f, vn); }, 500);
-        gemm_row_speedup = record(
-            "gemm_row_i32",
-            [&] { gen.gemmRowI32(ic_a.data(), ib.data(), 7, gn); },
-            [&] { chk.gemmRowI32(ic_b.data(), ib.data(), 7, gn); },
-            2000);
     }
 
     // ---- 64x64 fold, absolute time ------------------------------------
@@ -485,8 +456,7 @@ main(int argc, char **argv)
 
     if (min_sparse_speedup > 0.0) {
         // A starved/overloaded host can squeeze the 64x64 fold below
-        // reliable timer resolution; the gate self-skips there the way
-        // the SIMD gate skips on generic-only hosts.
+        // reliable timer resolution; the gate self-skips there.
         if (dense_us < 5.0) {
             std::printf("perf_smoke: sparse speedup gate skipped — "
                         "dense fold too fast to time reliably "
@@ -497,19 +467,6 @@ main(int argc, char **argv)
                          "perf_smoke: 90%% sparse speedup %.1fx below "
                          "required %.1fx\n",
                          sparse_speedup_90, min_sparse_speedup);
-            return 1;
-        }
-    }
-
-    if (min_gemm_row_speedup > 0.0) {
-        if (!have_simd) {
-            std::printf("perf_smoke: GEMM-row speedup gate skipped — no "
-                        "vector tier available on this host/build\n");
-        } else if (gemm_row_speedup < min_gemm_row_speedup) {
-            std::fprintf(stderr,
-                         "perf_smoke: SIMD gemm_row_i32 speedup %.1fx "
-                         "below required %.1fx\n",
-                         gemm_row_speedup, min_gemm_row_speedup);
             return 1;
         }
     }

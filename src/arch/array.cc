@@ -373,9 +373,9 @@ SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
     }
 
     // Each column-tile shard owns a disjoint slice of the output matrix,
-    // so the shards can run concurrently; per-shard cycle counts and
-    // stats deltas are reduced serially in tile order below, keeping
-    // totals and dumps identical to the serial loop.
+    // so the shards run concurrently under either engine; per-shard
+    // cycle counts and stats deltas are reduced serially in tile order
+    // below, keeping totals and dumps identical to a serial loop.
     std::vector<FoldStatsDelta> deltas(n_tiles);
     std::vector<Cycles> tile_cycles(n_tiles, 0);
     auto run_tile = [&](u64 ti) {
@@ -407,11 +407,7 @@ SystolicGemm::runFolds(const Matrix<i32> &a, const Matrix<i32> &b,
                     result.acc(m, n0 + c) += fold.output(m, c);
         }
     };
-    if (packed)
-        parallelFor(0, n_tiles, run_tile);
-    else
-        for (u64 ti = 0; ti < n_tiles; ++ti)
-            run_tile(ti);
+    parallelFor(0, n_tiles, run_tile);
 
     for (u64 ti = 0; ti < n_tiles; ++ti) {
         result.cycles += tile_cycles[ti];

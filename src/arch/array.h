@@ -183,11 +183,12 @@ class SystolicGemm
      * one GemmExecutor call computes the accumulations, and cycles,
      * folds, the per-fold stats and the sparsity census (padding zeros
      * included) are booked analytically. Every other packed GEMM runs
-     * its folds on PackedArray, with the column-tile shards — which own
-     * disjoint output columns — under parallelFor. Either way results,
-     * cycle counts, and stats dumps are identical to the scalar serial
-     * path (--no-packed, or a kernel with wide tables such as 16-bit
-     * UR/UG), which simulates every fold on SystolicArray.
+     * its folds on PackedArray. The scalar path (--no-packed, or a
+     * kernel with wide tables such as 16-bit UR/UG) simulates every fold
+     * on SystolicArray. Either engine runs the column-tile shards — which
+     * own disjoint output columns — under parallelFor and reduces them in
+     * tile order, so results, cycle counts, and stats dumps are identical
+     * across engines and thread counts.
      * Empty GEMMs (M, K or N = 0) return an M x N zero result.
      *
      * @param stats if non-null, merge this GEMM's registry deltas there
@@ -202,9 +203,10 @@ class SystolicGemm
 
   private:
     /** Fold-by-fold GEMM over operands already DRAM-faulted, on
-     *  PackedArray shards when `packed`, else serially on SystolicArray:
-     *  adds into result.acc (pre-sized M x N) and result.cycles, merges
-     *  the fold deltas into `total` in tile order. */
+     *  PackedArray when `packed`, else on SystolicArray, column-tile
+     *  shards in parallel: adds into result.acc (pre-sized M x N) and
+     *  result.cycles, merges the fold deltas into `total` in tile
+     *  order. */
     void runFolds(const Matrix<i32> &a, const Matrix<i32> &b, bool packed,
                   RunResult &result, FoldStatsDelta &total) const;
 

@@ -6,7 +6,6 @@
 
 #include "common/fixed_point.h"
 #include "common/profiler.h"
-#include "common/simd.h"
 #include "arch/functional.h"
 #include "arch/pe.h"
 #include "arch/sparsity.h"
@@ -210,19 +209,11 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
         const Matrix<i32> &a = *ap;
 
         if (!fo) {
-            // No per-MAC fault hook: run the dispatched SIMD row kernel
-            // over the nonzero staged codes only (weight-register and
-            // DRAM faults already corrupted them).
+            // No per-MAC fault hook: the fold is one exact GEMM over the
+            // staged codes (weight-register and DRAM faults already
+            // corrupted them), on the same kernel as a fault-free one.
             USYS_PROF_SCOPE("fold.packed.mac");
-            const SimdKernels &simd = simdKernels();
-            for (int m = 0; m < m_rows; ++m) {
-                const i32 *arow = &a(m, 0);
-                const u32 cnt = nonzeroIndices(arow, rows, nz.data());
-                for (u32 i = 0; i < cnt; ++i) {
-                    const int r = int(nz[i]);
-                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), arow[r], cols);
-                }
-            }
+            out = referenceGemm(a, *wp);
             break;
         }
 

@@ -22,18 +22,22 @@
  * uGEMM-H bipolar variant reading BipolarProductModel::countAfter over
  * its polarity-1 and polarity-0 lanes (ones = a + 2^(N-1)). The top-row
  * shifter rescale is identical to SystolicArray. The exact schemes (BP,
- * BS, tubGEMM, tuGEMM) are plain integer GEMMs. See DESIGN.md §8.
+ * BS, tubGEMM, tuGEMM) are plain integer GEMMs: without an accumulator
+ * fault, a fold is one referenceGemm call over its staged codes, the
+ * same kernel a fault-free exact GEMM runs on. See DESIGN.md §8.
  *
- * Fault-free folds of every scheme but uGEMM-H visit only the nonzero
- * input codes of each row — in hardware a zero-magnitude stream asserts
- * no bits, so skipping it is not a mode. uGEMM-H, and any fold
- * with an activation-stream, weight-stream or accumulator fault, runs a
- * per-MAC loop over the same table counts: an activation-stream fault
- * counts the faulted input stream, a weight-stream fault re-derives the
+ * Fault-free UR/UT folds visit only the nonzero input codes of each
+ * row — in hardware a zero-magnitude stream asserts no bits, so
+ * skipping it is not a mode. uGEMM-H, and any unary fold with an
+ * activation-stream, weight-stream or accumulator fault, runs a per-MAC
+ * loop over the same table counts: an activation-stream fault counts
+ * the faulted input stream, a weight-stream fault re-derives the
  * comparison bits as table steps and corrupts them, and an accumulator
- * fault corrupts the per-MAC product. Weight-register and DRAM faults
- * pre-corrupt the codes. All of it is bit-exact, including stats and
- * the fault census. See DESIGN.md §13 and §16.
+ * fault corrupts the per-MAC product (the exact schemes' accumulator
+ * faults take a per-MAC integer loop). Weight-register, DRAM and, for
+ * the exact schemes, activation-stream faults pre-corrupt the codes.
+ * All of it is bit-exact, including stats and the fault census. See
+ * DESIGN.md §13 and §16.
  *
  * A kernel without small product tables (hasSmallProductTables(): UR/UT
  * above 12 bits, UG above 11) is refused at construction; SystolicGemm

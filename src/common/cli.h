@@ -6,7 +6,8 @@
  *   --stats-json <path>   write the stats-registry dump as JSON
  *   --stats-dump          print the gem5-style text dump to stderr
  *   --trace-out <path>    write a chrome://tracing / Perfetto JSON trace
- *   --no-packed           force the scalar reference simulation engine
+ *   --no-packed           run SystolicGemm's folds on the scalar reference
+ *                         engine (SystolicArray); changes nothing else
  *   --packed              re-enable the packed engine (the default)
  *   --threads <n>         executor thread count (0 = auto: USYS_THREADS
  *                         env, else hardware_concurrency())
@@ -121,13 +122,15 @@ class ProgressMeter
 };
 
 /**
- * Global gate for the fast simulation path: product-table unary
- * kernels plus tile-/layer-parallel scheduling. Defaults to on; the
- * scalar reference engine stays available behind --no-packed for
- * cross-checking and debugging. This is the only engine option: the
- * packed engine has one fault-free path per scheme. Both engines are
- * bit-exact, produce the same cycle counts, and commit identical
- * stats-registry deltas.
+ * Global engine switch for SystolicGemm: on (the default), GEMMs run
+ * on the packed engine (closed-form GemmExecutor calls and PackedArray
+ * folds); off (--no-packed), every fold runs on the scalar reference
+ * SystolicArray, for cross-checking and debugging. It picks the engine
+ * and does nothing else: thread counts, tile/layer/mode parallelism and
+ * every path that never reaches SystolicGemm are the same either way.
+ * This is the only engine option: the packed engine has one fault-free
+ * path per scheme. Both engines are bit-exact, produce the same cycle
+ * counts, and commit identical stats-registry deltas.
  */
 bool packedEngineEnabled();
 

@@ -59,16 +59,14 @@ gemmRowsI32(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b)
 {
     const u64 grain = std::max<u64>(
         1, 4096 / u64(std::max(1, a.cols() * b.cols())));
-    const SimdKernels &simd = simdKernels();
     parallelFor(
         0, u64(a.rows()),
         [&](u64 mi) {
             const int m = int(mi);
             for (int k = 0; k < a.cols(); ++k) {
-                const i32 av = a(m, k);
-                if (av == 0)
-                    continue;
-                simd.gemmRowI32(&c(m, 0), &b(k, 0), av, b.cols());
+                const i64 av = a(m, k);
+                for (int n = 0; n < b.cols(); ++n)
+                    c(m, n) += av * i64(b(k, n));
             }
         },
         grain);

@@ -70,12 +70,14 @@ class Matrix
 
 /**
  * Exact integer GEMM: C (MxN) = A (MxK) * B (KxN) in i64, row-parallel
- * and bitwise-identical at any thread count. When every code lies in
- * [-2^14, 2^14] it runs SimdKernels::gemmI16 (16-bit k-pair
+ * and bitwise-identical at any thread count. Every exact-product GEMM
+ * runs here: BP, BS, tubGEMM and tuGEMM, fault-free or as a PackedArray
+ * fold over fault-staged codes, and the DNN's FXP modes. When every code
+ * lies in [-2^14, 2^14) it runs SimdKernels::gemmI16 (16-bit k-pair
  * multiply-adds summed in i32, spilled to i64 per block), reading B
  * from a k-pair panel packed once per call when M has the rows to
- * amortize the pass; any wider code sends the whole call to the
- * widening gemmRowI32 loop.
+ * amortize the pass; any wider code (a 16-bit kernel's, say)
+ * sends the whole call to a plain widening loop.
  */
 Matrix<i64> referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b);
 

@@ -25,24 +25,6 @@ axpyF32Generic(float *c, const float *b, float a, int n)
         c[j] += a * b[j];
 }
 
-void
-gemmRowI32Generic(i64 *c, const i32 *b, i32 a, int n)
-{
-    // Unroll by 4: the widening multiplies are independent, so the
-    // scalar pipeline can overlap them even when the baseline ISA has
-    // no packed 32x32->64 multiply to vectorize with.
-    const i64 aa = i64(a);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        c[j + 0] += aa * i64(b[j + 0]);
-        c[j + 1] += aa * i64(b[j + 1]);
-        c[j + 2] += aa * i64(b[j + 2]);
-        c[j + 3] += aa * i64(b[j + 3]);
-    }
-    for (; j < n; ++j)
-        c[j] += aa * i64(b[j]);
-}
-
 } // namespace
 
 namespace detail {
@@ -299,9 +281,8 @@ namespace {
 
 const SimdKernels kGeneric = {
     SimdLevel::Generic,         axpyF32Generic,
-    gemmRowI32Generic,          detail::gemmI16Generic,
-    detail::gatherU16Generic,   detail::walkRowsI32Generic,
-    detail::sumRowsI32Generic,
+    detail::gemmI16Generic,     detail::gatherU16Generic,
+    detail::walkRowsI32Generic, detail::sumRowsI32Generic,
 };
 
 // --- Dispatch -------------------------------------------------------

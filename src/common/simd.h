@@ -2,15 +2,14 @@
  * @file
  * Runtime-dispatched SIMD kernels behind the GEMM engines.
  *
- * The exact-product GEMMs (referenceGemm: BP, BS, tubGEMM, tuGEMM and
- * the DNN's FXP modes) multiply 16-bit codes, the per-MAC fault folds
- * are integer GEMM rows, and the functional table kernel (DESIGN.md
- * §17) gathers product-table rows and sums them; on AVX2 hosts the
- * same work runs 8-16 lanes per instruction. This layer exposes the
- * handful of data-parallel inner loops as a function-pointer table:
+ * The exact-product GEMMs (referenceGemm: BP, BS, tubGEMM, tuGEMM —
+ * fault-free or folded — and the DNN's FXP modes) multiply 16-bit
+ * codes, and the functional table kernel (DESIGN.md §17) gathers
+ * product-table rows and sums them; on AVX2 hosts the same work runs
+ * 8-16 lanes per instruction. This layer exposes the handful of
+ * data-parallel inner loops as a function-pointer table:
  *
  *   axpyF32             fp32 GEMM row (one multiply, one add per element)
- *   gemmRowI32          widening integer GEMM row (any i32 codes)
  *   gemmI16             exact GEMM rows from codes in [-2^14, 2^14):
  *                       k-pair multiply-adds into i32 register tiles
  *   gatherU16           product-table row gather, u16 -> i32
@@ -22,23 +21,21 @@
  *
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
- *   avx2     vectorized GEMM rows, vpmaddwd 4-row x 16-column pair
+ *   avx2     vectorized fp32 rows, vpmaddwd 4-row x 16-column pair
  *            tiles, vpgatherdd row gathers, 32-column register-tiled
  *            threshold walks and row sums; compiled in its own
  *            translation unit with -mavx2
  *            so the rest of the binary stays runnable on machines
  *            without AVX2
- *   avx512   16-lane fp32 and 8-lane widening integer GEMM rows,
- *            vpmaddwd 4-row x 64-column pair tiles with mask-register
- *            pair staging, 16-lane gathers, 128-column threshold
- *            walks and 64-column register-tiled row sums; own
- *            translation unit with
+ *   avx512   16-lane fp32 rows, vpmaddwd 4-row x 64-column pair tiles
+ *            with mask-register pair staging, 16-lane gathers,
+ *            128-column threshold walks and 64-column register-tiled
+ *            row sums; own translation unit with
  *            -mavx512{f,bw}, runtime CPUID-gated like the AVX2 tier
- *   neon     AArch64 ASIMD: vmull_s32 widening integer GEMM rows and
- *            the fp32 row (the pair-GEMM, gather, walk and row-sum
- *            slots point at the generic kernels); own translation unit,
- *            available whenever the build targeted arm64 (ASIMD is
- *            architecturally mandatory there)
+ *   neon     AArch64 ASIMD: the fp32 row only (the pair-GEMM, gather,
+ *            walk and row-sum slots point at the generic kernels); own
+ *            translation unit, available whenever the build targeted
+ *            arm64 (ASIMD is architecturally mandatory there)
  *
  * Every kernel is BIT-EXACT against its generic counterpart — integer
  * kernels trivially, the fp32 kernel because both sides perform exactly
@@ -76,7 +73,7 @@ enum class SimdLevel
  * gemmI16 takes codes in [-2^14, 2^14), the 15-bit two's-complement
  * range: a k pair's two products then sum to at most 2^29 in i16 x i16
  * -> i32 multiply-adds. referenceGemm sends a call with any wider code
- * to the gemmRowI32 loop.
+ * to its plain widening loop.
  */
 constexpr i32 kGemmI16Limit = i32(1) << 14;
 
@@ -98,13 +95,6 @@ struct SimdKernels
      * FMA), so results are bitwise identical across tiers.
      */
     void (*axpyF32)(float *c, const float *b, float a, int n);
-
-    /**
-     * Row-major integer GEMM inner loop with widening multiply:
-     * c[j] += i64(a) * i64(b[j]) for j in [0, n). Exact for the full
-     * i32 range of both operands.
-     */
-    void (*gemmRowI32)(i64 *c, const i32 *b, i32 a, int n);
 
     /**
      * Exact integer GEMM rows from codes in [-2^14, 2^14):

@@ -9,7 +9,7 @@
  * file degrades to a stub returning nullptr.
  *
  * Bit-exactness notes:
- *  - comparisons / widening multiplies / vpmaddwd pair multiply-adds
+ *  - comparisons / vpmaddwd pair multiply-adds
  *    are exact integer operations; only the summation order differs,
  *    and integer sums are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
@@ -40,25 +40,6 @@ axpyF32Avx2(float *c, const float *b, float a, int n)
     }
     for (; j < n; ++j)
         c[j] += a * b[j];
-}
-
-void
-gemmRowI32Avx2(i64 *c, const i32 *b, i32 a, int n)
-{
-    // vpmuldq multiplies the low signed 32 bits of each 64-bit lane:
-    // exact i64 products for the full i32 range of both operands.
-    const __m256i va = _mm256_set1_epi64x(i64(u32(a)));
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i vb = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + j)));
-        const __m256i prod = _mm256_mul_epi32(vb, va);
-        __m256i *cp = reinterpret_cast<__m256i *>(c + j);
-        _mm256_storeu_si256(
-            cp, _mm256_add_epi64(_mm256_loadu_si256(cp), prod));
-    }
-    for (; j < n; ++j)
-        c[j] += i64(a) * i64(b[j]);
 }
 
 /**
@@ -398,7 +379,7 @@ sumRowsI32Avx2(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx2 = {
-    SimdLevel::Avx2, axpyF32Avx2,     gemmRowI32Avx2, gemmI16Avx2,
+    SimdLevel::Avx2, axpyF32Avx2,     gemmI16Avx2,
     gatherU16Avx2,   walkRowsI32Avx2, sumRowsI32Avx2,
 };
 

@@ -10,10 +10,10 @@
  * nullptr.
  *
  * Bit-exactness notes:
- *  - mask-register compares, vpmuldq widening multiplies, vpmaddwd
- *    pair multiply-adds and the threshold walk's masked adds are exact
- *    integer operations; only summation order differs from the generic
- *    loops, and integer sums are order-free.
+ *  - mask-register compares, vpmaddwd pair multiply-adds and the
+ *    threshold walk's masked adds are exact integer operations; only
+ *    summation order differs from the generic loops, and integer sums
+ *    are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
  *    element (never an FMA; -ffp-contract=off on this TU), matching
  *    the generic loop's rounding per element.
@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdint>
 #include <immintrin.h>
 
 namespace usys {
@@ -59,62 +58,6 @@ axpyF32Avx512(float *c, const float *b, float a, int n)
     }
     for (; j < n; ++j)
         c[j] += a * b[j];
-}
-
-/**
- * The eight i32 at p, sign-extended to i64 lanes. This and the
- * vpmuldq below use the zero-masked forms with every lane set: they
- * compute what the plain intrinsics do, without GCC's undefined-source
- * false -Wmaybe-uninitialized.
- */
-USYS_AVX512_NO_TSAN inline __m512i
-widen(const __m256i *p)
-{
-    return _mm512_maskz_cvtepi32_epi64(0xff, _mm256_loadu_si256(p));
-}
-
-USYS_AVX512_NO_TSAN void
-gemmRowI32Avx512(i64 *c, const i32 *b, i32 a, int n)
-{
-    // vpmuldq multiplies the low signed 32 bits of each 64-bit lane:
-    // exact i64 products for the full i32 range of both operands,
-    // 8 lanes per instruction.
-    const __m512i va = _mm512_set1_epi64(i64(u32(a)));
-    int j = 0;
-    // Peel until the accumulator row is 64-byte aligned: c is both
-    // loaded and stored every iteration, and cache-line-split 64-byte
-    // accesses double the load/store-port cost of the whole loop.
-    while (j < n && (reinterpret_cast<std::uintptr_t>(c + j) & 63) != 0) {
-        c[j] += i64(a) * i64(b[j]);
-        ++j;
-    }
-    // Unrolled by 4 (32 lanes in flight): the cvt+mul chain has enough
-    // latency that a single stream leaves the multiplier idle.
-    for (; j + 32 <= n; j += 32) {
-        __m512i *cp = reinterpret_cast<__m512i *>(c + j);
-        const __m256i *bp = reinterpret_cast<const __m256i *>(b + j);
-        const __m512i p0 = _mm512_maskz_mul_epi32(0xff, widen(bp + 0), va);
-        const __m512i p1 = _mm512_maskz_mul_epi32(0xff, widen(bp + 1), va);
-        const __m512i p2 = _mm512_maskz_mul_epi32(0xff, widen(bp + 2), va);
-        const __m512i p3 = _mm512_maskz_mul_epi32(0xff, widen(bp + 3), va);
-        _mm512_store_si512(
-            cp + 0, _mm512_add_epi64(_mm512_load_si512(cp + 0), p0));
-        _mm512_store_si512(
-            cp + 1, _mm512_add_epi64(_mm512_load_si512(cp + 1), p1));
-        _mm512_store_si512(
-            cp + 2, _mm512_add_epi64(_mm512_load_si512(cp + 2), p2));
-        _mm512_store_si512(
-            cp + 3, _mm512_add_epi64(_mm512_load_si512(cp + 3), p3));
-    }
-    for (; j + 8 <= n; j += 8) {
-        const __m512i prod = _mm512_maskz_mul_epi32(
-            0xff, widen(reinterpret_cast<const __m256i *>(b + j)), va);
-        __m512i *cp = reinterpret_cast<__m512i *>(c + j);
-        _mm512_storeu_si512(
-            cp, _mm512_add_epi64(_mm512_loadu_si512(cp), prod));
-    }
-    for (; j < n; ++j)
-        c[j] += i64(a) * i64(b[j]);
 }
 
 /** Add the 16 i32 lanes of `sum` under mask `m` into o[0..16) as i64. */
@@ -534,7 +477,7 @@ sumRowsI32Avx512(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx512 = {
-    SimdLevel::Avx512, axpyF32Avx512,     gemmRowI32Avx512, gemmI16Avx512,
+    SimdLevel::Avx512, axpyF32Avx512,     gemmI16Avx512,
     gatherU16Avx512,   walkRowsI32Avx512, sumRowsI32Avx512,
 };
 

@@ -9,12 +9,9 @@
  * Without NEON support the file degrades to a stub returning nullptr,
  * mirroring simd_avx2.cc.
  *
- * Bit-exactness notes:
- *  - the vmull_s32 widening multiply is an exact integer operation;
- *    only summation order differs, and integer sums are order-free.
- *  - the fp32 kernel issues exactly one fmul and one fadd per element
- *    (explicit vmulq/vaddq, never vfmaq; -ffp-contract=off on this TU),
- *    matching the generic loop's rounding per element.
+ * Bit-exactness: the fp32 kernel issues exactly one fmul and one fadd
+ * per element (explicit vmulq/vaddq, never vfmaq; -ffp-contract=off on
+ * this TU), matching the generic loop's rounding per element.
  */
 
 #include "common/simd.h"
@@ -42,32 +39,13 @@ axpyF32Neon(float *c, const float *b, float a, int n)
         c[j] += a * b[j];
 }
 
-void
-gemmRowI32Neon(i64 *c, const i32 *b, i32 a, int n)
-{
-    // vmull_s32 is an exact 32x32->64 widening multiply for the full
-    // i32 range of both operands.
-    const int32x2_t va = vdup_n_s32(a);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const int32x4_t vb = vld1q_s32(b + j);
-        const int64x2_t p0 = vmull_s32(vget_low_s32(vb), va);
-        const int64x2_t p1 = vmull_s32(vget_high_s32(vb), va);
-        vst1q_s64(c + j, vaddq_s64(vld1q_s64(c + j), p0));
-        vst1q_s64(c + j + 2, vaddq_s64(vld1q_s64(c + j + 2), p1));
-    }
-    for (; j < n; ++j)
-        c[j] += i64(a) * i64(b[j]);
-}
-
 // The pair GEMM, table-kernel gather, threshold walk and row sum run
 // the generic loops: no arm64 host is at hand to measure NEON versions
 // against them.
 const SimdKernels kNeon = {
     SimdLevel::Neon,            axpyF32Neon,
-    gemmRowI32Neon,             detail::gemmI16Generic,
-    detail::gatherU16Generic,   detail::walkRowsI32Generic,
-    detail::sumRowsI32Generic,
+    detail::gemmI16Generic,     detail::gatherU16Generic,
+    detail::walkRowsI32Generic, detail::sumRowsI32Generic,
 };
 
 } // namespace

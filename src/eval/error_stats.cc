@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/cli.h"
 #include "common/executor.h"
 #include "common/prng.h"
 #include "common/stats.h"
@@ -37,18 +36,14 @@ gemmErrorStats(int ebt, int k_dim, u64 seed)
     constexpr std::size_t n_modes = sizeof(modes) / sizeof(modes[0]);
 
     // The five mode GEMMs are independent (the shared product-table
-    // caches are mutex-guarded), so they fan out under the packed
-    // engine; statistics shard by output row and merge in fixed row
-    // order, keeping results identical regardless of worker count.
+    // caches are mutex-guarded) and never touch SystolicGemm, so they
+    // fan out under either engine; statistics shard by output row and
+    // merge in fixed row order, keeping results identical regardless of
+    // worker count.
     std::vector<MatF> results(n_modes);
-    auto run_mode = [&](u64 i) {
+    parallelFor(0, n_modes, [&](u64 i) {
         results[i] = gemmWithMode(a, b, {modes[i].mode, ebt});
-    };
-    if (packedEngineEnabled())
-        parallelFor(0, n_modes, run_mode);
-    else
-        for (u64 i = 0; i < n_modes; ++i)
-            run_mode(i);
+    });
 
     std::vector<GemmErrorStats> out;
     for (std::size_t i = 0; i < n_modes; ++i) {

@@ -110,10 +110,10 @@ struct LayerJob
  * simulateLayer() in a loop over `jobs`, including the order of every
  * stats-registry update and trace event.
  *
- * With the packed engine enabled (see packedEngineEnabled()) the pure
- * roofline math fans out over parallelFor; observability is then
+ * The pure roofline math fans out over parallelFor; observability is
  * committed serially in job order, so dumps stay byte-identical to the
- * serial path (and across repeated parallel runs).
+ * serial loop at any thread count. Either engine (--no-packed or not)
+ * takes this path: no simulation engine is involved.
  */
 std::vector<LayerStats> simulateLayerBatch(const std::vector<LayerJob> &jobs);
 

@@ -21,15 +21,6 @@ endif()
 # perf_smoke itself asserts packed/scalar and SIMD/generic equivalence
 # per kernel and exits nonzero when a perf gate misses:
 #   --min-speedup 10             full-period UR packed-vs-scalar
-#   --min-gemm-row-speedup 2.5   SIMD gemm row vs generic (self-skips
-#                                when no AVX2/AVX-512 tier is
-#                                available). The DESIGN §13 target is
-#                                4x; the ctest gate is set at 2.5x
-#                                because the generic baseline already
-#                                sustains ~1 imul/cycle and on
-#                                single-vCPU hosts the measured
-#                                AVX-512 wall-clock ratio tops out
-#                                near its ~3.5x port ceiling.
 #   --min-sparse-speedup 2       the packed 256x64x64 UR fold over a
 #                                90%-sparse input vs the same fold
 #                                over a dense input (self-skips on
@@ -38,15 +29,14 @@ endif()
 #                                cost on the packed UR fold (A/A gated)
 execute_process(
     COMMAND ${BENCH} --stats-json ${stats} --min-speedup 10
-            --min-gemm-row-speedup 2.5
             ${sparse_gate}
             --max-profile-overhead-pct 2
     RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "perf_smoke failed (${rc}) — equivalence "
                         "mismatch or a perf gate missed (UR 10x, "
-                        "gemm row 2.5x, sparse 2x, or "
-                        "profiling-disabled overhead above 2%)")
+                        "sparse 2x, or profiling-disabled overhead "
+                        "above 2%)")
 endif()
 
 execute_process(

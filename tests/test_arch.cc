@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -28,6 +27,7 @@
 #include "arch/array.h"
 #include "arch/functional.h"
 #include "arch/pe.h"
+#include "gemm_shrink.h"
 
 namespace usys {
 namespace {
@@ -594,77 +594,6 @@ mismatches(const GemmExecutor &exec, const Matrix<i32> &a,
     return !sameAccumulations(exec.run(a, b), refereeGemm(exec, a, b));
 }
 
-/** The submatrix of `m` on the listed rows and columns. */
-Matrix<i32>
-pick(const Matrix<i32> &m, const std::vector<int> &rows,
-     const std::vector<int> &cols)
-{
-    Matrix<i32> out(int(rows.size()), int(cols.size()));
-    for (std::size_t r = 0; r < rows.size(); ++r)
-        for (std::size_t c = 0; c < cols.size(); ++c)
-            out(int(r), int(c)) = m(rows[r], cols[c]);
-    return out;
-}
-
-/**
- * Shrink a failing (a, b) while run() still disagrees with the referee:
- * drop runs of output rows (M), of the shared dimension (K: a column of
- * a with its row of b) and of output columns (N), halving the run length
- * down to one, until no single drop keeps the failure. Returns the
- * smallest failing shape and, when it is small, its operands.
- */
-std::string
-shrinkFailure(const GemmExecutor &exec, const Matrix<i32> &a,
-              const Matrix<i32> &b)
-{
-    const auto indices = [](int n) {
-        std::vector<int> v(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i)
-            v[std::size_t(i)] = i;
-        return v;
-    };
-    std::vector<int> ms = indices(a.rows()), ks = indices(a.cols()),
-                     ns = indices(b.cols());
-    const auto fails = [&] {
-        return mismatches(exec, pick(a, ms, ks), pick(b, ks, ns));
-    };
-    for (bool shrunk = true; shrunk;) {
-        shrunk = false;
-        for (std::vector<int> *dim : {&ms, &ks, &ns}) {
-            for (std::size_t run = dim->size() / 2; run >= 1; run /= 2) {
-                for (std::size_t at = 0; at + run <= dim->size();) {
-                    const std::vector<int> kept = *dim;
-                    dim->erase(dim->begin() + std::ptrdiff_t(at),
-                               dim->begin() + std::ptrdiff_t(at + run));
-                    if (fails()) {
-                        shrunk = true;
-                    } else {
-                        *dim = kept;
-                        at += run;
-                    }
-                }
-            }
-        }
-    }
-    std::ostringstream os;
-    os << ms.size() << "x" << ks.size() << "x" << ns.size();
-    if (ms.size() * ks.size() + ks.size() * ns.size() <= 32) {
-        const auto dump = [&os](const Matrix<i32> &m) {
-            for (int r = 0; r < m.rows(); ++r) {
-                os << (r ? "; " : "");
-                for (int c = 0; c < m.cols(); ++c)
-                    os << (c ? " " : "") << m(r, c);
-            }
-        };
-        os << " a = [";
-        dump(pick(a, ms, ks));
-        os << "] b = [";
-        dump(pick(b, ks, ns));
-        os << "]";
-    }
-    return os.str();
-}
-
 /** A table-kernel configuration the differential tests sweep. */
 struct TableConfig
 {
@@ -707,7 +636,10 @@ expectMatchesReferee(const GemmExecutor &exec, const Matrix<i32> &a,
                       << " at " << threads
                       << " threads disagrees with the referee; "
                       << "smallest failing shape "
-                      << shrinkFailure(exec, a, b);
+                      << shrinkGemm(a, b, [&](const Matrix<i32> &sa,
+                                              const Matrix<i32> &sb) {
+                             return mismatches(exec, sa, sb);
+                         });
     }
 }
 

@@ -10,6 +10,7 @@
  */
 
 #include <optional>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "arch/rtl_array.h"
+#include "gemm_shrink.h"
 
 namespace usys {
 namespace {
@@ -250,35 +252,93 @@ runGemm(const ArrayConfig &cfg, const Matrix<i32> &a, const Matrix<i32> &b)
     return run;
 }
 
-/** Expect two GEMM stats deltas to agree field by field. */
-void
-expectSameDelta(const FoldStatsDelta &got, const FoldStatsDelta &want)
+/**
+ * The first way `got` disagrees with the scalar referee's `want`:
+ * outputs, cycles, folds, the stats dump, then the delta field by
+ * field. Empty when they agree.
+ */
+std::string
+firstDifference(const GemmRun &got, const GemmRun &want)
 {
-    EXPECT_EQ(got.folds, want.folds);
-    EXPECT_EQ(got.mac_slots, want.mac_slots);
-    EXPECT_EQ(got.fold_cycles, want.fold_cycles);
-    EXPECT_EQ(got.bitstream_cycles, want.bitstream_cycles);
-    EXPECT_EQ(got.m_rows_samples, want.m_rows_samples);
-    EXPECT_EQ(got.faults_weight_reg, want.faults_weight_reg);
-    EXPECT_EQ(got.faults_activation, want.faults_activation);
-    EXPECT_EQ(got.faults_weight_stream, want.faults_weight_stream);
-    EXPECT_EQ(got.faults_accumulator, want.faults_accumulator);
-    EXPECT_EQ(got.faults_dram, want.faults_dram);
-    EXPECT_EQ(got.sparsity_zero_acts, want.sparsity_zero_acts);
-    EXPECT_EQ(got.sparsity_zero_weights, want.sparsity_zero_weights);
-    EXPECT_EQ(got.sparsity_skippable_macs, want.sparsity_skippable_macs);
+    const Matrix<i64> &g = got.res.acc, &w = want.res.acc;
+    if (g.rows() != w.rows() || g.cols() != w.cols())
+        return "output shape";
+    for (int m = 0; m < g.rows(); ++m)
+        for (int n = 0; n < g.cols(); ++n)
+            if (g(m, n) != w(m, n))
+                return "out(" + std::to_string(m) + ", " +
+                       std::to_string(n) + ") = " + std::to_string(g(m, n)) +
+                       ", scalar " + std::to_string(w(m, n));
+    if (got.res.cycles != want.res.cycles)
+        return "cycles";
+    if (got.res.folds != want.res.folds)
+        return "folds";
+    if (got.dump != want.dump)
+        return "stats dump";
+    const auto fields = [](const FoldStatsDelta &d) {
+        return std::tuple(d.folds, d.mac_slots, d.fold_cycles,
+                          d.bitstream_cycles, d.m_rows_samples,
+                          d.faults_weight_reg, d.faults_activation,
+                          d.faults_weight_stream, d.faults_accumulator,
+                          d.faults_dram, d.sparsity_zero_acts,
+                          d.sparsity_zero_weights,
+                          d.sparsity_skippable_macs);
+    };
+    if (fields(got.delta) != fields(want.delta))
+        return "stats delta";
+    return {};
 }
 
+/**
+ * Run `cfg` on (a, b) on the scalar engine at one thread (the referee)
+ * and at three, and on the packed engine at one and three; the first
+ * disagreement with the referee, or empty. `scalar` receives the
+ * referee's stats delta.
+ */
+std::string
+engineMismatch(const ArrayConfig &cfg, const Matrix<i32> &a,
+               const Matrix<i32> &b, FoldStatsDelta *scalar = nullptr)
+{
+    Executor &ex = Executor::global();
+    setPackedEngineEnabled(false);
+    ex.setThreads(1);
+    const GemmRun want = runGemm(cfg, a, b);
+    if (scalar)
+        *scalar = want.delta;
+    const struct
+    {
+        bool packed;
+        unsigned threads;
+    } runs[] = {{false, 3}, {true, 1}, {true, 3}};
+    for (const auto &run : runs) {
+        setPackedEngineEnabled(run.packed);
+        ex.setThreads(run.threads);
+        const std::string diff = firstDifference(runGemm(cfg, a, b), want);
+        if (!diff.empty())
+            return (run.packed ? "packed t" : "scalar t") +
+                   std::to_string(run.threads) + ": " + diff;
+    }
+    return {};
+}
+
+/*
+ * The packed engine runs a GEMM with no per-fold fault site in closed
+ * form (one table-row kernel call plus analytic bookkeeping); every
+ * other GEMM runs PackedArray folds: one referenceGemm call over the
+ * staged codes for BP/BS/TUB/TU, the zero-skipping table loop for
+ * fault-free UR/UT, and the per-MAC loops for UG and every accumulator
+ * fault (and, in UR/UT, every activation- or weight-stream fault). Every
+ * path must match the scalar referee on random ragged GEMMs — outputs,
+ * cycles, the stats dump, and the fault census — at any thread count,
+ * whatever the share of zero operands; so must the scalar engine's own
+ * parallel column-tile shards. The referenceGemm folds are driven down
+ * each of its paths: 16-bit BP and BS codes past +-2^14 (the widening
+ * loop), M >= 16 (the k-pair panel) and an odd-row array (every fold's
+ * K ends in an odd tail pair). A failure names the case and the
+ * smallest M x K x N (and zero share) that still fails, with operands.
+ */
 TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
 {
-    // The packed engine runs a GEMM with no per-fold fault site in
-    // closed form (one table-row kernel call plus analytic bookkeeping);
-    // every other GEMM runs PackedArray folds: the zero-skipping integer
-    // GEMM for BP/BS/TUB/TU, the zero-skipping table loop for fault-free
-    // UR/UT, and the per-MAC table loop for UG and every per-MAC fault
-    // site. Every path must match the scalar referee on random ragged
-    // GEMMs — outputs, cycles, the stats dump, and the fault census — at
-    // any thread count, whatever the share of zero operands.
     PackedFlagGuard guard;
     Executor &ex = Executor::global();
     const unsigned saved_threads = ex.threads();
@@ -288,6 +348,12 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
         {Scheme::USystolicRate, 8, 0},  {Scheme::USystolicRate, 8, 6},
         {Scheme::USystolicTemporal, 8, 0}, {Scheme::UgemmHybrid, 7, 0},
         {Scheme::TubGemm, 8, 0},        {Scheme::TuGemm, 4, 0},
+    };
+    const KernelConfig exact_kernels[] = {
+        {Scheme::BinaryParallel, 8, 0},
+        {Scheme::BinarySerial, 8, 0},
+        {Scheme::TubGemm, 8, 0},
+        {Scheme::TuGemm, 4, 0},
     };
     // "none" and dram_word alone take the closed form (DRAM faults
     // corrupt the operands before it). weight_reg + dram_word
@@ -330,31 +396,37 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     faults[5].rates.dram_word = 0.5;
     for (int i = 6; i < 9; ++i)
         faults[i].rates.activation_stream = 0.3;
+    // The two sites whose exact-scheme folds run referenceGemm over
+    // faulted codes.
+    const FaultCase *const staged_faults[] = {&faults[1], &faults[2]};
 
-    ArrayConfig cfg;
-    cfg.rows = 8;
-    cfg.cols = 12;
     struct Shape
     {
         int m, k, n;
     };
+    struct ArrayShape
+    {
+        int rows, cols;
+    };
     auto check = [&](const KernelConfig &kern, u64 zero_pct,
                      const FaultCase &fc, u64 seed,
+                     ArrayShape array = {8, 12},
                      std::optional<Shape> fixed = std::nullopt) {
         Prng prng(seed * 7919 + 17);
         // Ragged in every dimension: K and N never fill their last
         // tile, and N always spans >= 2 column shards.
         int m = 1 + int(prng.below(5));
-        int k = cfg.rows * int(prng.below(3)) + 1 +
-                int(prng.below(u64(cfg.rows - 1)));
-        int n = cfg.cols * (1 + int(prng.below(2))) + 1 +
-                int(prng.below(u64(cfg.cols - 1)));
+        int k = array.rows * int(prng.below(3)) + 1 +
+                int(prng.below(u64(array.rows - 1)));
+        int n = array.cols * (1 + int(prng.below(2))) + 1 +
+                int(prng.below(u64(array.cols - 1)));
         if (fixed)
             std::tie(m, k, n) = std::tuple(fixed->m, fixed->k, fixed->n);
         SCOPED_TRACE(::testing::Message()
                      << "seed " << seed << " " << kern.name() << " zeros "
                      << zero_pct << "% faults " << fc.name << " M/K/N "
-                     << m << "/" << k << "/" << n);
+                     << m << "/" << k << "/" << n << " array "
+                     << array.rows << "x" << array.cols);
         auto a = randomMatrix(m, k, kern.bits, prng);
         auto b = randomMatrix(k, n, kern.bits, prng);
         for (i32 &v : a.data())
@@ -365,32 +437,28 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
         for (i32 &v : b.data())
             if (prng.below(4) == 0)
                 v = 0;
+        ArrayConfig cfg;
+        cfg.rows = array.rows;
+        cfg.cols = array.cols;
         cfg.kernel = kern;
-        cfg.faults = FaultPlan{};
         cfg.faults.seed = seed;
         cfg.faults.kind = fc.kind;
         cfg.faults.burst_len = fc.burst_len;
         cfg.faults.rates = fc.rates;
 
-        setPackedEngineEnabled(false);
-        const GemmRun scalar = runGemm(cfg, a, b);
+        FoldStatsDelta scalar;
+        const std::string diff = engineMismatch(cfg, a, b, &scalar);
         // The weight-stream site exists only behind a C-BSG weight
         // comparator (UR/UT/UG); elsewhere that plan injects nothing.
         const bool sited =
             fc.rates.weight_stream == 0.0 || hasWeightBsg(kern.scheme);
-        EXPECT_EQ(scalar.delta.faultTotal() > 0, fc.rates.any() && sited);
-
-        setPackedEngineEnabled(true);
-        for (const unsigned nthreads : {1u, 3u}) {
-            ex.setThreads(nthreads);
-            const GemmRun packed = runGemm(cfg, a, b);
-            EXPECT_EQ(packed.res.acc, scalar.res.acc) << "t" << nthreads;
-            EXPECT_EQ(packed.res.cycles, scalar.res.cycles)
-                << "t" << nthreads;
-            EXPECT_EQ(packed.res.folds, scalar.res.folds) << "t" << nthreads;
-            EXPECT_EQ(packed.dump, scalar.dump) << "t" << nthreads;
-            expectSameDelta(packed.delta, scalar.delta);
-        }
+        EXPECT_EQ(scalar.faultTotal() > 0, fc.rates.any() && sited);
+        if (!diff.empty())
+            ADD_FAILURE() << diff << "; smallest failing case "
+                          << shrinkGemm(a, b, [&](const Matrix<i32> &sa,
+                                                  const Matrix<i32> &sb) {
+                                 return !engineMismatch(cfg, sa, sb).empty();
+                             });
     };
     u64 seed = 0;
     for (const KernelConfig &kern : kernels)
@@ -398,6 +466,25 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
             for (const FaultCase &fc : faults)
                 for (int trial = 0; trial < 3; ++trial)
                     check(kern, zero_pct, fc, ++seed);
+
+    // 16-bit BP and BS: codes beyond +-2^14, so every fold's
+    // referenceGemm call takes the widening loop.
+    for (const KernelConfig kern : {KernelConfig{Scheme::BinaryParallel, 16, 0},
+                                    KernelConfig{Scheme::BinarySerial, 16, 0}})
+        for (const u64 zero_pct : {0u, 60u, 100u})
+            for (const FaultCase *fc : staged_faults)
+                for (int trial = 0; trial < 2; ++trial)
+                    check(kern, zero_pct, *fc, ++seed);
+
+    // Exact schemes at M >= 16 (referenceGemm packs the k-pair panel)
+    // and on an odd-row array (each fold's K = 7 ends in an odd pair).
+    for (const KernelConfig &kern : exact_kernels)
+        for (const FaultCase *fc : staged_faults)
+            for (const u64 zero_pct : {0u, 60u}) {
+                check(kern, zero_pct, *fc, ++seed, {8, 12}, Shape{20, 19, 29});
+                check(kern, zero_pct, *fc, ++seed, {7, 5});
+                check(kern, zero_pct, *fc, ++seed, {7, 5}, Shape{17, 16, 11});
+            }
 
     // A 16-bit UR or UG product table would be gigabytes, so the
     // table-size gate must send these kernels to the scalar engine
@@ -407,8 +494,8 @@ TEST(SystolicGemm, PackedMatchesScalarRandomizedDifferential)
     for (const KernelConfig kern : {KernelConfig{Scheme::USystolicRate, 16, 0},
                                     KernelConfig{Scheme::UgemmHybrid, 16, 0}}) {
         EXPECT_FALSE(hasSmallProductTables(kern));
-        check(kern, 60, faults[0], ++seed, Shape{1, 3, 2});
-        check(kern, 60, faults[1], ++seed, Shape{1, 3, 2});
+        check(kern, 60, faults[0], ++seed, {8, 12}, Shape{1, 3, 2});
+        check(kern, 60, faults[1], ++seed, {8, 12}, Shape{1, 3, 2});
     }
     ex.setThreads(saved_threads);
 }
@@ -461,12 +548,7 @@ TEST(SystolicGemm, ClosedFormMatchesScalarOnPaperKernels)
             for (const unsigned nthreads : {1u, 3u}) {
                 SCOPED_TRACE(::testing::Message() << "t" << nthreads);
                 ex.setThreads(nthreads);
-                const GemmRun packed = runGemm(cfg, a, b);
-                EXPECT_EQ(packed.res.acc, scalar.res.acc);
-                EXPECT_EQ(packed.res.cycles, scalar.res.cycles);
-                EXPECT_EQ(packed.res.folds, scalar.res.folds);
-                expectSameDelta(packed.delta, scalar.delta);
-                EXPECT_EQ(packed.dump, scalar.dump);
+                EXPECT_EQ(firstDifference(runGemm(cfg, a, b), scalar), "");
             }
         }
     }

@@ -67,7 +67,6 @@ TEST(SimdDispatch, TablesConsistent)
     tables.push_back(&simdKernels());
     for (const SimdKernels *k : tables) {
         EXPECT_NE(k->axpyF32, nullptr) << simdLevelName(k->level);
-        EXPECT_NE(k->gemmRowI32, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gemmI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->walkRowsI32, nullptr) << simdLevelName(k->level);
@@ -133,38 +132,6 @@ TEST(SimdAxpyF32, BitExactParity)
                         << simdLevelName(k->level) << " n=" << n
                         << " a=" << a;
                 }
-            }
-        }
-    }
-}
-
-TEST(SimdGemmRowI32, ParityIncludingExtremes)
-{
-    Prng prng(505);
-    for (int n : {0, 1, 3, 4, 5, 8, 100, 255}) {
-        std::vector<i32> b(n);
-        std::vector<i64> c0(n);
-        for (int j = 0; j < n; ++j) {
-            b[j] = i32(prng.next());
-            c0[j] = i64(prng.next() >> 8);
-        }
-        if (n >= 4) {
-            b[0] = i32(0x80000000);        // INT32_MIN
-            b[1] = 0x7fffffff;             // INT32_MAX
-            b[2] = 0;
-            b[3] = -1;
-        }
-        for (i32 a : {i32(0x80000000), i32(-1), i32(0), i32(1),
-                      i32(0x7fffffff), i32(-12345)}) {
-            std::vector<i64> naive = c0;
-            for (int j = 0; j < n; ++j)
-                naive[j] += i64(a) * i64(b[j]);
-            for (const SimdKernels *k : tablesUnderTest()) {
-                std::vector<i64> got = c0;
-                k->gemmRowI32(got.data(), b.data(), a, n);
-                EXPECT_EQ(got, naive)
-                    << simdLevelName(k->level) << " n=" << n
-                    << " a=" << a;
             }
         }
     }
@@ -683,13 +650,15 @@ TEST(SimdGemm, ReferenceGemmSpillsPastInt32)
 
 TEST(SimdGemm, ReferenceGemmTakesTheLoopPastTheRange)
 {
-    // A code outside [-2^14, 2^14) anywhere sends the call to the
-    // widening gemmRowI32 loop, on either operand and at any M (at
-    // M < 16 a wide b is found by the kernel after the fact).
+    // A code outside [-2^14, 2^14) anywhere sends the call to the plain
+    // widening loop, on either operand and at any M (at M < 16 a wide b
+    // is found by the kernel after the fact); the loop is exact up to
+    // both ends of the i32 range.
     Prng prng(1515);
     for (const int m : {1, 5, 33})
         for (const i32 wide : {kGemmI16Limit, -kGemmI16Limit - 1,
-                               i32(1) << 24, std::numeric_limits<i32>::min()})
+                               i32(1) << 24, std::numeric_limits<i32>::min(),
+                               std::numeric_limits<i32>::max()})
             for (const bool in_a : {true, false}) {
                 auto a = randomCodes(m, 37, prng);
                 auto b = randomCodes(37, 19, prng);
