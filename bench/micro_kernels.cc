@@ -75,23 +75,6 @@ randomCodes(int rows, int cols, Prng &prng)
 }
 
 void
-BM_FunctionalGemm(benchmark::State &state)
-{
-    const Scheme scheme = Scheme(state.range(0));
-    GemmExecutor exec({scheme, 8, 0});
-    Prng prng(2);
-    auto a = randomCodes(32, 64, prng);
-    auto b = randomCodes(64, 32, prng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(exec.run(a, b));
-    state.SetItemsProcessed(state.iterations() * 32 * 64 * 32);
-}
-BENCHMARK(BM_FunctionalGemm)
-    ->Arg(int(Scheme::BinaryParallel))
-    ->Arg(int(Scheme::USystolicRate))
-    ->Arg(int(Scheme::UgemmHybrid));
-
-void
 BM_CycleLevelArrayFold(benchmark::State &state)
 {
     ArrayConfig cfg;
@@ -125,14 +108,14 @@ BM_RtlArrayFold(benchmark::State &state)
 }
 BENCHMARK(BM_RtlArrayFold);
 
-// SIMD kernel tiers: Arg(0) = generic, Arg(1) = avx2, Arg(2) = avx512
+// SIMD kernel tiers: argument `arg` = 0 generic, 1 avx2, 2 avx512
 // (tiers absent on this host/build skip with an error).
 const SimdKernels *
-tierForArg(benchmark::State &state)
+tierForArg(benchmark::State &state, int arg = 0)
 {
-    if (state.range(0) == 0)
+    if (state.range(arg) == 0)
         return &genericKernels();
-    if (state.range(0) == 2) {
+    if (state.range(arg) == 2) {
         const SimdKernels *avx512 = avx512Kernels();
         if (!avx512)
             state.SkipWithError("AVX-512 unavailable on this host/build");
@@ -164,6 +147,41 @@ BM_SimdAxpyF32(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SimdAxpyF32)->Arg(0)->Arg(1)->Arg(2);
+
+/**
+ * The functional GEMM at the repository benchmark's conv-slice shape,
+ * 128 x 576 x 112 with activation codes 1-127 (gemm_dense's) and
+ * weights in [-127, 127], on one scheme (first argument) and SIMD tier
+ * (second). The executor dispatches through simdKernels(), so the tier
+ * is pinned for the run and restored after it.
+ */
+void
+BM_FunctionalGemm(benchmark::State &state)
+{
+    const SimdKernels *k = tierForArg(state, 1);
+    if (!k)
+        return;
+    const SimdLevel before = simdLevel();
+    setSimdMode(simdLevelName(k->level));
+    const Scheme scheme = Scheme(state.range(0));
+    GemmExecutor exec({scheme, 8, 0});
+    Prng prng(2);
+    Matrix<i32> a(128, 576), b(576, 112);
+    for (i32 &v : a.data())
+        v = i32(1 + prng.below(127));
+    for (i32 &v : b.data())
+        v = i32(prng.below(255)) - 127;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(exec.run(a, b));
+    state.SetItemsProcessed(state.iterations() * 128 * 576 * 112);
+    setSimdMode(simdLevelName(before));
+}
+BENCHMARK(BM_FunctionalGemm)->Apply([](benchmark::internal::Benchmark *b) {
+    for (const Scheme s : {Scheme::BinaryParallel, Scheme::USystolicRate,
+                           Scheme::UgemmHybrid})
+        for (int tier : {0, 1, 2})
+            b->Args({int(s), tier});
+});
 
 void
 BM_DramDeviceStream(benchmark::State &state)

@@ -1,13 +1,11 @@
 #include "arch/functional.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/executor.h"
@@ -82,27 +80,19 @@ rowGrain(int k_dim, int n_dim)
     return std::max<u64>(1, 4096 / macs_per_row);
 }
 
-/** Bytes one k-block of the table kernel may stage at worst (its code
- *  maps, gather indices and one weight-side row per distinct activation),
- *  so that the block stays cache-resident while every output row sweeps
- *  it. A 1 MiB budget measured no faster and raised peak RSS. */
+/** Bytes one k-block of the table kernel may stage at worst (its
+ *  weight-side rows, keys, signs and walk base rows), so that the block
+ *  stays cache-resident while every output row sweeps it. A 1 MiB budget
+ *  measured no faster and raised peak RSS. */
 constexpr std::size_t kBlockBudgetBytes = 256 * 1024;
 
-/** Code-map entry of a code that adds nothing; staged codes map to
- *  (slot << 1 | negative). */
-constexpr u32 kSkip = ~u32(0) - 1;
-
-/** A row no code stages: where a UG k's slot assignment starts. */
-constexpr u32 kNoRow = ~u32(0);
-
 /**
- * Walk steps one gathered table row is worth. A k builds its rows by a
- * threshold walk when its gathers (one per row for UR/UT, two for UG)
- * times this reach the walk's length (both UG passes counted), else it
- * gathers them. A step is one compare-and-add per column and a gathered
- * entry one table load, so dense M = 128 slices walk and M = 1 slices
- * gather; 3-6 measured alike on AlexNet and AlexLite shapes (DESIGN.md
- * §17).
+ * Walk steps one gathered table row is worth. A block walks when its
+ * dense rows beyond one per k number fewer than this times its M - 1
+ * further output rows, else every (m, k) gathers its own row. A step is
+ * one compare-and-add per column (32 lanes a zmm) and a gathered entry
+ * one table load, so dense M = 128 slices walk and M = 1 slices gather
+ * (DESIGN.md §17).
  */
 constexpr u64 kWalkRowCost = 4;
 
@@ -110,48 +100,38 @@ constexpr u64 kWalkRowCost = 4;
 constexpr int kGatherTile = 256;
 
 /**
- * dst[j] = -dst[j] where the weight w[j] is negative, for j in [0, n).
- * Fixed eight-lane groups let the compiler vectorize the body at -O2.
+ * dst[j] = -dst[j] where neg[j] is -1 (a negative weight), for j in
+ * [0, n). Fixed sixteen-lane groups let the compiler vectorize the body
+ * at -O2.
  */
 inline void
-signByWeight(i32 *__restrict dst, const i32 *__restrict w, std::size_t n)
+signByWeight(i16 *__restrict dst, const i16 *__restrict neg, std::size_t n)
 {
     std::size_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        for (std::size_t l = 0; l < 8; ++l) {
-            const i32 neg = w[j + l] >> 31;
-            dst[j + l] = (dst[j + l] ^ neg) - neg;
-        }
-    for (; j < n; ++j) {
-        const i32 neg = w[j] >> 31;
-        dst[j] = (dst[j] ^ neg) - neg;
-    }
+    for (; j + 16 <= n; j += 16)
+        for (std::size_t l = 0; l < 16; ++l)
+            dst[j + l] = i16((dst[j + l] ^ neg[j + l]) - neg[j + l]);
+    for (; j < n; ++j)
+        dst[j] = i16((dst[j] ^ neg[j]) - neg[j]);
 }
 
-/** dst[j] += bias - p0[j] for j in [0, n), in eight-lane groups. */
+/** dst[j] += bias - p0[j] for j in [0, n), in sixteen-lane groups. */
 inline void
-subtractBiased(i32 *__restrict dst, const i32 *__restrict p0, i32 bias,
+subtractBiased(i16 *__restrict dst, const i16 *__restrict p0, i16 bias,
                std::size_t n)
 {
     std::size_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        for (std::size_t l = 0; l < 8; ++l)
-            dst[j + l] += bias - p0[j + l];
+    for (; j + 16 <= n; j += 16)
+        for (std::size_t l = 0; l < 16; ++l)
+            dst[j + l] = i16(dst[j + l] + bias - p0[j + l]);
     for (; j < n; ++j)
-        dst[j] += bias - p0[j];
-}
-
-[[noreturn, gnu::cold]] void
-codeOutsideTable(const char *operand, i32 code, int bits)
-{
-    fatal(std::string("GemmExecutor: ") + operand + " code " +
-          std::to_string(code) + " outside the " + std::to_string(bits) +
-          "-bit product table");
+        dst[j] = i16(dst[j] + bias - p0[j]);
 }
 
 /**
- * Gather indices of n weight codes, range-checked in the same pass:
- * idx[j] = |w[j]| for UR/UT, w[j] + 2^(N-1) for UG. Returns false when
+ * Walk keys (and gather indices) of n weight codes, range-checked in the
+ * same pass: key[j] = |w[j]| for UR/UT, with neg[j] = -1 where w[j] < 0
+ * (else 0), and w[j] + 2^(N-1) for UG (neg unused). Returns false when
  * some code lies outside [-lim, lim]. Each lane ORs a u32 whose top bit
  * is set exactly for an offending code (lim - |w| for UR/UT; t and
  * 2·lim - t for UG's t = w + lim, which wraps below zero), so the pass
@@ -159,8 +139,8 @@ codeOutsideTable(const char *operand, i32 code, int bits)
  * vectorizes at -O2.
  */
 bool
-weightIndices(u32 *__restrict idx, const i32 *__restrict w, std::size_t n,
-              i32 lim, bool ug)
+weightKeys(u16 *__restrict key, i16 *__restrict neg,
+           const i32 *__restrict w, std::size_t n, i32 lim, bool ug)
 {
     const u32 ulim = u32(lim);
     u32 bad[8] = {};
@@ -169,12 +149,12 @@ weightIndices(u32 *__restrict idx, const i32 *__restrict w, std::size_t n,
         for (std::size_t j = 0; j < groups; j += 8)
             for (std::size_t l = 0; l < 8; ++l) {
                 const u32 t = u32(w[j + l]) + ulim;
-                idx[j + l] = t;
+                key[j + l] = u16(t);
                 bad[l] |= t | (2 * ulim - t);
             }
         for (std::size_t j = groups; j < n; ++j) {
             const u32 t = u32(w[j]) + ulim;
-            idx[j] = t;
+            key[j] = u16(t);
             bad[0] |= t | (2 * ulim - t);
         }
     } else {
@@ -182,13 +162,15 @@ weightIndices(u32 *__restrict idx, const i32 *__restrict w, std::size_t n,
             for (std::size_t l = 0; l < 8; ++l) {
                 const i32 s = w[j + l] >> 31;
                 const u32 mag = u32(w[j + l] ^ s) - u32(s);
-                idx[j + l] = mag;
+                key[j + l] = u16(mag);
+                neg[j + l] = i16(s);
                 bad[l] |= ulim - mag;
             }
         for (std::size_t j = groups; j < n; ++j) {
             const i32 s = w[j] >> 31;
             const u32 mag = u32(w[j] ^ s) - u32(s);
-            idx[j] = mag;
+            key[j] = u16(mag);
+            neg[j] = i16(s);
             bad[0] |= ulim - mag;
         }
     }
@@ -198,14 +180,55 @@ weightIndices(u32 *__restrict idx, const i32 *__restrict w, std::size_t n,
     return (all >> 31) == 0;
 }
 
-/** Report the first of n weight codes outside [-lim, lim]. */
-[[noreturn, gnu::cold]] void
-weightOutsideTable(const i32 *w, std::size_t n, i32 lim, int bits)
+/**
+ * Widen each column's key range by one row of n activation codes:
+ * hi[j] = max(hi[j], key), and lo[j] = min(lo[j], key) for UG but
+ * min(lo[j], key - 1) for UR/UT, so that a zero key (row 0, which adds
+ * nothing) wraps past every other. The key is |c| for UR/UT and
+ * c + 2^(N-1) for UG. Fixed eight-lane groups let the compiler
+ * vectorize the body at -O2.
+ */
+inline void
+widenKeyRange(u32 *__restrict lo, u32 *__restrict hi,
+              const i32 *__restrict codes, std::size_t n, i32 lim, bool ug)
 {
-    for (std::size_t j = 0; j < n; ++j)
-        if (w[j] < -lim || w[j] > lim)
-            codeOutsideTable("weight", w[j], bits);
-    panic("weightOutsideTable: every code is in range");
+    const u32 keep = ug ? 0u : ~0u; // UR/UT: fold the sign
+    const u32 offset = ug ? u32(lim) : 0u;
+    const u32 dec = ug ? 0u : 1u;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (std::size_t l = 0; l < 8; ++l) {
+            const u32 s = u32(codes[j + l] >> 31) & keep;
+            const u32 key = ((u32(codes[j + l]) ^ s) - s) + offset;
+            const u32 low = key - dec;
+            lo[j + l] = low < lo[j + l] ? low : lo[j + l];
+            hi[j + l] = key > hi[j + l] ? key : hi[j + l];
+        }
+    for (; j < n; ++j) {
+        const u32 s = u32(codes[j] >> 31) & keep;
+        const u32 key = ((u32(codes[j]) ^ s) - s) + offset;
+        lo[j] = std::min(lo[j], key - dec);
+        hi[j] = std::max(hi[j], key);
+    }
+}
+
+/**
+ * Report the first code outside [-lim, lim] of the rows x cols block at
+ * `codes` (row stride `stride`) as the `operand`'s.
+ */
+[[noreturn, gnu::cold]] void
+codeOutsideTable(const char *operand, const i32 *codes, int rows, int cols,
+                 std::size_t stride, i32 lim, int bits)
+{
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c) {
+            const i32 code = codes[std::size_t(r) * stride + std::size_t(c)];
+            if (code < -lim || code > lim)
+                fatal(std::string("GemmExecutor: ") + operand + " code " +
+                      std::to_string(code) + " outside the " +
+                      std::to_string(bits) + "-bit product table");
+        }
+    panic("codeOutsideTable: every code is in range");
 }
 
 } // namespace
@@ -223,8 +246,19 @@ GemmExecutor::GemmExecutor(const KernelConfig &cfg)
         bipolar_ = &bipolarModelFor(cfg_.bits);
         break;
       default:
-        break;
+        return;
     }
+    // A code's table row, with its sign in bit 0, as the table kernel's
+    // slot lists take it: for UR/UT the ones-count |a| delivers within
+    // the MAC's cycles (|a| itself over a whole period), for UG the
+    // offset code a + 2^(N-1), never negated.
+    const i32 lim = i32(1) << (cfg_.bits - 1);
+    const u16 *ones = unary_ ? unary_->onesWithin(cfg_.mulCycles()) : nullptr;
+    code_rows_.resize(2 * std::size_t(lim) + 1);
+    for (i32 c = -lim; c <= lim; ++c)
+        code_rows_[std::size_t(c + lim)] =
+            ones ? u32(ones[c < 0 ? -c : c]) << 1 | u32(c < 0)
+                 : u32(c + lim) << 1;
 }
 
 i64
@@ -280,235 +314,209 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     // Table schemes (UR, UT, UG). Every code the tables cover lies in
     // [-lim, lim]: |code| <= 2^(N-1) delivered ones for UR/UT, and
     // code + 2^(N-1) in [0, 2^N] for UG's bipolar offset. A code outside
-    // would read past the tables, so it is fatal: each block checks its
-    // weights as it builds their gather indices (so an M = 0 call still
-    // checks every weight), and activations as the staging pass meets
-    // them.
+    // would read past the tables, so it is fatal: the activations are
+    // checked in the pass that takes each k's key range, and each block
+    // checks its weights as it builds their keys (so an M = 0 call still
+    // checks every weight).
     Matrix<i64> out(m_rows, n_dim, 0);
     const bool ug = cfg_.scheme == Scheme::UgemmHybrid;
     const i32 lim = i32(1) << (cfg_.bits - 1);
     if (k_dim == 0 || n_dim == 0)
         return out;
 
-    // An activation stages as a table row and a sign, both from its key.
-    // UR/UT keys are |a|, and rows the delivered ones-count (the rate
-    // stream's prefix count under early termination); row 0 adds
-    // nothing, so it is skipped. UG keys and rows are the offset code
-    // a + 2^(N-1), with no sign; a zero activation still adds the
-    // bipolar bias, so nothing is skipped. Either way the row never
-    // falls as the key grows (rateOnes grows with |a|).
-    const bool rate = cfg_.scheme == Scheme::USystolicRate;
-    const u32 cycles = cfg_.mulCycles();
-    const bool truncated = rate && cycles < unary_->period();
-    const int shift =
-        (rate && cfg_.et_bits > 0) ? cfg_.bits - cfg_.et_bits : 0;
-    const auto rowOfKey = [&](u32 key) {
-        return truncated ? unary_->rateOnes(key, cycles) : key;
-    };
-    // The largest row a code can stage.
-    const u32 max_row = ug ? 2 * u32(lim) : rowOfKey(u32(lim));
+    // An activation's key is |a| for UR/UT (with its sign) and the
+    // offset code a + 2^(N-1) for UG. Its table row (code_row, with the
+    // sign in bit 0) is the delivered ones-count for UR/UT (the rate
+    // stream's prefix count under early termination; over a whole period
+    // the key itself) and the key for UG. Row 0 of UR/UT adds nothing
+    // and is skipped; UG skips nothing (a zero activation still adds the
+    // bipolar bias). Either way the row never falls as the key grows.
+    const int shift = (cfg_.scheme == Scheme::USystolicRate &&
+                       cfg_.et_bits > 0)
+                          ? cfg_.bits - cfg_.et_bits
+                          : 0;
+    const u32 *code_row = code_rows_.data() + lim;
+    const u32 adds_from = ug ? 0 : 2; // the least code_row entry that adds
+    const u32 max_key = ug ? 2 * u32(lim) : u32(lim);
     const u32 period = ug ? bipolar_->period() : unary_->period();
+    const u16 *up =
+        ug ? bipolar_->onesThresholds() : unary_->weightThresholds();
+
+    // Each k's dense rows: one pass over A takes every k's largest key
+    // and its smallest (for UR/UT the smallest nonzero one, kept as
+    // key - 1 so that a zero key wraps past every other). The largest
+    // key also range-checks the column. Rows lo[k]..hi[k] of k are then
+    // all stored, UR/UT's row 0 left out.
+    std::vector<u32> lo(static_cast<std::size_t>(k_dim), ~u32(0));
+    std::vector<u32> hi(static_cast<std::size_t>(k_dim), 0);
+    for (int m = 0; m < m_rows; ++m)
+        widenKeyRange(lo.data(), hi.data(), &a(m, 0), std::size_t(k_dim), lim,
+                      ug);
+    u32 widest = 0;
+    for (std::size_t k = 0; m_rows > 0 && k < std::size_t(k_dim); ++k) {
+        if (hi[k] > max_key) [[unlikely]]
+            codeOutsideTable("activation", &a(0, 0), m_rows, k_dim,
+                             std::size_t(k_dim), lim, cfg_.bits);
+        lo[k] = ug ? lo[k] : std::max<u32>(1, code_row[lo[k] + 1] >> 1);
+        hi[k] = ug ? hi[k] : code_row[hi[k]] >> 1;
+        widest = std::max(widest, hi[k] + 1 - std::min(lo[k], hi[k] + 1));
+    }
 
     // Every entry is bounded by 2^(N-1) in magnitude: a UR/UT count
     // never exceeds the ones delivered (at most 2^(et-1) before the
     // 2^(N-et) shift-back, or 2^(N-1) untruncated), and a UG count lies
-    // in [0, 2^N] around its 2^(N-1) bias. A block of at most
-    // INT32_MAX / 2^(N-1) k values therefore sums in i32 without
-    // overflow. Within that bound, the block is sized so its worst-case
-    // staging fits the cache budget: per k, its code map, a gather-index
-    // row, and a weight-side row per distinct table row. A k takes at
-    // least 16 bytes (a code map of 3 codes, one index), so the budget
-    // caps a block at 16384 k values, below the INT32_MAX / 2^(N-1)
-    // >= 2^19 - 1 of every table bitwidth (N <= 13): the byte budget is
-    // what binds, and the clamp only backs it up.
+    // in [0, 2^N] around its 2^(N-1) bias. Rows are therefore i16, and a
+    // block of at most INT32_MAX / 2^(N-1) k values sums in i32 without
+    // overflow. Within that bound, the block is sized so its worst case
+    // fits the cache budget: per k, its dense rows and two more (keys
+    // and signs). A k has at most `widest` rows; a walking block holds
+    // fewer than kWalkRowCost · (M - 1) + 1 rows per k on average, and a
+    // gathering one holds M, which only happens below both bounds. A k
+    // takes at least 6 bytes, so the budget caps a block at 43690 k
+    // values, below the INT32_MAX / 2^(N-1) >= 2^19 - 1 of every table
+    // bitwidth (N <= 13): the byte budget is what binds, and the clamp
+    // only backs it up.
     const std::size_t n = std::size_t(n_dim);
-    const std::size_t codes = 2 * std::size_t(lim) + 1;
+    const u64 further = u64(std::max(m_rows, 1) - 1);
     const std::size_t worst_rows =
-        std::min<std::size_t>(max_row + 1, std::size_t(m_rows));
-    const std::size_t bytes_per_k =
-        (codes + n) * sizeof(u32) + worst_rows * n * sizeof(i32);
+        std::min<u64>(widest, kWalkRowCost * further + 1);
+    const std::size_t bytes_per_k = (worst_rows + 2) * n * sizeof(i16);
     const std::size_t max_block_k =
         std::min(std::size_t(k_dim),
                  std::size_t(std::numeric_limits<i32>::max() / lim));
     const int block_k = int(std::clamp<std::size_t>(
         kBlockBudgetBytes / bytes_per_k, 1, max_block_k));
 
-    // Per block: code_slot[kl * codes + code + 2^(N-1)] holds the code's
-    // slot (j << 1 | negative) or kSkip, and slot j's weight-side row
-    // sits at rows[j * N]. The slots of k are first[kl] ..
-    // first[kl + 1), in ascending row order: slot_row holds their table
-    // rows (one spare entry past the last), and for UG slot_zeros holds
-    // the k's zeros per period 2^N - row in ascending order, the rows
-    // reversed. A code_slot entry is written for every code its k stages
-    // before the sum reads it, so the maps need no reset between blocks.
-    std::vector<u32> code_slot(std::size_t(block_k) * codes);
-    std::vector<u64> marks((codes + 63) / 64, 0); // the k's keys
+    // Per block: the weights' keys (|b| or b + 2^(N-1)) and, for UR/UT,
+    // their signs; per k of the block, the first slot first[kl] of its
+    // rows, so that row r of k sits at slot first[kl] - lo[k] + r, and a
+    // code's slot-list entry is origin[kl] + code_row[code] with
+    // origin[kl] = that slot offset << 1.
+    std::vector<u16> keys;
+    std::vector<i16> signs, rows;
     std::vector<u32> first(std::size_t(block_k) + 1);
-    std::vector<u32> slot_row, slot_zeros;
-    std::vector<u32> b_idx; // gather indices (walk keys) of the block
-    std::vector<i32> rows;
+    std::vector<u32> origin(static_cast<std::size_t>(block_k));
     const SimdKernels &simd = simdKernels();
+
+    // The weight-side row of table row `row` at k (block-local kl): the
+    // scheme's signed product of the row with every b(k, n), before the
+    // early-termination shift-back, gathered from the product tables.
+    // UR/UT gather the count at |b| and sign it by the weight; UG
+    // gathers p1 at `row` ones and p0 at zeros = 2^N - row and stores
+    // p1 + zeros - p0 - 2^(N-1).
+    const auto gatherRow = [&](i16 *dst, u32 row, std::size_t kl) {
+        const u16 *key = &keys[kl * n];
+        if (!ug) {
+            simd.gatherU16(dst, unary_->countsAfterOnes(row), key, n_dim);
+            signByWeight(dst, &signs[kl * n], n);
+            return;
+        }
+        const u32 zeros = period - row;
+        const i16 bias = i16(i32(zeros) - lim);
+        simd.gatherU16(dst, bipolar_->hitsAfterOnes(row), key, n_dim);
+        i16 p0[kGatherTile];
+        for (int c0 = 0; c0 < n_dim; c0 += kGatherTile) {
+            const int cw = std::min(kGatherTile, n_dim - c0);
+            simd.gatherU16(p0, bipolar_->hitsAfterZeros(zeros), key + c0,
+                           cw);
+            subtractBiased(dst + c0, p0, bias, std::size_t(cw));
+        }
+    };
+
     for (int k0 = 0; k0 < k_dim; k0 += block_k) {
         const int kb = std::min(block_k, k_dim - k0);
-        // Gather indices of the block's weights: |b| for UR/UT (the sign
-        // is applied after the gather, from b itself), the offset code
-        // b + 2^(N-1) for UG.
-        b_idx.resize(std::size_t(kb) * n);
-        if (!weightIndices(b_idx.data(), &b(k0, 0), b_idx.size(), lim, ug))
+        const std::size_t kbn = std::size_t(kb) * n;
+        keys.resize(kbn);
+        signs.resize(ug ? 0 : kbn);
+        if (!weightKeys(keys.data(), signs.data(), &b(k0, 0), kbn, lim, ug))
             [[unlikely]]
-            weightOutsideTable(&b(k0, 0), b_idx.size(), lim, cfg_.bits);
+            codeOutsideTable("weight", &b(k0, 0), kb, n_dim, n, lim,
+                             cfg_.bits);
+        if (m_rows == 0)
+            continue;
 
-        // Stage one k at a time: mark the keys of column k in a bitmap,
-        // then give slots in one ascending pass over its set bits, so
-        // keys sharing a table row (+-a share a key; several keys share
-        // a row under early termination) share a slot, and the slots
-        // come out in ascending row order. Giving slots takes no branch
-        // on a code.
-        slot_row.resize(std::size_t(kb) * worst_rows + 1);
-        u32 j = 0; // slots given so far in the block
-        for (int kl = 0; kl < kb; ++kl) {
-            first[std::size_t(kl)] = j;
-            // The marked words span [lo, hi]; only they are scanned (and
-            // cleared for the next k), so a short column scans one word.
-            u32 lo = ~u32(0), hi = 0;
-            for (int m = 0; m < m_rows; ++m) {
-                const i32 code = a(m, k0 + kl);
-                if (code < -lim || code > lim) [[unlikely]]
-                    codeOutsideTable("activation", code, cfg_.bits);
-                const u32 key =
-                    ug ? u32(code + lim) : u32(code < 0 ? -code : code);
-                marks[key >> 6] |= u64(1) << (key & 63);
-                lo = std::min(lo, key >> 6);
-                hi = std::max(hi, key >> 6);
-            }
-            // A fresh row takes slot j; a repeat of the last row writes
-            // the spare entry and keeps its slot. UR/UT start from row
-            // 0, so row 0 never takes a slot and its codes are skipped.
-            u32 *const map = &code_slot[std::size_t(kl) * codes + lim];
-            u32 prev = ug ? kNoRow : 0;
-            for (u32 w = lo; w <= hi; ++w) {
-                u64 bits = marks[w];
-                marks[w] = 0;
-                for (; bits != 0; bits &= bits - 1) {
-                    const u32 key = w * 64 + u32(std::countr_zero(bits));
-                    const u32 row = ug ? key : rowOfKey(key);
-                    slot_row[j] = row;
-                    j += u32(row != prev);
-                    prev = row;
-                    const u32 slot = (j - 1) << 1;
-                    if (ug) {
-                        map[std::ptrdiff_t(key) - lim] = slot;
-                    } else {
-                        const bool skip = row == 0;
-                        map[key] = skip ? kSkip : slot;
-                        map[-std::ptrdiff_t(key)] = skip ? kSkip : slot | 1;
-                    }
-                }
-            }
+        // The block's slots; its rows past one per k decide walk against
+        // gather.
+        const u32 *r0 = &lo[std::size_t(k0)];
+        const u32 *r1 = &hi[std::size_t(k0)];
+        u32 total = 0;
+        u64 extra = 0;
+        for (std::size_t k = 0; k < std::size_t(kb); ++k) {
+            const u32 count = r1[k] >= r0[k] ? r1[k] - r0[k] + 1 : 0;
+            first[k] = total;
+            origin[k] = (total - r0[k]) << 1;
+            total += count;
+            extra += count - (count > 0);
         }
-        first[std::size_t(kb)] = j;
-        if (ug) {
-            slot_zeros.resize(j);
-            for (int kl = 0; kl < kb; ++kl) {
-                const u32 s0 = first[std::size_t(kl)];
-                const u32 s1 = first[std::size_t(kl) + 1];
-                for (u32 i = s0; i < s1; ++i)
-                    slot_zeros[i] = period - slot_row[s0 + s1 - 1 - i];
-            }
-        }
+        first[std::size_t(kb)] = total;
 
-        // Weight-side rows of k for positive activations on its table
-        // rows: the scheme's signed product with every b(k, n), before
-        // the early-termination shift-back. A k whose rows are many
-        // against the walk's length builds them all in one walk over the
-        // sequence thresholds; otherwise each row is gathered from the
-        // product tables.
-        rows.resize(std::size_t(j) * n);
-        const u64 rows_per_k = std::max<u64>(1, j / u64(kb));
-        parallelFor(
-            0, u64(kb),
-            [&, k0](u64 kl) {
-                const u32 s0 = first[kl];
-                const int count = int(first[kl + 1] - s0);
-                if (count == 0)
-                    return;
-                const u32 *idx = &b_idx[kl * n];
-                const u32 *row_of = &slot_row[s0];
-                const i32 *w = &b(k0 + int(kl), 0);
-                i32 *dst = &rows[s0 * n];
-                const u32 steps = row_of[count - 1] +
-                                  (ug ? period - row_of[0] : 0);
-                if (u64(count) * (ug ? 2 : 1) * kWalkRowCost >= steps) {
-                    if (!ug) {
-                        simd.walkRowsI32(dst, std::ptrdiff_t(n), idx, w,
-                                         unary_->weightThresholds(), row_of,
-                                         count, n_dim, 0, false);
+        // A block with many output rows against its rows walks: each k
+        // gathers its row lo into its first slot and builds rows
+        // lo + 1..hi from it in one walk over the sequence thresholds.
+        // UR/UT step by the weight's sign where |b| >= S[r] + 1. UG steps
+        // its polarity-1 hits up from lo ones and its polarity-0 misses
+        // down from 2^N - lo zeros, so one walk moves both terms of
+        // p1 + zeros - p0. A block with few output rows gathers instead:
+        // each (m, k) gathers its own row into slot m · kb + i as the sum
+        // below meets it.
+        const bool walk = extra < kWalkRowCost * further * u64(kb);
+        rows.resize((walk ? std::size_t(total) : std::size_t(m_rows) * kb) *
+                        n +
+                    detail::kSumRowSlack);
+        if (walk) {
+            const u64 rows_per_k = std::max<u64>(1, total / u64(kb));
+            parallelFor(
+                0, u64(kb),
+                [&](u64 k) {
+                    const int count = int(first[k + 1] - first[k]);
+                    if (count == 0)
                         return;
-                    }
-                    // UG: p1 - 2^(N-1) after `row` ones, then plus the
-                    // polarity-0 misses after `zeros` zeros, which are
-                    // zeros - p0; the rows in reverse take ascending
-                    // zeros.
-                    simd.walkRowsI32(dst, std::ptrdiff_t(n), idx, nullptr,
-                                     bipolar_->onesThresholds(), row_of,
-                                     count, n_dim, -lim, false);
-                    simd.walkRowsI32(dst + std::size_t(count - 1) * n,
-                                     -std::ptrdiff_t(n), idx, nullptr,
-                                     bipolar_->zerosThresholds(),
-                                     &slot_zeros[s0], count, n_dim, 0,
-                                     true);
-                    return;
-                }
-                for (int i = 0; i < count; ++i, dst += n) {
-                    const u32 row = row_of[i];
-                    if (!ug) {
-                        simd.gatherU16(dst, unary_->countsAfterOnes(row),
-                                       idx, n_dim);
-                        signByWeight(dst, w, n);
-                        continue;
-                    }
-                    // UG: p1 + zeros - p0 - 2^(N-1) for the input's
-                    // `row` ones and `zeros` zeros per period.
-                    const u32 zeros = period - row;
-                    const i32 bias = i32(zeros) - lim;
-                    simd.gatherU16(dst, bipolar_->hitsAfterOnes(row), idx,
-                                   n_dim);
-                    i32 p0[kGatherTile];
-                    for (int c0 = 0; c0 < n_dim; c0 += kGatherTile) {
-                        const int cw = std::min(kGatherTile, n_dim - c0);
-                        simd.gatherU16(p0, bipolar_->hitsAfterZeros(zeros),
-                                       idx + c0, cw);
-                        subtractBiased(dst + c0, p0, bias, std::size_t(cw));
-                    }
-                }
-            },
-            std::max<u64>(1, 4096 / (rows_per_k * n)));
+                    const u32 low = r0[k];
+                    i16 *dst = &rows[std::size_t(first[k]) * n];
+                    gatherRow(dst, low, k);
+                    simd.walkRowsI16(
+                        dst, std::ptrdiff_t(n), &keys[k * n],
+                        ug ? nullptr : &signs[k * n], dst, up + low,
+                        ug ? bipolar_->zerosThresholds() + (period - 1 - low)
+                           : nullptr,
+                        count, n_dim);
+                },
+                std::max<u64>(1, 4096 / (rows_per_k * n)));
+        }
 
-        // Each output row lists the slots its activations selected (a
-        // code that adds nothing drops out) and sums those rows in i32
-        // registers, spilled into the i64 output once per block.
+        // Each output row lists the slots its activations select (a
+        // UR/UT code on row 0 drops out, without a branch on a walked
+        // block) and sums those rows in i32 registers, spilled into the
+        // i64 output once per block.
         const u64 grain = rowGrain(kb, n_dim);
-        parallelFor(
-            0, (u64(m_rows) + grain - 1) / grain,
-            [&, kb, k0](u64 chunk) {
-                const std::ptrdiff_t stride = std::ptrdiff_t(codes);
-                const u32 *slot_of = code_slot.data() + lim;
-                std::vector<u32> list(std::size_t(kb), 0);
-                const int m_end =
-                    int(std::min(u64(m_rows), (chunk + 1) * grain));
-                for (int m = int(chunk * grain); m < m_end; ++m) {
-                    const i32 *arow = &a(m, k0);
-                    int count = 0;
+        parallelFor(0, (u64(m_rows) + grain - 1) / grain,
+                    [&, kb, k0](u64 chunk) {
+            std::vector<u32> list(static_cast<std::size_t>(kb));
+            const int m_end = int(std::min(u64(m_rows), (chunk + 1) * grain));
+            for (int m = int(chunk * grain); m < m_end; ++m) {
+                const i32 *arow = &a(m, k0);
+                int count = 0;
+                if (walk) {
                     for (int kl = 0; kl < kb; ++kl) {
-                        const u32 cs = slot_of[kl * stride + arow[kl]];
-                        list[std::size_t(count)] = cs;
-                        count += int(cs != kSkip);
+                        const u32 cs = code_row[arow[kl]];
+                        list[std::size_t(count)] = origin[std::size_t(kl)] + cs;
+                        count += int(cs >= adds_from);
                     }
-                    simd.sumRowsI32(&out(m, 0), rows.data(), list.data(),
-                                    count, n_dim);
+                } else {
+                    for (int kl = 0; kl < kb; ++kl) {
+                        const u32 cs = code_row[arow[kl]];
+                        if (cs < adds_from)
+                            continue;
+                        const u32 slot = u32(m) * u32(kb) + u32(count);
+                        gatherRow(&rows[std::size_t(slot) * n], cs >> 1,
+                                  std::size_t(kl));
+                        list[std::size_t(count++)] = slot << 1 | (cs & 1);
+                    }
                 }
-            });
-
+                simd.sumRowsI16(&out(m, 0), rows.data(), list.data(), count,
+                                n_dim);
+            }
+        });
     }
     // Rows hold counts before the early-termination shift-back, which
     // distributes over the sums.

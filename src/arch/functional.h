@@ -8,30 +8,32 @@
  * datapath tractable. Results are returned in scheme-native accumulator
  * units; resultScale() converts them to exact-product units.
  *
- * The table schemes (UR, UT, UG) share one weight-staged kernel. Each
- * activation stages once as a table row and a sign: the delivered
- * ones-count for UR/UT (a zero row adds nothing and is dropped), the
- * offset code a + 2^(N-1) for UG (never dropped: a zero activation
- * still adds the bipolar bias). Per k, the staging pass marks the
- * column's codes in a bitmap and gives slots in one ascending pass over
- * its set bits, so a k's slots hold its distinct rows in ascending
- * order. Per block of k, only the weight-side rows T_k[row][0..N) some
- * activation uses are built, each entry the scheme's product of the row
- * with b(k, n) before the early-termination shift-back (applied to the
- * output once). A k with many rows against its largest one builds them
- * all in one prefix walk over the Sobol thresholds
- * (SimdKernels::walkRowsI32: row r + 1 is row r plus the weight's sign
- * where |b| >= S[r] + 1); any other k gathers each row from the shared
- * product tables (SimdKernels::gatherU16), then signs (UR/UT) or
- * combines (UG) it element-wise. An output row is then a signed sum of
- * whole selected rows (SimdKernels::sumRowsI32), held in i32 registers
- * and spilled into the i64 output once per block; every entry is at most
- * 2^(N-1) in magnitude, so a block of at most INT32_MAX / 2^(N-1) k
- * values cannot overflow, and the block's 256 KiB staging budget binds
- * long before that. singleProduct() is the per-MAC referee the tests
- * hold the kernel to. A code outside the tables' [-2^(N-1), 2^(N-1)]
- * is fatal; each block checks its weights in the pass that builds their
- * gather indices.
+ * The table schemes (UR, UT, UG) share one weight-staged kernel. An
+ * activation's key is |a| for UR/UT (with its sign) and the offset code
+ * a + 2^(N-1) for UG; its table row is the delivered ones-count for
+ * UR/UT (a zero row adds nothing and is dropped) and the key for UG
+ * (never dropped: a zero activation still adds the bipolar bias). One
+ * pass over the activations takes each k's lowest and highest row, and
+ * per block of k the weight-side rows T_k[row][0..N) are stored densely
+ * as i16, every row from the lowest to the highest, so that row r of k
+ * sits at a fixed offset plus r. Each entry is the
+ * scheme's product of the row with b(k, n) before the early-termination
+ * shift-back (applied to the output once), at most 2^(N-1) in
+ * magnitude. A block with many output rows builds each k's rows in one
+ * prefix walk over the Sobol thresholds, starting from its lowest row
+ * gathered from the product tables (SimdKernels::walkRowsI16: row r + 1
+ * is row r plus the weight's sign where |b| >= S[r] + 1; UG steps its
+ * polarity-1 hits up and its polarity-0 misses down in the same walk);
+ * a block with few gathers one row per (m, k) (SimdKernels::gatherU16)
+ * and signs (UR/UT) or combines (UG) it element-wise. An output row is
+ * then a signed sum of whole selected rows (SimdKernels::sumRowsI16),
+ * widened into i32 registers and spilled into the i64 output once per
+ * block; a block of at most INT32_MAX / 2^(N-1) k values cannot
+ * overflow, and the block's 256 KiB budget binds long before that.
+ * singleProduct() is the per-MAC referee the tests hold the kernel to.
+ * A code outside the tables' [-2^(N-1), 2^(N-1)] is fatal; each block
+ * checks its weights in the pass that builds their keys, and the
+ * activations are checked in the pass that takes their row ranges.
  *
  * The exact schemes (BP, BS, tubGEMM, tuGEMM) multiply exactly, so run()
  * is one referenceGemm call: the 16-bit pair kernel
@@ -44,6 +46,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "common/matrix.h"
 #include "arch/scheme.h"
@@ -120,6 +123,8 @@ class GemmExecutor
     KernelConfig cfg_;
     const UnaryProductModel *unary_ = nullptr;
     const BipolarProductModel *bipolar_ = nullptr;
+    /** Table schemes: code + 2^(N-1) -> its table row << 1 | negative. */
+    std::vector<u32> code_rows_;
 };
 
 } // namespace usys

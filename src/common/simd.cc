@@ -30,52 +30,63 @@ axpyF32Generic(float *c, const float *b, float a, int n)
 namespace detail {
 
 void
-gatherU16Generic(i32 *dst, const u16 *row, const u32 *idx, int n)
+gatherU16Generic(i16 *dst, const u16 *row, const u16 *idx, int n)
 {
     for (int j = 0; j < n; ++j)
-        dst[j] = i32(row[idx[j]]);
+        dst[j] = i16(row[idx[j]]);
 }
 
 void
-walkRowsI32Generic(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-                   const i32 *signs, const u32 *thresh, const u32 *stops,
-                   int count, int n, i32 bias, bool misses)
+walkRowsI16Generic(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+                   const i16 *signs, const i16 *base, const u16 *up,
+                   const u16 *down, int count, int n)
 {
     // A tile of up to 64 columns in fixed eight-lane groups, which the
-    // compiler vectorizes for the baseline ISA. A miss walk flips each
-    // compare; u32 lanes keep the negation and bias wrap-free.
+    // compiler vectorizes for the baseline ISA (the row stores too: a
+    // dense walk stores a row every step). Keys and thresholds are below
+    // 2^15, so they compare as i16. A count adds its column's step, +-1,
+    // under an all-ones hit mask, and subtracts one under a down miss;
+    // u16 lanes keep the arithmetic wrap-free.
     constexpr int kTile = 64;
-    u32 key[kTile], acc[kTile], neg[kTile];
-    const u32 flip = misses ? 1u : 0u;
-    for (int j0 = 0; j0 < n; j0 += kTile) {
+    i16 key[kTile];
+    u16 acc[kTile], step[kTile];
+    for (int j0 = 0; j0 < n && count > 0; j0 += kTile) {
         const int w = std::min(kTile, n - j0);
         const int lanes = (w + 7) / 8 * 8;
+        const int whole = w / 8 * 8;
         for (int l = 0; l < lanes; ++l) {
-            key[l] = l < w ? keys[j0 + l] : 0;
-            neg[l] = l < w && signs ? u32(signs[j0 + l] >> 31) : 0;
-            acc[l] = 0;
+            const bool in = l < w;
+            key[l] = in ? i16(keys[j0 + l]) : 0;
+            step[l] = in && signs && signs[j0 + l] < 0 ? u16(0xffff) : 1;
+            acc[l] = in && base ? u16(base[j0 + l]) : 0;
         }
-        u32 s = 0;
-        for (int i = 0; i < count; ++i) {
-            for (; s < stops[i]; ++s) {
-                const u32 t = thresh[s];
-                for (int g = 0; g < lanes; g += 8)
-                    for (int l = 0; l < 8; ++l)
-                        acc[g + l] += u32(key[g + l] >= t) ^ flip;
-            }
-            i32 *row = rows + i * stride + j0;
-            if (misses)
-                for (int l = 0; l < w; ++l)
-                    row[l] = i32(u32(row[l]) + acc[l] + u32(bias));
-            else
-                for (int l = 0; l < w; ++l)
-                    row[l] = i32((acc[l] ^ neg[l]) - neg[l] + u32(bias));
+        for (int i = 0;; ++i) {
+            u16 *row = reinterpret_cast<u16 *>(rows + i * stride + j0);
+            for (int g = 0; g < whole; g += 8)
+                for (int l = 0; l < 8; ++l)
+                    row[g + l] = acc[g + l];
+            for (int l = whole; l < w; ++l)
+                row[l] = acc[l];
+            if (i + 1 == count)
+                break;
+            const i16 t = i16(up[i]);
+            for (int g = 0; g < lanes; g += 8)
+                for (int l = 0; l < 8; ++l)
+                    acc[g + l] = u16(acc[g + l] +
+                                     (step[g + l] &
+                                      u16(0 - u16(key[g + l] >= t))));
+            if (!down)
+                continue;
+            const i16 d = i16(down[-i]);
+            for (int g = 0; g < lanes; g += 8)
+                for (int l = 0; l < 8; ++l)
+                    acc[g + l] = u16(acc[g + l] - u16(key[g + l] < d));
         }
     }
 }
 
 void
-sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots, int count,
+sumRowsI16Generic(i64 *out, const i16 *rows, const u32 *slots, int count,
                   int n)
 {
     // A memory accumulator in fixed eight-lane groups, which the
@@ -95,14 +106,13 @@ sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots, int count,
             const u32 s = slots[i];
             const u32 mask = 0u - (s & 1);
             negated += s & 1;
-            const u32 *row = reinterpret_cast<const u32 *>(rows) +
-                             std::size_t(s >> 1) * stride + j0;
+            const i16 *row = rows + std::size_t(s >> 1) * stride + j0;
             int j = 0;
             for (; j + 8 <= w; j += 8)
                 for (int l = 0; l < 8; ++l)
-                    acc[j + l] += row[j + l] ^ mask;
+                    acc[j + l] += u32(i32(row[j + l])) ^ mask;
             for (; j < w; ++j)
-                acc[j] += row[j] ^ mask;
+                acc[j] += u32(i32(row[j])) ^ mask;
         }
         for (int j = 0; j < w; ++j)
             out[j0 + j] += i64(i32(acc[j] + negated));
@@ -282,7 +292,7 @@ namespace {
 const SimdKernels kGeneric = {
     SimdLevel::Generic,         axpyF32Generic,
     detail::gemmI16Generic,     detail::gatherU16Generic,
-    detail::walkRowsI32Generic, detail::sumRowsI32Generic,
+    detail::walkRowsI16Generic, detail::sumRowsI16Generic,
 };
 
 // --- Dispatch -------------------------------------------------------

@@ -12,24 +12,26 @@
  *   axpyF32             fp32 GEMM row (one multiply, one add per element)
  *   gemmI16             exact GEMM rows from codes in [-2^14, 2^14):
  *                       k-pair multiply-adds into i32 register tiles
- *   gatherU16           product-table row gather, u16 -> i32
- *   walkRowsI32         product-table rows by a prefix walk over the
- *                       sequence thresholds, column tile in registers
- *   sumRowsI32          signed sum of selected i32 rows, spilled to i64
+ *   gatherU16           product-table row gather, u16 -> i16
+ *   walkRowsI16         dense product-table rows by a prefix walk over
+ *                       one or two threshold sequences, 16-bit lanes,
+ *                       column tile in registers
+ *   sumRowsI16          signed sum of selected i16 rows in i32
+ *                       registers, spilled to i64
  *
  * in four implementations:
  *
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
  *   avx2     vectorized fp32 rows, vpmaddwd 4-row x 16-column pair
- *            tiles, vpgatherdd row gathers, 32-column register-tiled
- *            threshold walks and row sums; compiled in its own
- *            translation unit with -mavx2
+ *            tiles, vpgatherdd row gathers, 64-column register-tiled
+ *            threshold walks and 32-column row sums; compiled in its
+ *            own translation unit with -mavx2
  *            so the rest of the binary stays runnable on machines
  *            without AVX2
  *   avx512   16-lane fp32 rows, vpmaddwd 4-row x 64-column pair tiles
  *            with mask-register pair staging, 16-lane gathers,
- *            128-column threshold walks and 64-column register-tiled
+ *            256-column threshold walks and 128-column register-tiled
  *            row sums; own translation unit with
  *            -mavx512{f,bw}, runtime CPUID-gated like the AVX2 tier
  *   neon     AArch64 ASIMD: the fp32 row only (the pair-GEMM, gather,
@@ -114,40 +116,44 @@ struct SimdKernels
                     int m, int kd, int n, int kb);
 
     /**
-     * Product-table row gather: dst[j] = row[idx[j]] for j in [0, n),
-     * the u16 entry widened to i32. The vector tiers load 32 bits at
-     * &row[idx[j]], so the u16 after the largest indexed entry must be
-     * readable (the product models pad their tables by one u16).
+     * Product-table row gather: dst[j] = row[idx[j]] for j in [0, n).
+     * Entries are below 2^15, so they fit i16 unchanged. The vector
+     * tiers load 32 bits at &row[idx[j]], so the u16 after the largest
+     * indexed entry must be readable (the product models pad their
+     * tables by one u16).
      */
-    void (*gatherU16)(i32 *dst, const u16 *row, const u32 *idx, int n);
+    void (*gatherU16)(i16 *dst, const u16 *row, const u16 *idx, int n);
 
     /**
-     * Product-table rows by a prefix walk over a threshold sequence.
-     * For column j in [0, n), h(s) counts the thresholds thresh[0, s)
-     * that keys[j] reaches (keys[j] >= thresh[t]), or with `misses` set
-     * those it does not (keys[j] < thresh[t]). For each of the `count`
-     * ascending stops, row i at rows + i * stride receives
+     * Dense product-table rows by a prefix walk over one or two
+     * threshold sequences. For column j in [0, n), h_0 = base[j] (0 when
+     * base is null) and
      *
-     *   misses false: row[j]  = bias + h(stops[i]), negated first where
-     *                 signs[j] < 0 (signs may be null: no negation)
-     *   misses true:  row[j] += bias + h(stops[i])   (signs unused)
+     *   h_(i+1) = h_i + s_j * [keys[j] >= up[i]] - [keys[j] < down[-i]]
      *
-     * One walk of stops[count - 1] steps builds every row; stride may be
-     * negative. Keys and thresholds stay below 2^31.
+     * where s_j is -1 where signs[j] < 0 and +1 otherwise (signs may be
+     * null), and the down term counts only when down is non-null: it is
+     * read backward from down[0]. Row i at rows + i * stride receives
+     * h_i for i in [0, count), so the walk takes count - 1 steps; stride
+     * may be negative, and count 0 writes nothing. base may be row 0
+     * itself (which receives h_0 = base). Keys and thresholds are below
+     * 2^15, and every h_i fits in i16.
      */
-    void (*walkRowsI32)(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-                        const i32 *signs, const u32 *thresh,
-                        const u32 *stops, int count, int n, i32 bias,
-                        bool misses);
+    void (*walkRowsI16)(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+                        const i16 *signs, const i16 *base, const u16 *up,
+                        const u16 *down, int count, int n);
 
     /**
      * Signed sum of selected rows: out[j] += sum over i in [0, count)
      * of +-rows[(slots[i] >> 1) * n + j] for j in [0, n), negated when
-     * bit 0 of slots[i] is set. The rows are summed in i32 and spilled
-     * into out once, so the caller guarantees every column's sum fits
-     * in i32. With count 0, rows and slots may be null.
+     * bit 0 of slots[i] is set. The rows are widened and summed in i32
+     * and spilled into out once, so the caller guarantees every
+     * column's sum fits in i32. The vector tiers load whole groups of 8
+     * (AVX2) or 16 (AVX-512) entries, so up to detail::kSumRowSlack i16
+     * past the end of each selected row must be readable (their lanes
+     * are dropped). With count 0, rows and slots may be null.
      */
-    void (*sumRowsI32)(i64 *out, const i32 *rows, const u32 *slots,
+    void (*sumRowsI16)(i64 *out, const i16 *rows, const u32 *slots,
                        int count, int n);
 };
 
@@ -212,13 +218,14 @@ namespace detail {
 /** Generic kernels the NEON table shares (defined in simd.cc). */
 bool gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
                     int m, int kd, int n, int kb);
-void gatherU16Generic(i32 *dst, const u16 *row, const u32 *idx, int n);
-void walkRowsI32Generic(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-                        const i32 *signs, const u32 *thresh,
-                        const u32 *stops, int count, int n, i32 bias,
-                        bool misses);
-void sumRowsI32Generic(i64 *out, const i32 *rows, const u32 *slots,
+void gatherU16Generic(i16 *dst, const u16 *row, const u16 *idx, int n);
+void walkRowsI16Generic(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+                        const i16 *signs, const i16 *base, const u16 *up,
+                        const u16 *down, int count, int n);
+void sumRowsI16Generic(i64 *out, const i16 *rows, const u32 *slots,
                        int count, int n);
+/** i16 entries sumRowsI16 may read past the end of a selected row. */
+constexpr int kSumRowSlack = 15;
 /** Most k pairs one gemmI16 block stages (the vector tiers' cap). */
 constexpr int kPairBlock = 512;
 /** Row stride of staged pairs: a block plus one vector of store slack. */

@@ -178,141 +178,180 @@ gemmI16Avx2(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
 }
 
 void
-gatherU16Avx2(i32 *dst, const u16 *row, const u32 *idx, int n)
+gatherU16Avx2(i16 *dst, const u16 *row, const u16 *idx, int n)
 {
     // A 32-bit gather at scale 2 reads row[idx] and the u16 after it
-    // (the caller keeps that one readable); the mask keeps the entry.
+    // (the caller keeps that one readable); the mask keeps the entry,
+    // and vpackusdw narrows two gathers into one row of 16 (in-lane,
+    // hence the qword permute).
     const __m256i low16 = _mm256_set1_epi32(0xffff);
     const int *base = reinterpret_cast<const int *>(row);
     int j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256i vi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(idx + j));
-        const __m256i g = _mm256_i32gather_epi32(base, vi, 2);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
-                            _mm256_and_si256(g, low16));
+    for (; j + 16 <= n; j += 16) {
+        const __m256i lo = _mm256_and_si256(
+            _mm256_i32gather_epi32(
+                base,
+                _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(idx + j))),
+                2),
+            low16);
+        const __m256i hi = _mm256_and_si256(
+            _mm256_i32gather_epi32(
+                base,
+                _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(idx + j + 8))),
+                2),
+            low16);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(dst + j),
+            _mm256_permute4x64_epi64(_mm256_packus_epi32(lo, hi), 0xd8));
     }
     for (; j < n; ++j)
-        dst[j] = i32(row[idx[j]]);
+        dst[j] = i16(row[idx[j]]);
 }
 
 /**
- * One column tile of walkRowsI32: V vectors of 8 columns, their keys,
- * signs and counts held in ymm registers through the whole walk, the
- * last vector under `last` (lanes with the sign bit set). A hit walk
- * holds key + 1, so key >= t is one signed compare (keys and
- * thresholds stay below 2^31); each true lane reads -1 and is
- * subtracted.
+ * One column tile of walkRowsI16: V vectors of 16 columns, their keys
+ * and counts (and, Signed, their +-1 steps) held in ymm registers
+ * through the whole walk. Vector v covers columns 16v, except that the
+ * last one moves back by `back` columns so that it ends at the row's
+ * end: its columns overlap the vector before, which stores the same
+ * values. Keys and thresholds are below 2^15, so key >= t is one signed
+ * compare (key > t - 1), as is the down term's key < d. A true lane
+ * reads -1: an unsigned walk subtracts it, a signed one adds it ANDed
+ * with the step, and a down miss adds it as it is. Every loop over V is
+ * unrolled so that GCC keeps the arrays in registers.
  */
-template <int V, bool Misses>
+template <int V, bool Signed, bool Down>
 inline void
-walkTileAvx2(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-             const i32 *signs, const u32 *thresh, const u32 *stops,
-             int count, i32 bias, __m256i last)
+walkTileAvx2(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+             const i16 *signs, const i16 *base, const u16 *up,
+             const u16 *down, int count, int back)
 {
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i all = _mm256_set1_epi32(-1);
-    const __m256i vbias = _mm256_set1_epi32(bias);
-    __m256i key[V], neg[V], acc[V];
+    const auto at = [back](int v) { return 16 * v - (v + 1 < V ? 0 : back); };
+    const auto load = [](const void *p) {
+        return _mm256_loadu_si256(static_cast<const __m256i *>(p));
+    };
+    const __m256i one = _mm256_set1_epi16(1);
+    __m256i key[V], step[Signed ? V : 1], acc[V];
+    #pragma GCC unroll 4
     for (int v = 0; v < V; ++v) {
-        const __m256i m = v + 1 < V ? all : last;
-        const __m256i k = _mm256_maskload_epi32(
-            reinterpret_cast<const int *>(keys + 8 * v), m);
-        key[v] = Misses ? k : _mm256_sub_epi32(k, all);
-        neg[v] = signs ? _mm256_srai_epi32(
-                             _mm256_maskload_epi32(signs + 8 * v, m), 31)
-                       : zero;
-        acc[v] = zero;
-    }
-    u32 s = 0;
-    for (int i = 0; i < count; ++i) {
-        for (const u32 stop = stops[i]; s < stop; ++s) {
-            const __m256i t = _mm256_set1_epi32(i32(thresh[s]));
-            for (int v = 0; v < V; ++v)
-                acc[v] = _mm256_sub_epi32(
-                    acc[v], Misses ? _mm256_cmpgt_epi32(t, key[v])
-                                   : _mm256_cmpgt_epi32(key[v], t));
+        key[v] = load(keys + at(v));
+        acc[v] = base ? load(base + at(v)) : _mm256_setzero_si256();
+        if constexpr (Signed) {
+            // -1 where the sign is negative: 1 ^ -1 == -2, -2 + 1 == -1.
+            const __m256i neg = _mm256_srai_epi16(load(signs + at(v)), 15);
+            step[v] = _mm256_sub_epi16(_mm256_xor_si256(one, neg), neg);
         }
-        i32 *row = rows + i * stride;
+    }
+    for (int i = 0;; ++i) {
+        i16 *row = rows + i * stride;
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + at(v)),
+                                acc[v]);
+        if (i + 1 == count)
+            break;
+        const __m256i t = _mm256_set1_epi16(i16(up[i] - 1));
+        #pragma GCC unroll 4
         for (int v = 0; v < V; ++v) {
-            const __m256i m = v + 1 < V ? all : last;
-            __m256i val;
-            if constexpr (Misses)
-                val = _mm256_add_epi32(_mm256_maskload_epi32(row + 8 * v, m),
-                                       _mm256_add_epi32(acc[v], vbias));
+            const __m256i hit = _mm256_cmpgt_epi16(key[v], t);
+            if constexpr (Signed)
+                acc[v] = _mm256_add_epi16(acc[v],
+                                          _mm256_and_si256(hit, step[v]));
             else
-                val = _mm256_add_epi32(
-                    _mm256_sub_epi32(_mm256_xor_si256(acc[v], neg[v]),
-                                     neg[v]),
-                    vbias);
-            _mm256_maskstore_epi32(row + 8 * v, m, val);
+                acc[v] = _mm256_sub_epi16(acc[v], hit);
         }
-    }
-}
-
-/** walkTileAvx2 over a tile of `vecs` vectors. */
-template <bool Misses>
-void
-walkTileDispatchAvx2(int vecs, i32 *rows, std::ptrdiff_t stride,
-                     const u32 *keys, const i32 *signs, const u32 *thresh,
-                     const u32 *stops, int count, i32 bias, __m256i last)
-{
-    switch (vecs) {
-      case 1:
-        walkTileAvx2<1, Misses>(rows, stride, keys, signs, thresh, stops,
-                                count, bias, last);
-        break;
-      case 2:
-        walkTileAvx2<2, Misses>(rows, stride, keys, signs, thresh, stops,
-                                count, bias, last);
-        break;
-      case 3:
-        walkTileAvx2<3, Misses>(rows, stride, keys, signs, thresh, stops,
-                                count, bias, last);
-        break;
-      default:
-        walkTileAvx2<4, Misses>(rows, stride, keys, signs, thresh, stops,
-                                count, bias, last);
-        break;
-    }
-}
-
-void
-walkRowsI32Avx2(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-                const i32 *signs, const u32 *thresh, const u32 *stops,
-                int count, int n, i32 bias, bool misses)
-{
-    // Tiles of up to 32 columns (four ymm of counts, four of keys) walk
-    // the thresholds once each; the last vector of a tile is masked.
-    for (int j = 0; j < n; j += 32) {
-        const int rest = std::min(32, n - j);
-        const int vecs = (rest + 7) / 8;
-        const __m256i last = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(rest - 8 * (vecs - 1)),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        const i32 *sg = signs ? signs + j : nullptr;
-        if (misses)
-            walkTileDispatchAvx2<true>(vecs, rows + j, stride, keys + j, sg,
-                                       thresh, stops, count, bias, last);
-        else
-            walkTileDispatchAvx2<false>(vecs, rows + j, stride, keys + j,
-                                        sg, thresh, stops, count, bias,
-                                        last);
+        if constexpr (Down) {
+            const __m256i d = _mm256_set1_epi16(i16(down[-i]));
+            #pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[v] = _mm256_add_epi16(acc[v],
+                                          _mm256_cmpgt_epi16(d, key[v]));
+        }
     }
 }
 
 /**
- * One register tile of sumRowsI32: V vectors of 8 columns held in ymm
- * accumulators across every selected row, the last vector loaded under
- * `last` (lanes with the sign bit set). A negated row adds v ^ -1 ==
- * -v - 1, and the count of negated rows is added back before the spill.
+ * The walk's column tiles on one (Signed, Down) form: tiles of up to
+ * four vectors, or three when a tile holds steps and two broadcasts
+ * (Signed and Down), so that every form fits the 16 ymm registers.
+ */
+template <bool Signed, bool Down>
+void
+walkTilesAvx2(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+              const i16 *signs, const i16 *base, const u16 *up,
+              const u16 *down, int count, int n)
+{
+    constexpr int kVecs = Signed && Down ? 3 : 4;
+    for (int j = 0; j < n; j += 16 * kVecs) {
+        const int rest = std::min(16 * kVecs, n - j);
+        const int vecs = (rest + 15) / 16;
+        // A tile narrower than a vector ends on one moved back into the
+        // tile before (n >= 16), whose columns it stores again.
+        const int back = 16 * vecs - rest;
+        const i16 *sg = Signed ? signs + j : nullptr;
+        const i16 *bs = base ? base + j : nullptr;
+#define USYS_WALK_TILE(V)                                                 \
+    case V:                                                               \
+        if constexpr (V <= kVecs)                                         \
+            walkTileAvx2<V, Signed, Down>(rows + j, stride, keys + j, sg,   \
+                                          bs, up, down, count, back);     \
+        break;
+        switch (vecs) {
+            USYS_WALK_TILE(1) USYS_WALK_TILE(2) USYS_WALK_TILE(3)
+            USYS_WALK_TILE(4)
+        }
+#undef USYS_WALK_TILE
+    }
+}
+
+void
+walkRowsI16Avx2(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+                const i16 *signs, const i16 *base, const u16 *up,
+                const u16 *down, int count, int n)
+{
+    // AVX2 has no 16-bit masked store, so a row narrower than one
+    // vector takes the generic walk, and a wider one ends on a vector
+    // moved back to the row's end.
+    if (n < 16) {
+        detail::walkRowsI16Generic(rows, stride, keys, signs, base, up,
+                                   down, count, n);
+        return;
+    }
+    if (count <= 0)
+        return;
+    if (signs && down)
+        walkTilesAvx2<true, true>(rows, stride, keys, signs, base, up, down,
+                                  count, n);
+    else if (signs)
+        walkTilesAvx2<true, false>(rows, stride, keys, signs, base, up,
+                                   down, count, n);
+    else if (down)
+        walkTilesAvx2<false, true>(rows, stride, keys, signs, base, up,
+                                   down, count, n);
+    else
+        walkTilesAvx2<false, false>(rows, stride, keys, signs, base, up,
+                                    down, count, n);
+}
+
+/**
+ * One register tile of sumRowsI16: V vectors of 8 columns held in ymm
+ * accumulators across every selected row, each row's i16 entries
+ * sign-extended into them (vpmovsxwd). Whole 8-entry groups are loaded,
+ * so the last one may read past the row (into the slack the caller
+ * keeps readable); only `width` columns are spilled. A negated row adds
+ * v ^ -1 == -v - 1, and the count of negated rows is added back before
+ * the spill. Every loop over V is unrolled so that the accumulators stay
+ * in registers.
  */
 template <int V>
 inline void
-sumTileAvx2(i64 *out, const i32 *rows, const u32 *slots, int count,
-            std::size_t stride, __m256i last, int width)
+sumTileAvx2(i64 *out, const i16 *rows, const u32 *slots, int count,
+            std::size_t stride, int width)
 {
     __m256i acc[V];
+    #pragma GCC unroll 4
     for (int v = 0; v < V; ++v)
         acc[v] = _mm256_setzero_si256();
     u32 negated = 0;
@@ -320,20 +359,19 @@ sumTileAvx2(i64 *out, const i32 *rows, const u32 *slots, int count,
         const u32 s = slots[i];
         const __m256i mask = _mm256_set1_epi32(-i32(s & 1));
         negated += s & 1;
-        const i32 *row = rows + std::size_t(s >> 1) * stride;
-        for (int v = 0; v + 1 < V; ++v)
+        const i16 *row = rows + std::size_t(s >> 1) * stride;
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
             acc[v] = _mm256_add_epi32(
-                acc[v], _mm256_xor_si256(
-                            _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i *>(row + 8 * v)),
-                            mask));
-        acc[V - 1] = _mm256_add_epi32(
-            acc[V - 1],
-            _mm256_xor_si256(_mm256_maskload_epi32(row + 8 * (V - 1), last),
-                             mask));
+                acc[v],
+                _mm256_xor_si256(
+                    _mm256_cvtepi16_epi32(_mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(row + 8 * v))),
+                    mask));
     }
     alignas(32) i32 sums[8 * V];
     const __m256i bias = _mm256_set1_epi32(i32(negated));
+    #pragma GCC unroll 4
     for (int v = 0; v < V; ++v)
         _mm256_store_si256(reinterpret_cast<__m256i *>(sums + 8 * v),
                            _mm256_add_epi32(acc[v], bias));
@@ -342,45 +380,38 @@ sumTileAvx2(i64 *out, const i32 *rows, const u32 *slots, int count,
 }
 
 void
-sumRowsI32Avx2(i64 *out, const i32 *rows, const u32 *slots, int count,
+sumRowsI16Avx2(i64 *out, const i16 *rows, const u32 *slots, int count,
                int n)
 {
     // No rows adds nothing (and `rows` may then be null).
     if (count == 0)
         return;
     // Tiles of 32 columns (four ymm) sweep every row once; the last
-    // tile narrows to the vectors it needs and masks its final one.
+    // tile narrows to the vectors it needs.
     const std::size_t stride = std::size_t(n);
-    const __m256i all = _mm256_set1_epi32(-1);
     int j = 0;
     for (; j + 32 <= n; j += 32)
-        sumTileAvx2<4>(out + j, rows + j, slots, count, stride, all, 32);
+        sumTileAvx2<4>(out + j, rows + j, slots, count, stride, 32);
     const int rest = n - j;
-    if (rest == 0)
-        return;
-    const int vecs = (rest + 7) / 8;
-    const __m256i last = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(rest - 8 * (vecs - 1)),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    switch (vecs) {
+    switch ((rest + 7) / 8) {
       case 1:
-        sumTileAvx2<1>(out + j, rows + j, slots, count, stride, last, rest);
+        sumTileAvx2<1>(out + j, rows + j, slots, count, stride, rest);
         break;
       case 2:
-        sumTileAvx2<2>(out + j, rows + j, slots, count, stride, last, rest);
+        sumTileAvx2<2>(out + j, rows + j, slots, count, stride, rest);
         break;
       case 3:
-        sumTileAvx2<3>(out + j, rows + j, slots, count, stride, last, rest);
+        sumTileAvx2<3>(out + j, rows + j, slots, count, stride, rest);
         break;
-      default:
-        sumTileAvx2<4>(out + j, rows + j, slots, count, stride, last, rest);
+      case 4:
+        sumTileAvx2<4>(out + j, rows + j, slots, count, stride, rest);
         break;
     }
 }
 
 const SimdKernels kAvx2 = {
     SimdLevel::Avx2, axpyF32Avx2,     gemmI16Avx2,
-    gatherU16Avx2,   walkRowsI32Avx2, sumRowsI32Avx2,
+    gatherU16Avx2,   walkRowsI16Avx2, sumRowsI16Avx2,
 };
 
 } // namespace

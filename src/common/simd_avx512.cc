@@ -11,7 +11,7 @@
  *
  * Bit-exactness notes:
  *  - mask-register compares, vpmaddwd pair multiply-adds and the
- *    threshold walk's masked adds are exact integer operations; only
+ *    threshold walk's masked 16-bit adds are exact integer operations; only
  *    summation order differs from the generic loops, and integer sums
  *    are order-free.
  *  - the fp32 kernel issues exactly one vmulps and one vaddps per
@@ -284,140 +284,165 @@ gemmI16Avx512(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
 }
 
 USYS_AVX512_NO_TSAN void
-gatherU16Avx512(i32 *dst, const u16 *row, const u32 *idx, int n)
+gatherU16Avx512(i16 *dst, const u16 *row, const u16 *idx, int n)
 {
     // A 32-bit gather at scale 2 reads row[idx] and the u16 after it
-    // (the caller keeps that one readable); the mask keeps the entry.
-    const __m512i low16 = _mm512_set1_epi32(0xffff);
+    // (the caller keeps that one readable); vpmovdw keeps the entry.
     const __m512i zero = _mm512_setzero_si512();
     int j = 0;
     for (; j + 16 <= n; j += 16) {
-        const __m512i vi = _mm512_loadu_si512(idx + j);
+        const __m512i vi = _mm512_maskz_cvtepu16_epi32(
+            0xffff, _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i *>(idx + j)));
         const __m512i g = _mm512_mask_i32gather_epi32(
             zero, __mmask16(0xffff), vi, row, 2);
-        _mm512_storeu_si512(dst + j, _mm512_and_si512(g, low16));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
+                            _mm512_maskz_cvtepi32_epi16(0xffff, g));
     }
     if (j < n) {
         const __mmask16 m = __mmask16((1u << (n - j)) - 1);
-        const __m512i vi = _mm512_maskz_loadu_epi32(m, idx + j);
+        const __m512i vi = _mm512_maskz_cvtepu16_epi32(
+            0xffff, _mm512_maskz_extracti64x4_epi64(
+                        0xf, _mm512_maskz_loadu_epi16(__mmask32(m), idx + j),
+                        0));
         const __m512i g =
             _mm512_mask_i32gather_epi32(zero, m, vi, row, 2);
-        _mm512_mask_storeu_epi32(dst + j, m, _mm512_and_si512(g, low16));
+        _mm512_mask_cvtepi32_storeu_epi16(dst + j, m, g);
     }
 }
 
 /**
- * One column tile of walkRowsI32: V vectors of 16 columns, their keys,
- * signs and counts held in zmm registers through the whole walk, the
- * last vector under `last`. Each step broadcasts one threshold and adds
- * one where the compare holds; each stop stores (or adds into) a row.
+ * One column tile of walkRowsI16: V vectors of 32 columns, their keys
+ * and counts (and, Signed, their +-1 steps) held in zmm registers
+ * through the whole walk, the last vector under `last`. Each row is
+ * stored as the counts stand; each step broadcasts the up threshold,
+ * compares into a mask and adds the step (or one) where it holds, and
+ * (Down) broadcasts the down threshold and subtracts one where the key
+ * misses it. Every loop over V is unrolled so that GCC keeps the arrays
+ * in registers (without the pragma it keeps them on the stack and
+ * reloads them every step).
  */
-template <int V, bool Misses>
+template <int V, bool Signed, bool Down>
 USYS_AVX512_NO_TSAN inline void
-walkTileAvx512(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-               const i32 *signs, const u32 *thresh, const u32 *stops,
-               int count, i32 bias, __mmask16 last)
+walkTileAvx512(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+               const i16 *signs, const i16 *base, const u16 *up,
+               const u16 *down, int count, __mmask32 last)
 {
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i one = _mm512_set1_epi32(1);
-    const __m512i vbias = _mm512_set1_epi32(bias);
-    __m512i key[V], neg[V], acc[V];
+    const __m512i one = _mm512_set1_epi16(1);
+    __m512i key[V], step[Signed ? V : 1], acc[V];
+    #pragma GCC unroll 8
     for (int v = 0; v < V; ++v) {
-        const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
-        key[v] = _mm512_maskz_loadu_epi32(m, keys + 16 * v);
-        // The zero-masked shift, as in spillAvx512.
-        neg[v] = signs ? _mm512_maskz_srai_epi32(
-                             0xffff,
-                             _mm512_maskz_loadu_epi32(m, signs + 16 * v), 31)
-                       : zero;
-        acc[v] = zero;
-    }
-    u32 s = 0;
-    for (int i = 0; i < count; ++i) {
-        for (const u32 stop = stops[i]; s < stop; ++s) {
-            const __m512i t = _mm512_set1_epi32(i32(thresh[s]));
-            for (int v = 0; v < V; ++v) {
-                const __mmask16 hit =
-                    Misses ? _mm512_cmplt_epu32_mask(key[v], t)
-                           : _mm512_cmpge_epu32_mask(key[v], t);
-                acc[v] = _mm512_mask_add_epi32(acc[v], hit, acc[v], one);
-            }
+        const __mmask32 m = v + 1 < V ? __mmask32(~0u) : last;
+        key[v] = _mm512_maskz_loadu_epi16(m, keys + 32 * v);
+        acc[v] = base ? _mm512_maskz_loadu_epi16(m, base + 32 * v)
+                      : _mm512_setzero_si512();
+        if constexpr (Signed) {
+            // -1 where the sign is negative: 1 ^ -1 == -2, -2 + 1 == -1.
+            // The zero-masked shift, as in spillAvx512.
+            const __m512i neg = _mm512_maskz_srai_epi16(
+                ~__mmask32(0), _mm512_maskz_loadu_epi16(m, signs + 32 * v),
+                15);
+            step[v] = _mm512_sub_epi16(_mm512_xor_si512(one, neg), neg);
         }
-        i32 *row = rows + i * stride;
+    }
+    for (int i = 0;; ++i) {
+        i16 *row = rows + i * stride;
+        #pragma GCC unroll 8
+        for (int v = 0; v < V; ++v)
+            _mm512_mask_storeu_epi16(row + 32 * v,
+                                     v + 1 < V ? __mmask32(~0u) : last,
+                                     acc[v]);
+        if (i + 1 == count)
+            break;
+        const __m512i t = _mm512_set1_epi16(i16(up[i]));
+        #pragma GCC unroll 8
         for (int v = 0; v < V; ++v) {
-            const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
-            __m512i val;
-            if constexpr (Misses)
-                val = _mm512_add_epi32(
-                    _mm512_maskz_loadu_epi32(m, row + 16 * v),
-                    _mm512_add_epi32(acc[v], vbias));
+            const __mmask32 hit = _mm512_cmpge_epu16_mask(key[v], t);
+            if constexpr (Signed)
+                acc[v] = _mm512_mask_add_epi16(acc[v], hit, acc[v], step[v]);
             else
-                val = _mm512_add_epi32(
-                    _mm512_sub_epi32(_mm512_xor_si512(acc[v], neg[v]),
-                                     neg[v]),
-                    vbias);
-            _mm512_mask_storeu_epi32(row + 16 * v, m, val);
+                acc[v] = _mm512_mask_add_epi16(acc[v], hit, acc[v], one);
+        }
+        if constexpr (Down) {
+            const __m512i d = _mm512_set1_epi16(i16(down[-i]));
+            #pragma GCC unroll 8
+            for (int v = 0; v < V; ++v)
+                acc[v] = _mm512_mask_sub_epi16(
+                    acc[v], _mm512_cmplt_epu16_mask(key[v], d), acc[v], one);
         }
     }
 }
 
-/** walkTileAvx512 over a tile of `vecs` vectors. */
-template <bool Misses>
+/**
+ * The walk's column tiles on one (Signed, Down) form: tiles of up to
+ * eight vectors, or six when a tile holds steps and two broadcasts
+ * (Signed and Down), so that every form fits the 32 zmm registers. The
+ * last vector of a tile is masked.
+ */
+template <bool Signed, bool Down>
 USYS_AVX512_NO_TSAN void
-walkTileDispatchAvx512(int vecs, i32 *rows, std::ptrdiff_t stride,
-                       const u32 *keys, const i32 *signs, const u32 *thresh,
-                       const u32 *stops, int count, i32 bias,
-                       __mmask16 last)
+walkTilesAvx512(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+                const i16 *signs, const i16 *base, const u16 *up,
+                const u16 *down, int count, int n)
 {
+    constexpr int kVecs = Signed && Down ? 6 : 8;
+    for (int j = 0; j < n; j += 32 * kVecs) {
+        const int rest = std::min(32 * kVecs, n - j);
+        const int vecs = (rest + 31) / 32;
+        const __mmask32 last = __mmask32(~0u >> (32 * vecs - rest));
+        const i16 *sg = Signed ? signs + j : nullptr;
+        const i16 *bs = base ? base + j : nullptr;
 #define USYS_WALK_TILE(V)                                                 \
     case V:                                                               \
-        walkTileAvx512<V, Misses>(rows, stride, keys, signs, thresh,      \
-                                  stops, count, bias, last);              \
-        return;
-    switch (vecs) {
-        USYS_WALK_TILE(1) USYS_WALK_TILE(2) USYS_WALK_TILE(3)
-        USYS_WALK_TILE(4) USYS_WALK_TILE(5) USYS_WALK_TILE(6)
-        USYS_WALK_TILE(7) USYS_WALK_TILE(8)
-    }
+        if constexpr (V <= kVecs)                                         \
+            walkTileAvx512<V, Signed, Down>(rows + j, stride, keys + j, sg, \
+                                            bs, up, down, count, last);   \
+        break;
+        switch (vecs) {
+            USYS_WALK_TILE(1) USYS_WALK_TILE(2) USYS_WALK_TILE(3)
+            USYS_WALK_TILE(4) USYS_WALK_TILE(5) USYS_WALK_TILE(6)
+            USYS_WALK_TILE(7) USYS_WALK_TILE(8)
+        }
 #undef USYS_WALK_TILE
+    }
 }
 
 USYS_AVX512_NO_TSAN void
-walkRowsI32Avx512(i32 *rows, std::ptrdiff_t stride, const u32 *keys,
-                  const i32 *signs, const u32 *thresh, const u32 *stops,
-                  int count, int n, i32 bias, bool misses)
+walkRowsI16Avx512(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
+                  const i16 *signs, const i16 *base, const u16 *up,
+                  const u16 *down, int count, int n)
 {
-    // Tiles of up to 128 columns (eight zmm of counts, eight of keys)
-    // walk the thresholds once each; the last vector of a tile is
-    // masked.
-    for (int j = 0; j < n; j += 128) {
-        const int rest = std::min(128, n - j);
-        const int vecs = (rest + 15) / 16;
-        const __mmask16 last = __mmask16(0xffffu >> (16 * vecs - rest));
-        const i32 *sg = signs ? signs + j : nullptr;
-        if (misses)
-            walkTileDispatchAvx512<true>(vecs, rows + j, stride, keys + j,
-                                         sg, thresh, stops, count, bias,
-                                         last);
-        else
-            walkTileDispatchAvx512<false>(vecs, rows + j, stride, keys + j,
-                                          sg, thresh, stops, count, bias,
-                                          last);
-    }
+    if (count <= 0)
+        return;
+    if (signs && down)
+        walkTilesAvx512<true, true>(rows, stride, keys, signs, base, up,
+                                    down, count, n);
+    else if (signs)
+        walkTilesAvx512<true, false>(rows, stride, keys, signs, base, up,
+                                     down, count, n);
+    else if (down)
+        walkTilesAvx512<false, true>(rows, stride, keys, signs, base, up,
+                                     down, count, n);
+    else
+        walkTilesAvx512<false, false>(rows, stride, keys, signs, base, up,
+                                      down, count, n);
 }
 
 /**
- * One register tile of sumRowsI32: V vectors of 16 columns held in
- * zmm accumulators across every selected row, the last vector loaded
- * under `last`. A negated row adds v ^ -1 == -v - 1, and the count of
- * negated rows is added back once before the spill into i64.
+ * One register tile of sumRowsI16: V vectors of 16 columns held in
+ * zmm accumulators across every selected row, each row's i16 entries
+ * sign-extended into them (vpmovsxwd), the last vector spilled under
+ * `last`. A negated row adds v ^ -1 == -v - 1, and the count of negated
+ * rows is added back once before the spill into i64. Every loop over V
+ * is unrolled so that the accumulators stay in registers.
  */
 template <int V>
 USYS_AVX512_NO_TSAN inline void
-sumTileAvx512(i64 *out, const i32 *rows, const u32 *slots, int count,
+sumTileAvx512(i64 *out, const i16 *rows, const u32 *slots, int count,
               std::size_t stride, __mmask16 last)
 {
     __m512i acc[V];
+    #pragma GCC unroll 8
     for (int v = 0; v < V; ++v)
         acc[v] = _mm512_setzero_si512();
     u32 negated = 0;
@@ -425,60 +450,58 @@ sumTileAvx512(i64 *out, const i32 *rows, const u32 *slots, int count,
         const u32 s = slots[i];
         const __m512i mask = _mm512_set1_epi32(-i32(s & 1));
         negated += s & 1;
-        const i32 *row = rows + std::size_t(s >> 1) * stride;
-        for (int v = 0; v + 1 < V; ++v)
+        const i16 *row = rows + std::size_t(s >> 1) * stride;
+        // Whole 16-entry loads: the last one may read into the slack
+        // past the row, and its extra lanes are never spilled. The
+        // zero-masked widening, as in spillAvx512.
+        #pragma GCC unroll 8
+        for (int v = 0; v < V; ++v)
             acc[v] = _mm512_add_epi32(
                 acc[v],
-                _mm512_xor_si512(_mm512_loadu_si512(row + 16 * v), mask));
-        acc[V - 1] = _mm512_add_epi32(
-            acc[V - 1],
-            _mm512_xor_si512(
-                _mm512_maskz_loadu_epi32(last, row + 16 * (V - 1)), mask));
+                _mm512_xor_si512(
+                    _mm512_maskz_cvtepi16_epi32(
+                        0xffff, _mm256_loadu_si256(
+                                    reinterpret_cast<const __m256i *>(
+                                        row + 16 * v))),
+                    mask));
     }
     const __m512i bias = _mm512_set1_epi32(i32(negated));
+    #pragma GCC unroll 8
     for (int v = 0; v < V; ++v)
         spillAvx512(out + 16 * v, _mm512_add_epi32(acc[v], bias),
                     v + 1 < V ? __mmask16(0xffff) : last);
 }
 
 USYS_AVX512_NO_TSAN void
-sumRowsI32Avx512(i64 *out, const i32 *rows, const u32 *slots, int count,
+sumRowsI16Avx512(i64 *out, const i16 *rows, const u32 *slots, int count,
                  int n)
 {
     // No rows adds nothing (and `rows` may then be null).
     if (count == 0)
         return;
-    // Tiles of 64 columns (four zmm) sweep every row once; the last
-    // tile narrows to the vectors it needs and masks its final one.
+    // Tiles of up to 128 columns (eight zmm) sweep every row once; the
+    // last tile narrows to the vectors it needs and masks its final one.
     const std::size_t stride = std::size_t(n);
-    int j = 0;
-    for (; j + 64 <= n; j += 64)
-        sumTileAvx512<4>(out + j, rows + j, slots, count, stride,
-                         __mmask16(0xffff));
-    const int rest = n - j;
-    if (rest == 0)
-        return;
-    const int vecs = (rest + 15) / 16;
-    const __mmask16 last = __mmask16(0xffffu >> (16 * vecs - rest));
-    switch (vecs) {
-      case 1:
-        sumTileAvx512<1>(out + j, rows + j, slots, count, stride, last);
+    for (int j = 0; j < n; j += 128) {
+        const int rest = std::min(128, n - j);
+        const int vecs = (rest + 15) / 16;
+        const __mmask16 last = __mmask16(0xffffu >> (16 * vecs - rest));
+#define USYS_SUM_TILE(V)                                                  \
+    case V:                                                               \
+        sumTileAvx512<V>(out + j, rows + j, slots, count, stride, last);  \
         break;
-      case 2:
-        sumTileAvx512<2>(out + j, rows + j, slots, count, stride, last);
-        break;
-      case 3:
-        sumTileAvx512<3>(out + j, rows + j, slots, count, stride, last);
-        break;
-      default:
-        sumTileAvx512<4>(out + j, rows + j, slots, count, stride, last);
-        break;
+        switch (vecs) {
+            USYS_SUM_TILE(1) USYS_SUM_TILE(2) USYS_SUM_TILE(3)
+            USYS_SUM_TILE(4) USYS_SUM_TILE(5) USYS_SUM_TILE(6)
+            USYS_SUM_TILE(7) USYS_SUM_TILE(8)
+        }
+#undef USYS_SUM_TILE
     }
 }
 
 const SimdKernels kAvx512 = {
     SimdLevel::Avx512, axpyF32Avx512,     gemmI16Avx512,
-    gatherU16Avx512,   walkRowsI32Avx512, sumRowsI32Avx512,
+    gatherU16Avx512,   walkRowsI16Avx512, sumRowsI16Avx512,
 };
 
 } // namespace

@@ -45,7 +45,7 @@ axpyF32Neon(float *c, const float *b, float a, int n)
 const SimdKernels kNeon = {
     SimdLevel::Neon,            axpyF32Neon,
     detail::gemmI16Generic,     detail::gatherU16Generic,
-    detail::walkRowsI32Generic, detail::sumRowsI32Generic,
+    detail::walkRowsI16Generic, detail::sumRowsI16Generic,
 };
 
 } // namespace

@@ -308,7 +308,9 @@ BatcherStats
 Batcher::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    BatcherStats s = stats_;
+    s.queued_jobs = queued_jobs_;
+    return s;
 }
 
 void

@@ -73,6 +73,7 @@ struct BatcherStats
     u64 simulated = 0;     // jobs that reached the engine
     u64 shed = 0;          // requests refused: queue bound exceeded
     u64 deadline_misses = 0; // requests whose compute deadline passed
+    u64 queued_jobs = 0;   // gauge: jobs parked in the admission queue now
 
     // Why each batch's admission wait ended (batched mode only; a
     // batch flushed by shutdown counts in none of them).

@@ -29,13 +29,14 @@ buildPrefixTable(const std::vector<u32> &seq)
     return table;
 }
 
-/** The thresholds S[j] + 1 of a sequence S, one per step. */
-std::vector<u32>
+/** The thresholds S[j] + 1 of a sequence S, one per step (at most
+ *  2^12 for every supported bitwidth, so u16 holds them). */
+std::vector<u16>
 thresholdsOf(const std::vector<u32> &seq)
 {
-    std::vector<u32> t(seq.size());
+    std::vector<u16> t(seq.size());
     for (std::size_t j = 0; j < seq.size(); ++j)
-        t[j] = seq[j] + 1;
+        t[j] = u16(seq[j] + 1);
     return t;
 }
 

@@ -25,7 +25,9 @@
  * entries at many weights (countsAfterOnes and the bipolar hitsAfter*
  * rows), or, when a weight meets many rows, builds them all in one walk
  * over the thresholds (weightThresholds, onesThresholds, zerosThresholds;
- * SimdKernels::walkRowsI32).
+ * SimdKernels::walkRowsI16). Every threshold, index and entry is at most
+ * 2^13 (a 13-bit UR/UT period 2^12, a 12-bit UG period 2^12), so the
+ * walk and the gathered rows run in 16-bit lanes.
  */
 
 #ifndef USYS_UNARY_PRODUCT_TABLE_H
@@ -72,7 +74,7 @@ class UnaryProductModel
      * [0, period): countAfterOnes(ones + 1, w) is countAfterOnes(ones, w)
      * plus [w >= t_ones].
      */
-    const u32 *weightThresholds() const { return weight_thresholds_.data(); }
+    const u16 *weightThresholds() const { return weight_thresholds_.data(); }
 
     /** Product 1-count after the input has delivered `ones` 1-bits. */
     u32
@@ -92,7 +94,18 @@ class UnaryProductModel
     u32
     rateOnes(u32 iabs, u32 cycles) const
     {
-        return input_prefix_[std::size_t(cycles) * stride_ + iabs];
+        return onesWithin(cycles)[iabs];
+    }
+
+    /**
+     * Row of rateOnes(., cycles), indexed by iabs in [0, period]. A
+     * whole period delivers every one, so onesWithin(period()) is the
+     * identity.
+     */
+    const u16 *
+    onesWithin(u32 cycles) const
+    {
+        return &input_prefix_[std::size_t(cycles) * stride_];
     }
 
     /** Rate-coded product count, early terminated after `cycles`. */
@@ -122,7 +135,7 @@ class UnaryProductModel
     // prefix_[m * stride + w] = #{ j < m : S[j] < w }
     std::vector<u16> weight_prefix_;
     std::vector<u16> input_prefix_;
-    std::vector<u32> weight_thresholds_;
+    std::vector<u16> weight_thresholds_;
 };
 
 /** Exact functional model of the bipolar uMUL (uGEMM-H baseline). */
@@ -176,8 +189,8 @@ class BipolarProductModel
      * hitsAfterOnes(ones)[w] plus [w >= onesThresholds()[ones]], and
      * likewise for zeros.
      */
-    const u32 *onesThresholds() const { return thresholds_one_.data(); }
-    const u32 *zerosThresholds() const { return thresholds_zero_.data(); }
+    const u16 *onesThresholds() const { return thresholds_one_.data(); }
+    const u16 *zerosThresholds() const { return thresholds_zero_.data(); }
 
     /** Output 1-count over a full period for signed inputs x, w. */
     u32
@@ -205,8 +218,8 @@ class BipolarProductModel
     std::size_t stride_;
     std::vector<u16> prefix_one_;  // over the polarity-1 sequence
     std::vector<u16> prefix_zero_; // over the polarity-0 sequence
-    std::vector<u32> thresholds_one_;
-    std::vector<u32> thresholds_zero_;
+    std::vector<u16> thresholds_one_;
+    std::vector<u16> thresholds_zero_;
 };
 
 } // namespace usys

@@ -674,6 +674,106 @@ TEST(Functional, TableKernelMatchesPerMacReferee)
                                  "seed " + std::to_string(seed));
         }
     }
+
+    // Output rows across the walk/gather decision (a block walks when
+    // its dense rows beyond one per k number fewer than 4 (M - 1) per
+    // k): 1 and 2 gather from 4 bits on, 128 walks, and 31-33 straddle
+    // the line at 8 bits, where a full-range column spans about 128
+    // rows.
+    for (const TableConfig &c : tableConfigs()) {
+        for (const int m_rows : {1, 2, 31, 32, 33, 128}) {
+            Prng prng(0xd1ffu + seed);
+            const int et =
+                c.et ? 2 + int(prng.below(u64(c.bits) - 1)) : 0;
+            const KernelConfig kernel{c.scheme, c.bits, et};
+            const int k_dim = 1 + int(prng.below(24));
+            const int n_dim = 1 + int(prng.below(40));
+            const auto a = tableCodes(m_rows, k_dim, c.bits, prng);
+            const auto b = tableCodes(k_dim, n_dim, c.bits, prng);
+            expectMatchesReferee(GemmExecutor(kernel), a, b,
+                                 "seed " + std::to_string(seed++) +
+                                     ", M sweep");
+        }
+    }
+
+    // Blocks whose codes occupy a narrow range: one distinct code per
+    // column (a single dense row per k, anywhere in the table), and
+    // post-ReLU codes in [0, 2^(N-1)], whose UG rows all lie in the
+    // table's upper half (every walk starts from a base row past 0).
+    for (const TableConfig &c : tableConfigs()) {
+        const i32 lim = i32(1) << (c.bits - 1);
+        for (const bool relu : {false, true}) {
+            Prng prng(0xd1ffu + seed);
+            const int et =
+                c.et ? 2 + int(prng.below(u64(c.bits) - 1)) : 0;
+            const KernelConfig kernel{c.scheme, c.bits, et};
+            const int m_rows = 1 + int(prng.below(64));
+            const int k_dim = 1 + int(prng.below(24));
+            const int n_dim = 1 + int(prng.below(40));
+            Matrix<i32> a(m_rows, k_dim);
+            for (int k = 0; k < k_dim; ++k) {
+                const i32 one = i32(prng.below(2 * u64(lim) + 1)) - lim;
+                for (int m = 0; m < m_rows; ++m)
+                    a(m, k) = relu ? i32(prng.below(u64(lim) + 1)) : one;
+            }
+            const auto b = tableCodes(k_dim, n_dim, c.bits, prng);
+            expectMatchesReferee(GemmExecutor(kernel), a, b,
+                                 "seed " + std::to_string(seed++) +
+                                     (relu ? ", post-ReLU codes"
+                                           : ", one code per column"));
+        }
+    }
+}
+
+/**
+ * The table kernel's 16-bit lanes: at every supported bitwidth, every
+ * weight-side row entry lies within +-2^(N-1) (UR/UT counts at any
+ * delivered ones-count, UG's combined p1 + zeros - p0 - 2^(N-1) at any
+ * offset code), every key, threshold and walk count stays below 2^15,
+ * and a whole period delivers every one (onesWithin(period) is the
+ * identity the kernel maps untruncated keys through).
+ */
+TEST(Functional, TableEntriesFitInt16)
+{
+    constexpr u32 kI16 = u32(1) << 15;
+    for (int bits = 2; bits <= 13; ++bits) {
+        const UnaryProductModel &model = unaryModelFor(bits);
+        const u32 period = model.period(); // 2^(N-1): the largest key
+        ASSERT_LT(period, kI16);
+        u32 worst = 0;
+        for (u32 r = 0; r <= period; ++r) {
+            const u16 *row = model.countsAfterOnes(r);
+            for (u32 w = 0; w <= period; ++w)
+                worst = std::max<u32>(worst, row[w]);
+            EXPECT_EQ(model.onesWithin(period)[r], r) << bits << " bits";
+        }
+        EXPECT_LE(worst, period) << "UR/UT " << bits << " bits";
+        for (u32 j = 0; j < period; ++j)
+            ASSERT_LE(model.weightThresholds()[j], period)
+                << "UR/UT " << bits << " bits";
+    }
+    for (int bits = 2; bits <= 12; ++bits) {
+        const BipolarProductModel &model = bipolarModelFor(bits);
+        const u32 period = model.period(); // 2^N: the largest key
+        const i32 lim = i32(period / 2);
+        ASSERT_LT(period, kI16);
+        i32 lo = 0, hi = 0;
+        for (u32 r = 0; r <= period; ++r) {
+            const u16 *p1 = model.hitsAfterOnes(r);
+            const u16 *p0 = model.hitsAfterZeros(period - r);
+            for (u32 w = 0; w <= period; ++w) {
+                const i32 v = i32(p1[w]) + i32(period - r) - i32(p0[w]) - lim;
+                lo = std::min(lo, v);
+                hi = std::max(hi, v);
+            }
+        }
+        EXPECT_GE(lo, -lim) << "UG " << bits << " bits";
+        EXPECT_LE(hi, lim) << "UG " << bits << " bits";
+        for (u32 j = 0; j < period; ++j) {
+            ASSERT_LE(model.onesThresholds()[j], period) << bits << " bits";
+            ASSERT_LE(model.zerosThresholds()[j], period) << bits << " bits";
+        }
+    }
 }
 
 /**

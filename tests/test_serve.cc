@@ -407,9 +407,9 @@ TEST(ServeBatcher, BoundedQueueShedsWithOverloaded)
     batcher.start();
 
     // A background submitter parks one job in the admission queue,
-    // where it sits for the full window. If a probe (below) happens to
-    // park first, the submitter itself is shed — it retries until the
-    // queue is free, so exactly one of the two always occupies it.
+    // where it sits for the full window. Nothing else submits until the
+    // queued-jobs gauge shows it parked, so it is admitted at once (the
+    // retry only guards against a shed that cannot happen here).
     const auto jobs = std::make_shared<const std::vector<ServeJob>>(
         distinctJobs(1));
     std::vector<std::string> first_out;
@@ -425,10 +425,14 @@ TEST(ServeBatcher, BoundedQueueShedsWithOverloaded)
         EXPECT_EQ(status, SubmitStatus::Ok);
     });
 
-    // Probe until the parked job makes the queue non-empty: then our
-    // one extra job exceeds the bound and must be shed. A probe that
-    // races ahead of the submitter is admitted alone (empty queue
-    // always admits) and exits via its 1ms deadline — just retry.
+    // Wait until the parked job makes the queue non-empty, so that no
+    // probe can race ahead of it: then our one extra job exceeds the
+    // bound and must be shed. (A probe that found the queue empty would
+    // be admitted alone and exit via its 1ms deadline; the parked job
+    // stays queued for the rest of its half-second window.)
+    for (int wait = 0; wait < 100000 && batcher.stats().queued_jobs == 0;
+         ++wait)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
     const auto probe = std::make_shared<const std::vector<ServeJob>>(
         distinctJobs(1));
     bool shed = false;

@@ -69,8 +69,8 @@ TEST(SimdDispatch, TablesConsistent)
         EXPECT_NE(k->axpyF32, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gemmI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
-        EXPECT_NE(k->walkRowsI32, nullptr) << simdLevelName(k->level);
-        EXPECT_NE(k->sumRowsI32, nullptr) << simdLevelName(k->level);
+        EXPECT_NE(k->walkRowsI16, nullptr) << simdLevelName(k->level);
+        EXPECT_NE(k->sumRowsI16, nullptr) << simdLevelName(k->level);
     }
 }
 
@@ -138,21 +138,24 @@ TEST(SimdAxpyF32, BitExactParity)
 }
 
 /** Row widths of the table-kernel tests: empty, sub-vector, every
- *  vector and 64-column tile boundary +-1, and the benchmark's 112. */
-const int kRowWidths[] = {0, 1, 7, 8, 15, 16, 17, 33, 64, 65, 112};
+ *  16- and 32-lane vector boundary +-1, one past the AVX2 walk's 48- and
+ *  64-column tiles (49, 65) and splits of them (72, 80), the
+ *  benchmark's 112, and one past the AVX-512 walk's 256-column tile. */
+const int kRowWidths[] = {0,  1,  7,  8,  15, 16, 17,  31,  32,
+                          33, 49, 64, 65, 72, 80, 112, 129, 257};
 
 /** Check gatherU16 on every tier against row[idx[j]]. */
 void
-expectGatherParity(const u16 *row, const std::vector<u32> &idx,
+expectGatherParity(const u16 *row, const std::vector<u16> &idx,
                    const std::string &what)
 {
     const int n = int(idx.size());
-    std::vector<i32> naive(idx.size());
+    std::vector<i16> naive(idx.size());
     for (int j = 0; j < n; ++j)
-        naive[std::size_t(j)] = i32(row[idx[std::size_t(j)]]);
+        naive[std::size_t(j)] = i16(row[idx[std::size_t(j)]]);
     for (const SimdKernels *k : tablesUnderTest()) {
         // Poison the output one past n so an overlong store would show.
-        std::vector<i32> got(idx.size() + 1, -7);
+        std::vector<i16> got(idx.size() + 1, -7);
         k->gatherU16(got.data(), row, idx.data(), n);
         EXPECT_EQ(got.back(), -7) << simdLevelName(k->level) << " " << what;
         got.pop_back();
@@ -163,43 +166,43 @@ expectGatherParity(const u16 *row, const std::vector<u32> &idx,
 TEST(SimdGatherU16, ParityWithTailsAndRowEnds)
 {
     Prng prng(909);
-    // A synthetic row of len + 1 entries and the one u16 of padding the
-    // contract asks for; entries near 0xffff show a sign-extending or
-    // unmasked gather.
+    // A synthetic row of len + 1 entries below 2^15 and the one u16 of
+    // padding the contract asks for; entries near 0x7fff next to
+    // entries near 0xffff show a gather that keeps the wrong half.
     const u32 len = 129;
     std::vector<u16> row(len + 2, 0);
     for (u32 i = 0; i <= len; ++i)
-        row[i] = u16(prng.below(2) ? 0xffff - prng.below(4) : prng.next());
+        row[i] = u16(i % 2 ? 0x7fff - prng.below(4) : prng.below(0x8000));
     row[len + 1] = 0xabcd;
     for (int n : kRowWidths) {
-        std::vector<u32> idx(static_cast<std::size_t>(n));
+        std::vector<u16> idx(static_cast<std::size_t>(n));
         for (auto &v : idx)
-            v = u32(prng.below(len + 1));
+            v = u16(prng.below(len + 1));
         // The row's last entry in the first and the final lane.
         if (n > 0) {
-            idx.front() = len;
-            idx.back() = len;
+            idx.front() = u16(len);
+            idx.back() = u16(len);
         }
         expectGatherParity(row.data(), idx, "n=" + std::to_string(n));
     }
 
     // The shared product tables, gathered at the last index of their
     // last row: the read past the entry must stay inside the table.
-    for (int bits : {2, 8, 12}) {
+    for (int bits : {2, 8, 12, 13}) {
         const UnaryProductModel &model = unaryModelFor(bits);
         const u32 period = model.period();
         for (int n : {1, 17, 65}) {
-            std::vector<u32> idx(std::size_t(n), period);
+            std::vector<u16> idx(static_cast<std::size_t>(n), u16(period));
             for (std::size_t j = 1; j + 1 < idx.size(); ++j)
-                idx[j] = u32(prng.below(period + 1));
+                idx[j] = u16(prng.below(period + 1));
             expectGatherParity(model.countsAfterOnes(period), idx,
                                "UR bits=" + std::to_string(bits));
         }
     }
-    for (int bits : {2, 8, 11}) {
+    for (int bits : {2, 8, 11, 12}) {
         const BipolarProductModel &model = bipolarModelFor(bits);
         const u32 period = model.period();
-        const std::vector<u32> idx(17, period);
+        const std::vector<u16> idx(17, u16(period));
         expectGatherParity(model.hitsAfterOnes(period), idx,
                            "UG ones bits=" + std::to_string(bits));
         expectGatherParity(model.hitsAfterZeros(period), idx,
@@ -207,160 +210,226 @@ TEST(SimdGatherU16, ParityWithTailsAndRowEnds)
     }
 }
 
-/** One walkRowsI32 call: its operands and the row buffer it writes. */
+/** One walkRowsI16 call: its operands and the row buffer it writes. */
 struct WalkCase
 {
-    std::vector<u32> keys;
-    std::vector<i32> signs; // empty: no negation
-    const u32 *thresh = nullptr;
-    std::vector<u32> stops;
-    i32 bias = 0;
-    bool misses = false;
-    bool reversed = false; // rows in descending order (negative stride)
+    std::vector<u16> keys;
+    std::vector<i16> signs; // empty: every step is +1
+    std::vector<i16> base;  // empty: the walk starts from zero
+    const u16 *up = nullptr;
+    const u16 *down = nullptr; // read backward; null: no down term
+    int count = 0;
+    bool reversed = false;  // rows in descending order (negative stride)
+    bool in_place = false;  // base passed as row 0 itself
 };
 
 /**
- * walkRowsI32 by definition: row i counts, column by column, the
- * thresholds among the first stops[i] that the key reaches (or misses).
- * Rows sit n + 3 apart, so the three words between rows show a store
- * past n; `rows` holds whatever the buffer held before the call.
+ * walkRowsI16 by definition: row i holds, column by column, the base
+ * plus the signed up thresholds among up[0, i) that the key reaches,
+ * minus the down thresholds down[0], down[-1], ... it misses. Rows sit
+ * n + 3 apart, so the three entries between rows show a store past n;
+ * `rows` holds whatever the buffer held before the call.
  */
 void
-naiveWalk(const WalkCase &c, std::vector<i32> &rows)
+naiveWalk(const WalkCase &c, std::vector<i16> &rows)
 {
     const std::size_t n = c.keys.size();
-    const std::size_t count = c.stops.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t at = (c.reversed ? count - 1 - i : i) * (n + 3);
-        for (std::size_t j = 0; j < n; ++j) {
-            i32 h = 0;
-            for (u32 s = 0; s < c.stops[i]; ++s)
-                h += (c.keys[j] >= c.thresh[s]) != c.misses;
-            i32 &dst = rows[at + j];
-            if (c.misses)
-                dst += c.bias + h;
-            else
-                dst = c.bias + (!c.signs.empty() && c.signs[j] < 0 ? -h : h);
+    const std::size_t count = std::size_t(c.count);
+    for (std::size_t j = 0; j < n; ++j) {
+        const i32 sign = !c.signs.empty() && c.signs[j] < 0 ? -1 : 1;
+        i32 h = c.base.empty() ? 0 : c.base[j];
+        for (std::size_t i = 0; i < count; ++i) {
+            if (i > 0) {
+                h += sign * i32(c.keys[j] >= c.up[i - 1]);
+                if (c.down)
+                    h -= i32(c.keys[j] < c.down[-std::ptrdiff_t(i - 1)]);
+            }
+            rows[(c.reversed ? count - 1 - i : i) * (n + 3) + j] = i16(h);
         }
     }
 }
 
-/** Check walkRowsI32 on every tier against naiveWalk. */
+/** Check walkRowsI16 on every tier against naiveWalk. */
 void
-expectWalkParity(const WalkCase &c, const std::vector<i32> &before,
+expectWalkParity(const WalkCase &c, const std::vector<i16> &before,
                  const std::string &what)
 {
     const int n = int(c.keys.size());
-    const int count = int(c.stops.size());
     const std::ptrdiff_t stride = std::ptrdiff_t(n) + 3;
-    std::vector<i32> naive = before;
+    std::vector<i16> naive = before;
     naiveWalk(c, naive);
     for (const SimdKernels *k : tablesUnderTest()) {
-        std::vector<i32> got = before;
-        i32 *first = got.data() +
-                     (c.reversed ? std::ptrdiff_t(count - 1) * stride : 0);
-        k->walkRowsI32(first, c.reversed ? -stride : stride, c.keys.data(),
-                       c.signs.empty() ? nullptr : c.signs.data(), c.thresh,
-                       c.stops.data(), count, n, c.bias, c.misses);
+        std::vector<i16> got = before;
+        i16 *first =
+            got.data() +
+            (c.reversed && c.count > 0 ? std::ptrdiff_t(c.count - 1) * stride
+                                       : 0);
+        const i16 *base = c.base.empty() ? nullptr : c.base.data();
+        if (c.in_place && base && c.count > 0) {
+            std::copy(c.base.begin(), c.base.end(), first);
+            base = first;
+        }
+        k->walkRowsI16(first, c.reversed ? -stride : stride, c.keys.data(),
+                       c.signs.empty() ? nullptr : c.signs.data(), base,
+                       c.up, c.down, c.count, n);
         EXPECT_EQ(got, naive) << simdLevelName(k->level) << " " << what;
     }
 }
 
-/**
- * walkRowsI32 on every tier against its definition, over the product
- * models' own threshold sequences: row widths across every vector and
- * tile boundary (past the 128-column walk tile too), stops at row 0,
- * after the first threshold and after the last one (a whole period),
- * repeated stops, keys at 0 and at the period, signed and unsigned
- * stores with a bias, and UG's miss pass adding into rows in reverse.
- */
-TEST(SimdWalkRowsI32, ParityWithTailsStopsAndMisses)
+/** A product model's threshold sequences, for the walk tests: UR/UT
+ *  walks the weight sequence up (and, to exercise the down term, down
+ *  again); UG walks polarity 1 up and polarity 0 down. */
+struct Sequence
 {
-    struct Sequence
-    {
-        std::string name;
-        u32 period;
-        const u32 *thresh;
-    };
+    std::string name;
+    u32 period;
+    const u16 *up;
+    const u16 *down;
+};
+
+std::vector<Sequence>
+sequences(std::initializer_list<int> ur_bits,
+          std::initializer_list<int> ug_bits)
+{
     std::vector<Sequence> seqs;
-    for (int bits : {2, 8, 13}) {
+    for (int bits : ur_bits) {
         const UnaryProductModel &m = unaryModelFor(bits);
         seqs.push_back({"UR" + std::to_string(bits), m.period(),
-                        m.weightThresholds()});
+                        m.weightThresholds(), m.weightThresholds()});
     }
-    for (int bits : {2, 8, 12}) {
+    for (int bits : ug_bits) {
         const BipolarProductModel &m = bipolarModelFor(bits);
-        seqs.push_back({"UG1-" + std::to_string(bits), m.period(),
-                        m.onesThresholds()});
-        seqs.push_back({"UG0-" + std::to_string(bits), m.period(),
-                        m.zerosThresholds()});
+        seqs.push_back({"UG" + std::to_string(bits), m.period(),
+                        m.onesThresholds(), m.zerosThresholds()});
     }
+    return seqs;
+}
+
+/**
+ * Run one walk of `count` rows from row `start` of a sequence on every
+ * tier, four ways: up only with signed steps (UR/UT), up and down (UG),
+ * up and down with signs into rows in reverse, and with the base passed
+ * as row 0 itself (the table kernel's in-place start).
+ */
+void
+expectWalkModes(WalkCase c, const Sequence &q, u32 start, Prng &prng,
+                const std::string &what)
+{
+    const std::size_t n = c.keys.size();
+    std::vector<i16> before(std::size_t(c.count) * (n + 3), -7);
+    c.up = q.up + start;
+    c.signs.resize(n);
+    for (auto &v : c.signs)
+        v = i16(prng.below(0x10000));
+    expectWalkParity(c, before, what + " signed");
+    c.signs.clear();
+    c.down = q.down + (q.period - 1 - start);
+    expectWalkParity(c, before, what + " up and down");
+    c.signs.resize(n);
+    for (auto &v : c.signs)
+        v = i16(prng.below(2) ? -1 : 0);
+    c.reversed = true;
+    expectWalkParity(c, before, what + " signed up and down, reversed");
+    c.reversed = false;
+    c.in_place = true;
+    expectWalkParity(c, before, what + " signed up and down, in place");
+}
+
+/**
+ * walkRowsI16 on every tier against its definition, over the product
+ * models' own threshold sequences: row widths across every vector and
+ * tile boundary (past the 256-column walk tile too), walks of no row,
+ * one, two and a whole period, starting at row 0 or part way in from a
+ * base row, keys at 0 and at the period, signed and unsigned steps, the
+ * down term, rows in reverse, and a base that is row 0 itself.
+ */
+TEST(SimdWalkRowsI16, ParityWithTailsBasesAndDownSteps)
+{
     Prng prng(1111);
-    for (const Sequence &q : seqs) {
+    for (const Sequence &q : sequences({2, 8}, {2, 8})) {
         for (int n : kRowWidths) {
-            for (int count : {1, 2, 5, 17}) {
-                WalkCase c;
-                c.thresh = q.thresh;
-                c.keys.resize(std::size_t(n));
-                for (auto &v : c.keys)
-                    v = u32(prng.below(u64(q.period) + 1));
-                if (n > 0) {
-                    c.keys.front() = 0;
-                    c.keys.back() = q.period;
+            for (int count : {0, 1, 2, 5, 17, int(q.period) + 1}) {
+                // From row 0 with no base, or from a random start row
+                // with a base row of counts up to the period.
+                for (const bool based : {false, true}) {
+                    if (count > int(q.period) + 1 - based)
+                        continue;
+                    const u32 start = based ? u32(prng.below(
+                                                  q.period + 2 - u32(count)))
+                                            : 0;
+                    WalkCase c;
+                    c.count = count;
+                    c.keys.resize(std::size_t(n));
+                    for (auto &v : c.keys)
+                        v = u16(prng.below(u64(q.period) + 1));
+                    if (n > 0) {
+                        c.keys.front() = 0;
+                        c.keys.back() = u16(q.period);
+                    }
+                    if (based) {
+                        c.base.resize(std::size_t(n));
+                        for (auto &v : c.base)
+                            v = i16(i32(prng.below(2 * u64(q.period) + 1)) -
+                                    i32(q.period));
+                    }
+                    expectWalkModes(c, q, start, prng,
+                                    q.name + " n=" + std::to_string(n) +
+                                        " count=" + std::to_string(count) +
+                                        " start=" + std::to_string(start));
                 }
-                c.stops.resize(std::size_t(count));
-                for (auto &v : c.stops)
-                    v = u32(prng.below(u64(q.period) + 1));
-                c.stops.back() = q.period;
-                if (count > 2) {
-                    c.stops[0] = 0;
-                    c.stops[1] = 1;
-                }
-                std::sort(c.stops.begin(), c.stops.end());
-                if (count > 4)
-                    c.stops[3] = c.stops[2];
-                std::vector<i32> before(std::size_t(count) *
-                                            (std::size_t(n) + 3),
-                                        -7);
-                const std::string what = q.name + " n=" +
-                                         std::to_string(n) + " count=" +
-                                         std::to_string(count);
-                // A signed store (UR/UT), a biased unsigned one (UG's
-                // first pass) and a miss pass adding into rows in
-                // reverse (UG's second).
-                c.signs.resize(std::size_t(n));
-                for (auto &v : c.signs)
-                    v = i32(prng.below(2 * u64(q.period) + 1)) -
-                        i32(q.period);
-                expectWalkParity(c, before, what + " signed");
-                c.signs.clear();
-                c.bias = -i32(q.period / 2);
-                expectWalkParity(c, before, what + " biased");
-                for (auto &v : before)
-                    v = i32(prng.below(1000)) - 500;
-                c.misses = true;
-                c.reversed = true;
-                expectWalkParity(c, before, what + " misses");
             }
         }
     }
 }
 
-TEST(SimdSumRowsI32, ParityWithSignsAndZeroRows)
+/**
+ * The widest tables at their extremes: UR at 12-13 bits and UG at 11-12
+ * bits, each walked over a whole period from row 0 and from base rows
+ * at +-the period, keys at 0, 1, the period and one below, at a
+ * sub-vector width, the benchmark's 112 and past the 256-column tile.
+ */
+TEST(SimdWalkRowsI16, ParityAtTheWidestTables)
+{
+    Prng prng(1212);
+    for (const Sequence &q : sequences({12, 13}, {11, 12})) {
+        for (int n : {7, 112, 257}) {
+            for (const int from : {0, 1, -1}) {
+                WalkCase c;
+                c.count = int(q.period) + 1;
+                c.keys.resize(std::size_t(n));
+                for (std::size_t j = 0; j < c.keys.size(); ++j) {
+                    const u32 edge[] = {0, 1, q.period - 1, q.period};
+                    c.keys[j] = u16(j < 4 ? edge[j]
+                                          : prng.below(u64(q.period) + 1));
+                }
+                if (from != 0)
+                    c.base.assign(std::size_t(n), i16(from * i32(q.period)));
+                expectWalkModes(c, q, 0, prng,
+                                q.name + " n=" + std::to_string(n) +
+                                    " base=" + std::to_string(from));
+            }
+        }
+    }
+}
+
+TEST(SimdSumRowsI16, ParityWithSignsAndZeroRows)
 {
     Prng prng(1010);
     for (int bits : {2, 8, 13}) {
         const i32 lim = i32(1) << (bits - 1);
         for (int n : kRowWidths) {
-            // Row 0 is the zero row skipped codes may point at; the
-            // others hold entries in [-lim, lim], with the extremes.
+            // Row 0 is a zero row; the others hold entries in
+            // [-lim, lim], with the extremes. The buffer keeps the slack
+            // past the last row that the contract asks for.
             const int nrows = 9;
-            std::vector<i32> rows(std::size_t(nrows) * std::size_t(n), 0);
+            std::vector<i16> rows(std::size_t(nrows) * std::size_t(n) +
+                                      detail::kSumRowSlack,
+                                  0);
             for (std::size_t i = std::size_t(n); i < rows.size(); ++i)
-                rows[i] = i32(prng.below(2 * u64(lim) + 1)) - lim;
+                rows[i] = i16(i32(prng.below(2 * u64(lim) + 1)) - lim);
             if (n > 0) {
-                rows[std::size_t(n)] = lim;
-                rows[2 * std::size_t(n) - 1] = -lim;
+                rows[std::size_t(n)] = i16(lim);
+                rows[2 * std::size_t(n) - 1] = i16(-lim);
             }
             for (int count : {0, 1, 2, 5, 37}) {
                 std::vector<u32> slots(static_cast<std::size_t>(count));
@@ -370,6 +439,8 @@ TEST(SimdSumRowsI32, ParityWithSignsAndZeroRows)
                     slots[0] = 0; // the zero row, added and negated
                     slots[1] = 1;
                 }
+                if (count > 2)
+                    slots[2] = u32(nrows - 1) << 1; // the last row
                 std::vector<i64> out0(static_cast<std::size_t>(n));
                 for (auto &v : out0)
                     v = i64(prng.next() >> 20) - (i64(1) << 43);
@@ -383,7 +454,7 @@ TEST(SimdSumRowsI32, ParityWithSignsAndZeroRows)
                 for (const SimdKernels *k : tablesUnderTest()) {
                     std::vector<i64> got = out0;
                     got.push_back(-7); // sentinel past n
-                    k->sumRowsI32(got.data(), rows.data(), slots.data(),
+                    k->sumRowsI16(got.data(), rows.data(), slots.data(),
                                   count, n);
                     EXPECT_EQ(got.back(), -7)
                         << simdLevelName(k->level) << " n=" << n;
@@ -397,44 +468,55 @@ TEST(SimdSumRowsI32, ParityWithSignsAndZeroRows)
     }
 }
 
-TEST(SimdSumRowsI32, NoRowsLeavesTheOutputAlone)
+TEST(SimdSumRowsI16, NoRowsLeavesTheOutputAlone)
 {
-    // A block whose activations all add nothing stages no rows, so the
+    // A block whose activations all add nothing selects no rows, so the
     // row buffer may be null.
     for (const SimdKernels *k : tablesUnderTest()) {
         std::vector<i64> out(65, 3);
-        k->sumRowsI32(out.data(), nullptr, nullptr, 0, 65);
+        k->sumRowsI16(out.data(), nullptr, nullptr, 0, 65);
         EXPECT_EQ(out, std::vector<i64>(65, 3)) << simdLevelName(k->level);
     }
 }
 
-TEST(SimdSumRowsI32, ColumnSumsAtTheInt32Edge)
+TEST(SimdSumRowsI16, ColumnSumsAtTheInt32Edge)
 {
     // The contract is only that each column's total fits in i32: sums
-    // that reach INT32_MAX and INT32_MIN + 1 through negated rows (whose
-    // v ^ -1 terms wrap on the way) must still come out exact.
-    const i32 big = std::numeric_limits<i32>::max();
-    for (int n : {1, 16, 17, 65}) {
-        std::vector<i32> rows(3 * std::size_t(n));
+    // that reach INT32_MAX and INT32_MIN + 1 through 65538 full-scale
+    // rows, negated ones among them (whose v ^ -1 terms wrap on the way),
+    // must still come out exact.
+    const i64 big = std::numeric_limits<i32>::max();
+    const std::size_t reps = 65538; // 65538 * 32767 = INT32_MAX - 1
+    for (int n : {1, 16, 17, 65, 129}) {
+        std::vector<i16> rows(3 * std::size_t(n) + detail::kSumRowSlack);
         for (int j = 0; j < n; ++j) {
-            rows[std::size_t(j)] = big;                // row 0
-            rows[std::size_t(n + j)] = -big;           // row 1
-            rows[std::size_t(2 * n + j)] = j % 2 ? 1 : -1; // row 2
+            rows[std::size_t(j)] = 32767;          // row 0
+            rows[std::size_t(n + j)] = -32768;     // row 1
+            rows[std::size_t(2 * n + j)] = 1;      // row 2
         }
-        const std::vector<u32> plus_max = {0u << 1, 2u << 1, 2u << 1 | 1};
-        const std::vector<u32> minus_max = {0u << 1 | 1, 1u << 1 | 1,
-                                            0u << 1 | 1};
+        // INT32_MAX as 65538 x 32767 + 1 and as 65535 x -(-32768) +
+        // 32767; INT32_MIN + 1 as the negation of the first.
+        std::vector<u32> plus_max(reps, 0u << 1);
+        plus_max.push_back(2u << 1);
+        std::vector<u32> via_min(reps - 3, 1u << 1 | 1);
+        via_min.push_back(0u << 1);
+        std::vector<u32> minus_max(reps, 0u << 1 | 1);
+        minus_max.push_back(2u << 1 | 1);
         for (const SimdKernels *k : tablesUnderTest()) {
-            std::vector<i64> got(std::size_t(n), 5);
-            k->sumRowsI32(got.data(), rows.data(), plus_max.data(), 3, n);
-            for (int j = 0; j < n; ++j)
-                EXPECT_EQ(got[std::size_t(j)], i64(big) + 5)
-                    << simdLevelName(k->level) << " n=" << n;
-            std::vector<i64> neg(std::size_t(n), 0);
-            k->sumRowsI32(neg.data(), rows.data(), minus_max.data(), 3, n);
-            for (int j = 0; j < n; ++j)
-                EXPECT_EQ(neg[std::size_t(j)], -i64(big))
-                    << simdLevelName(k->level) << " n=" << n;
+            const auto sum = [&](const std::vector<u32> &slots, i64 init) {
+                std::vector<i64> got(std::size_t(n), init);
+                k->sumRowsI16(got.data(), rows.data(), slots.data(),
+                              int(slots.size()), n);
+                return got;
+            };
+            EXPECT_EQ(sum(plus_max, 5), std::vector<i64>(std::size_t(n),
+                                                         big + 5))
+                << simdLevelName(k->level) << " n=" << n;
+            EXPECT_EQ(sum(via_min, 0), std::vector<i64>(std::size_t(n), big))
+                << simdLevelName(k->level) << " n=" << n;
+            EXPECT_EQ(sum(minus_max, 0),
+                      std::vector<i64>(std::size_t(n), -big))
+                << simdLevelName(k->level) << " n=" << n;
         }
     }
 }

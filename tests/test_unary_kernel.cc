@@ -278,7 +278,7 @@ TEST(ProductTable, MatchesCycleLevelUnipolar)
  */
 template <typename RowOf>
 ::testing::AssertionResult
-stepsByThresholds(u32 period, const u32 *t, RowOf rowOf)
+stepsByThresholds(u32 period, const u16 *t, RowOf rowOf)
 {
     for (u32 r = 0; r < period; ++r) {
         const u16 *lo = rowOf(r);
