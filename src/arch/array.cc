@@ -17,13 +17,13 @@ namespace usys {
 
 void
 FoldStatsDelta::add(int m_rows, int rows, int cols, Cycles cycles,
-                    u32 trace_len)
+                    u32 trace_len, u64 count)
 {
-    ++folds;
-    mac_slots += u64(m_rows) * rows * cols;
-    fold_cycles += cycles;
-    bitstream_cycles += u64(trace_len) * u64(m_rows) * rows;
-    m_rows_samples.push_back(double(m_rows));
+    folds += count;
+    mac_slots += count * u64(m_rows) * rows * cols;
+    fold_cycles += count * cycles;
+    bitstream_cycles += count * u64(trace_len) * u64(m_rows) * rows;
+    m_rows_samples.insert(m_rows_samples.end(), count, double(m_rows));
 }
 
 void
@@ -300,28 +300,34 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         // the table-row kernel's over its tile, and everything else it
         // books depends only on shapes and operand zeros. Zero padding
         // adds exactly zero in every scheme, so one kernel call over the
-        // whole GEMM is the sum of the folds.
+        // whole GEMM is the sum of the folds, and the folds, all alike,
+        // are booked in one step.
+        OperandZeros zeros;
         {
             USYS_PROF_SCOPE("gemm.table");
-            result.acc = GemmExecutor(cfg_.kernel).run(*pa, *pb);
+            result.acc = GemmExecutor(cfg_.kernel).run(*pa, *pb, &zeros);
         }
         const KernelConfig &kern = cfg_.kernel;
         const Cycles latency = scalar_array.foldLatency(m_rows);
         const u32 trace_len =
             kern.scheme == Scheme::BinaryParallel ? 1 : kern.mulCycles();
-        for (u64 f = 0; f < result.folds; ++f)
-            total.add(m_rows, rows, cols, latency, trace_len);
+        total.add(m_rows, rows, cols, latency, trace_len, result.folds);
         result.cycles = result.folds * latency;
 
         // The census counts the staged tiles, padding included: each
         // K-padding row of an A-tile streams M zero activations per
-        // column tile, and every padded weight slot holds a zero.
+        // column tile, and every padded weight slot holds a zero. The
+        // operands' own zeros come from the kernel call above: B's from
+        // passes it makes anyway (the panel's packing, the row tiles, the
+        // fused gather-sums or the walk's weight keys), A's from
+        // referenceGemm's range scan or, in the table kernel, a count of
+        // their own.
         const u64 pad_k = k_tiles * u64(rows) - u64(k_dim);
         const u64 weight_slots = k_tiles * u64(rows) * n_tiles * u64(cols);
         SparsityCensus census;
-        census.zero_acts = n_tiles * (countZeros(*pa) + u64(m_rows) * pad_k);
+        census.zero_acts = n_tiles * (zeros.a + u64(m_rows) * pad_k);
         census.zero_weights =
-            countZeros(*pb) + weight_slots - u64(k_dim) * u64(n_dim);
+            zeros.b + weight_slots - u64(k_dim) * u64(n_dim);
         if (kern.scheme != Scheme::UgemmHybrid)
             census.skippable_macs = census.zero_acts * u64(cols);
         total.addSparsity(census);

@@ -86,8 +86,9 @@ struct FoldStatsDelta
     u64 sparsity_zero_weights = 0;
     u64 sparsity_skippable_macs = 0;
 
-    /** Record one fold's contribution. */
-    void add(int m_rows, int rows, int cols, Cycles cycles, u32 trace_len);
+    /** Record `count` identical folds' contributions (one by default). */
+    void add(int m_rows, int rows, int cols, Cycles cycles, u32 trace_len,
+             u64 count = 1);
 
     /** Record one fold's analytic fault census. */
     void addFaults(const FoldFaultCounts &counts);

@@ -24,19 +24,22 @@
  * gathered from the product tables (SimdKernels::walkRowsI16: row r + 1
  * is row r plus the weight's sign where |b| >= S[r] + 1; UG steps its
  * polarity-1 hits up and its polarity-0 misses down in the same walk);
- * a block with few gathers one row per (m, k) (SimdKernels::gatherU16)
- * and signs (UR/UT) or combines (UG) it element-wise. An output row is
- * then a signed sum of whole selected rows (SimdKernels::sumRowsI16),
- * widened into i32 registers and spilled into the i64 output once per
- * block; a block of at most INT32_MAX / 2^(N-1) k values cannot
- * overflow, and the block's 256 KiB budget binds long before that.
- * singleProduct() is the per-MAC referee the tests hold the kernel to.
- * A code outside the tables' [-2^(N-1), 2^(N-1)] is fatal; each block
- * checks its weights in the pass that builds their keys, and the
- * activations are checked in the pass that takes their row ranges.
+ * a walked block's output row is then a signed sum of whole selected
+ * rows (SimdKernels::sumRowsI16), widened into i32 registers and
+ * spilled into the i64 output once per block. A block with few output
+ * rows (every single-row call) stages nothing: each output row gathers
+ * its k's table entries at every weight of the block and sums them in
+ * registers in one pass over B (SimdKernels::gatherSumU16). A block of
+ * at most INT32_MAX / 2^(N-1) k values cannot overflow, and a walking
+ * block's 256 KiB budget binds long before that. singleProduct() is the
+ * per-MAC referee the tests hold the kernel to. A code outside the
+ * tables' [-2^(N-1), 2^(N-1)] is fatal; each block checks its weights in
+ * the pass that reads them (the walk's key pass or the fused
+ * gather-sum), and the activations are checked in the pass that takes
+ * their row ranges. The weight passes count B's zeros.
  *
  * The exact schemes (BP, BS, tubGEMM, tuGEMM) multiply exactly, so run()
- * is one referenceGemm call: the 16-bit pair kernel
+ * is one referenceGemm call: the 16-bit multiply-add kernel
  * (SimdKernels::gemmI16), row-parallel and bitwise-identical at any
  * thread count.
  */
@@ -102,9 +105,12 @@ class GemmExecutor
      * Compute the scheme's accumulations for C = A (MxK) x B (KxN).
      * BP, BS, tubGEMM and tuGEMM are exact (referenceGemm); the table
      * schemes (UR, UT, UG) return binary-accumulated product counts,
-     * shifted back by 2^(N-n) under early termination.
+     * shifted back by 2^(N-n) under early termination. When `zeros` is
+     * non-null it receives both operands' zero codes, counted in the
+     * passes the kernels make over A and B anyway.
      */
-    Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b) const;
+    Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b,
+                    OperandZeros *zeros = nullptr) const;
 
     /**
      * Factor converting accumulator units to exact-product units:

@@ -2,27 +2,6 @@
 
 namespace usys {
 
-u64
-countZeros(const Matrix<i32> &m)
-{
-    // Fixed eight-lane groups let the compiler vectorize the count at
-    // -O2. The scalar loop it replaces took most of a closed-form GEMM
-    // with M = 1, and its speed swung with code alignment.
-    const i32 *p = m.data().data();
-    const std::size_t n = m.data().size();
-    u32 lanes[8] = {}; // each lane counts at most n / 8 < 2^32 zeros
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        for (std::size_t l = 0; l < 8; ++l)
-            lanes[l] += p[i + l] == 0;
-    u64 zeros = 0;
-    for (const u32 v : lanes)
-        zeros += v;
-    for (; i < n; ++i)
-        zeros += p[i] == 0;
-    return zeros;
-}
-
 SparsityCensus
 foldSparsityCensus(const KernelConfig &kern, const Matrix<i32> &input,
                    const Matrix<i32> &weights)

@@ -47,9 +47,6 @@ struct SparsityCensus
     u64 skippable_macs = 0; // MAC slots elided by all-zero act streams
 };
 
-/** Zero elements of `m` (the census's one zero count). */
-u64 countZeros(const Matrix<i32> &m);
-
 /**
  * Census of one fold's operand tiles. Counted from the engine's input
  * arguments (before any in-fold fault corruption), so the scalar and

@@ -15,9 +15,9 @@ namespace {
 
 /**
  * Rows from which referenceGemm packs B into gemmI16's k-pair panel.
- * Below this the kernel reads (and range-checks) B's i32 rows directly:
- * at K x N = 576 x 112 the packing pass took about as long as the
- * panel saved over 16 rows (AVX-512 host, one thread).
+ * Below this the kernel's row tiles read (and range-check) B's i32 rows
+ * in place: at K x N = 576 x 112 the packing pass took about as long as
+ * the panel saved over 16 rows (AVX-512 host, one thread).
  */
 constexpr int kPanelRows = 16;
 
@@ -34,23 +34,29 @@ chunkRows(int k_dim, int n_dim)
 /**
  * OR over v of v ^ (v >> 31), |v| for v >= 0 and |v| - 1 below: every
  * |v| is at most the result + 1, and the result is below 2^14 exactly
- * when every code lies in gemmI16's [-2^14, 2^14).
+ * when every code lies in gemmI16's [-2^14, 2^14). Adds v's zero codes
+ * to `zeros`.
  */
 u32
-magnitudeBits(const std::vector<i32> &v)
+magnitudeBits(const std::vector<i32> &v, u64 &zeros)
 {
-    // Fixed eight-lane groups let the compiler vectorize the scan.
-    u32 bits[8] = {};
+    // Fixed four-lane groups let the compiler vectorize the scan with
+    // each accumulator in one register (as packPairsI16's row does).
+    u32 bits[4] = {}, zc[4] = {};
     std::size_t i = 0;
-    for (; i + 8 <= v.size(); i += 8)
-        for (std::size_t l = 0; l < 8; ++l)
+    for (; i + 4 <= v.size(); i += 4)
+        for (std::size_t l = 0; l < 4; ++l) {
             bits[l] |= u32(v[i + l] ^ (v[i + l] >> 31));
-    for (; i < v.size(); ++i)
-        bits[0] |= u32(v[i] ^ (v[i] >> 31));
+            zc[l] += v[i + l] == 0;
+        }
     u32 all = 0;
-    for (const u32 b : bits)
-        all |= b;
-    return all;
+    u64 count = 0;
+    for (; i < v.size(); ++i) {
+        all |= u32(v[i] ^ (v[i] >> 31));
+        count += v[i] == 0;
+    }
+    zeros += count + zc[0] + zc[1] + zc[2] + zc[3];
+    return all | bits[0] | bits[1] | bits[2] | bits[3];
 }
 
 /** The widening per-row loop: exact for any i32 codes. */
@@ -72,29 +78,22 @@ gemmRowsI32(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b)
         grain);
 }
 
-} // namespace
-
-Matrix<i64>
-referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
+/**
+ * c += a * b on gemmI16, for codes of a whose magnitudeBits are bits_a
+ * (below 2^14). Adds b's zero codes to `zeros_b` (from the panel's
+ * packing pass or the first chunk's row tiles) and returns whether b's
+ * codes were in the kernel's range; if not, c is unspecified.
+ */
+bool
+pairGemm(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b,
+         u32 bits_a, u64 &zeros_b)
 {
-    fatalIf(a.cols() != b.rows(), "referenceGemm: shape mismatch");
     const int m_rows = a.rows();
     const int k_dim = a.cols();
     const int n_dim = b.cols();
-    Matrix<i64> c(m_rows, n_dim, 0);
-    // An empty operand has no row to point into.
-    if (m_rows == 0 || k_dim == 0 || n_dim == 0)
-        return c;
-    const u32 bits_a = magnitudeBits(a.data());
-    if (bits_a >= u32(kGemmI16Limit)) {
-        gemmRowsI32(c, a, b);
-        return c;
-    }
-
-    // B's codes are checked by the panel's packing pass, or else by the
-    // kernel as it reads them. The panel starts on a 64-byte boundary,
-    // so no full-width load splits a cache line (misaligned, the
-    // 128 x 576 x 112 kernel ran 10-20% slower).
+    // The panel starts on a 64-byte boundary, so no full-width load
+    // splits a cache line (misaligned, the 128 x 576 x 112 kernel ran
+    // 10-20% slower).
     std::vector<u32> panel;
     u32 *pairs = nullptr;
     if (m_rows >= kPanelRows) {
@@ -104,10 +103,8 @@ referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
         void *start = panel.data();
         std::size_t space = panel.size() * sizeof(u32);
         pairs = static_cast<u32 *>(std::align(64, bytes, start, space));
-        if (!packPairsI16(b.data().data(), k_dim, n_dim, pairs)) {
-            gemmRowsI32(c, a, b);
-            return c;
-        }
+        if (!packPairsI16(b.data().data(), k_dim, n_dim, pairs, &zeros_b))
+            return false;
     }
     // Blocks of kb k pairs sum to at most 2 * kb * max|a| * 2^14 in
     // magnitude, so this kb keeps every i32 block sum exact: 512 pairs
@@ -117,7 +114,8 @@ referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
                (2 * (u64(bits_a) + 1) * u64(kGemmI16Limit))));
 
     // Row-parallel: each chunk owns its rows of c, and integer sums are
-    // exact, so the result is independent of the thread count.
+    // exact, so the result is independent of the thread count. Every
+    // chunk's row tiles check all of b; the first one counts its zeros.
     const int rows = chunkRows(k_dim, n_dim);
     const u64 chunks = (u64(m_rows) + u64(rows) - 1) / u64(rows);
     std::vector<u8> in_range(chunks, 1);
@@ -126,13 +124,64 @@ referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
         const int i0 = int(t) * rows;
         in_range[t] = simd.gemmI16(&c(i0, 0), &a(i0, 0), b.data().data(),
                                    pairs, std::min(rows, m_rows - i0),
-                                   k_dim, n_dim, kb);
+                                   k_dim, n_dim, kb,
+                                   t == 0 ? &zeros_b : nullptr);
     });
-    if (std::find(in_range.begin(), in_range.end(), 0) == in_range.end())
+    return std::find(in_range.begin(), in_range.end(), 0) == in_range.end();
+}
+
+} // namespace
+
+u64
+countZeros(const Matrix<i32> &m)
+{
+    // Fixed eight-lane groups let the compiler vectorize the count at
+    // -O2. The per-fold census counts each staged tile with it; a
+    // closed-form GEMM takes its counts from the kernels' passes instead
+    // (OperandZeros), and only the widening loop's path calls it on B.
+    const i32 *p = m.data().data();
+    const std::size_t n = m.data().size();
+    u32 lanes[8] = {}; // each lane counts at most n / 8 < 2^32 zeros
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (std::size_t l = 0; l < 8; ++l)
+            lanes[l] += p[i + l] == 0;
+    u64 zeros = 0;
+    for (const u32 v : lanes)
+        zeros += v;
+    for (; i < n; ++i)
+        zeros += p[i] == 0;
+    return zeros;
+}
+
+Matrix<i64>
+referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b,
+              OperandZeros *zeros)
+{
+    fatalIf(a.cols() != b.rows(), "referenceGemm: shape mismatch");
+    const int m_rows = a.rows();
+    const int k_dim = a.cols();
+    const int n_dim = b.cols();
+    Matrix<i64> c(m_rows, n_dim, 0);
+    // An empty operand has no row to point into.
+    if (m_rows == 0 || k_dim == 0 || n_dim == 0) {
+        if (zeros)
+            *zeros = {countZeros(a), countZeros(b)};
         return c;
-    // b held a code beyond the kernel's range: redo the call exactly.
-    std::fill(c.data().begin(), c.data().end(), 0);
-    gemmRowsI32(c, a, b);
+    }
+    OperandZeros counted;
+    const u32 bits_a = magnitudeBits(a.data(), counted.a);
+    if (bits_a >= u32(kGemmI16Limit)) {
+        // The widening loop makes no pass over b that counts its zeros.
+        gemmRowsI32(c, a, b);
+        counted.b = countZeros(b);
+    } else if (!pairGemm(c, a, b, bits_a, counted.b)) {
+        // b held a code beyond the kernel's range: redo the call exactly.
+        std::fill(c.data().begin(), c.data().end(), 0);
+        gemmRowsI32(c, a, b);
+    }
+    if (zeros)
+        *zeros = counted;
     return c;
 }
 

@@ -68,18 +68,36 @@ class Matrix
     std::vector<T> data_;
 };
 
+/** Zero elements of `m`, in one pass of its own. */
+u64 countZeros(const Matrix<i32> &m);
+
+/**
+ * Zero codes of a GEMM's two operands, counted by the GEMM kernels,
+ * B's in the passes they already make over it (SystolicGemm's
+ * closed-form sparsity census reads them instead of counting again).
+ */
+struct OperandZeros
+{
+    u64 a = 0;
+    u64 b = 0;
+};
+
 /**
  * Exact integer GEMM: C (MxN) = A (MxK) * B (KxN) in i64, row-parallel
  * and bitwise-identical at any thread count. Every exact-product GEMM
  * runs here: BP, BS, tubGEMM and tuGEMM, fault-free or as a PackedArray
  * fold over fault-staged codes, and the DNN's FXP modes. When every code
- * lies in [-2^14, 2^14) it runs SimdKernels::gemmI16 (16-bit k-pair
+ * lies in [-2^14, 2^14) it runs SimdKernels::gemmI16 (16-bit
  * multiply-adds summed in i32, spilled to i64 per block), reading B
  * from a k-pair panel packed once per call when M has the rows to
- * amortize the pass; any wider code (a 16-bit kernel's, say)
- * sends the whole call to a plain widening loop.
+ * amortize the pass, else from B's own rows in row tiles; any wider code
+ * (a 16-bit kernel's, say) sends the whole call to a plain widening
+ * loop. When `zeros` is non-null it receives both operands' zero codes:
+ * A's from the range scan, B's from the packing pass or the first row
+ * tile (a pass of its own only on the widening loop's path).
  */
-Matrix<i64> referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b);
+Matrix<i64> referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b,
+                          OperandZeros *zeros = nullptr);
 
 } // namespace usys
 

@@ -36,6 +36,53 @@ gatherU16Generic(i16 *dst, const u16 *row, const u16 *idx, int n)
         dst[j] = i16(row[idx[j]]);
 }
 
+bool
+gatherSumU16Generic(i64 *out, const i32 *b, const GatherRow *rows, int kd,
+                    int n, i32 lim, bool ug, u32 bias, u64 *zeros)
+{
+    // A memory accumulator of up to 256 columns, in u32 lanes so that the
+    // sums wrap as the vector tiers' do. A code's `flag` has its top bit
+    // set exactly when the code lies outside the tables (lim - |w| for
+    // UR/UT; t and 2 lim - t for UG's t = w + lim, which wraps below
+    // zero), and an offending key reads entry 0 instead.
+    constexpr int kTile = 256;
+    u32 acc[kTile];
+    const u32 ulim = u32(lim);
+    const std::size_t stride = std::size_t(n);
+    u32 bad = 0;
+    u64 zc = 0;
+    for (int j0 = 0; j0 < n; j0 += kTile) {
+        const int w = std::min(kTile, n - j0);
+        std::fill(acc, acc + w, 0u);
+        for (int k = 0; k < kd; ++k) {
+            const i32 *code = b + std::size_t(k) * stride + j0;
+            const GatherRow &row = rows[k];
+            for (int j = 0; j < w; ++j) {
+                const i32 c = code[j];
+                const u32 s = u32(c >> 31);
+                const u32 key = ug ? u32(c) + ulim : (u32(c) ^ s) - s;
+                const u32 flag = ug ? key | (2 * ulim - key) : ulim - key;
+                bad |= flag;
+                zc += c == 0;
+                if (!row.ones)
+                    continue;
+                const u32 at = flag >> 31 ? 0 : key;
+                if (ug) {
+                    acc[j] += u32(row.ones[at]) - u32(row.zeros[at]);
+                } else {
+                    const u32 neg = s ^ u32(row.negate);
+                    acc[j] += (u32(row.ones[at]) ^ neg) - neg;
+                }
+            }
+        }
+        for (int j = 0; j < w; ++j)
+            out[j0 + j] += i64(i32(acc[j] + bias));
+    }
+    if (zeros)
+        *zeros += zc;
+    return (bad >> 31) == 0;
+}
+
 void
 walkRowsI16Generic(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
                    const i16 *signs, const i16 *base, const u16 *up,
@@ -139,39 +186,45 @@ biased(i32 v)
 
 /**
  * One panel row: out[j] = pairOf(b0[j], b1[j] & keep) for j in [0, n),
- * returning the OR of the biased codes packed. Fixed eight-lane groups
- * over unaliased rows let the compiler vectorize it at -O2.
+ * returning the OR of the biased codes packed and adding the zero codes
+ * read (b1's only where keep is all ones) to `zeros`. Fixed four-lane
+ * groups over unaliased rows let the compiler vectorize it at -O2 with
+ * both accumulators in one register each; with eight-lane groups it
+ * looped twice over the group and kept them on the stack.
  */
 u32
 packPairRow(u32 *__restrict out, const i32 *__restrict b0,
-            const i32 *__restrict b1, u32 keep, int n)
+            const i32 *__restrict b1, u32 keep, int n, u64 &zeros)
 {
-    u32 any[8] = {};
+    u32 any[4] = {}, zc[4] = {};
     int j = 0;
-    for (; j + 8 <= n; j += 8)
-        for (int l = 0; l < 8; ++l) {
+    for (; j + 4 <= n; j += 4)
+        for (int l = 0; l < 4; ++l) {
             const i32 hi = i32(u32(b1[j + l]) & keep);
             out[j + l] = pairOf(b0[j + l], hi);
             any[l] |= biased(b0[j + l]) | biased(hi);
+            zc[l] += u32(b0[j + l] == 0) + u32(hi == 0);
         }
+    u32 all = 0, tail = 0;
     for (; j < n; ++j) {
         const i32 hi = i32(u32(b1[j]) & keep);
         out[j] = pairOf(b0[j], hi);
-        any[0] |= biased(b0[j]) | biased(hi);
+        all |= biased(b0[j]) | biased(hi);
+        tail += u32(b0[j] == 0) + u32(hi == 0);
     }
-    u32 all = 0;
-    for (const u32 v : any)
-        all |= v;
-    return all;
+    // A masked-off b1 counted its n padding codes as zeros.
+    zeros += u64(zc[0]) + zc[1] + zc[2] + zc[3] + tail - (keep ? 0 : n);
+    return all | any[0] | any[1] | any[2] | any[3];
 }
 
 } // namespace
 
 bool
-packPairsI16(const i32 *b, int kd, int n, u32 *pairs)
+packPairsI16(const i32 *b, int kd, int n, u32 *pairs, u64 *zeros)
 {
     // An OR of the biased codes below 2^15 means every code is in range.
     u32 any = 0;
+    u64 zc = 0;
     const std::size_t stride = std::size_t(n);
     for (int p = 0; 2 * p < kd; ++p) {
         const i32 *b0 = b + 2 * std::size_t(p) * stride;
@@ -179,8 +232,9 @@ packPairsI16(const i32 *b, int kd, int n, u32 *pairs)
         // missing row and is masked off.
         const bool tail = 2 * p + 1 == kd;
         any |= packPairRow(pairs + std::size_t(p) * stride, b0,
-                           tail ? b0 : b0 + stride, tail ? 0u : ~0u, n);
+                           tail ? b0 : b0 + stride, tail ? 0u : ~0u, n, zc);
     }
+    *zeros += zc;
     return any < 2 * u32(kGemmI16Limit);
 }
 
@@ -188,66 +242,62 @@ namespace detail {
 
 int
 stagePairsI16(const i32 *a, int kd, int rows, int p0, int p1, int n,
-              bool raw, u32 *ap, u32 *off0, u32 *off1)
+              u32 *ap, u32 *off)
 {
     // Branch-free compaction: every pair is written at slot q, and q
     // only advances past it when some row's codes are nonzero.
     const std::size_t stride = std::size_t(kd);
-    const u32 row = u32(n);
     int q = 0;
     for (int p = p0; p < p1; ++p) {
         // The odd tail's second code is 0 (and a(r, 2p + 1) is past
         // the row, so it is not read).
         const bool tail = 2 * p + 1 == kd;
-        u32 any0 = 0, any1 = 0;
+        u32 any = 0;
         for (int r = 0; r < rows; ++r) {
             const i32 *code = a + std::size_t(r) * stride + 2 * p;
             const i32 second = tail ? 0 : code[1];
             ap[r * kPairStride + q] = pairOf(code[0], second);
-            any0 |= u32(code[0]);
-            any1 |= u32(second);
+            any |= u32(code[0]) | u32(second);
         }
-        if (raw) {
-            const u32 r0 = 2 * u32(p) * row;
-            off0[q] = any0 ? r0 : r0 + row;
-            off1[q] = any1 ? r0 + row : r0;
-        } else {
-            off0[q] = u32(p) * row;
-        }
-        q += int((any0 | any1) != 0);
+        off[q] = u32(p) * u32(n);
+        q += int(any != 0);
     }
     return q;
 }
 
 bool
 gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
-               int m, int kd, int n, int kb)
+               int m, int kd, int n, int kb, u64 *zeros)
 {
     // Per output row and block, a memory accumulator of up to 256
     // columns in fixed eight-lane groups, which the compiler vectorizes
-    // for the baseline ISA. The lanes are u32 so that a raw-mode code
+    // for the baseline ISA. The lanes are u32 so that a code of b
     // outside the range (whose result is discarded) cannot overflow a
     // signed int; within the range every block sum fits in i32.
     constexpr int kTile = 256;
     u32 acc[kTile];
     const int np = (kd + 1) / 2;
     const std::size_t stride = std::size_t(n);
-    u32 any = 0; // OR of the biased raw codes read
+    u32 any = 0; // OR of the biased codes of b read
+    u64 zc = 0;
     for (int i = 0; i < m; ++i) {
         const i32 *arow = a + std::size_t(i) * kd;
         i64 *crow = c + std::size_t(i) * stride;
+        // The first row reads every code of b, so that each is checked
+        // and counted once; later rows skip a zero activation's k.
+        const bool first = i == 0;
         for (int j0 = 0; j0 < n; j0 += kTile) {
             const int w = std::min(kTile, n - j0);
             for (int p0 = 0; p0 < np; p0 += kb) {
                 const int p1 = std::min(np, p0 + kb);
                 std::fill(acc, acc + w, 0u);
-                for (int p = p0; p < p1; ++p) {
-                    const bool tail = 2 * p + 1 == kd;
-                    const i32 a0 = arow[2 * p];
-                    const i32 a1 = tail ? 0 : arow[2 * p + 1];
-                    if ((a0 | a1) == 0)
-                        continue;
-                    if (pairs) {
+                if (pairs) {
+                    for (int p = p0; p < p1; ++p) {
+                        const bool tail = 2 * p + 1 == kd;
+                        const i32 a0 = arow[2 * p];
+                        const i32 a1 = tail ? 0 : arow[2 * p + 1];
+                        if ((a0 | a1) == 0)
+                            continue;
                         const u32 *bp = pairs + std::size_t(p) * stride + j0;
                         const i16 s0 = i16(a0), s1 = i16(a1);
                         int j = 0;
@@ -259,21 +309,25 @@ gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
                         for (; j < w; ++j)
                             acc[j] += u32(s0 * i16(bp[j]) +
                                           s1 * i16(bp[j] >> 16));
-                        continue;
                     }
-                    const i32 *b0 = b + 2 * std::size_t(p) * stride + j0;
-                    const i32 *b1 = tail ? b0 : b0 + stride;
-                    const u32 u0 = u32(a0), u1 = u32(a1);
-                    int j = 0;
-                    for (; j + 8 <= w; j += 8)
-                        for (int l = 0; l < 8; ++l) {
-                            acc[j + l] += u0 * u32(b0[j + l]) +
-                                          u1 * u32(b1[j + l]);
-                            any |= biased(b0[j + l]) | biased(b1[j + l]);
+                } else {
+                    for (int k = 2 * p0; k < std::min(kd, 2 * p1); ++k) {
+                        const u32 ak = u32(arow[k]);
+                        if (ak == 0 && !first)
+                            continue;
+                        const i32 *bk = b + std::size_t(k) * stride + j0;
+                        int j = 0;
+                        for (; j + 8 <= w; j += 8)
+                            for (int l = 0; l < 8; ++l) {
+                                acc[j + l] += ak * u32(bk[j + l]);
+                                any |= biased(bk[j + l]);
+                                zc += u32(bk[j + l] == 0) & u32(first);
+                            }
+                        for (; j < w; ++j) {
+                            acc[j] += ak * u32(bk[j]);
+                            any |= biased(bk[j]);
+                            zc += u32(bk[j] == 0) & u32(first);
                         }
-                    for (; j < w; ++j) {
-                        acc[j] += u0 * u32(b0[j]) + u1 * u32(b1[j]);
-                        any |= biased(b0[j]) | biased(b1[j]);
                     }
                 }
                 for (int j = 0; j < w; ++j)
@@ -281,18 +335,20 @@ gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
             }
         }
     }
+    if (zeros && !pairs)
+        *zeros += zc;
     return any < 2 * u32(kGemmI16Limit);
 }
-
 
 } // namespace detail
 
 namespace {
 
 const SimdKernels kGeneric = {
-    SimdLevel::Generic,         axpyF32Generic,
-    detail::gemmI16Generic,     detail::gatherU16Generic,
-    detail::walkRowsI16Generic, detail::sumRowsI16Generic,
+    SimdLevel::Generic,          axpyF32Generic,
+    detail::gemmI16Generic,      detail::gatherU16Generic,
+    detail::gatherSumU16Generic, detail::walkRowsI16Generic,
+    detail::sumRowsI16Generic,
 };
 
 // --- Dispatch -------------------------------------------------------

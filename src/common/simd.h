@@ -11,8 +11,12 @@
  *
  *   axpyF32             fp32 GEMM row (one multiply, one add per element)
  *   gemmI16             exact GEMM rows from codes in [-2^14, 2^14):
- *                       k-pair multiply-adds into i32 register tiles
+ *                       multiply-adds into i32 register tiles, over a
+ *                       packed k-pair panel or B's own i32 rows
  *   gatherU16           product-table row gather, u16 -> i16
+ *   gatherSumU16        one output row of the table kernel's gather
+ *                       branch: weight keys, range check, zero count,
+ *                       table gathers and the signed sum in one pass
  *   walkRowsI16         dense product-table rows by a prefix walk over
  *                       one or two threshold sequences, 16-bit lanes,
  *                       column tile in registers
@@ -24,18 +28,21 @@
  *   generic  portable C++, compiled for baseline x86-64 (or any other
  *            target) — the continuously-tested fallback
  *   avx2     vectorized fp32 rows, vpmaddwd 4-row x 16-column pair
- *            tiles, vpgatherdd row gathers, 64-column register-tiled
- *            threshold walks and 32-column row sums; compiled in its
- *            own translation unit with -mavx2
+ *            and row tiles, vpgatherdd row gathers and fused
+ *            gather-sums, 64-column register-tiled threshold walks and
+ *            32-column row sums; compiled in its own translation unit
+ *            with -mavx2
  *            so the rest of the binary stays runnable on machines
  *            without AVX2
  *   avx512   16-lane fp32 rows, vpmaddwd 4-row x 64-column pair tiles
- *            with mask-register pair staging, 16-lane gathers,
- *            256-column threshold walks and 128-column register-tiled
- *            row sums; own translation unit with
+ *            with mask-register pair staging and row tiles, 16-lane
+ *            gathers and fused gather-sums, 256-column threshold walks
+ *            and 128-column register-tiled row sums; own translation
+ *            unit with
  *            -mavx512{f,bw}, runtime CPUID-gated like the AVX2 tier
  *   neon     AArch64 ASIMD: the fp32 row only (the pair-GEMM, gather,
- *            walk and row-sum slots point at the generic kernels); own
+ *            gather-sum, walk and row-sum slots point at the generic
+ *            kernels); own
  *            translation unit, available whenever the build targeted
  *            arm64 (ASIMD is architecturally mandatory there)
  *
@@ -79,6 +86,20 @@ enum class SimdLevel
  */
 constexpr i32 kGemmI16Limit = i32(1) << 14;
 
+/**
+ * One k's table rows for SimdKernels::gatherSumU16: the rows of the
+ * k's activation in the product tables, indexed by a weight's key.
+ */
+struct GatherRow
+{
+    /** Entries added at each weight's key; null when the k adds nothing. */
+    const u16 *ones;
+    /** UG: entries subtracted at the key; null for UR/UT. */
+    const u16 *zeros;
+    /** UR/UT: -1 when the activation is negative, else 0. */
+    i32 negate;
+};
+
 /** Human-readable tier name ("generic", "avx2", "avx512", "neon"). */
 const char *simdLevelName(SimdLevel level);
 
@@ -101,19 +122,24 @@ struct SimdKernels
     /**
      * Exact integer GEMM rows from codes in [-2^14, 2^14):
      * c[i * n + j] += sum over k in [0, kd) of a[i * kd + k] * B(k, j)
-     * for i in [0, m), j in [0, n). B is read from `pairs` when it is
-     * non-null (the k-pair panel packPairsI16 builds), else from the
-     * row-major kd x n matrix b, whose codes the kernel then range-checks
-     * as it reads them. Each output row sums its products in i32, a k
-     * pair (a(i, 2p), a(i, 2p + 1)) at a time, over blocks of at most
-     * `kb` pairs, and spills into c once per block: the caller sizes kb
-     * so that 2 * kb * max|a| * 2^14 <= INT32_MAX. k pairs whose codes
-     * are zero in every row of a register tile are skipped. Returns
-     * false, leaving c unspecified, when b held a code outside the
-     * range; with `pairs` it always returns true.
+     * for i in [0, m), j in [0, n). Each output row sums its products in
+     * i32 over blocks of at most `kb` k pairs (2 * kb codes of k) and
+     * spills into c once per block: the caller sizes kb so that
+     * 2 * kb * max|a| * 2^14 <= INT32_MAX.
+     *
+     * When `pairs` is non-null, B is read from that k-pair panel
+     * (packPairsI16), a pair (a(i, 2p), a(i, 2p + 1)) per multiply-add,
+     * and k pairs whose codes are zero in every row of a register tile
+     * are skipped; the call returns true. Otherwise B is read in place
+     * from the row-major kd x n matrix b: each i32 code is the 16-bit
+     * pair (b, its sign extension), multiplied against (a(i, k), 0), one
+     * k per multiply-add and every k read. The kernel then range-checks
+     * every code of b, returning false (c unspecified) when one lies
+     * outside the range, and, when m > 0 and `zeros` is non-null, adds
+     * b's zero codes to *zeros.
      */
     bool (*gemmI16)(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
-                    int m, int kd, int n, int kb);
+                    int m, int kd, int n, int kb, u64 *zeros);
 
     /**
      * Product-table row gather: dst[j] = row[idx[j]] for j in [0, n).
@@ -123,6 +149,31 @@ struct SimdKernels
      * tables by one u16).
      */
     void (*gatherU16)(i16 *dst, const u16 *row, const u16 *idx, int n);
+
+    /**
+     * One output row of the table kernel's gather branch, fused into one
+     * pass over the row-major kd x n weight codes b. For k in [0, kd)
+     * and j in [0, n), the code w = b(k, j) has the key |w| (UR/UT) or
+     * w + lim (UG, `ug` set), and lies in the tables when the key is at
+     * most lim (UR/UT) or 2 * lim (UG). Where rows[k].ones is non-null,
+     * the kernel adds to column j
+     *
+     *   UR/UT  rows[k].ones[|w|], negated where (w < 0) differs from
+     *          (rows[k].negate < 0)
+     *   UG     rows[k].ones[w + lim] - rows[k].zeros[w + lim]
+     *
+     * in wrapping 32-bit lanes, then out[j] += i32(sum + bias) once: the
+     * caller guarantees every column's sum plus `bias` fits in i32. Every
+     * code is range-checked and, when `zeros` is non-null, every zero
+     * code counted into *zeros, whatever rows[k] holds. Returns false,
+     * leaving out unspecified, when some code lies outside the tables; no
+     * table is read at such a code's key. The vector tiers load 32 bits
+     * at each entry, so the u16 after every indexed entry must be
+     * readable (the product models pad their tables by one u16).
+     */
+    bool (*gatherSumU16)(i64 *out, const i32 *b, const GatherRow *rows,
+                         int kd, int n, i32 lim, bool ug, u32 bias,
+                         u64 *zeros);
 
     /**
      * Dense product-table rows by a prefix walk over one or two
@@ -161,11 +212,12 @@ struct SimdKernels
  * Pack the row-major kd x n codes b into gemmI16's k-pair panel:
  * pairs[p * n + j] = u16(b(2p, j)) | u16(b(2p + 1, j)) << 16 for p in
  * [0, (kd + 1) / 2), the odd tail's second code 0. `pairs` holds
- * (kd + 1) / 2 * n words. Returns whether every code lies in
+ * (kd + 1) / 2 * n words. Adds b's zero codes to *zeros (the odd tail's
+ * padding is not one of them). Returns whether every code lies in
  * [-2^14, 2^14); if not, codes were packed truncated and the panel must
  * not be used.
  */
-bool packPairsI16(const i32 *b, int kd, int n, u32 *pairs);
+bool packPairsI16(const i32 *b, int kd, int n, u32 *pairs, u64 *zeros);
 
 /** The portable fallback table (always available). */
 const SimdKernels &genericKernels();
@@ -217,8 +269,11 @@ void setSimdMode(const std::string &mode);
 namespace detail {
 /** Generic kernels the NEON table shares (defined in simd.cc). */
 bool gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
-                    int m, int kd, int n, int kb);
+                    int m, int kd, int n, int kb, u64 *zeros);
 void gatherU16Generic(i16 *dst, const u16 *row, const u16 *idx, int n);
+bool gatherSumU16Generic(i64 *out, const i32 *b, const GatherRow *rows,
+                         int kd, int n, i32 lim, bool ug, u32 bias,
+                         u64 *zeros);
 void walkRowsI16Generic(i16 *rows, std::ptrdiff_t stride, const u16 *keys,
                         const i16 *signs, const i16 *base, const u16 *up,
                         const u16 *down, int count, int n);
@@ -235,18 +290,14 @@ constexpr int kPairTileRows = 4;
 
 /**
  * Stage the k pairs [p0, p1) of `rows` <= kPairTileRows consecutive rows
- * of a (row stride kd) for a gemmI16 register tile, dropping the pairs
+ * of a (row stride kd) for a gemmI16 panel tile, dropping the pairs
  * whose codes are zero in every row. For the q-th kept pair p:
  * ap[r * kPairStride + q] = u16(a(r, 2p)) | u16(a(r, 2p + 1)) << 16 (the
- * odd tail's second code 0). When `raw` is false, off0[q] is the pair's
- * panel row (p * n). Otherwise off0[q] and off1[q] are the b rows of
- * codes 2p and 2p + 1 (times n), except that a code that is zero in
- * every row borrows its partner's row: its products are zero whatever
- * it reads, and the tile then reads one b row instead of two (the odd
- * tail always borrows). p1 - p0 <= kPairBlock. Returns the number kept.
+ * odd tail's second code 0) and off[q] = p * n, the pair's panel row.
+ * p1 - p0 <= kPairBlock. Returns the number kept.
  */
 int stagePairsI16(const i32 *a, int kd, int rows, int p0, int p1, int n,
-                  bool raw, u32 *ap, u32 *off0, u32 *off1);
+                  u32 *ap, u32 *off);
 /** Defined in simd_avx2.cc; null when built without AVX2 support. */
 const SimdKernels *avx2KernelsImpl();
 /** Defined in simd_avx512.cc; null when built without AVX-512. */

@@ -42,27 +42,39 @@ axpyF32Avx2(float *c, const float *b, float a, int n)
         c[j] += a * b[j];
 }
 
-/**
- * One register tile of gemmI16: R output rows x V vectors of 8 columns,
- * summed in ymm accumulators over the `cnt` staged k pairs and spilled
- * once (the last vector loaded under `last`, `width` columns in all). A
- * B vector is a panel load, or (Raw) two b rows interleaved into 16-bit
- * pairs, their codes biased by 2^14 and ORed into `range`; vpmaddwd
- * multiplies it by each row's broadcast pair.
- */
-template <int R, int V, bool Raw>
-inline void
-pairTileAvx2(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
-             const u32 *off1, int cnt, const i32 *b, const u32 *pairs,
-             __m256i last, int width, __m256i &range)
+/** Load a full vector, or (partial) the lanes of `last` and zero. */
+inline __m256i
+loadAvx2(const void *p, bool full, __m256i last)
 {
-    const auto load = [last](const void *p, bool full) {
-        return full ? _mm256_loadu_si256(static_cast<const __m256i *>(p))
-                    : _mm256_maskload_epi32(static_cast<const int *>(p),
-                                            last);
-    };
-    const __m256i bias = _mm256_set1_epi32(kGemmI16Limit);
-    __m256i any = range;
+    return full ? _mm256_loadu_si256(static_cast<const __m256i *>(p))
+                : _mm256_maskload_epi32(static_cast<const int *>(p), last);
+}
+
+/** Add the first `width` i32 lanes of acc[0..V) into out[0..width). */
+template <int V>
+inline void
+spillAvx2(i64 *out, const __m256i (&acc)[V], int width)
+{
+    alignas(32) i32 sums[8 * V];
+    #pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+        _mm256_store_si256(reinterpret_cast<__m256i *>(sums + 8 * v),
+                           acc[v]);
+    for (int j = 0; j < width; ++j)
+        out[j] += sums[j];
+}
+
+/**
+ * One panel tile of gemmI16: R output rows x V vectors of 8 columns,
+ * summed in ymm accumulators over the `cnt` staged k pairs and spilled
+ * once (the last vector loaded under `last`, `width` columns in all).
+ * vpmaddwd multiplies each panel vector by each row's broadcast pair.
+ */
+template <int R, int V>
+inline void
+pairTileAvx2(i64 *c, std::size_t n, const u32 *ap, const u32 *off, int cnt,
+             const u32 *pairs, __m256i last, int width)
+{
     __m256i acc[R][V];
     #pragma GCC unroll 4
     for (int r = 0; r < R; ++r)
@@ -72,19 +84,8 @@ pairTileAvx2(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
     for (int q = 0; q < cnt; ++q) {
         __m256i bv[V];
         #pragma GCC unroll 4
-        for (int v = 0; v < V; ++v) {
-            if constexpr (Raw) {
-                const __m256i x0 = load(b + off0[q] + 8 * v, v + 1 < V);
-                const __m256i x1 = load(b + off1[q] + 8 * v, v + 1 < V);
-                any = _mm256_or_si256(
-                    any, _mm256_or_si256(_mm256_add_epi32(x0, bias),
-                                         _mm256_add_epi32(x1, bias)));
-                bv[v] = _mm256_blend_epi16(x0, _mm256_slli_epi32(x1, 16),
-                                           0xaa);
-            } else {
-                bv[v] = load(pairs + off0[q] + 8 * v, v + 1 < V);
-            }
-        }
+        for (int v = 0; v < V; ++v)
+            bv[v] = loadAvx2(pairs + off[q] + 8 * v, v + 1 < V, last);
         #pragma GCC unroll 4
         for (int r = 0; r < R; ++r) {
             const __m256i av =
@@ -95,31 +96,81 @@ pairTileAvx2(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
                                              _mm256_madd_epi16(bv[v], av));
         }
     }
-    alignas(32) i32 sums[8 * V];
     #pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
+    for (int r = 0; r < R; ++r)
+        spillAvx2<V>(c + r * n, acc[r], width);
+}
+
+/**
+ * One row tile of gemmI16 on B's own rows: R output rows x V vectors of
+ * 8 columns over the `cnt` k values from b (row stride n) and a (row
+ * stride kd). Each i32 code of b is read in place as the 16-bit pair
+ * (b, its sign extension), so vpmaddwd against the broadcast (a(r, k),
+ * 0) adds a(r, k) * b in one instruction. First, the tile also ORs every
+ * code, biased by 2^14, into `range` and counts its zero codes into
+ * `zeros` (the last vector's masked-off lanes load as zero and are
+ * masked out of the count); only the first row tile of a column does.
+ */
+template <int R, int V, bool First>
+inline void
+rowTileAvx2(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
+            const i32 *b, int cnt, __m256i last, int width, __m256i &range,
+            u64 &zeros)
+{
+    const __m256i bias = _mm256_set1_epi32(kGemmI16Limit);
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i any = range, zc = zero;
+    __m256i acc[R][V];
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
         #pragma GCC unroll 4
         for (int v = 0; v < V; ++v)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(sums + 8 * v),
-                               acc[r][v]);
-        for (int j = 0; j < width; ++j)
-            c[r * n + j] += sums[j];
+            acc[r][v] = zero;
+    for (int k = 0; k < cnt; ++k) {
+        const i32 *bk = b + std::size_t(k) * n;
+        __m256i bv[V];
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+            bv[v] = loadAvx2(bk + 8 * v, v + 1 < V, last);
+            if constexpr (First) {
+                any = _mm256_or_si256(any, _mm256_add_epi32(bv[v], bias));
+                __m256i eq = _mm256_cmpeq_epi32(bv[v], zero);
+                if (v + 1 == V)
+                    eq = _mm256_and_si256(eq, last);
+                zc = _mm256_sub_epi32(zc, eq);
+            }
+        }
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m256i av =
+                _mm256_set1_epi32(a[std::size_t(r) * kd + k] & 0xffff);
+            #pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm256_add_epi32(acc[r][v],
+                                             _mm256_madd_epi16(bv[v], av));
+        }
     }
-    range = any;
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        spillAvx2<V>(c + r * n, acc[r], width);
+    if constexpr (First) {
+        range = any;
+        alignas(32) u32 lanes[8];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), zc);
+        for (const u32 l : lanes)
+            zeros += l;
+    }
 }
 
 /** pairTileAvx2 for a tile of `rows` rows and `vecs` vectors. */
-template <bool Raw>
 void
 pairTileDispatchAvx2(int rows, int vecs, i64 *c, std::size_t n,
-                     const u32 *ap, const u32 *off0, const u32 *off1,
-                     int cnt, const i32 *b, const u32 *pairs, __m256i last,
-                     int width, __m256i &range)
+                     const u32 *ap, const u32 *off, int cnt,
+                     const u32 *pairs, __m256i last, int width)
 {
 #define USYS_PAIR_TILE(R, V)                                              \
     case (R - 1) * 2 + V - 1:                                             \
-        pairTileAvx2<R, V, Raw>(c, n, ap, off0, off1, cnt, b, pairs, last, \
-                                width, range);                            \
+        pairTileAvx2<R, V>(c, n, ap, off, cnt, pairs, last, width);       \
         return;
     switch ((rows - 1) * 2 + vecs - 1) {
         USYS_PAIR_TILE(1, 1) USYS_PAIR_TILE(1, 2)
@@ -130,48 +181,94 @@ pairTileDispatchAvx2(int rows, int vecs, i64 *c, std::size_t n,
 #undef USYS_PAIR_TILE
 }
 
+/** rowTileAvx2 for a tile of `rows` rows and `vecs` vectors. */
+template <bool First>
+void
+rowTileDispatchAvx2(int rows, int vecs, i64 *c, std::size_t n,
+                    const i32 *a, std::size_t kd, const i32 *b, int cnt,
+                    __m256i last, int width, __m256i &range, u64 &zeros)
+{
+#define USYS_ROW_TILE(R, V)                                               \
+    case (R - 1) * 2 + V - 1:                                             \
+        rowTileAvx2<R, V, First>(c, n, a, kd, b, cnt, last, width, range, \
+                                 zeros);                                  \
+        return;
+    switch ((rows - 1) * 2 + vecs - 1) {
+        USYS_ROW_TILE(1, 1) USYS_ROW_TILE(1, 2)
+        USYS_ROW_TILE(2, 1) USYS_ROW_TILE(2, 2)
+        USYS_ROW_TILE(3, 1) USYS_ROW_TILE(3, 2)
+        USYS_ROW_TILE(4, 1) USYS_ROW_TILE(4, 2)
+    }
+#undef USYS_ROW_TILE
+}
+
 bool
 gemmI16Avx2(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
-            int kd, int n, int kb)
+            int kd, int n, int kb, u64 *zeros)
 {
     // Tiles of kPairTileRows rows x 16 columns (two ymm) sweep each
-    // block's staged pairs once; the last column tile narrows to the
-    // vectors it needs and masks its final one.
+    // block once; the last column tile narrows to the vectors it needs
+    // and masks its final one.
     constexpr int kRows = detail::kPairTileRows;
-    alignas(32) u32 ap[kRows * detail::kPairStride];
-    u32 off0[detail::kPairStride], off1[detail::kPairStride];
-    const bool raw = pairs == nullptr;
-    const int np = (kd + 1) / 2;
-    const int block = std::min(kb, detail::kPairBlock);
     const std::size_t stride = std::size_t(n);
     const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const auto lastOf = [&lane](int rest, int vecs) {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(rest - 8 * (vecs - 1)),
+                                  lane);
+    };
+    if (pairs) {
+        alignas(32) u32 ap[kRows * detail::kPairStride];
+        u32 off[detail::kPairStride];
+        const int np = (kd + 1) / 2;
+        const int block = std::min(kb, detail::kPairBlock);
+        for (int i0 = 0; i0 < m; i0 += kRows) {
+            const int rows = std::min(kRows, m - i0);
+            for (int p0 = 0; p0 < np; p0 += block) {
+                const int cnt = detail::stagePairsI16(
+                    a + std::size_t(i0) * kd, kd, rows, p0,
+                    std::min(np, p0 + block), n, ap, off);
+                if (cnt == 0)
+                    continue;
+                for (int j = 0; j < n; j += 16) {
+                    const int rest = std::min(16, n - j);
+                    const int vecs = (rest + 7) / 8;
+                    pairTileDispatchAvx2(
+                        rows, vecs, c + std::size_t(i0) * stride + j, stride,
+                        ap, off, cnt, pairs + j, lastOf(rest, vecs), rest);
+                }
+            }
+        }
+        return true;
+    }
+    // Row tiles read B's rows in place, every k, in blocks of 2 * kb k.
+    const int block = int(std::min<i64>(kd, 2 * i64(kb)));
     __m256i range = _mm256_setzero_si256();
+    u64 zc = 0;
     for (int i0 = 0; i0 < m; i0 += kRows) {
         const int rows = std::min(kRows, m - i0);
-        for (int p0 = 0; p0 < np; p0 += block) {
-            const int cnt = detail::stagePairsI16(
-                a + std::size_t(i0) * kd, kd, rows, p0,
-                std::min(np, p0 + block), n, raw, ap, off0, off1);
-            if (cnt == 0)
-                continue;
+        for (int k0 = 0; k0 < kd; k0 += block) {
+            const int cnt = std::min(block, kd - k0);
             for (int j = 0; j < n; j += 16) {
                 const int rest = std::min(16, n - j);
                 const int vecs = (rest + 7) / 8;
-                const __m256i last = _mm256_cmpgt_epi32(
-                    _mm256_set1_epi32(rest - 8 * (vecs - 1)), lane);
                 i64 *ct = c + std::size_t(i0) * stride + j;
-                if (raw)
-                    pairTileDispatchAvx2<true>(rows, vecs, ct, stride, ap,
-                                               off0, off1, cnt, b + j,
-                                               nullptr, last, rest, range);
+                const i32 *at = a + std::size_t(i0) * kd + k0;
+                const i32 *bt = b + std::size_t(k0) * stride + j;
+                if (i0 == 0)
+                    rowTileDispatchAvx2<true>(rows, vecs, ct, stride, at,
+                                              std::size_t(kd), bt, cnt,
+                                              lastOf(rest, vecs), rest,
+                                              range, zc);
                 else
-                    pairTileDispatchAvx2<false>(rows, vecs, ct, stride, ap,
-                                                off0, off1, cnt, nullptr,
-                                                pairs + j, last, rest,
-                                                range);
+                    rowTileDispatchAvx2<false>(rows, vecs, ct, stride, at,
+                                               std::size_t(kd), bt, cnt,
+                                               lastOf(rest, vecs), rest,
+                                               range, zc);
             }
         }
     }
+    if (zeros)
+        *zeros += zc;
     // Every lane's OR is below 2^15 exactly when no bit from 15 up is set.
     return _mm256_testz_si256(range,
                               _mm256_set1_epi32(-2 * kGemmI16Limit)) != 0;
@@ -208,6 +305,127 @@ gatherU16Avx2(i16 *dst, const u16 *row, const u16 *idx, int n)
     }
     for (; j < n; ++j)
         dst[j] = i16(row[idx[j]]);
+}
+
+/**
+ * One column tile of gatherSumU16: V vectors of 8 columns summed in ymm
+ * accumulators over every k and spilled once, `width` columns in all
+ * (the last vector loads under `last`; its other lanes read as code 0,
+ * a valid key, and are masked out of the zero count). Each key (|w|, or
+ * w + lim for Ug) is clamped to `top` before it indexes a table, and
+ * the unclamped keys' running maximum is the range check. A 32-bit
+ * gather at scale 2 reads the entry and the u16 after it: UR/UT keep
+ * the entry and negate it as (g ^ s) - s, s the sign of w against the
+ * activation's; UG subtracts the two gathers in 16-bit lanes and widens
+ * the low halves with one vpmaddwd against (1, 0). Every loop over V is
+ * unrolled so that the accumulators stay in registers.
+ */
+template <int V, bool Ug>
+inline bool
+gatherSumTileAvx2(i64 *out, const i32 *b, std::size_t n,
+                  const GatherRow *rows, int kd, u32 lim, u32 bias,
+                  __m256i last, int width, u64 &zeros)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi32(1);
+    const __m256i low = _mm256_set1_epi32(0xffff);
+    const __m256i vlim = _mm256_set1_epi32(i32(lim));
+    const __m256i top = _mm256_set1_epi32(i32(Ug ? 2 * lim : lim));
+    __m256i acc[V];
+    #pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+        acc[v] = zero;
+    __m256i widest = zero, zc = zero;
+    // A code's zero count and key, and the key's share of the range check.
+    const auto keyOf = [&](const __m256i w, int v) {
+        __m256i eq = _mm256_cmpeq_epi32(w, zero);
+        if (v + 1 == V)
+            eq = _mm256_and_si256(eq, last);
+        zc = _mm256_sub_epi32(zc, eq);
+        const __m256i key =
+            Ug ? _mm256_add_epi32(w, vlim) : _mm256_abs_epi32(w);
+        widest = _mm256_max_epu32(widest, key);
+        return key;
+    };
+    for (int k = 0; k < kd; ++k) {
+        const i32 *bk = b + std::size_t(k) * n;
+        const GatherRow &row = rows[k];
+        if (!row.ones) {
+            #pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                keyOf(loadAvx2(bk + 8 * v, v + 1 < V, last), v);
+            continue;
+        }
+        const __m256i negate = _mm256_set1_epi32(row.negate);
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+            const __m256i w = loadAvx2(bk + 8 * v, v + 1 < V, last);
+            const __m256i at = _mm256_min_epu32(keyOf(w, v), top);
+            const __m256i g1 = _mm256_i32gather_epi32(
+                reinterpret_cast<const int *>(row.ones), at, 2);
+            if constexpr (Ug) {
+                const __m256i g0 = _mm256_i32gather_epi32(
+                    reinterpret_cast<const int *>(row.zeros), at, 2);
+                acc[v] = _mm256_add_epi32(
+                    acc[v], _mm256_madd_epi16(_mm256_sub_epi16(g1, g0), one));
+            } else {
+                const __m256i s =
+                    _mm256_srai_epi32(_mm256_xor_si256(w, negate), 31);
+                acc[v] = _mm256_add_epi32(
+                    acc[v],
+                    _mm256_sub_epi32(
+                        _mm256_xor_si256(_mm256_and_si256(g1, low), s), s));
+            }
+        }
+    }
+    const __m256i vbias = _mm256_set1_epi32(i32(bias));
+    #pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+        acc[v] = _mm256_add_epi32(acc[v], vbias);
+    spillAvx2<V>(out, acc, width);
+    alignas(32) u32 lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), zc);
+    for (const u32 l : lanes)
+        zeros += l;
+    // Some key lies above top exactly when max(widest, top) differs.
+    return _mm256_testz_si256(
+               _mm256_xor_si256(_mm256_max_epu32(widest, top), top),
+               _mm256_set1_epi32(-1)) != 0;
+}
+
+bool
+gatherSumU16Avx2(i64 *out, const i32 *b, const GatherRow *rows, int kd,
+                 int n, i32 lim, bool ug, u32 bias, u64 *zeros)
+{
+    // Tiles of 32 columns (four ymm) sweep every k once; the last tile
+    // narrows to the vectors it needs and masks its final one.
+    const std::size_t stride = std::size_t(n);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    bool ok = true;
+    u64 zc = 0;
+    for (int j = 0; j < n; j += 32) {
+        const int rest = std::min(32, n - j);
+        const int vecs = (rest + 7) / 8;
+        const __m256i last = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(rest - 8 * (vecs - 1)), lane);
+#define USYS_GATHER_TILE(V)                                               \
+    case V:                                                               \
+        ok &= ug ? gatherSumTileAvx2<V, true>(out + j, b + j, stride, rows, \
+                                              kd, u32(lim), bias, last,   \
+                                              rest, zc)                   \
+                 : gatherSumTileAvx2<V, false>(out + j, b + j, stride,    \
+                                               rows, kd, u32(lim), bias,  \
+                                               last, rest, zc);           \
+        break;
+        switch (vecs) {
+            USYS_GATHER_TILE(1) USYS_GATHER_TILE(2) USYS_GATHER_TILE(3)
+            USYS_GATHER_TILE(4)
+        }
+#undef USYS_GATHER_TILE
+    }
+    if (zeros)
+        *zeros += zc;
+    return ok;
 }
 
 /**
@@ -369,14 +587,11 @@ sumTileAvx2(i64 *out, const i16 *rows, const u32 *slots, int count,
                         reinterpret_cast<const __m128i *>(row + 8 * v))),
                     mask));
     }
-    alignas(32) i32 sums[8 * V];
     const __m256i bias = _mm256_set1_epi32(i32(negated));
     #pragma GCC unroll 4
     for (int v = 0; v < V; ++v)
-        _mm256_store_si256(reinterpret_cast<__m256i *>(sums + 8 * v),
-                           _mm256_add_epi32(acc[v], bias));
-    for (int j = 0; j < width; ++j)
-        out[j] += sums[j];
+        acc[v] = _mm256_add_epi32(acc[v], bias);
+    spillAvx2<V>(out, acc, width);
 }
 
 void
@@ -410,8 +625,9 @@ sumRowsI16Avx2(i64 *out, const i16 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx2 = {
-    SimdLevel::Avx2, axpyF32Avx2,     gemmI16Avx2,
-    gatherU16Avx2,   walkRowsI16Avx2, sumRowsI16Avx2,
+    SimdLevel::Avx2, axpyF32Avx2,      gemmI16Avx2,
+    gatherU16Avx2,   gatherSumU16Avx2, walkRowsI16Avx2,
+    sumRowsI16Avx2,
 };
 
 } // namespace

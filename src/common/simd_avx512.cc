@@ -79,22 +79,29 @@ spillAvx512(i64 *o, __m512i sum, __mmask16 m)
         _mm512_add_epi64(_mm512_maskz_loadu_epi64(mhi, o + 8), hi));
 }
 
-/**
- * One register tile of gemmI16: R output rows x V vectors of 16
- * columns, summed in zmm accumulators over the `cnt` staged k pairs and
- * spilled once. A B vector is a panel load, or (Raw) two b rows
- * interleaved into 16-bit pairs, their codes biased by 2^14 and ORed
- * into `range` (below 2^15 in every lane while they are in range);
- * vpmaddwd multiplies it by each row's broadcast pair.
- */
-template <int R, int V, bool Raw>
-USYS_AVX512_NO_TSAN inline void
-pairTileAvx512(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
-               const u32 *off1, int cnt, const i32 *b, const u32 *pairs,
-               __mmask16 last, __m512i &range)
+/** The sum of the 16 u32 lanes of v. */
+USYS_AVX512_NO_TSAN inline u64
+laneSumAvx512(__m512i v)
 {
-    const __m512i bias = _mm512_set1_epi32(kGemmI16Limit);
-    __m512i any = range;
+    alignas(64) u32 lanes[16];
+    _mm512_store_si512(lanes, v);
+    u64 sum = 0;
+    for (const u32 l : lanes)
+        sum += l;
+    return sum;
+}
+
+/**
+ * One panel tile of gemmI16: R output rows x V vectors of 16 columns,
+ * summed in zmm accumulators over the `cnt` staged k pairs and spilled
+ * once. vpmaddwd multiplies each panel vector by each row's broadcast
+ * pair.
+ */
+template <int R, int V>
+USYS_AVX512_NO_TSAN inline void
+pairTileAvx512(i64 *c, std::size_t n, const u32 *ap, const u32 *off,
+               int cnt, const u32 *pairs, __mmask16 last)
+{
     __m512i acc[R][V];
     #pragma GCC unroll 4
     for (int r = 0; r < R; ++r)
@@ -104,26 +111,9 @@ pairTileAvx512(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
     for (int q = 0; q < cnt; ++q) {
         __m512i bv[V];
         #pragma GCC unroll 4
-        for (int v = 0; v < V; ++v) {
-            const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
-            if constexpr (Raw) {
-                const __m512i x0 =
-                    _mm512_maskz_loadu_epi32(m, b + off0[q] + 16 * v);
-                const __m512i x1 =
-                    _mm512_maskz_loadu_epi32(m, b + off1[q] + 16 * v);
-                // Zero-masked forms for the same GCC false positive as
-                // in spillAvx512.
-                const __mmask16 all = 0xffff;
-                any = _mm512_ternarylogic_epi32(
-                    any, _mm512_maskz_add_epi32(all, x0, bias),
-                    _mm512_maskz_add_epi32(all, x1, bias), 0xfe);
-                bv[v] = _mm512_mask_blend_epi16(
-                    __mmask32(0xaaaaaaaa), x0,
-                    _mm512_maskz_slli_epi32(all, x1, 16));
-            } else {
-                bv[v] = _mm512_maskz_loadu_epi32(m, pairs + off0[q] + 16 * v);
-            }
-        }
+        for (int v = 0; v < V; ++v)
+            bv[v] = _mm512_maskz_loadu_epi32(
+                v + 1 < V ? __mmask16(0xffff) : last, pairs + off[q] + 16 * v);
         #pragma GCC unroll 4
         for (int r = 0; r < R; ++r) {
             const __m512i av =
@@ -140,29 +130,88 @@ pairTileAvx512(i64 *c, std::size_t n, const u32 *ap, const u32 *off0,
         for (int v = 0; v < V; ++v)
             spillAvx512(c + r * n + 16 * v, acc[r][v],
                         v + 1 < V ? __mmask16(0xffff) : last);
-    range = any;
+}
+
+/**
+ * One row tile of gemmI16 on B's own rows: R output rows x V vectors of
+ * 16 columns over the `cnt` k values from b (row stride n) and a (row
+ * stride kd). Each i32 code of b is read in place as the 16-bit pair
+ * (b, its sign extension), so vpmaddwd against the broadcast (a(r, k),
+ * 0) adds a(r, k) * b in one instruction; the last vector loads under
+ * `last`, its other lanes zero. First, the tile also ORs every code,
+ * biased by 2^14, into `range` (below 2^15 in every lane while the codes
+ * are in range) and counts its zero codes into `zeros`; only the first
+ * row tile of a column does, since it reads every code once.
+ */
+template <int R, int V, bool First>
+USYS_AVX512_NO_TSAN inline void
+rowTileAvx512(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
+              const i32 *b, int cnt, __mmask16 last, __m512i &range,
+              u64 &zeros)
+{
+    const __m512i bias = _mm512_set1_epi32(kGemmI16Limit);
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i zero = _mm512_setzero_si512();
+    __m512i any = range, zc = zero;
+    __m512i acc[R][V];
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            acc[r][v] = zero;
+    for (int k = 0; k < cnt; ++k) {
+        const i32 *bk = b + std::size_t(k) * n;
+        __m512i bv[V];
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+            const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+            bv[v] = _mm512_maskz_loadu_epi32(m, bk + 16 * v);
+            if constexpr (First) {
+                // A masked-off lane is no code of b: the compare skips it.
+                any = _mm512_or_si512(any, _mm512_add_epi32(bv[v], bias));
+                zc = _mm512_mask_add_epi32(
+                    zc, _mm512_mask_cmpeq_epi32_mask(m, bv[v], zero), zc,
+                    one);
+            }
+        }
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m512i av =
+                _mm512_set1_epi32(a[std::size_t(r) * kd + k] & 0xffff);
+            #pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm512_add_epi32(acc[r][v],
+                                             _mm512_madd_epi16(bv[v], av));
+        }
+    }
+    #pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        #pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            spillAvx512(c + r * n + 16 * v, acc[r][v],
+                        v + 1 < V ? __mmask16(0xffff) : last);
+    if constexpr (First) {
+        range = any;
+        zeros += laneSumAvx512(zc);
+    }
 }
 
 /**
  * detail::stagePairsI16, 16 pairs a step: each row's 32 codes narrow to
  * 16 i16 pairs (vpmovdw), the rows' OR picks the pairs to keep, and
- * vpcompressd packs the kept pairs and their b offsets. The scalar
+ * vpcompressd packs the kept pairs and their panel offsets. The scalar
  * staging's compaction chains every pair on the last, and at N = 8-24
  * it took two thirds of the kernel's time. Each full-width store may
  * run up to 15 words past the kept pairs, into the kPairStride slack.
  */
 USYS_AVX512_NO_TSAN int
 stagePairsAvx512(const i32 *a, int kd, int rows, int p0, int p1, int n,
-                 bool raw, u32 *ap, u32 *off0, u32 *off1)
+                 u32 *ap, u32 *off)
 {
     const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                            11, 12, 13, 14, 15);
-    const __m512i row = _mm512_set1_epi32(n);
-    // B's row (times n) of lane l's pair: p * n in the panel, 2p * n raw.
-    const __m512i step = _mm512_mullo_epi32(lane, raw ? _mm512_add_epi32(
-                                                            row, row)
-                                                      : row);
-    const __m512i low = _mm512_set1_epi32(0xffff);
+    // The panel row (times n) of lane l's pair.
+    const __m512i step = _mm512_mullo_epi32(lane, _mm512_set1_epi32(n));
     const std::size_t stride = std::size_t(kd);
     int q = 0;
     for (int p = p0; p < p1; p += 16) {
@@ -186,44 +235,26 @@ stagePairsAvx512(const i32 *a, int kd, int rows, int p0, int p1, int n,
             any = _mm512_or_si512(any, w[r]);
         }
         const __mmask16 keep = _mm512_test_epi32_mask(any, any);
-        const __m512i r0 = _mm512_add_epi32(
-            _mm512_set1_epi32(i32(u32(raw ? 2 * p : p) * u32(n))), step);
+        const __m512i r0 =
+            _mm512_add_epi32(_mm512_set1_epi32(i32(u32(p) * u32(n))), step);
         for (int r = 0; r < rows; ++r)
             _mm512_storeu_si512(ap + r * detail::kPairStride + q,
                                 _mm512_maskz_compress_epi32(keep, w[r]));
-        if (raw) {
-            // A code zero in every row borrows its partner's b row.
-            const __m512i r1 = _mm512_add_epi32(r0, row);
-            const __mmask16 has0 = _mm512_test_epi32_mask(any, low);
-            const __mmask16 has1 = _mm512_test_epi32_mask(
-                any, _mm512_slli_epi32(low, 16));
-            _mm512_storeu_si512(
-                off0 + q, _mm512_maskz_compress_epi32(
-                              keep, _mm512_mask_blend_epi32(has0, r1, r0)));
-            _mm512_storeu_si512(
-                off1 + q, _mm512_maskz_compress_epi32(
-                              keep, _mm512_mask_blend_epi32(has1, r0, r1)));
-        } else {
-            _mm512_storeu_si512(off0 + q,
-                                _mm512_maskz_compress_epi32(keep, r0));
-        }
+        _mm512_storeu_si512(off + q, _mm512_maskz_compress_epi32(keep, r0));
         q += std::popcount(u32(keep));
     }
     return q;
 }
 
 /** pairTileAvx512 for a tile of `rows` rows and `vecs` vectors. */
-template <bool Raw>
 USYS_AVX512_NO_TSAN void
 pairTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
-                       const u32 *ap, const u32 *off0, const u32 *off1,
-                       int cnt, const i32 *b, const u32 *pairs,
-                       __mmask16 last, __m512i &range)
+                       const u32 *ap, const u32 *off, int cnt,
+                       const u32 *pairs, __mmask16 last)
 {
 #define USYS_PAIR_TILE(R, V)                                              \
     case (R - 1) * 4 + V - 1:                                             \
-        pairTileAvx512<R, V, Raw>(c, n, ap, off0, off1, cnt, b, pairs,    \
-                                  last, range);                           \
+        pairTileAvx512<R, V>(c, n, ap, off, cnt, pairs, last);            \
         return;
     switch ((rows - 1) * 4 + vecs - 1) {
         USYS_PAIR_TILE(1, 1) USYS_PAIR_TILE(1, 2)
@@ -238,47 +269,94 @@ pairTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
 #undef USYS_PAIR_TILE
 }
 
+/** rowTileAvx512 for a tile of `rows` rows and `vecs` vectors. */
+template <bool First>
+USYS_AVX512_NO_TSAN void
+rowTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
+                      const i32 *a, std::size_t kd, const i32 *b, int cnt,
+                      __mmask16 last, __m512i &range, u64 &zeros)
+{
+#define USYS_ROW_TILE(R, V)                                               \
+    case (R - 1) * 4 + V - 1:                                             \
+        rowTileAvx512<R, V, First>(c, n, a, kd, b, cnt, last, range,      \
+                                   zeros);                                \
+        return;
+    switch ((rows - 1) * 4 + vecs - 1) {
+        USYS_ROW_TILE(1, 1) USYS_ROW_TILE(1, 2)
+        USYS_ROW_TILE(1, 3) USYS_ROW_TILE(1, 4)
+        USYS_ROW_TILE(2, 1) USYS_ROW_TILE(2, 2)
+        USYS_ROW_TILE(2, 3) USYS_ROW_TILE(2, 4)
+        USYS_ROW_TILE(3, 1) USYS_ROW_TILE(3, 2)
+        USYS_ROW_TILE(3, 3) USYS_ROW_TILE(3, 4)
+        USYS_ROW_TILE(4, 1) USYS_ROW_TILE(4, 2)
+        USYS_ROW_TILE(4, 3) USYS_ROW_TILE(4, 4)
+    }
+#undef USYS_ROW_TILE
+}
+
 USYS_AVX512_NO_TSAN bool
 gemmI16Avx512(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
-              int kd, int n, int kb)
+              int kd, int n, int kb, u64 *zeros)
 {
     // Tiles of kPairTileRows rows x 64 columns (four zmm) sweep each
-    // block's staged pairs once; the last column tile narrows to the
-    // vectors it needs and masks its final one.
+    // block once; the last column tile narrows to the vectors it needs
+    // and masks its final one.
     constexpr int kRows = detail::kPairTileRows;
-    alignas(64) u32 ap[kRows * detail::kPairStride];
-    u32 off0[detail::kPairStride], off1[detail::kPairStride];
-    const bool raw = pairs == nullptr;
-    const int np = (kd + 1) / 2;
-    const int block = std::min(kb, detail::kPairBlock);
     const std::size_t stride = std::size_t(n);
+    if (pairs) {
+        alignas(64) u32 ap[kRows * detail::kPairStride];
+        u32 off[detail::kPairStride];
+        const int np = (kd + 1) / 2;
+        const int block = std::min(kb, detail::kPairBlock);
+        for (int i0 = 0; i0 < m; i0 += kRows) {
+            const int rows = std::min(kRows, m - i0);
+            for (int p0 = 0; p0 < np; p0 += block) {
+                const int cnt = stagePairsAvx512(
+                    a + std::size_t(i0) * kd, kd, rows, p0,
+                    std::min(np, p0 + block), n, ap, off);
+                if (cnt == 0)
+                    continue;
+                for (int j = 0; j < n; j += 64) {
+                    const int rest = std::min(64, n - j);
+                    const int vecs = (rest + 15) / 16;
+                    pairTileDispatchAvx512(
+                        rows, vecs, c + std::size_t(i0) * stride + j, stride,
+                        ap, off, cnt, pairs + j,
+                        __mmask16(0xffffu >> (16 * vecs - rest)));
+                }
+            }
+        }
+        return true;
+    }
+    // Row tiles read B's rows in place, every k, in blocks of 2 * kb k.
+    const int block = int(std::min<i64>(kd, 2 * i64(kb)));
     __m512i range = _mm512_setzero_si512();
+    u64 zc = 0;
     for (int i0 = 0; i0 < m; i0 += kRows) {
         const int rows = std::min(kRows, m - i0);
-        for (int p0 = 0; p0 < np; p0 += block) {
-            const int cnt = stagePairsAvx512(
-                a + std::size_t(i0) * kd, kd, rows, p0,
-                std::min(np, p0 + block), n, raw, ap, off0, off1);
-            if (cnt == 0)
-                continue;
+        for (int k0 = 0; k0 < kd; k0 += block) {
+            const int cnt = std::min(block, kd - k0);
             for (int j = 0; j < n; j += 64) {
                 const int rest = std::min(64, n - j);
                 const int vecs = (rest + 15) / 16;
                 const __mmask16 last =
                     __mmask16(0xffffu >> (16 * vecs - rest));
                 i64 *ct = c + std::size_t(i0) * stride + j;
-                if (raw)
-                    pairTileDispatchAvx512<true>(rows, vecs, ct, stride, ap,
-                                                 off0, off1, cnt, b + j,
-                                                 nullptr, last, range);
+                const i32 *at = a + std::size_t(i0) * kd + k0;
+                const i32 *bt = b + std::size_t(k0) * stride + j;
+                if (i0 == 0)
+                    rowTileDispatchAvx512<true>(rows, vecs, ct, stride, at,
+                                                std::size_t(kd), bt, cnt,
+                                                last, range, zc);
                 else
-                    pairTileDispatchAvx512<false>(rows, vecs, ct, stride,
-                                                  ap, off0, off1, cnt,
-                                                  nullptr, pairs + j, last,
-                                                  range);
+                    rowTileDispatchAvx512<false>(rows, vecs, ct, stride, at,
+                                                 std::size_t(kd), bt, cnt,
+                                                 last, range, zc);
             }
         }
     }
+    if (zeros)
+        *zeros += zc;
     return _mm512_cmpge_epu32_mask(
                range, _mm512_set1_epi32(2 * kGemmI16Limit)) == 0;
 }
@@ -309,6 +387,122 @@ gatherU16Avx512(i16 *dst, const u16 *row, const u16 *idx, int n)
             _mm512_mask_i32gather_epi32(zero, m, vi, row, 2);
         _mm512_mask_cvtepi32_storeu_epi16(dst + j, m, g);
     }
+}
+
+/**
+ * One column tile of gatherSumU16: V vectors of 16 columns summed in zmm
+ * accumulators over every k and spilled once, the last vector under
+ * `last` (its other lanes load as code 0, a valid key, and are never
+ * counted or spilled). Each code's key (|w|, or w + lim for Ug) is
+ * clamped to `top` before it indexes a table, so an offending code reads
+ * a valid entry; the unclamped keys' running maximum, compared with top
+ * once, is the range check. A 32-bit gather at scale 2 reads the entry
+ * and the u16 after it: UR/UT keep the entry (and) and add or subtract
+ * it by the sign of w against the activation's, and UG subtracts the two
+ * gathers in 16-bit lanes (the entries are below 2^15) and widens the
+ * low halves with one vpmaddwd against (1, 0). Every loop over V is
+ * unrolled so that the accumulators stay in registers.
+ */
+template <int V, bool Ug>
+USYS_AVX512_NO_TSAN inline bool
+gatherSumTileAvx512(i64 *out, const i32 *b, std::size_t n,
+                    const GatherRow *rows, int kd, u32 lim, u32 bias,
+                    __mmask16 last, u64 &zeros)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i low = _mm512_set1_epi32(0xffff);
+    const __m512i vlim = _mm512_set1_epi32(i32(lim));
+    const __m512i top = _mm512_set1_epi32(i32(Ug ? 2 * lim : lim));
+    __m512i acc[V];
+    #pragma GCC unroll 8
+    for (int v = 0; v < V; ++v)
+        acc[v] = zero;
+    __m512i widest = zero, zc = zero;
+    // A code's zero count and key, and the key's share of the range check.
+    const auto keyOf = [&](const __m512i w, __mmask16 m) {
+        zc = _mm512_mask_add_epi32(
+            zc, _mm512_mask_cmpeq_epi32_mask(m, w, zero), zc, one);
+        // Zero-masked forms, as in spillAvx512.
+        const __m512i key = Ug ? _mm512_add_epi32(w, vlim)
+                               : _mm512_maskz_abs_epi32(0xffff, w);
+        widest = _mm512_maskz_max_epu32(0xffff, widest, key);
+        return key;
+    };
+    for (int k = 0; k < kd; ++k) {
+        const i32 *bk = b + std::size_t(k) * n;
+        const GatherRow &row = rows[k];
+        if (!row.ones) {
+            #pragma GCC unroll 8
+            for (int v = 0; v < V; ++v) {
+                const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+                keyOf(_mm512_maskz_loadu_epi32(m, bk + 16 * v), m);
+            }
+            continue;
+        }
+        const __m512i negate = _mm512_set1_epi32(row.negate);
+        #pragma GCC unroll 8
+        for (int v = 0; v < V; ++v) {
+            const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
+            const __m512i w = _mm512_maskz_loadu_epi32(m, bk + 16 * v);
+            const __m512i at = _mm512_maskz_min_epu32(0xffff, keyOf(w, m), top);
+            const __m512i g1 =
+                _mm512_mask_i32gather_epi32(zero, 0xffff, at, row.ones, 2);
+            if constexpr (Ug) {
+                const __m512i g0 = _mm512_mask_i32gather_epi32(
+                    zero, 0xffff, at, row.zeros, 2);
+                acc[v] = _mm512_add_epi32(
+                    acc[v], _mm512_madd_epi16(_mm512_sub_epi16(g1, g0), one));
+            } else {
+                const __m512i g = _mm512_and_si512(g1, low);
+                const __mmask16 neg = _mm512_cmplt_epi32_mask(
+                    _mm512_xor_si512(w, negate), zero);
+                acc[v] = _mm512_mask_sub_epi32(_mm512_add_epi32(acc[v], g),
+                                               neg, acc[v], g);
+            }
+        }
+    }
+    const __m512i vbias = _mm512_set1_epi32(i32(bias));
+    #pragma GCC unroll 8
+    for (int v = 0; v < V; ++v)
+        spillAvx512(out + 16 * v, _mm512_add_epi32(acc[v], vbias),
+                    v + 1 < V ? __mmask16(0xffff) : last);
+    zeros += laneSumAvx512(zc);
+    return _mm512_cmpgt_epu32_mask(widest, top) == 0;
+}
+
+USYS_AVX512_NO_TSAN bool
+gatherSumU16Avx512(i64 *out, const i32 *b, const GatherRow *rows, int kd,
+                   int n, i32 lim, bool ug, u32 bias, u64 *zeros)
+{
+    // Tiles of up to 128 columns (eight zmm) sweep every k once; the
+    // last tile narrows to the vectors it needs and masks its final one.
+    const std::size_t stride = std::size_t(n);
+    bool ok = true;
+    u64 zc = 0;
+    for (int j = 0; j < n; j += 128) {
+        const int rest = std::min(128, n - j);
+        const int vecs = (rest + 15) / 16;
+        const __mmask16 last = __mmask16(0xffffu >> (16 * vecs - rest));
+#define USYS_GATHER_TILE(V)                                               \
+    case V:                                                               \
+        ok &= ug ? gatherSumTileAvx512<V, true>(out + j, b + j, stride,   \
+                                                rows, kd, u32(lim), bias, \
+                                                last, zc)                 \
+                 : gatherSumTileAvx512<V, false>(out + j, b + j, stride,  \
+                                                 rows, kd, u32(lim),      \
+                                                 bias, last, zc);         \
+        break;
+        switch (vecs) {
+            USYS_GATHER_TILE(1) USYS_GATHER_TILE(2) USYS_GATHER_TILE(3)
+            USYS_GATHER_TILE(4) USYS_GATHER_TILE(5) USYS_GATHER_TILE(6)
+            USYS_GATHER_TILE(7) USYS_GATHER_TILE(8)
+        }
+#undef USYS_GATHER_TILE
+    }
+    if (zeros)
+        *zeros += zc;
+    return ok;
 }
 
 /**
@@ -500,8 +694,9 @@ sumRowsI16Avx512(i64 *out, const i16 *rows, const u32 *slots, int count,
 }
 
 const SimdKernels kAvx512 = {
-    SimdLevel::Avx512, axpyF32Avx512,     gemmI16Avx512,
-    gatherU16Avx512,   walkRowsI16Avx512, sumRowsI16Avx512,
+    SimdLevel::Avx512,  axpyF32Avx512,     gemmI16Avx512,
+    gatherU16Avx512,    gatherSumU16Avx512, walkRowsI16Avx512,
+    sumRowsI16Avx512,
 };
 
 } // namespace

@@ -39,13 +39,14 @@ axpyF32Neon(float *c, const float *b, float a, int n)
         c[j] += a * b[j];
 }
 
-// The pair GEMM, table-kernel gather, threshold walk and row sum run
+// The pair GEMM, table-kernel gathers, threshold walk and row sum run
 // the generic loops: no arm64 host is at hand to measure NEON versions
 // against them.
 const SimdKernels kNeon = {
-    SimdLevel::Neon,            axpyF32Neon,
-    detail::gemmI16Generic,     detail::gatherU16Generic,
-    detail::walkRowsI16Generic, detail::sumRowsI16Generic,
+    SimdLevel::Neon,             axpyF32Neon,
+    detail::gemmI16Generic,      detail::gatherU16Generic,
+    detail::gatherSumU16Generic, detail::walkRowsI16Generic,
+    detail::sumRowsI16Generic,
 };
 
 } // namespace

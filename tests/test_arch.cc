@@ -22,6 +22,7 @@
 #include "common/executor.h"
 #include "common/matrix.h"
 #include "common/prng.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "common/stats_registry.h"
 #include "arch/array.h"
@@ -234,6 +235,20 @@ class EngineGuard
     bool saved_;
 };
 
+/** The setSimdMode names of every SIMD tier this host runs. */
+std::vector<std::string>
+simdTiers()
+{
+    std::vector<std::string> tiers = {"generic"};
+    if (avx2Kernels())
+        tiers.push_back("avx2");
+    if (avx512Kernels())
+        tiers.push_back("avx512");
+    if (neonKernels())
+        tiers.push_back("neon");
+    return tiers;
+}
+
 TEST(SystolicGemm, TiledBinaryExactAcrossRaggedShapes)
 {
     ArrayConfig cfg;
@@ -318,6 +333,67 @@ TEST(SystolicGemm, ExactClosedFormMatchesScalarEngineRandomized)
         EXPECT_EQ(closed.cycles, scalar.cycles);
         EXPECT_EQ(closed.folds, scalar.folds);
     }
+}
+
+/**
+ * The closed form's sparsity census against the per-fold one: the
+ * scalar engine (--no-packed) counts every staged tile's zeros, the
+ * closed form takes the operands' zeros from its kernel's own passes
+ * and adds the padding. B's zeros sit in its last columns (a masked tail
+ * vector of every SIMD tier at N = 17 and 33) and in its last K rows
+ * (the panel's odd tail pair at odd K, and padded array rows after
+ * them), and A's in its last columns. Every engine path books them:
+ * the row tiles (M < 16) and the panel (M >= 16) of the exact schemes,
+ * and the table kernel's fused gather (M = 1) and walk (M = 20).
+ */
+TEST(SystolicGemm, ClosedFormCensusMatchesTheFolds)
+{
+    EngineGuard guard;
+    const std::string before = simdLevelName(simdLevel());
+    ArrayConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    const Scheme schemes[] = {Scheme::BinaryParallel,    Scheme::BinarySerial,
+                              Scheme::USystolicRate,     Scheme::USystolicTemporal,
+                              Scheme::UgemmHybrid,       Scheme::TubGemm,
+                              Scheme::TuGemm};
+    Prng prng(31);
+    for (const std::string &tier : simdTiers()) {
+        setSimdMode(tier);
+        for (const Scheme scheme : schemes)
+            for (const int m : {1, 3, 20})
+                for (const int k : {7, 9})
+                    for (const int n : {17, 33}) {
+                        cfg.kernel = {scheme, 4, 0};
+                        auto a = randomMatrix(m, k, 4, prng);
+                        auto b = randomMatrix(k, n, 4, prng);
+                        for (i32 &v : a.data())
+                            v = v == 0 ? 1 : v;
+                        for (i32 &v : b.data())
+                            v = v == 0 ? 1 : v;
+                        for (int r = 0; r < m; ++r)
+                            a(r, k - 1) = 0;
+                        for (int r = 0; r < k; ++r)
+                            b(r, n - 1) = 0;
+                        for (int c = 0; c < n; c += 3)
+                            b(k - 1, c) = 0;
+                        SCOPED_TRACE(::testing::Message()
+                                     << tier << " " << cfg.kernel.name()
+                                     << " M/K/N " << m << "/" << k << "/"
+                                     << n);
+                        setPackedEngineEnabled(false);
+                        statsRegistry().reset();
+                        SystolicGemm(cfg).run(a, b);
+                        const std::string folds = statsRegistry().dumpText();
+                        setPackedEngineEnabled(true);
+                        statsRegistry().reset();
+                        SystolicGemm(cfg).run(a, b);
+                        EXPECT_EQ(statsRegistry().dumpText(), folds);
+                        EXPECT_NE(folds.find("sparsity_zero_weights"),
+                                  std::string::npos);
+                    }
+    }
+    setSimdMode(before);
 }
 
 TEST(SystolicGemm, EmptyGemmsAgreeAcrossEngines)
@@ -676,12 +752,12 @@ TEST(Functional, TableKernelMatchesPerMacReferee)
     }
 
     // Output rows across the walk/gather decision (a block walks when
-    // its dense rows beyond one per k number fewer than 4 (M - 1) per
-    // k): 1 and 2 gather from 4 bits on, 128 walks, and 31-33 straddle
-    // the line at 8 bits, where a full-range column spans about 128
-    // rows.
+    // its dense rows beyond one per k, plus 44, number fewer than
+    // 4 (M - 1) per k, 8 (M - 1) for UG): 1 and 2 gather, 128 walks, and
+    // 43-45 straddle the line at 8 bits, where a full-range column spans
+    // about 128 rows (UR/UT) or 256 (UG).
     for (const TableConfig &c : tableConfigs()) {
-        for (const int m_rows : {1, 2, 31, 32, 33, 128}) {
+        for (const int m_rows : {1, 2, 43, 44, 45, 128}) {
             Prng prng(0xd1ffu + seed);
             const int et =
                 c.et ? 2 + int(prng.below(u64(c.bits) - 1)) : 0;
@@ -777,8 +853,9 @@ TEST(Functional, TableEntriesFitInt16)
 }
 
 /**
- * Every column of A holds every code in [-2^(N-1), 2^(N-1)] once, in a
- * random order, so every k stages every table row and builds its
+ * Every column of A holds every code in [-2^(N-1), 2^(N-1)] at least
+ * once (in at least 16 rows, so that even 2- and 3-bit tables walk), in
+ * a random order, so every k stages every table row and builds its
  * weight-side rows in one threshold walk (both UG passes included):
  * UR with and without early termination, UT and UG at every bitwidth,
  * with N = 17, 65 and 129 (a sub-vector tail, one past a 64-column
@@ -793,12 +870,12 @@ TEST(Functional, TableKernelWalksWhenAColumnHoldsEveryCode)
         const GemmExecutor exec({c.scheme, c.bits, et});
         for (const int n_dim : {17, 65, 129}) {
             Prng prng(0x3a1cu + seed++);
-            const int m_rows = 2 * lim + 1;
+            const int m_rows = std::max(2 * lim + 1, 16);
             const int k_dim = 3;
             Matrix<i32> a(m_rows, k_dim);
             for (int k = 0; k < k_dim; ++k) {
                 for (int m = 0; m < m_rows; ++m)
-                    a(m, k) = m - lim;
+                    a(m, k) = m % (2 * lim + 1) - lim;
                 for (int m = m_rows - 1; m > 0; --m)
                     std::swap(a(m, k), a(int(prng.below(u64(m) + 1)), k));
             }
@@ -810,40 +887,92 @@ TEST(Functional, TableKernelWalksWhenAColumnHoldsEveryCode)
 }
 
 /**
- * One output row: each k stages at most one table row. From 6 bits on
- * every k gathers it, since its row (|a| >= 2^(N-2), or about half that
- * under early termination) is worth more walk steps than one gather,
- * and a UG walk is a whole period long.
+ * One to three output rows, which never walk (a walked k costs 44 steps'
+ * worth before its rows, against 4 (M - 1) steps a gathered row saves),
+ * so a block gathers each (m, k)'s row at every weight in one fused
+ * pass (gatherSumU16). Activations are negative, zero or positive
+ * (a zero UR/UT code adds nothing; a zero UG code adds the bipolar
+ * bias), N covers one column, both sides of a 16-lane vector and the
+ * benchmark's 112, and every SIMD tier runs: UR at every bitwidth with
+ * and without early termination, UR-8 at the benchmark's ebt 6 and 7,
+ * UT, and UG at 2-12 bits.
  */
 TEST(Functional, TableKernelGathersAtOneOutputRow)
 {
+    std::vector<TableConfig> configs = tableConfigs();
+    configs.push_back({Scheme::USystolicRate, 8, true});
     u64 seed = 0;
-    for (const TableConfig &c : tableConfigs()) {
-        const i32 lim = i32(1) << (c.bits - 1);
-        const int et = c.et ? std::max(2, c.bits - 1) : 0;
-        const GemmExecutor exec({c.scheme, c.bits, et});
-        for (const int n_dim : {17, 65, 129}) {
-            Prng prng(0x6a7eu + seed++);
-            const int k_dim = 1 + int(prng.below(200));
-            Matrix<i32> a(1, k_dim);
-            for (int k = 0; k < k_dim; ++k) {
-                const i32 mag = lim / 2 + i32(prng.below(u64(lim / 2) + 1));
-                a(0, k) = prng.below(2) ? -mag : mag;
+    const std::string before = simdLevelName(simdLevel());
+    for (const std::string &tier : simdTiers()) {
+        setSimdMode(tier);
+        for (const TableConfig &c : configs) {
+            if (c.bits > 12)
+                continue;
+            const i32 lim = i32(1) << (c.bits - 1);
+            for (const int m_rows : {1, 2, 3}) {
+                const int et = !c.et ? 0
+                               : c.bits == 8 ? 6 + int(seed % 2)
+                                             : std::max(2, c.bits - 1);
+                const GemmExecutor exec({c.scheme, c.bits, et});
+                for (const int n_dim : {1, 15, 16, 17, 112}) {
+                    Prng prng(0x6a7eu + seed++);
+                    const int k_dim = 1 + int(prng.below(120));
+                    Matrix<i32> a(m_rows, k_dim);
+                    for (int m = 0; m < m_rows; ++m)
+                        for (int k = 0; k < k_dim; ++k) {
+                            // Row 0 low, the others high: wide row spans.
+                            const i32 mag =
+                                m == 0 ? i32(prng.below(u64(lim / 4) + 1))
+                                       : lim / 2 + i32(prng.below(
+                                                       u64(lim / 2) + 1));
+                            a(m, k) = prng.below(2) ? -mag : mag;
+                        }
+                    const auto b = tableCodes(k_dim, n_dim, c.bits, prng);
+                    expectMatchesReferee(exec, a, b,
+                                         tier + " M=" +
+                                             std::to_string(m_rows) +
+                                             " N=" + std::to_string(n_dim));
+                }
             }
-            const auto b = tableCodes(k_dim, n_dim, c.bits, prng);
-            expectMatchesReferee(exec, a, b,
-                                 "M=1, N=" + std::to_string(n_dim));
         }
     }
+    setSimdMode(before);
+}
+
+/**
+ * The fused gather pass checks every weight, also at a k whose UR/UT
+ * activation is zero (its row adds nothing and is never gathered) and
+ * in the last lane of a masked tail vector, on every SIMD tier.
+ */
+TEST(Functional, GatherBranchChecksWeightsAtSkippedK)
+{
+    const std::string before = simdLevelName(simdLevel());
+    for (const std::string &tier : simdTiers()) {
+        setSimdMode(tier);
+        for (const Scheme scheme :
+             {Scheme::USystolicRate, Scheme::USystolicTemporal}) {
+            const GemmExecutor exec({scheme, 8, 0});
+            for (const int n_dim : {17, 112}) {
+                Matrix<i32> a(1, 9, 5), b(9, n_dim, 7);
+                a(0, 4) = 0;
+                b(4, n_dim - 1) = 129;
+                EXPECT_EXIT(exec.run(a, b), ::testing::ExitedWithCode(1),
+                            "weight code 129 outside the 8-bit product table")
+                    << tier << " N=" << n_dim;
+            }
+        }
+    }
+    setSimdMode(before);
 }
 
 /**
  * Sums past INT32_MAX: the table kernel accumulates a block of k in i32
  * and spills into the i64 output, so a K whose full-scale products
  * overflow i32 must still match the referee exactly, at the widest
- * bitwidth of each table. Two output rows of opposite sign and N = 17
+ * bitwidth of each table. Output rows of alternating sign and N = 17
  * and 65 put every column past INT32_MAX or INT32_MIN, so every register
- * tile of every tier spills, a masked tail tile included.
+ * tile of every tier spills, a masked tail tile included: two rows take
+ * the fused gather-sum, and 13 rows (at N = 17) the walk and row sums.
  */
 TEST(Functional, TableKernelSpillsPastInt32)
 {
@@ -874,6 +1003,20 @@ TEST(Functional, TableKernelSpillsPastInt32)
                         << ") = " << v;
                 }
         }
+        // 13 equal rows walk (one dense row per k). Every MAC of a column
+        // is the same, so the referee's sum is K times one product.
+        const Matrix<i32> rows13(13, k_dim, lim);
+        Matrix<i32> b(k_dim, 17, lim);
+        for (int k = 0; k < k_dim; ++k)
+            for (int n = 1; n < 17; n += 2)
+                b(k, n) = -lim;
+        const auto got = exec.run(rows13, b);
+        for (int m = 0; m < 13; ++m)
+            for (int n = 0; n < 17; ++n)
+                ASSERT_EQ(got(m, n),
+                          i64(k_dim) * exec.singleProduct(lim, b(0, n)))
+                    << kernel.name() << " walked out(" << m << ", " << n
+                    << ")";
     }
 }
 
@@ -908,10 +1051,11 @@ TEST(Functional, CodesOutsideTheTableAreFatal)
 TEST(Functional, WeightCheckNamesTheFirstCodeOutsideTheTable)
 {
     // The weight pass checks a block's codes while it builds their
-    // gather indices, in eight-lane groups; the message still names the
-    // first offending code in row-major order, extremes included, and
-    // an M = 0 GEMM still checks every weight.
-    const Matrix<i32> a(3, 40, 1), none(0, 40);
+    // gather indices (M = 3, whose blocks walk) or sums their gathered
+    // entries (M = 1); the message still names the first offending code
+    // in row-major order, extremes included, and an M = 0 GEMM still
+    // checks every weight.
+    const Matrix<i32> a(3, 40, 1), one(1, 40, 1), none(0, 40);
     for (const Scheme scheme :
          {Scheme::USystolicRate, Scheme::UgemmHybrid}) {
         const GemmExecutor exec({scheme, 8, 0});
@@ -924,6 +1068,8 @@ TEST(Functional, WeightCheckNamesTheFirstCodeOutsideTheTable)
             const std::string want = "weight code " + std::to_string(bad) +
                                      " outside the 8-bit product table";
             EXPECT_EXIT(exec.run(a, b), ::testing::ExitedWithCode(1), want);
+            EXPECT_EXIT(exec.run(one, b), ::testing::ExitedWithCode(1),
+                        want);
             EXPECT_EXIT(exec.run(none, b), ::testing::ExitedWithCode(1),
                         want);
         }

@@ -69,6 +69,7 @@ TEST(SimdDispatch, TablesConsistent)
         EXPECT_NE(k->axpyF32, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gemmI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->gatherU16, nullptr) << simdLevelName(k->level);
+        EXPECT_NE(k->gatherSumU16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->walkRowsI16, nullptr) << simdLevelName(k->level);
         EXPECT_NE(k->sumRowsI16, nullptr) << simdLevelName(k->level);
     }
@@ -208,6 +209,196 @@ TEST(SimdGatherU16, ParityWithTailsAndRowEnds)
         expectGatherParity(model.hitsAfterZeros(period), idx,
                            "UG zeros bits=" + std::to_string(bits));
     }
+}
+
+/** One gatherSumU16 call's operands. */
+struct GatherSumCase
+{
+    std::vector<i32> b; // kd x n weight codes
+    std::vector<GatherRow> rows;
+    int kd = 0;
+    int n = 0;
+    i32 lim = 0;
+    bool ug = false;
+    u32 bias = 0;
+};
+
+/**
+ * gatherSumU16 by definition, in i64: each k's signed entries at every
+ * weight's key, plus the bias, added to `out`; returns the zero codes.
+ */
+u64
+naiveGatherSum(const GatherSumCase &c, std::vector<i64> &out)
+{
+    u64 zeros = 0;
+    for (int j = 0; j < c.n; ++j) {
+        i64 sum = 0;
+        for (int k = 0; k < c.kd; ++k) {
+            const i32 w = c.b[std::size_t(k) * c.n + j];
+            zeros += w == 0;
+            const GatherRow &row = c.rows[std::size_t(k)];
+            if (!row.ones)
+                continue;
+            if (c.ug) {
+                sum += i64(row.ones[w + c.lim]) - i64(row.zeros[w + c.lim]);
+            } else {
+                const i64 e = row.ones[w < 0 ? -w : w];
+                sum += (w < 0) != (row.negate < 0) ? -e : e;
+            }
+        }
+        out[std::size_t(j)] += i64(i32(u32(sum) + c.bias));
+    }
+    return zeros;
+}
+
+/**
+ * Check gatherSumU16 on every tier against the definition: the sums
+ * over an output prefilled with offsets, a sentinel past n, and the zero
+ * count on top of what *zeros held.
+ */
+void
+expectGatherSumParity(const GatherSumCase &c, const std::string &what)
+{
+    std::vector<i64> want(std::size_t(c.n));
+    for (std::size_t j = 0; j < want.size(); ++j)
+        want[j] = i64(j % 5) - 2;
+    std::vector<i64> start = want;
+    const u64 zeros = naiveGatherSum(c, want);
+    for (const SimdKernels *k : tablesUnderTest()) {
+        std::vector<i64> got = start;
+        got.push_back(-7);
+        u64 counted = 11;
+        EXPECT_TRUE(k->gatherSumU16(got.data(), c.b.data(), c.rows.data(),
+                                    c.kd, c.n, c.lim, c.ug, c.bias,
+                                    &counted))
+            << simdLevelName(k->level) << " " << what;
+        EXPECT_EQ(got.back(), -7) << simdLevelName(k->level) << " " << what;
+        got.pop_back();
+        EXPECT_EQ(got, want) << simdLevelName(k->level) << " " << what;
+        EXPECT_EQ(counted, 11 + zeros)
+            << simdLevelName(k->level) << " " << what;
+    }
+}
+
+/**
+ * A case over the product tables of a scheme: weights over the whole
+ * table range with a share of zeros and both edges, and per k an
+ * activation's table rows, with rows dropped (UR/UT's zero activations)
+ * and negated ones.
+ */
+GatherSumCase
+gatherSumCase(bool ug, int bits, int kd, int n, Prng &prng)
+{
+    GatherSumCase c;
+    c.kd = kd;
+    c.n = n;
+    c.ug = ug;
+    c.lim = i32(1) << (bits - 1);
+    c.b.resize(std::size_t(kd) * n);
+    for (auto &w : c.b)
+        w = prng.below(4) == 0 ? 0
+                               : i32(prng.below(2 * u64(c.lim) + 1)) - c.lim;
+    if (!c.b.empty()) {
+        c.b.front() = -c.lim;
+        c.b.back() = c.lim;
+    }
+    for (int k = 0; k < kd; ++k) {
+        if (ug) {
+            const BipolarProductModel &model = bipolarModelFor(bits);
+            const u32 ones = u32(prng.below(model.period() + 1));
+            c.rows.push_back({model.hitsAfterOnes(ones),
+                              model.hitsAfterZeros(model.period() - ones),
+                              0});
+            c.bias += model.period() - ones - u32(c.lim);
+        } else {
+            const UnaryProductModel &model = unaryModelFor(bits);
+            const u32 ones = u32(prng.below(model.period() + 1));
+            c.rows.push_back({prng.below(4) == 0
+                                  ? nullptr
+                                  : model.countsAfterOnes(ones),
+                              nullptr, prng.below(2) ? -1 : 0});
+        }
+    }
+    return c;
+}
+
+TEST(SimdGatherSumU16, ParityWithTailsSignsAndDroppedRows)
+{
+    // UR/UT tables at 2-13 bits and UG at 2-12, on every row width of
+    // the table-kernel tests (a masked tail vector on every tier among
+    // them) and K across 1 to 40, the tables' last row and entry
+    // included.
+    Prng prng(2020);
+    for (const bool ug : {false, true})
+        for (int bits = 2; bits <= (ug ? 12 : 13); ++bits)
+            for (const int n : kRowWidths) {
+                const int kd = 1 + int(prng.below(40));
+                auto c = gatherSumCase(ug, bits, kd, n, prng);
+                expectGatherSumParity(c, std::string(ug ? "UG" : "UR") +
+                                             " bits=" + std::to_string(bits) +
+                                             " n=" + std::to_string(n) +
+                                             " kd=" + std::to_string(kd));
+            }
+}
+
+TEST(SimdGatherSumU16, SumsWrapAroundTheBias)
+{
+    // UG's bias is added once at the spill, so the lanes' running sums
+    // of ones - zeros may pass INT32_MAX while the total, bias included,
+    // still fits: the lanes wrap and the spill unwraps them. 600000 k of
+    // the full polarity-1 row against the empty polarity-0 one add 4096
+    // each, 2.46e9 in all; the bias brings the column back to 5.
+    const BipolarProductModel &model = bipolarModelFor(12);
+    GatherSumCase c;
+    c.kd = 600000;
+    c.n = 1;
+    c.ug = true;
+    c.lim = 2048;
+    c.b.assign(std::size_t(c.kd), c.lim);
+    const GatherRow full{model.hitsAfterOnes(model.period()),
+                         model.hitsAfterZeros(0), 0};
+    c.rows.assign(std::size_t(c.kd), full);
+    const i64 each = i64(full.ones[model.period()]) -
+                     i64(full.zeros[model.period()]);
+    ASSERT_GT(each * c.kd, i64(std::numeric_limits<i32>::max()));
+    c.bias = u32(5 - each * c.kd);
+    expectGatherSumParity(c, "wrapping UG sums");
+}
+
+TEST(SimdGatherSumU16, CodesOutsideTheTablesAreReported)
+{
+    // Every code is checked, also at a k that adds nothing and in the
+    // last lane of a masked tail vector, and an offending key reads no
+    // entry outside the tables (the sanitizer legs would see one).
+    const UnaryProductModel &unary = unaryModelFor(8);
+    const BipolarProductModel &bipolar = bipolarModelFor(8);
+    for (const bool ug : {false, true})
+        for (const i32 bad : {129, -129, 1 << 20,
+                              std::numeric_limits<i32>::min(),
+                              std::numeric_limits<i32>::max()})
+            for (const int n : {1, 17, 112})
+                for (const bool skipped : {false, true}) {
+                    const int kd = 5;
+                    std::vector<i32> b(std::size_t(kd) * n, 3);
+                    b[std::size_t(2) * n + n - 1] = bad;
+                    std::vector<GatherRow> rows(
+                        std::size_t(kd),
+                        ug ? GatherRow{bipolar.hitsAfterOnes(7),
+                                       bipolar.hitsAfterZeros(249), 0}
+                           : GatherRow{unary.countsAfterOnes(7), nullptr,
+                                       0});
+                    if (skipped && !ug)
+                        rows[2].ones = nullptr;
+                    for (const SimdKernels *k : tablesUnderTest()) {
+                        std::vector<i64> out(std::size_t(n), 0);
+                        EXPECT_FALSE(k->gatherSumU16(out.data(), b.data(),
+                                                     rows.data(), kd, n,
+                                                     128, ug, 0, nullptr))
+                            << simdLevelName(k->level) << " ug=" << ug
+                            << " bad=" << bad << " n=" << n
+                            << " skipped=" << skipped;
+                    }
+                }
 }
 
 /** One walkRowsI16 call: its operands and the row buffer it writes. */
@@ -580,9 +771,11 @@ pairCodes(std::size_t count, int bits, Prng &prng)
 }
 
 /**
- * Run gemmI16 on one table in both B layouts (raw rows and the packed
- * panel) over a c prefilled with offsets, and hold each to the naive
- * loop; a sentinel past c catches writes beyond the last row.
+ * Run gemmI16 on one table in both B layouts (B's own rows and the
+ * packed panel) over a c prefilled with offsets, and hold each to the
+ * naive loop; a sentinel past c catches writes beyond the last row. The
+ * packing pass and (with rows to run) the row tiles must each count b's
+ * zero codes exactly once, on top of what *zeros held.
  */
 void
 expectPairGemm(const SimdKernels &k, const std::vector<i32> &a,
@@ -593,19 +786,28 @@ expectPairGemm(const SimdKernels &k, const std::vector<i32> &a,
     for (std::size_t i = 0; i < c0.size(); ++i)
         c0[i] = i64(i % 7) - 3;
     const auto want = naiveGemm(a, b, m, kd, n, c0);
+    const u64 b_zeros = u64(std::count(b.begin(), b.end(), 0));
     std::vector<u32> panel(std::size_t((kd + 1) / 2) * n + 1, 0xdeadbeef);
-    ASSERT_TRUE(packPairsI16(b.data(), kd, n, panel.data())) << what;
+    u64 packed = 5;
+    ASSERT_TRUE(packPairsI16(b.data(), kd, n, panel.data(), &packed))
+        << what;
+    EXPECT_EQ(packed, 5 + b_zeros) << what;
     EXPECT_EQ(panel.back(), 0xdeadbeefu) << what;
     for (const bool raw : {true, false}) {
         std::vector<i64> got = c0;
         got.push_back(-7);
+        u64 zeros = 3;
         EXPECT_TRUE(k.gemmI16(got.data(), a.data(), b.data(),
-                              raw ? nullptr : panel.data(), m, kd, n, kb))
+                              raw ? nullptr : panel.data(), m, kd, n, kb,
+                              &zeros))
             << simdLevelName(k.level) << " " << what;
         EXPECT_EQ(got.back(), -7) << simdLevelName(k.level) << " " << what;
         got.pop_back();
         EXPECT_EQ(got, want) << simdLevelName(k.level) << " " << what
                              << (raw ? " raw" : " panel");
+        EXPECT_EQ(zeros, 3 + (raw && m > 0 ? b_zeros : 0))
+            << simdLevelName(k.level) << " " << what
+            << (raw ? " raw" : " panel");
     }
 }
 
@@ -690,14 +892,48 @@ TEST(SimdGemmI16, RawCodesOutsideTheRangeAreReported)
         std::vector<i32> b(std::size_t(kd) * n, 3);
         b[std::size_t(kd - 1) * n + n - 1] = bad; // the odd tail's last
         std::vector<u32> panel(std::size_t((kd + 1) / 2) * n);
-        EXPECT_FALSE(packPairsI16(b.data(), kd, n, panel.data())) << bad;
+        u64 zeros = 0;
+        EXPECT_FALSE(packPairsI16(b.data(), kd, n, panel.data(), &zeros))
+            << bad;
         for (const SimdKernels *k : tablesUnderTest()) {
             std::vector<i64> c(std::size_t(m) * n, 0);
             EXPECT_FALSE(k->gemmI16(c.data(), a.data(), b.data(), nullptr,
-                                    m, kd, n, 3))
+                                    m, kd, n, 3, &zeros))
                 << simdLevelName(k->level) << " " << bad;
         }
     }
+}
+
+TEST(SimdGemmI16, RowTilesAtTheCodeEdges)
+{
+    // Every M a row tile covers (1-15: one to four row groups, ragged),
+    // N below 16 and past it, with codes at the range's edges: +-(2^14 - 1)
+    // and -2^14 in both operands, zeros among them, and the block at the
+    // bound referenceGemm sizes for |a| = 2^14 (three pairs, six k).
+    Prng prng(1717);
+    const i32 edge = kGemmI16Limit;
+    const i32 picks[] = {edge - 1, -(edge - 1), -edge, 0, 1, -1};
+    const auto edgeCodes = [&](std::size_t count) {
+        std::vector<i32> v(count);
+        for (auto &x : v)
+            x = prng.below(3) == 0 ? picks[prng.below(6)]
+                                   : i32(prng.below(2 * u64(edge))) - edge;
+        return v;
+    };
+    const int kb = int(u64(std::numeric_limits<i32>::max()) /
+                       (2 * u64(edge) * u64(edge)));
+    ASSERT_EQ(kb, 3);
+    for (int m = 1; m <= 15; ++m)
+        for (const int n : {1, 3, 8, 9, 15, 16, 17})
+            for (const int kd : {1, 6, 7, 13}) {
+                const auto a = edgeCodes(std::size_t(m) * kd);
+                const auto b = edgeCodes(std::size_t(kd) * n);
+                for (const SimdKernels *k : tablesUnderTest())
+                    expectPairGemm(*k, a, b, m, kd, n, kb,
+                                   "edges m=" + std::to_string(m) +
+                                       " k=" + std::to_string(kd) +
+                                       " n=" + std::to_string(n));
+            }
 }
 
 TEST(SimdGemm, ReferenceGemmSpillsPastInt32)
@@ -737,7 +973,7 @@ TEST(SimdGemm, ReferenceGemmTakesTheLoopPastTheRange)
     // is found by the kernel after the fact); the loop is exact up to
     // both ends of the i32 range.
     Prng prng(1515);
-    for (const int m : {1, 5, 33})
+    for (const int m : {1, 2, 3, 4, 5, 9, 15, 33})
         for (const i32 wide : {kGemmI16Limit, -kGemmI16Limit - 1,
                                i32(1) << 24, std::numeric_limits<i32>::min(),
                                std::numeric_limits<i32>::max()})
