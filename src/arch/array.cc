@@ -317,11 +317,10 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         // The census counts the staged tiles, padding included: each
         // K-padding row of an A-tile streams M zero activations per
         // column tile, and every padded weight slot holds a zero. The
-        // operands' own zeros come from the kernel call above: B's from
-        // passes it makes anyway (the panel's packing, the row tiles, the
-        // fused gather-sums or the walk's weight keys), A's from
-        // referenceGemm's range scan or, in the table kernel, a count of
-        // their own.
+        // operands' own zeros come from the kernel call above: a
+        // single-row call counts B's in its one pass over B (the row
+        // tiles' first pass or the fused gather-sums), and every other
+        // count is a countZeros pass.
         const u64 pad_k = k_tiles * u64(rows) - u64(k_dim);
         const u64 weight_slots = k_tiles * u64(rows) * n_tiles * u64(cols);
         SparsityCensus census;

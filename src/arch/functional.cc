@@ -97,10 +97,10 @@ constexpr std::size_t kBlockBudgetBytes = 256 * 1024;
  * table load. kWalkBaseCost is the steps' worth a walked k costs before
  * its first step: its keys and signs, its gathered base row and the
  * walk's call. Dense M = 128 slices walk and M = 1 slices gather; an
- * in-process sweep at M = 8-64 fitted both constants.
+ * in-process sweep at M = 4-64 fitted both constants (DESIGN.md §17).
  */
 constexpr u64 kWalkRowCost = 4;
-constexpr u64 kWalkBaseCost = 44;
+constexpr u64 kWalkBaseCost = 16;
 
 /** Columns of the UG polarity-0 gather staged on the stack at a time. */
 constexpr int kGatherTile = 256;
@@ -135,22 +135,23 @@ subtractBiased(i16 *__restrict dst, const i16 *__restrict p0, i16 bias,
 }
 
 /**
- * Walk keys (and gather indices) of n weight codes, range-checked and
- * their zeros counted into `zeros` in the same pass: key[j] = |w[j]| for
- * UR/UT, with neg[j] = -1 where w[j] < 0 (else 0), and w[j] + 2^(N-1)
- * for UG (neg unused). Returns false when some code lies outside
- * [-lim, lim]. Each lane ORs a u32 whose top bit is set exactly for an
- * offending code (lim - |w| for UR/UT; t and 2·lim - t for UG's
- * t = w + lim, which wraps below zero), so the pass has no branch and
- * runs in fixed eight-lane groups the compiler vectorizes at -O2.
+ * Walk keys (and gather indices) of n weight codes, range-checked in the
+ * same pass: key[j] = |w[j]| for UR/UT, with neg[j] = -1 where w[j] < 0
+ * (else 0), and w[j] + 2^(N-1) for UG (neg unused). Returns false when
+ * some code lies outside [-lim, lim]. Each lane ORs a u32 whose top bit
+ * is set exactly for an offending code (lim - |w| for UR/UT; t and
+ * 2·lim - t for UG's t = w + lim, which wraps below zero), so the pass
+ * has no branch and runs in fixed eight-lane groups the compiler
+ * vectorizes at -O2. It stays out of line: inlined into run(), its loops
+ * lost the __restrict promises, went unvectorized for want of an alias
+ * check, and took about 4x as long (GCC 12).
  */
-bool
+[[gnu::noinline]] bool
 weightKeys(u16 *__restrict key, i16 *__restrict neg,
-           const i32 *__restrict w, std::size_t n, i32 lim, bool ug,
-           u64 &zeros)
+           const i32 *__restrict w, std::size_t n, i32 lim, bool ug)
 {
     const u32 ulim = u32(lim);
-    u32 bad[8] = {}, zc[8] = {};
+    u32 bad[8] = {};
     const std::size_t groups = n / 8 * 8;
     if (ug) {
         for (std::size_t j = 0; j < groups; j += 8)
@@ -158,13 +159,11 @@ weightKeys(u16 *__restrict key, i16 *__restrict neg,
                 const u32 t = u32(w[j + l]) + ulim;
                 key[j + l] = u16(t);
                 bad[l] |= t | (2 * ulim - t);
-                zc[l] += w[j + l] == 0;
             }
         for (std::size_t j = groups; j < n; ++j) {
             const u32 t = u32(w[j]) + ulim;
             key[j] = u16(t);
             bad[0] |= t | (2 * ulim - t);
-            zc[0] += w[j] == 0;
         }
     } else {
         for (std::size_t j = 0; j < groups; j += 8)
@@ -174,7 +173,6 @@ weightKeys(u16 *__restrict key, i16 *__restrict neg,
                 key[j + l] = u16(mag);
                 neg[j + l] = i16(s);
                 bad[l] |= ulim - mag;
-                zc[l] += mag == 0;
             }
         for (std::size_t j = groups; j < n; ++j) {
             const i32 s = w[j] >> 31;
@@ -182,14 +180,11 @@ weightKeys(u16 *__restrict key, i16 *__restrict neg,
             key[j] = u16(mag);
             neg[j] = i16(s);
             bad[0] |= ulim - mag;
-            zc[0] += mag == 0;
         }
     }
     u32 all = 0;
-    for (int l = 0; l < 8; ++l) {
-        all |= bad[l];
-        zeros += zc[l];
-    }
+    for (const u32 f : bad)
+        all |= f;
     return (all >> 31) == 0;
 }
 
@@ -331,7 +326,9 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b,
     // would read past the tables, so it is fatal: the activations are
     // checked in the pass that takes each k's key range, and each block
     // checks its weights in the pass that reads them (so an M = 0 call
-    // still checks every weight). The weight passes count B's zeros.
+    // still checks every weight). When B's zeros are asked for, a
+    // gathering block counts them in its first row's pass and a walking
+    // one in a pass of its own.
     Matrix<i64> out(m_rows, n_dim, 0);
     const bool ug = cfg_.scheme == Scheme::UgemmHybrid;
     const i32 lim = i32(1) << (cfg_.bits - 1);
@@ -468,9 +465,9 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b,
         // output row lists its k's table rows (a UR/UT code on row 0
         // lists none) and sums the gathered entries at every weight of
         // the block in one pass over B (SimdKernels::gatherSumU16), which
-        // also checks and counts the weights; the first row's pass is the
-        // block's count. UG's bias terms zeros - 2^(N-1) are added once
-        // per column.
+        // also checks the weights and, in the first row's pass, counts
+        // their zeros. UG's bias terms zeros - 2^(N-1) are added once per
+        // column.
         const bool walk =
             extra + kWalkBaseCost * u64(kb) < row_cost * further * u64(kb);
         if (m_rows > 0 && !walk) {
@@ -503,7 +500,7 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b,
                     }
                     in_range[chunk] &= u8(simd.gatherSumU16(
                         &out(m, 0), &b(k0, 0), list.data(), kb, n_dim, lim,
-                        ug, bias, m == 0 ? &zeros_b : nullptr));
+                        ug, bias, m == 0 && zeros ? &zeros_b : nullptr));
                 }
             });
             if (std::find(in_range.begin(), in_range.end(), 0) !=
@@ -515,10 +512,12 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b,
 
         keys.resize(kbn);
         signs.resize(ug ? 0 : kbn);
-        if (!weightKeys(keys.data(), signs.data(), &b(k0, 0), kbn, lim, ug,
-                        zeros_b)) [[unlikely]]
+        if (!weightKeys(keys.data(), signs.data(), &b(k0, 0), kbn, lim, ug))
+            [[unlikely]]
             codeOutsideTable("weight", &b(k0, 0), kb, n_dim, n, lim,
                              cfg_.bits);
+        if (zeros)
+            zeros_b += countZeros(&b(k0, 0), kbn);
         if (m_rows == 0)
             continue;
 

@@ -36,7 +36,7 @@
  * tables' [-2^(N-1), 2^(N-1)] is fatal; each block checks its weights in
  * the pass that reads them (the walk's key pass or the fused
  * gather-sum), and the activations are checked in the pass that takes
- * their row ranges. The weight passes count B's zeros.
+ * their row ranges.
  *
  * The exact schemes (BP, BS, tubGEMM, tuGEMM) multiply exactly, so run()
  * is one referenceGemm call: the 16-bit multiply-add kernel
@@ -106,8 +106,9 @@ class GemmExecutor
      * BP, BS, tubGEMM and tuGEMM are exact (referenceGemm); the table
      * schemes (UR, UT, UG) return binary-accumulated product counts,
      * shifted back by 2^(N-n) under early termination. When `zeros` is
-     * non-null it receives both operands' zero codes, counted in the
-     * passes the kernels make over A and B anyway.
+     * non-null it receives both operands' zero codes: B's from the fused
+     * gather-sum's pass over a gathering block, else (and A's always)
+     * from a countZeros pass.
      */
     Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b,
                     OperandZeros *zeros = nullptr) const;

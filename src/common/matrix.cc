@@ -34,29 +34,23 @@ chunkRows(int k_dim, int n_dim)
 /**
  * OR over v of v ^ (v >> 31), |v| for v >= 0 and |v| - 1 below: every
  * |v| is at most the result + 1, and the result is below 2^14 exactly
- * when every code lies in gemmI16's [-2^14, 2^14). Adds v's zero codes
- * to `zeros`.
+ * when every code lies in gemmI16's [-2^14, 2^14).
  */
 u32
-magnitudeBits(const std::vector<i32> &v, u64 &zeros)
+magnitudeBits(const std::vector<i32> &v)
 {
-    // Fixed four-lane groups let the compiler vectorize the scan with
-    // each accumulator in one register (as packPairsI16's row does).
-    u32 bits[4] = {}, zc[4] = {};
+    // Fixed eight-lane groups let the compiler vectorize the scan.
+    u32 bits[8] = {};
     std::size_t i = 0;
-    for (; i + 4 <= v.size(); i += 4)
-        for (std::size_t l = 0; l < 4; ++l) {
+    for (; i + 8 <= v.size(); i += 8)
+        for (std::size_t l = 0; l < 8; ++l)
             bits[l] |= u32(v[i + l] ^ (v[i + l] >> 31));
-            zc[l] += v[i + l] == 0;
-        }
+    for (; i < v.size(); ++i)
+        bits[0] |= u32(v[i] ^ (v[i] >> 31));
     u32 all = 0;
-    u64 count = 0;
-    for (; i < v.size(); ++i) {
-        all |= u32(v[i] ^ (v[i] >> 31));
-        count += v[i] == 0;
-    }
-    zeros += count + zc[0] + zc[1] + zc[2] + zc[3];
-    return all | bits[0] | bits[1] | bits[2] | bits[3];
+    for (const u32 b : bits)
+        all |= b;
+    return all;
 }
 
 /** The widening per-row loop: exact for any i32 codes. */
@@ -80,13 +74,13 @@ gemmRowsI32(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b)
 
 /**
  * c += a * b on gemmI16, for codes of a whose magnitudeBits are bits_a
- * (below 2^14). Adds b's zero codes to `zeros_b` (from the panel's
- * packing pass or the first chunk's row tiles) and returns whether b's
- * codes were in the kernel's range; if not, c is unspecified.
+ * (below 2^14). Returns whether b's codes were in the kernel's range; if
+ * not, c is unspecified. Below kPanelRows rows, the first chunk's row
+ * tiles add b's zero codes to *zeros_b when it is non-null.
  */
 bool
 pairGemm(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b,
-         u32 bits_a, u64 &zeros_b)
+         u32 bits_a, u64 *zeros_b)
 {
     const int m_rows = a.rows();
     const int k_dim = a.cols();
@@ -103,7 +97,7 @@ pairGemm(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b,
         void *start = panel.data();
         std::size_t space = panel.size() * sizeof(u32);
         pairs = static_cast<u32 *>(std::align(64, bytes, start, space));
-        if (!packPairsI16(b.data().data(), k_dim, n_dim, pairs, &zeros_b))
+        if (!packPairsI16(b.data().data(), k_dim, n_dim, pairs))
             return false;
     }
     // Blocks of kb k pairs sum to at most 2 * kb * max|a| * 2^14 in
@@ -114,8 +108,8 @@ pairGemm(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b,
                (2 * (u64(bits_a) + 1) * u64(kGemmI16Limit))));
 
     // Row-parallel: each chunk owns its rows of c, and integer sums are
-    // exact, so the result is independent of the thread count. Every
-    // chunk's row tiles check all of b; the first one counts its zeros.
+    // exact, so the result is independent of the thread count. Each
+    // chunk's row tiles check the codes of b they read.
     const int rows = chunkRows(k_dim, n_dim);
     const u64 chunks = (u64(m_rows) + u64(rows) - 1) / u64(rows);
     std::vector<u8> in_range(chunks, 1);
@@ -125,7 +119,7 @@ pairGemm(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b,
         in_range[t] = simd.gemmI16(&c(i0, 0), &a(i0, 0), b.data().data(),
                                    pairs, std::min(rows, m_rows - i0),
                                    k_dim, n_dim, kb,
-                                   t == 0 ? &zeros_b : nullptr);
+                                   t == 0 ? zeros_b : nullptr);
     });
     return std::find(in_range.begin(), in_range.end(), 0) == in_range.end();
 }
@@ -133,14 +127,12 @@ pairGemm(Matrix<i64> &c, const Matrix<i32> &a, const Matrix<i32> &b,
 } // namespace
 
 u64
-countZeros(const Matrix<i32> &m)
+countZeros(const i32 *p, std::size_t n)
 {
     // Fixed eight-lane groups let the compiler vectorize the count at
     // -O2. The per-fold census counts each staged tile with it; a
-    // closed-form GEMM takes its counts from the kernels' passes instead
-    // (OperandZeros), and only the widening loop's path calls it on B.
-    const i32 *p = m.data().data();
-    const std::size_t n = m.data().size();
+    // closed-form GEMM counts A with it, and B too unless the call's
+    // single-row pass over B counted its zeros (OperandZeros).
     u32 lanes[8] = {}; // each lane counts at most n / 8 < 2^32 zeros
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8)
@@ -169,19 +161,22 @@ referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b,
             *zeros = {countZeros(a), countZeros(b)};
         return c;
     }
-    OperandZeros counted;
-    const u32 bits_a = magnitudeBits(a.data(), counted.a);
+    // A call whose row tiles read B in place (below kPanelRows rows)
+    // counts B's zeros in their first pass; A's, and B's on the other
+    // paths, take a count of their own, only when asked for.
+    const u32 bits_a = magnitudeBits(a.data());
+    const bool fused = zeros && bits_a < u32(kGemmI16Limit) &&
+                       m_rows < kPanelRows;
+    u64 zeros_b = 0;
     if (bits_a >= u32(kGemmI16Limit)) {
-        // The widening loop makes no pass over b that counts its zeros.
         gemmRowsI32(c, a, b);
-        counted.b = countZeros(b);
-    } else if (!pairGemm(c, a, b, bits_a, counted.b)) {
+    } else if (!pairGemm(c, a, b, bits_a, fused ? &zeros_b : nullptr)) {
         // b held a code beyond the kernel's range: redo the call exactly.
         std::fill(c.data().begin(), c.data().end(), 0);
         gemmRowsI32(c, a, b);
     }
     if (zeros)
-        *zeros = counted;
+        *zeros = {countZeros(a), fused ? zeros_b : countZeros(b)};
     return c;
 }
 

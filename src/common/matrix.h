@@ -6,6 +6,7 @@
 #ifndef USYS_COMMON_MATRIX_H
 #define USYS_COMMON_MATRIX_H
 
+#include <cstddef>
 #include <vector>
 
 #include "common/logging.h"
@@ -68,13 +69,20 @@ class Matrix
     std::vector<T> data_;
 };
 
+/** Zero codes among the n at p, in one pass of their own. */
+u64 countZeros(const i32 *p, std::size_t n);
+
 /** Zero elements of `m`, in one pass of its own. */
-u64 countZeros(const Matrix<i32> &m);
+inline u64
+countZeros(const Matrix<i32> &m)
+{
+    return countZeros(m.data().data(), m.data().size());
+}
 
 /**
- * Zero codes of a GEMM's two operands, counted by the GEMM kernels,
- * B's in the passes they already make over it (SystolicGemm's
- * closed-form sparsity census reads them instead of counting again).
+ * Zero codes of a GEMM's two operands, for SystolicGemm's closed-form
+ * sparsity census. A single-row call's kernel counts B's in the one pass
+ * it makes over B; every other count is a countZeros pass.
  */
 struct OperandZeros
 {
@@ -93,8 +101,8 @@ struct OperandZeros
  * amortize the pass, else from B's own rows in row tiles; any wider code
  * (a 16-bit kernel's, say) sends the whole call to a plain widening
  * loop. When `zeros` is non-null it receives both operands' zero codes:
- * A's from the range scan, B's from the packing pass or the first row
- * tile (a pass of its own only on the widening loop's path).
+ * B's from the first row tile when B is read in place, else (and A's
+ * always) from a countZeros pass.
  */
 Matrix<i64> referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b,
                           OperandZeros *zeros = nullptr);

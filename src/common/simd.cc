@@ -186,45 +186,39 @@ biased(i32 v)
 
 /**
  * One panel row: out[j] = pairOf(b0[j], b1[j] & keep) for j in [0, n),
- * returning the OR of the biased codes packed and adding the zero codes
- * read (b1's only where keep is all ones) to `zeros`. Fixed four-lane
- * groups over unaliased rows let the compiler vectorize it at -O2 with
- * both accumulators in one register each; with eight-lane groups it
- * looped twice over the group and kept them on the stack.
+ * returning the OR of the biased codes packed. Fixed four-lane groups
+ * over unaliased rows let the compiler vectorize it at -O2 with the
+ * accumulator in one register; with eight-lane groups it looped twice
+ * over the group and kept the accumulator on the stack.
  */
 u32
 packPairRow(u32 *__restrict out, const i32 *__restrict b0,
-            const i32 *__restrict b1, u32 keep, int n, u64 &zeros)
+            const i32 *__restrict b1, u32 keep, int n)
 {
-    u32 any[4] = {}, zc[4] = {};
+    u32 any[4] = {};
     int j = 0;
     for (; j + 4 <= n; j += 4)
         for (int l = 0; l < 4; ++l) {
             const i32 hi = i32(u32(b1[j + l]) & keep);
             out[j + l] = pairOf(b0[j + l], hi);
             any[l] |= biased(b0[j + l]) | biased(hi);
-            zc[l] += u32(b0[j + l] == 0) + u32(hi == 0);
         }
-    u32 all = 0, tail = 0;
+    u32 all = 0;
     for (; j < n; ++j) {
         const i32 hi = i32(u32(b1[j]) & keep);
         out[j] = pairOf(b0[j], hi);
         all |= biased(b0[j]) | biased(hi);
-        tail += u32(b0[j] == 0) + u32(hi == 0);
     }
-    // A masked-off b1 counted its n padding codes as zeros.
-    zeros += u64(zc[0]) + zc[1] + zc[2] + zc[3] + tail - (keep ? 0 : n);
     return all | any[0] | any[1] | any[2] | any[3];
 }
 
 } // namespace
 
 bool
-packPairsI16(const i32 *b, int kd, int n, u32 *pairs, u64 *zeros)
+packPairsI16(const i32 *b, int kd, int n, u32 *pairs)
 {
     // An OR of the biased codes below 2^15 means every code is in range.
     u32 any = 0;
-    u64 zc = 0;
     const std::size_t stride = std::size_t(n);
     for (int p = 0; 2 * p < kd; ++p) {
         const i32 *b0 = b + 2 * std::size_t(p) * stride;
@@ -232,9 +226,8 @@ packPairsI16(const i32 *b, int kd, int n, u32 *pairs, u64 *zeros)
         // missing row and is masked off.
         const bool tail = 2 * p + 1 == kd;
         any |= packPairRow(pairs + std::size_t(p) * stride, b0,
-                           tail ? b0 : b0 + stride, tail ? 0u : ~0u, n, zc);
+                           tail ? b0 : b0 + stride, tail ? 0u : ~0u, n);
     }
-    *zeros += zc;
     return any < 2 * u32(kGemmI16Limit);
 }
 
@@ -265,6 +258,22 @@ stagePairsI16(const i32 *a, int kd, int rows, int p0, int p1, int n,
     return q;
 }
 
+int
+liveKsI16(const i32 *a, int kd, int rows, int k0, int k1, u32 *ks)
+{
+    // Branch-free compaction, as in stagePairsI16.
+    const std::size_t stride = std::size_t(kd);
+    int q = 0;
+    for (int k = k0; k < k1; ++k) {
+        u32 any = 0;
+        for (int r = 0; r < rows; ++r)
+            any |= u32(a[std::size_t(r) * stride + std::size_t(k)]);
+        ks[q] = u32(k - k0);
+        q += int(any != 0);
+    }
+    return q;
+}
+
 bool
 gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
                int m, int kd, int n, int kb, u64 *zeros)
@@ -283,9 +292,10 @@ gemmI16Generic(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
     for (int i = 0; i < m; ++i) {
         const i32 *arow = a + std::size_t(i) * kd;
         i64 *crow = c + std::size_t(i) * stride;
-        // The first row reads every code of b, so that each is checked
-        // and counted once; later rows skip a zero activation's k.
-        const bool first = i == 0;
+        // A row skips a zero activation's k and checks the codes it
+        // reads; when zeros are asked for, the first row reads every
+        // code of b instead, so that each is counted once.
+        const bool first = i == 0 && zeros;
         for (int j0 = 0; j0 < n; j0 += kTile) {
             const int w = std::min(kTile, n - j0);
             for (int p0 = 0; p0 < np; p0 += kb) {

@@ -133,10 +133,13 @@ struct SimdKernels
      * are skipped; the call returns true. Otherwise B is read in place
      * from the row-major kd x n matrix b: each i32 code is the 16-bit
      * pair (b, its sign extension), multiplied against (a(i, k), 0), one
-     * k per multiply-add and every k read. The kernel then range-checks
-     * every code of b, returning false (c unspecified) when one lies
-     * outside the range, and, when m > 0 and `zeros` is non-null, adds
-     * b's zero codes to *zeros.
+     * k per multiply-add, and k whose codes of a are zero in every row of
+     * a register tile are skipped (their products are zero, whatever b
+     * holds there). The kernel range-checks every code of b it reads,
+     * returning false (c unspecified) when one lies outside the range.
+     * When m > 0 and `zeros` is non-null, the first rows read every code
+     * of b instead and the kernel adds b's zero codes to *zeros. `zeros`
+     * is unused with a panel.
      */
     bool (*gemmI16)(i64 *c, const i32 *a, const i32 *b, const u32 *pairs,
                     int m, int kd, int n, int kb, u64 *zeros);
@@ -212,12 +215,11 @@ struct SimdKernels
  * Pack the row-major kd x n codes b into gemmI16's k-pair panel:
  * pairs[p * n + j] = u16(b(2p, j)) | u16(b(2p + 1, j)) << 16 for p in
  * [0, (kd + 1) / 2), the odd tail's second code 0. `pairs` holds
- * (kd + 1) / 2 * n words. Adds b's zero codes to *zeros (the odd tail's
- * padding is not one of them). Returns whether every code lies in
+ * (kd + 1) / 2 * n words. Returns whether every code lies in
  * [-2^14, 2^14); if not, codes were packed truncated and the panel must
  * not be used.
  */
-bool packPairsI16(const i32 *b, int kd, int n, u32 *pairs, u64 *zeros);
+bool packPairsI16(const i32 *b, int kd, int n, u32 *pairs);
 
 /** The portable fallback table (always available). */
 const SimdKernels &genericKernels();
@@ -298,6 +300,15 @@ constexpr int kPairTileRows = 4;
  */
 int stagePairsI16(const i32 *a, int kd, int rows, int p0, int p1, int n,
                   u32 *ap, u32 *off);
+/** Most k values one gemmI16 row-tile block spans. */
+constexpr int kRowBlock = 2 * kPairBlock;
+/**
+ * The k of [k0, k1) at which some of `rows` <= kPairTileRows consecutive
+ * rows of a (row stride kd) holds a nonzero code, in order, as k - k0
+ * into ks; k1 - k0 <= kRowBlock. Returns how many: the k a gemmI16 row
+ * tile reads (but for the first rows of a call that counts b's zeros).
+ */
+int liveKsI16(const i32 *a, int kd, int rows, int k0, int k1, u32 *ks);
 /** Defined in simd_avx2.cc; null when built without AVX2 support. */
 const SimdKernels *avx2KernelsImpl();
 /** Defined in simd_avx512.cc; null when built without AVX-512. */

@@ -103,19 +103,22 @@ pairTileAvx2(i64 *c, std::size_t n, const u32 *ap, const u32 *off, int cnt,
 
 /**
  * One row tile of gemmI16 on B's own rows: R output rows x V vectors of
- * 8 columns over the `cnt` k values from b (row stride n) and a (row
- * stride kd). Each i32 code of b is read in place as the 16-bit pair
- * (b, its sign extension), so vpmaddwd against the broadcast (a(r, k),
- * 0) adds a(r, k) * b in one instruction. First, the tile also ORs every
- * code, biased by 2^14, into `range` and counts its zero codes into
- * `zeros` (the last vector's masked-off lanes load as zero and are
- * masked out of the count); only the first row tile of a column does.
+ * 8 columns over `cnt` k values from b (row stride n) and a (row stride
+ * kd), the k in ks[0, cnt) (liveKsI16). The tile takes them two at a
+ * time: a code in range is its own low 16 bits, so one vpblendw of row
+ * k0 and row k1 shifted up 16 bits is the pair (b(k0, j), b(k1, j)), and
+ * vpmaddwd against the broadcast (a(r, k0), a(r, k1)) adds both products
+ * in one instruction. An odd count's last k pairs with itself under a
+ * zero activation. The tile ORs every code it reads, biased by 2^14,
+ * into `range`. All, it reads every k in [0, cnt) instead and also
+ * counts its zero codes into `zeros` (the last vector's masked-off lanes
+ * load as zero and are masked out of the count).
  */
-template <int R, int V, bool First>
+template <int R, int V, bool All>
 inline void
 rowTileAvx2(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
-            const i32 *b, int cnt, __m256i last, int width, __m256i &range,
-            u64 &zeros)
+            const i32 *b, const u32 *ks, int cnt, __m256i last, int width,
+            __m256i &range, u64 &zeros)
 {
     const __m256i bias = _mm256_set1_epi32(kGemmI16Limit);
     const __m256i zero = _mm256_setzero_si256();
@@ -126,24 +129,37 @@ rowTileAvx2(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
         #pragma GCC unroll 4
         for (int v = 0; v < V; ++v)
             acc[r][v] = zero;
-    for (int k = 0; k < cnt; ++k) {
-        const i32 *bk = b + std::size_t(k) * n;
+    for (int q = 0; q < cnt; q += 2) {
+        const bool pair = q + 1 < cnt;
+        const std::size_t k0 = All ? std::size_t(q) : std::size_t(ks[q]);
+        const std::size_t k1 =
+            !pair ? k0 : All ? std::size_t(q + 1) : std::size_t(ks[q + 1]);
         __m256i bv[V];
         #pragma GCC unroll 4
         for (int v = 0; v < V; ++v) {
-            bv[v] = loadAvx2(bk + 8 * v, v + 1 < V, last);
-            if constexpr (First) {
-                any = _mm256_or_si256(any, _mm256_add_epi32(bv[v], bias));
-                __m256i eq = _mm256_cmpeq_epi32(bv[v], zero);
+            const __m256i lo = loadAvx2(b + k0 * n + 8 * v, v + 1 < V, last);
+            const __m256i hi = loadAvx2(b + k1 * n + 8 * v, v + 1 < V, last);
+            any = _mm256_or_si256(
+                any, _mm256_or_si256(_mm256_add_epi32(lo, bias),
+                                     _mm256_add_epi32(hi, bias)));
+            if constexpr (All) {
+                // An odd count's repeated row is no code of b.
+                __m256i eq = _mm256_sub_epi32(
+                    _mm256_cmpeq_epi32(lo, zero),
+                    _mm256_and_si256(_mm256_cmpeq_epi32(hi, zero),
+                                     _mm256_set1_epi32(pair ? 1 : 0)));
                 if (v + 1 == V)
                     eq = _mm256_and_si256(eq, last);
                 zc = _mm256_sub_epi32(zc, eq);
             }
+            bv[v] = _mm256_blend_epi16(lo, _mm256_slli_epi32(hi, 16), 0xaa);
         }
         #pragma GCC unroll 4
         for (int r = 0; r < R; ++r) {
+            const i32 *ar = a + std::size_t(r) * kd;
+            const u32 a1 = pair ? u32(ar[k1]) << 16 : 0u;
             const __m256i av =
-                _mm256_set1_epi32(a[std::size_t(r) * kd + k] & 0xffff);
+                _mm256_set1_epi32(i32((u32(ar[k0]) & 0xffffu) | a1));
             #pragma GCC unroll 4
             for (int v = 0; v < V; ++v)
                 acc[r][v] = _mm256_add_epi32(acc[r][v],
@@ -153,8 +169,8 @@ rowTileAvx2(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
     #pragma GCC unroll 4
     for (int r = 0; r < R; ++r)
         spillAvx2<V>(c + r * n, acc[r], width);
-    if constexpr (First) {
-        range = any;
+    range = any;
+    if constexpr (All) {
         alignas(32) u32 lanes[8];
         _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), zc);
         for (const u32 l : lanes)
@@ -182,16 +198,17 @@ pairTileDispatchAvx2(int rows, int vecs, i64 *c, std::size_t n,
 }
 
 /** rowTileAvx2 for a tile of `rows` rows and `vecs` vectors. */
-template <bool First>
+template <bool All>
 void
 rowTileDispatchAvx2(int rows, int vecs, i64 *c, std::size_t n,
-                    const i32 *a, std::size_t kd, const i32 *b, int cnt,
-                    __m256i last, int width, __m256i &range, u64 &zeros)
+                    const i32 *a, std::size_t kd, const i32 *b,
+                    const u32 *ks, int cnt, __m256i last, int width,
+                    __m256i &range, u64 &zeros)
 {
 #define USYS_ROW_TILE(R, V)                                               \
     case (R - 1) * 2 + V - 1:                                             \
-        rowTileAvx2<R, V, First>(c, n, a, kd, b, cnt, last, width, range, \
-                                 zeros);                                  \
+        rowTileAvx2<R, V, All>(c, n, a, kd, b, ks, cnt, last, width,      \
+                                 range, zeros);                           \
         return;
     switch ((rows - 1) * 2 + vecs - 1) {
         USYS_ROW_TILE(1, 1) USYS_ROW_TILE(1, 2)
@@ -240,30 +257,41 @@ gemmI16Avx2(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
         }
         return true;
     }
-    // Row tiles read B's rows in place, every k, in blocks of 2 * kb k.
-    const int block = int(std::min<i64>(kd, 2 * i64(kb)));
+    // Row tiles read B's rows in place in blocks of at most 2 * kb (and
+    // kRowBlock) k: each tile its live k, or, when zeros are asked for,
+    // the first rows every k.
+    const int block =
+        int(std::min<i64>({kd, 2 * i64(kb), i64(detail::kRowBlock)}));
+    u32 ks[detail::kRowBlock];
     __m256i range = _mm256_setzero_si256();
     u64 zc = 0;
     for (int i0 = 0; i0 < m; i0 += kRows) {
         const int rows = std::min(kRows, m - i0);
+        const bool all = i0 == 0 && zeros;
         for (int k0 = 0; k0 < kd; k0 += block) {
-            const int cnt = std::min(block, kd - k0);
+            int cnt = std::min(block, kd - k0);
+            const i32 *at = a + std::size_t(i0) * kd;
+            if (!all) {
+                cnt = detail::liveKsI16(at, kd, rows, k0, k0 + cnt, ks);
+                if (cnt == 0)
+                    continue;
+            }
             for (int j = 0; j < n; j += 16) {
                 const int rest = std::min(16, n - j);
                 const int vecs = (rest + 7) / 8;
                 i64 *ct = c + std::size_t(i0) * stride + j;
-                const i32 *at = a + std::size_t(i0) * kd + k0;
                 const i32 *bt = b + std::size_t(k0) * stride + j;
-                if (i0 == 0)
-                    rowTileDispatchAvx2<true>(rows, vecs, ct, stride, at,
-                                              std::size_t(kd), bt, cnt,
+                if (all)
+                    rowTileDispatchAvx2<true>(rows, vecs, ct, stride,
+                                              at + k0, std::size_t(kd), bt,
+                                              nullptr, cnt,
                                               lastOf(rest, vecs), rest,
                                               range, zc);
                 else
-                    rowTileDispatchAvx2<false>(rows, vecs, ct, stride, at,
-                                               std::size_t(kd), bt, cnt,
-                                               lastOf(rest, vecs), rest,
-                                               range, zc);
+                    rowTileDispatchAvx2<false>(rows, vecs, ct, stride,
+                                               at + k0, std::size_t(kd), bt,
+                                               ks, cnt, lastOf(rest, vecs),
+                                               rest, range, zc);
             }
         }
     }

@@ -134,20 +134,23 @@ pairTileAvx512(i64 *c, std::size_t n, const u32 *ap, const u32 *off,
 
 /**
  * One row tile of gemmI16 on B's own rows: R output rows x V vectors of
- * 16 columns over the `cnt` k values from b (row stride n) and a (row
- * stride kd). Each i32 code of b is read in place as the 16-bit pair
- * (b, its sign extension), so vpmaddwd against the broadcast (a(r, k),
- * 0) adds a(r, k) * b in one instruction; the last vector loads under
- * `last`, its other lanes zero. First, the tile also ORs every code,
- * biased by 2^14, into `range` (below 2^15 in every lane while the codes
- * are in range) and counts its zero codes into `zeros`; only the first
- * row tile of a column does, since it reads every code once.
+ * 16 columns over `cnt` k values from b (row stride n) and a (row stride
+ * kd), the k in ks[0, cnt) (liveKsI16). The tile takes them two at a
+ * time: a code in range is its own low 16 bits, so one vpblendmw of row
+ * k0 and row k1 shifted up 16 bits is the pair (b(k0, j), b(k1, j)), and
+ * vpmaddwd against the broadcast (a(r, k0), a(r, k1)) adds both products
+ * in one instruction. An odd count's last k pairs with itself under a
+ * zero activation. The last vector loads under `last`, its other lanes
+ * zero. The tile ORs every code it reads, biased by 2^14, into `range`
+ * (below 2^15 in every lane while the codes are in range). All, it reads
+ * every k in [0, cnt) instead and also counts its zero codes into
+ * `zeros`.
  */
-template <int R, int V, bool First>
+template <int R, int V, bool All>
 USYS_AVX512_NO_TSAN inline void
 rowTileAvx512(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
-              const i32 *b, int cnt, __mmask16 last, __m512i &range,
-              u64 &zeros)
+              const i32 *b, const u32 *ks, int cnt, __mmask16 last,
+              __m512i &range, u64 &zeros)
 {
     const __m512i bias = _mm512_set1_epi32(kGemmI16Limit);
     const __m512i one = _mm512_set1_epi32(1);
@@ -159,25 +162,42 @@ rowTileAvx512(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
         #pragma GCC unroll 4
         for (int v = 0; v < V; ++v)
             acc[r][v] = zero;
-    for (int k = 0; k < cnt; ++k) {
-        const i32 *bk = b + std::size_t(k) * n;
+    for (int q = 0; q < cnt; q += 2) {
+        const bool pair = q + 1 < cnt;
+        const std::size_t k0 = All ? std::size_t(q) : std::size_t(ks[q]);
+        const std::size_t k1 =
+            !pair ? k0 : All ? std::size_t(q + 1) : std::size_t(ks[q + 1]);
         __m512i bv[V];
         #pragma GCC unroll 4
         for (int v = 0; v < V; ++v) {
             const __mmask16 m = v + 1 < V ? __mmask16(0xffff) : last;
-            bv[v] = _mm512_maskz_loadu_epi32(m, bk + 16 * v);
-            if constexpr (First) {
-                // A masked-off lane is no code of b: the compare skips it.
-                any = _mm512_or_si512(any, _mm512_add_epi32(bv[v], bias));
+            const __m512i lo =
+                _mm512_maskz_loadu_epi32(m, b + k0 * n + 16 * v);
+            const __m512i hi =
+                _mm512_maskz_loadu_epi32(m, b + k1 * n + 16 * v);
+            any = _mm512_ternarylogic_epi32(any, _mm512_add_epi32(lo, bias),
+                                            _mm512_add_epi32(hi, bias), 0xfe);
+            if constexpr (All) {
+                // A masked-off lane is no code of b, nor is an odd
+                // count's repeated row: the compares skip them.
                 zc = _mm512_mask_add_epi32(
-                    zc, _mm512_mask_cmpeq_epi32_mask(m, bv[v], zero), zc,
-                    one);
+                    zc, _mm512_mask_cmpeq_epi32_mask(m, lo, zero), zc, one);
+                zc = _mm512_mask_add_epi32(
+                    zc,
+                    _mm512_mask_cmpeq_epi32_mask(pair ? m : __mmask16(0), hi,
+                                                 zero),
+                    zc, one);
             }
+            // Zero-masked form, as in spillAvx512.
+            bv[v] = _mm512_mask_blend_epi16(
+                0xaaaaaaaau, lo, _mm512_maskz_slli_epi32(0xffff, hi, 16));
         }
         #pragma GCC unroll 4
         for (int r = 0; r < R; ++r) {
+            const i32 *ar = a + std::size_t(r) * kd;
+            const u32 a1 = pair ? u32(ar[k1]) << 16 : 0u;
             const __m512i av =
-                _mm512_set1_epi32(a[std::size_t(r) * kd + k] & 0xffff);
+                _mm512_set1_epi32(i32((u32(ar[k0]) & 0xffffu) | a1));
             #pragma GCC unroll 4
             for (int v = 0; v < V; ++v)
                 acc[r][v] = _mm512_add_epi32(acc[r][v],
@@ -190,10 +210,9 @@ rowTileAvx512(i64 *c, std::size_t n, const i32 *a, std::size_t kd,
         for (int v = 0; v < V; ++v)
             spillAvx512(c + r * n + 16 * v, acc[r][v],
                         v + 1 < V ? __mmask16(0xffff) : last);
-    if constexpr (First) {
-        range = any;
+    range = any;
+    if constexpr (All)
         zeros += laneSumAvx512(zc);
-    }
 }
 
 /**
@@ -246,6 +265,35 @@ stagePairsAvx512(const i32 *a, int kd, int rows, int p0, int p1, int n,
     return q;
 }
 
+/**
+ * detail::liveKsI16, 16 k a step: the rows' OR picks the live k, and
+ * vpcompressd packs their offsets. Each full-width store may run up to 15
+ * words past the live k, so ks needs kRowBlock + 16 words.
+ */
+USYS_AVX512_NO_TSAN int
+liveKsAvx512(const i32 *a, int kd, int rows, int k0, int k1, u32 *ks)
+{
+    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           11, 12, 13, 14, 15);
+    const std::size_t stride = std::size_t(kd);
+    int q = 0;
+    for (int k = k0; k < k1; k += 16) {
+        const __mmask16 live = k1 - k >= 16
+                                   ? __mmask16(0xffff)
+                                   : __mmask16((1u << (k1 - k)) - 1);
+        __m512i any = _mm512_setzero_si512();
+        for (int r = 0; r < rows; ++r)
+            any = _mm512_or_si512(
+                any, _mm512_maskz_loadu_epi32(
+                         live, a + std::size_t(r) * stride + std::size_t(k)));
+        const __mmask16 keep = _mm512_test_epi32_mask(any, any);
+        const __m512i at = _mm512_add_epi32(lane, _mm512_set1_epi32(k - k0));
+        _mm512_storeu_si512(ks + q, _mm512_maskz_compress_epi32(keep, at));
+        q += std::popcount(u32(keep));
+    }
+    return q;
+}
+
 /** pairTileAvx512 for a tile of `rows` rows and `vecs` vectors. */
 USYS_AVX512_NO_TSAN void
 pairTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
@@ -270,15 +318,16 @@ pairTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
 }
 
 /** rowTileAvx512 for a tile of `rows` rows and `vecs` vectors. */
-template <bool First>
+template <bool All>
 USYS_AVX512_NO_TSAN void
 rowTileDispatchAvx512(int rows, int vecs, i64 *c, std::size_t n,
-                      const i32 *a, std::size_t kd, const i32 *b, int cnt,
-                      __mmask16 last, __m512i &range, u64 &zeros)
+                      const i32 *a, std::size_t kd, const i32 *b,
+                      const u32 *ks, int cnt, __mmask16 last,
+                      __m512i &range, u64 &zeros)
 {
 #define USYS_ROW_TILE(R, V)                                               \
     case (R - 1) * 4 + V - 1:                                             \
-        rowTileAvx512<R, V, First>(c, n, a, kd, b, cnt, last, range,      \
+        rowTileAvx512<R, V, All>(c, n, a, kd, b, ks, cnt, last, range,    \
                                    zeros);                                \
         return;
     switch ((rows - 1) * 4 + vecs - 1) {
@@ -328,30 +377,42 @@ gemmI16Avx512(i64 *c, const i32 *a, const i32 *b, const u32 *pairs, int m,
         }
         return true;
     }
-    // Row tiles read B's rows in place, every k, in blocks of 2 * kb k.
-    const int block = int(std::min<i64>(kd, 2 * i64(kb)));
+    // Row tiles read B's rows in place in blocks of at most 2 * kb (and
+    // kRowBlock) k: each tile its live k, or, when zeros are asked for,
+    // the first rows every k.
+    const int block =
+        int(std::min<i64>({kd, 2 * i64(kb), i64(detail::kRowBlock)}));
+    u32 ks[detail::kRowBlock + 16];
     __m512i range = _mm512_setzero_si512();
     u64 zc = 0;
     for (int i0 = 0; i0 < m; i0 += kRows) {
         const int rows = std::min(kRows, m - i0);
+        const bool all = i0 == 0 && zeros;
         for (int k0 = 0; k0 < kd; k0 += block) {
-            const int cnt = std::min(block, kd - k0);
+            int cnt = std::min(block, kd - k0);
+            const i32 *at = a + std::size_t(i0) * kd;
+            if (!all) {
+                cnt = liveKsAvx512(at, kd, rows, k0, k0 + cnt, ks);
+                if (cnt == 0)
+                    continue;
+            }
             for (int j = 0; j < n; j += 64) {
                 const int rest = std::min(64, n - j);
                 const int vecs = (rest + 15) / 16;
                 const __mmask16 last =
                     __mmask16(0xffffu >> (16 * vecs - rest));
                 i64 *ct = c + std::size_t(i0) * stride + j;
-                const i32 *at = a + std::size_t(i0) * kd + k0;
                 const i32 *bt = b + std::size_t(k0) * stride + j;
-                if (i0 == 0)
-                    rowTileDispatchAvx512<true>(rows, vecs, ct, stride, at,
-                                                std::size_t(kd), bt, cnt,
-                                                last, range, zc);
+                if (all)
+                    rowTileDispatchAvx512<true>(rows, vecs, ct, stride,
+                                                at + k0, std::size_t(kd), bt,
+                                                nullptr, cnt, last, range,
+                                                zc);
                 else
-                    rowTileDispatchAvx512<false>(rows, vecs, ct, stride, at,
-                                                 std::size_t(kd), bt, cnt,
-                                                 last, range, zc);
+                    rowTileDispatchAvx512<false>(rows, vecs, ct, stride,
+                                                 at + k0, std::size_t(kd),
+                                                 bt, ks, cnt, last, range,
+                                                 zc);
             }
         }
     }

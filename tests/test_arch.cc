@@ -338,8 +338,9 @@ TEST(SystolicGemm, ExactClosedFormMatchesScalarEngineRandomized)
 /**
  * The closed form's sparsity census against the per-fold one: the
  * scalar engine (--no-packed) counts every staged tile's zeros, the
- * closed form takes the operands' zeros from its kernel's own passes
- * and adds the padding. B's zeros sit in its last columns (a masked tail
+ * closed form takes the operands' zeros from its kernel call (B's from
+ * a single-row pass over B where the call makes one) and adds the
+ * padding. B's zeros sit in its last columns (a masked tail
  * vector of every SIMD tier at N = 17 and 33) and in its last K rows
  * (the panel's odd tail pair at odd K, and padded array rows after
  * them), and A's in its last columns. Every engine path books them:
@@ -752,12 +753,12 @@ TEST(Functional, TableKernelMatchesPerMacReferee)
     }
 
     // Output rows across the walk/gather decision (a block walks when
-    // its dense rows beyond one per k, plus 44, number fewer than
+    // its dense rows beyond one per k, plus 16, number fewer than
     // 4 (M - 1) per k, 8 (M - 1) for UG): 1 and 2 gather, 128 walks, and
-    // 43-45 straddle the line at 8 bits, where a full-range column spans
+    // 36-38 straddle the line at 8 bits, where a full-range column spans
     // about 128 rows (UR/UT) or 256 (UG).
     for (const TableConfig &c : tableConfigs()) {
-        for (const int m_rows : {1, 2, 43, 44, 45, 128}) {
+        for (const int m_rows : {1, 2, 36, 37, 38, 128}) {
             Prng prng(0xd1ffu + seed);
             const int et =
                 c.et ? 2 + int(prng.below(u64(c.bits) - 1)) : 0;
@@ -854,7 +855,7 @@ TEST(Functional, TableEntriesFitInt16)
 
 /**
  * Every column of A holds every code in [-2^(N-1), 2^(N-1)] at least
- * once (in at least 16 rows, so that even 2- and 3-bit tables walk), in
+ * once (in at least 16 rows, so that even 2-bit tables walk), in
  * a random order, so every k stages every table row and builds its
  * weight-side rows in one threshold walk (both UG passes included):
  * UR with and without early termination, UT and UG at every bitwidth,
@@ -887,15 +888,16 @@ TEST(Functional, TableKernelWalksWhenAColumnHoldsEveryCode)
 }
 
 /**
- * One to three output rows, which never walk (a walked k costs 44 steps'
- * worth before its rows, against 4 (M - 1) steps a gathered row saves),
- * so a block gathers each (m, k)'s row at every weight in one fused
- * pass (gatherSumU16). Activations are negative, zero or positive
- * (a zero UR/UT code adds nothing; a zero UG code adds the bipolar
- * bias), N covers one column, both sides of a 16-lane vector and the
- * benchmark's 112, and every SIMD tier runs: UR at every bitwidth with
- * and without early termination, UR-8 at the benchmark's ebt 6 and 7,
- * UT, and UG at 2-12 bits.
+ * One to three output rows, which never walk (a walked k costs 16 steps'
+ * worth before its rows, against 4 (M - 1) steps a gathered row saves,
+ * 8 (M - 1) for UG), so a block gathers each (m, k)'s row at every
+ * weight in one fused pass (gatherSumU16). Activations are negative,
+ * zero or positive (a zero UR/UT code adds nothing; a zero UG code adds
+ * the bipolar bias), N covers one column, both sides of a 16-lane
+ * vector, the benchmark's 112 and both sides of the vector tiers' 64-
+ * and 128-column tiles, K runs up to 200, and every SIMD tier runs: UR
+ * and UT at every bitwidth (UR with and without early termination, UR-8
+ * at the benchmark's ebt 6 and 7) and UG at 2-12 bits.
  */
 TEST(Functional, TableKernelGathersAtOneOutputRow)
 {
@@ -906,17 +908,15 @@ TEST(Functional, TableKernelGathersAtOneOutputRow)
     for (const std::string &tier : simdTiers()) {
         setSimdMode(tier);
         for (const TableConfig &c : configs) {
-            if (c.bits > 12)
-                continue;
             const i32 lim = i32(1) << (c.bits - 1);
             for (const int m_rows : {1, 2, 3}) {
                 const int et = !c.et ? 0
                                : c.bits == 8 ? 6 + int(seed % 2)
                                              : std::max(2, c.bits - 1);
                 const GemmExecutor exec({c.scheme, c.bits, et});
-                for (const int n_dim : {1, 15, 16, 17, 112}) {
+                for (const int n_dim : {1, 15, 16, 17, 65, 112, 129}) {
                     Prng prng(0x6a7eu + seed++);
-                    const int k_dim = 1 + int(prng.below(120));
+                    const int k_dim = 1 + int(prng.below(200));
                     Matrix<i32> a(m_rows, k_dim);
                     for (int m = 0; m < m_rows; ++m)
                         for (int k = 0; k < k_dim; ++k) {

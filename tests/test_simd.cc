@@ -773,9 +773,9 @@ pairCodes(std::size_t count, int bits, Prng &prng)
 /**
  * Run gemmI16 on one table in both B layouts (B's own rows and the
  * packed panel) over a c prefilled with offsets, and hold each to the
- * naive loop; a sentinel past c catches writes beyond the last row. The
- * packing pass and (with rows to run) the row tiles must each count b's
- * zero codes exactly once, on top of what *zeros held.
+ * naive loop; a sentinel past c catches writes beyond the last row. With
+ * rows to run, the row tiles must count b's zero codes exactly once, on
+ * top of what *zeros held; the panel path counts none.
  */
 void
 expectPairGemm(const SimdKernels &k, const std::vector<i32> &a,
@@ -788,27 +788,26 @@ expectPairGemm(const SimdKernels &k, const std::vector<i32> &a,
     const auto want = naiveGemm(a, b, m, kd, n, c0);
     const u64 b_zeros = u64(std::count(b.begin(), b.end(), 0));
     std::vector<u32> panel(std::size_t((kd + 1) / 2) * n + 1, 0xdeadbeef);
-    u64 packed = 5;
-    ASSERT_TRUE(packPairsI16(b.data(), kd, n, panel.data(), &packed))
-        << what;
-    EXPECT_EQ(packed, 5 + b_zeros) << what;
+    ASSERT_TRUE(packPairsI16(b.data(), kd, n, panel.data())) << what;
     EXPECT_EQ(panel.back(), 0xdeadbeefu) << what;
-    for (const bool raw : {true, false}) {
-        std::vector<i64> got = c0;
-        got.push_back(-7);
-        u64 zeros = 3;
-        EXPECT_TRUE(k.gemmI16(got.data(), a.data(), b.data(),
-                              raw ? nullptr : panel.data(), m, kd, n, kb,
-                              &zeros))
-            << simdLevelName(k.level) << " " << what;
-        EXPECT_EQ(got.back(), -7) << simdLevelName(k.level) << " " << what;
-        got.pop_back();
-        EXPECT_EQ(got, want) << simdLevelName(k.level) << " " << what
-                             << (raw ? " raw" : " panel");
-        EXPECT_EQ(zeros, 3 + (raw && m > 0 ? b_zeros : 0))
-            << simdLevelName(k.level) << " " << what
-            << (raw ? " raw" : " panel");
-    }
+    for (const bool raw : {true, false})
+        for (const bool count : {true, false}) {
+            const std::string where = std::string(simdLevelName(k.level)) +
+                                      " " + what + (raw ? " raw" : " panel") +
+                                      (count ? " counting" : "");
+            std::vector<i64> got = c0;
+            got.push_back(-7);
+            u64 zeros = 3;
+            EXPECT_TRUE(k.gemmI16(got.data(), a.data(), b.data(),
+                                  raw ? nullptr : panel.data(), m, kd, n, kb,
+                                  count ? &zeros : nullptr))
+                << where;
+            EXPECT_EQ(got.back(), -7) << where;
+            got.pop_back();
+            EXPECT_EQ(got, want) << where;
+            EXPECT_EQ(zeros, 3 + (raw && count && m > 0 ? b_zeros : 0))
+                << where;
+        }
 }
 
 TEST(SimdGemmI16, ParityAcrossShapesTailsAndBlocks)
@@ -865,9 +864,12 @@ TEST(SimdGemmI16, LongKCrossesTheStagingBlock)
 
 TEST(SimdGemmI16, AllZeroPairsAreSkippedExactly)
 {
-    // Rows whose pairs vanish together (the register tile skips them),
-    // pairs zero in one row only, and pairs with a single nonzero code
-    // (the raw path then reads one b row for both).
+    // Pairs and k zero in every row of a register tile (the panel tiles
+    // and the row tiles past the first rows skip them; the first row
+    // tiles still read them, to check and count b), pairs zero in one
+    // row only, and pairs with a single nonzero code. Then every row
+    // past the first tile zero, so that no later row tile has a k to
+    // read.
     Prng prng(1414);
     const int m = 9, kd = 19, n = 21;
     auto a = pairCodes(std::size_t(m) * kd, 8, prng);
@@ -878,29 +880,52 @@ TEST(SimdGemmI16, AllZeroPairsAreSkippedExactly)
     const auto b = pairCodes(std::size_t(kd) * n, 8, prng);
     for (const SimdKernels *k : tablesUnderTest())
         expectPairGemm(*k, a, b, m, kd, n, 512, "sparse");
+    std::fill(a.begin() + std::size_t(detail::kPairTileRows) * kd, a.end(),
+              0);
+    for (const SimdKernels *k : tablesUnderTest())
+        expectPairGemm(*k, a, b, m, kd, n, 512, "zero past the first tile");
 }
 
 TEST(SimdGemmI16, RawCodesOutsideTheRangeAreReported)
 {
     // The raw path checks every b code it reads against [-2^14, 2^14);
-    // the panel packer reports the same codes.
-    const int m = 3, kd = 5, n = 20;
-    const std::vector<i32> a(std::size_t(m) * kd, 1);
+    // the panel packer reports the same codes. A k whose activations are
+    // all zero is not read, so its codes go unreported, and the result
+    // is still exact, unless the call counts b's zeros: its first rows
+    // then read every k.
+    const int m = 6, kd = 5, n = 20;
+    std::vector<i32> a(std::size_t(m) * kd, 1);
     for (const i32 bad : {kGemmI16Limit, -kGemmI16Limit - 1, i32(1) << 20,
                           std::numeric_limits<i32>::min(),
                           std::numeric_limits<i32>::max()}) {
         std::vector<i32> b(std::size_t(kd) * n, 3);
         b[std::size_t(kd - 1) * n + n - 1] = bad; // the odd tail's last
         std::vector<u32> panel(std::size_t((kd + 1) / 2) * n);
-        u64 zeros = 0;
-        EXPECT_FALSE(packPairsI16(b.data(), kd, n, panel.data(), &zeros))
-            << bad;
+        EXPECT_FALSE(packPairsI16(b.data(), kd, n, panel.data())) << bad;
+        for (const SimdKernels *k : tablesUnderTest())
+            for (const bool count : {true, false}) {
+                std::vector<i64> c(std::size_t(m) * n, 0);
+                u64 zeros = 0;
+                EXPECT_FALSE(k->gemmI16(c.data(), a.data(), b.data(),
+                                        nullptr, m, kd, n, 3,
+                                        count ? &zeros : nullptr))
+                    << simdLevelName(k->level) << " " << bad;
+            }
+        for (int i = 0; i < m; ++i)
+            a[std::size_t(i) * kd + kd - 1] = 0;
+        const std::vector<i64> want(std::size_t(m) * n, 3 * (kd - 1));
         for (const SimdKernels *k : tablesUnderTest()) {
             std::vector<i64> c(std::size_t(m) * n, 0);
-            EXPECT_FALSE(k->gemmI16(c.data(), a.data(), b.data(), nullptr,
-                                    m, kd, n, 3, &zeros))
-                << simdLevelName(k->level) << " " << bad;
+            EXPECT_TRUE(k->gemmI16(c.data(), a.data(), b.data(), nullptr, m,
+                                   kd, n, 3, nullptr))
+                << simdLevelName(k->level) << " " << bad << " at a zero k";
+            EXPECT_EQ(c, want) << simdLevelName(k->level) << " " << bad;
+            u64 zeros = 0;
+            EXPECT_FALSE(k->gemmI16(c.data(), a.data(), b.data(), nullptr, m,
+                                    kd, n, 3, &zeros))
+                << simdLevelName(k->level) << " " << bad << " counted";
         }
+        std::fill(a.begin(), a.end(), 1);
     }
 }
 
